@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.apps.httpd import (HTTP_PORT, HttpRequest, HttpResponse,
                               response_size_for)
-from repro.core.options import UNSET, TransferOptions
+from repro.core.options import TransferOptions, resolve_options
 from repro.net.addresses import IPv4Address
 from repro.net.stack import Host
 from repro.net.tcp import ConnectionReset
@@ -72,10 +72,8 @@ class ApacheBench:
                  concurrency: int = 1, port: int = HTTP_PORT,
                  connect_timeout: float = 10.0,
                  options: Optional[TransferOptions] = None,
-                 fidelity=UNSET, service_time: float = 50e-6,
-                 response_path=None, cc=UNSET) -> None:
-        opts = TransferOptions.coerce(options, "ApacheBench",
-                                      fidelity=fidelity, cc=cc)
+                 service_time: float = 50e-6, response_path=None) -> None:
+        opts = resolve_options(options, TransferOptions, "ApacheBench")
         fidelity, cc = opts.fidelity, opts.cc
         if fidelity not in ("packet", "fluid"):
             raise ValueError(f"unknown fidelity {fidelity!r}")
@@ -92,7 +90,7 @@ class ApacheBench:
         self.fidelity = fidelity
         self.service_time = service_time
         self.response_path = response_path
-        # cc=None: stack default (packet) / historical Mathis cap (fluid).
+        # cc=None: stack default (packet) / Reno's loss response (fluid).
         self.cc = cc
         self.report = AbReport()
         self._stop = False

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.options import UNSET, TransferOptions
+from repro.core.options import TransferOptions, resolve_options
 from repro.net.addresses import IPv4Address
 from repro.net.stack import Host
 from repro.net.tcp import ConnectionReset
@@ -52,14 +52,11 @@ def netserver(host: Host, port: int = NETPERF_PORT):
 def netperf_stream(host: Host, dst_ip: IPv4Address,
                    duration: float = 10.0, interval: float = 0.5,
                    chunk: int = 65536, port: int = NETPERF_PORT,
-                   options: "TransferOptions | None" = None,
-                   fidelity=UNSET, cc=UNSET, cc_trace=UNSET):
+                   options: "TransferOptions | None" = None):
     """Process: TCP_STREAM from ``host`` to a :func:`netserver` at
     ``dst_ip`` for ``duration`` seconds; returns NetperfResult.
 
-    Transfer behaviour comes from a :class:`TransferOptions` bundle
-    (``fidelity=`` / ``cc=`` / ``cc_trace=`` keywords are deprecated
-    aliases).
+    Transfer behaviour comes from a :class:`TransferOptions` bundle.
 
     ``TransferOptions.fidelity="fluid"`` runs the stream as one
     duration-mode fluid flow (no netserver needed); interim rates come
@@ -67,12 +64,11 @@ def netperf_stream(host: Host, dst_ip: IPv4Address,
     ``<host>.netperf.rate_mbps`` series.
 
     ``TransferOptions.cc`` picks the congestion-control algorithm
-    (``None`` = stack default / historical fluid Mathis cap).
+    (``None`` = stack default / Reno's fluid loss response).
     ``TransferOptions.cc_trace`` enables the per-flow
     ``<stack>.tcp.<label>.{cwnd,ssthresh,srtt_ms}`` time series under
     that label (packet fidelity only)."""
-    opts = TransferOptions.coerce(options, "netperf_stream",
-                                  fidelity=fidelity, cc=cc, cc_trace=cc_trace)
+    opts = resolve_options(options, TransferOptions, "netperf_stream")
     fidelity, cc, cc_trace = opts.fidelity, opts.cc, opts.cc_trace
     sim = host.sim
     if fidelity == "fluid":

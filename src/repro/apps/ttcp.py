@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.options import UNSET, TransferOptions
+from repro.core.options import TransferOptions, resolve_options
 from repro.net.addresses import IPv4Address
 from repro.net.stack import Host
 from repro.net.tcp import drain_bytes, stream_bytes
@@ -47,13 +47,11 @@ def ttcp_receiver(host: Host, port: int = TTCP_PORT):
 
 def ttcp_transfer(host: Host, dst_ip: IPv4Address, total_bytes: int,
                   buf_size: int = 16384, port: int = TTCP_PORT,
-                  options: Optional[TransferOptions] = None,
-                  fidelity=UNSET, cc=UNSET):
+                  options: Optional[TransferOptions] = None):
     """Process: transmit ``total_bytes``; returns TtcpResult (sender side,
     timed from first write to last byte acknowledged — what ttcp -t reports).
 
-    Transfer behaviour comes from a :class:`TransferOptions` bundle
-    (``fidelity=`` / ``cc=`` keywords are deprecated aliases).
+    Transfer behaviour comes from a :class:`TransferOptions` bundle.
 
     ``TransferOptions.fidelity="fluid"`` runs the same transfer on the
     flow-level plane (requires a :class:`~repro.net.fluid.FluidNetwork`
@@ -63,10 +61,9 @@ def ttcp_transfer(host: Host, dst_ip: IPv4Address, total_bytes: int,
 
     ``TransferOptions.cc`` names a registered congestion-control
     algorithm (:func:`repro.net.cc.cc_names`); ``None`` keeps the host
-    stack's default at packet fidelity and the plane's historical Mathis
-    loss response at fluid fidelity."""
-    opts = TransferOptions.coerce(options, "ttcp_transfer",
-                                  fidelity=fidelity, cc=cc)
+    stack's default at packet fidelity and Reno's loss response at
+    fluid fidelity."""
+    opts = resolve_options(options, TransferOptions, "ttcp_transfer")
     fidelity, cc = opts.fidelity, opts.cc
     sim = host.sim
     if fidelity == "fluid":

@@ -25,7 +25,7 @@ from repro.core.assembler import (PacketAssembler, WavData, WavPathChallenge,
                                   WavPathResponse, WavPulse, WavPunch,
                                   WavPunchAck, WavRelay)
 from repro.core.connection import ConnectionState, WavConnection
-from repro.core.options import UNSET, ConnectOptions, TransferOptions
+from repro.core.options import ConnectOptions, TransferOptions, resolve_options
 from repro.core.switch import WavSwitch
 from repro.core.tap import TapDevice
 from repro.nat.types import NatType
@@ -116,10 +116,10 @@ class WavnetDriver(Component):
         self.repair_backoff_cap = repair_backoff_cap
         self.repair_jitter = repair_jitter
         self.upgrade_interval = upgrade_interval
-        # Traversal/migration defaults (per-connect ConnectOptions override).
-        # Migration is opt-in: enabling it changes repair dynamics, and
-        # scenarios that measured the classic re-punch loop must keep
-        # measuring it unless they ask for migration.
+        # Traversal/migration behaviour of every connection this driver
+        # makes. Migration is opt-in: enabling it changes repair
+        # dynamics, and scenarios that measured the classic re-punch loop
+        # must keep measuring it unless they ask for migration.
         self.predict_ports = predict_ports
         self.punch_fan = punch_fan
         self.migration = migration
@@ -208,11 +208,6 @@ class WavnetDriver(Component):
         # peer is still gone (relaying would fake a live tunnel).
         self._relay_peers: set[str] = set()
 
-    @property
-    def stopped(self) -> bool:
-        """Backward-compatible view of the lifecycle state."""
-        return not self.running
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -242,21 +237,29 @@ class WavnetDriver(Component):
             self.started.succeed(self)
         return self
 
-    def _register_somewhere(self):
+    def _register(self, retries: int = 3):
+        """Process: one ``rvz.register`` call to the current
+        ``rendezvous_ip`` (``connection_info()`` embeds it, so callers
+        trying another candidate set it first)."""
+        result = yield from self.rpc.call(
+            self.rendezvous_ip, self.rendezvous_port, "rvz.register",
+            _RegisterBody(self.name, self.connection_info(), dict(self.attrs)),
+            timeout=5.0, retries=retries)
+        return result
+
+    def _register_somewhere(self, candidates=None, retries: int = 3):
         """Process: register with the first answering rendezvous
-        candidate (primary first, then backups)."""
-        last_exc: Optional[Exception] = None
-        for ip in self.rendezvous_candidates:
-            self.rendezvous_ip = ip  # connection_info() embeds it
+        candidate (by default primary first, then backups). If none
+        answers, ``rendezvous_ip`` is put back and the last error raised."""
+        home = self.rendezvous_ip
+        for ip in candidates or self.rendezvous_candidates:
+            self.rendezvous_ip = ip
             try:
-                yield from self.rpc.call(
-                    ip, self.rendezvous_port, "rvz.register",
-                    _RegisterBody(self.name, self.connection_info(), dict(self.attrs)),
-                    timeout=5.0)
-                return True
+                yield from self._register(retries)
+                return
             except (RpcTimeout, RpcError) as exc:
                 last_exc = exc
-        self.rendezvous_ip = self.rendezvous_candidates[0]
+        self.rendezvous_ip = home
         raise last_exc
 
     def connection_info(self) -> ConnectionInfo:
@@ -280,7 +283,7 @@ class WavnetDriver(Component):
                 try:
                     yield from self.rpc.call(
                         self.rendezvous_ip, self.rendezvous_port, "rvz.keepalive",
-                        (self.name, dict(self.attrs)), timeout=5.0, retries=2)
+                        self.name, timeout=5.0, retries=2)
                     failures = 0
                 except (RpcTimeout, RpcError):
                     failures += 1
@@ -297,23 +300,16 @@ class WavnetDriver(Component):
         t0 = self.sim.now
         old = self.rendezvous_ip
         others = [ip for ip in self.rendezvous_candidates if ip != old] or [old]
-        for ip in others:
-            self.rendezvous_ip = ip
-            try:
-                yield from self.rpc.call(
-                    ip, self.rendezvous_port, "rvz.register",
-                    _RegisterBody(self.name, self.connection_info(), dict(self.attrs)),
-                    timeout=5.0, retries=2)
-            except (RpcTimeout, RpcError):
-                continue
-            self._m_rvz_failovers.add()
-            self._m_rvz_failover_seconds.observe(self.sim.now - t0)
-            self.sim.trace.event("rvz.failover", host=self.name,
-                                 old=str(old), new=str(ip),
-                                 seconds=round(self.sim.now - t0, 6))
-            return True
-        self.rendezvous_ip = old
-        return False
+        try:
+            yield from self._register_somewhere(others, retries=2)
+        except (RpcTimeout, RpcError):
+            return False
+        self._m_rvz_failovers.add()
+        self._m_rvz_failover_seconds.observe(self.sim.now - t0)
+        self.sim.trace.event("rvz.failover", host=self.name,
+                             old=str(old), new=str(self.rendezvous_ip),
+                             seconds=round(self.sim.now - t0, 6))
+        return True
 
     def _refresh_endpoint(self):
         """Process: re-discover this socket's public NAT mapping — it
@@ -332,11 +328,7 @@ class WavnetDriver(Component):
                              new=f"{mapped[0]}:{mapped[1]}")
         if self.rendezvous_ip is not None:
             try:
-                yield from self.rpc.call(
-                    self.rendezvous_ip, self.rendezvous_port, "rvz.register",
-                    _RegisterBody(self.name, self.connection_info(),
-                                  dict(self.attrs)),
-                    timeout=5.0)
+                yield from self._register()
             except (RpcTimeout, RpcError):
                 pass
         return True
@@ -404,18 +396,14 @@ class WavnetDriver(Component):
         return [r for r in records if r.host_name != self.name]
 
     def connect(self, record: ResourceRecord,
-                options: Optional[ConnectOptions] = None,
-                timeout=UNSET, allow_relay=UNSET):
+                options: Optional[ConnectOptions] = None):
         """Process: broker + punch a direct connection to ``record``'s host.
         Behaviour is controlled by a :class:`ConnectOptions` bundle:
         ``allow_relay`` (an extension beyond the paper) lets peers whose
         NATs defeat punching fall back to relaying through the rendezvous
-        server; ``timeout`` overrides the punch deadline; the traversal
-        and migration knobs override the driver defaults. ``timeout=`` /
-        ``allow_relay=`` keywords are deprecated aliases. Returns the
+        server; ``timeout`` overrides the punch deadline. Returns the
         established WavConnection."""
-        opts = ConnectOptions.coerce(options, "connect",
-                                     timeout=timeout, allow_relay=allow_relay)
+        opts = resolve_options(options, ConnectOptions, "connect")
         existing = self.connections.get(record.host_name)
         if existing is not None and existing.usable:
             return existing
@@ -424,14 +412,16 @@ class WavnetDriver(Component):
             _ConnectBody(self.name, self.connection_info(), record.host_name,
                          record.conn.rendezvous_ip, record.conn.rendezvous_port),
             timeout=10.0)
-        conn = self._ensure_connection(notice.peer_name, notice.peer_conn, opts)
+        conn = self._ensure_connection(notice.peer_name, notice.peer_conn,
+                                       opts.timeout)
         conn.start_punching()
         try:
             result = yield conn.wait_established()
         except TimeoutError:
             if not opts.allow_relay or self.rendezvous_ip is None:
                 raise
-            conn = self._ensure_connection(notice.peer_name, notice.peer_conn, opts)
+            conn = self._ensure_connection(notice.peer_name, notice.peer_conn,
+                                           opts.timeout)
             conn.establish_relayed()
             # The first relayed pulse converts the peer's side too.
             conn.send(self.assembler.pulse())
@@ -439,11 +429,9 @@ class WavnetDriver(Component):
         return result
 
     def connect_by_name(self, peer_name: str,
-                        options: Optional[ConnectOptions] = None,
-                        allow_relay=UNSET, **attrs):
+                        options: Optional[ConnectOptions] = None, **attrs):
         """Process: query then connect to the named peer."""
-        opts = ConnectOptions.coerce(options, "connect_by_name",
-                                     allow_relay=allow_relay)
+        opts = resolve_options(options, ConnectOptions, "connect_by_name")
         records = yield from self.query_resources(limit=64, **attrs)
         for record in records:
             if record.host_name == peer_name:
@@ -453,19 +441,15 @@ class WavnetDriver(Component):
 
     def _ensure_connection(self, peer_name: str,
                            peer_conn: Optional[ConnectionInfo],
-                           opts: Optional[ConnectOptions] = None) -> WavConnection:
+                           punch_timeout: Optional[float] = None) -> WavConnection:
         conn = self.connections.get(peer_name)
         if conn is None or conn.state is ConnectionState.DEAD:
-            opts = opts or ConnectOptions()
-            predict = (self.predict_ports if opts.predict_ports is None
-                       else opts.predict_ports)
-            fan = self.punch_fan if opts.punch_fan is None else opts.punch_fan
-            migrate = self.migration if opts.migrate is None else opts.migrate
             conn = WavConnection(self, peer_name, peer_conn,
                                  pulse_interval=self.pulse_interval,
-                                 punch_timeout=opts.timeout or self.punch_timeout,
-                                 predict_ports=predict, punch_fan=fan,
-                                 migrate=migrate)
+                                 punch_timeout=punch_timeout or self.punch_timeout,
+                                 predict_ports=self.predict_ports,
+                                 punch_fan=self.punch_fan,
+                                 migrate=self.migration)
             self.connections[peer_name] = conn
         elif peer_conn is not None and conn.peer_conn is None:
             conn.peer_conn = peer_conn
@@ -485,21 +469,18 @@ class WavnetDriver(Component):
         patch(port, self.bridge.new_port(f"{self.name}.br0.{label}"))
 
     def open_transfer(self, dst_ip, nbytes: int,
-                      options: Optional[TransferOptions] = None,
-                      fidelity=UNSET, cc=UNSET, **kwargs):
+                      options: Optional[TransferOptions] = None, **kwargs):
         """Process: one bulk transfer to a virtual IP, at either
         fidelity, behind one API. ``TransferOptions.fidelity="packet"``
         runs a real ttcp over the tunnel (every frame simulated);
         ``"fluid"`` rides the flow-level plane (requires a FluidNetwork
         with a registered route for this host). ``cc`` names a
         registered congestion-control algorithm for the transfer
-        (``None`` = host stack default). ``fidelity=`` / ``cc=``
-        keywords are deprecated aliases. Returns the app-level
+        (``None`` = host stack default). Returns the app-level
         TtcpResult."""
         from repro.apps.ttcp import ttcp_transfer
 
-        opts = TransferOptions.coerce(options, "open_transfer",
-                                      fidelity=fidelity, cc=cc)
+        opts = resolve_options(options, TransferOptions, "open_transfer")
         result = yield from ttcp_transfer(self.host, dst_ip, nbytes,
                                           options=opts, **kwargs)
         return result
@@ -536,6 +517,17 @@ class WavnetDriver(Component):
         dst = via or (self.rendezvous_ip, self.rendezvous_port)
         self.sock.sendto(dst[0], dst[1],
                          Payload(wrapped.size, data=wrapped, kind="wav"))
+
+    def _send_via_peer_rendezvous(self, conn: WavConnection,
+                                  payload: Payload) -> None:
+        """Relay a path-validation frame through the *peer's* rendezvous
+        (ours when the peer's is unknown) — guaranteed delivery while
+        the direct path is being re-validated."""
+        via = None
+        if conn.peer_conn is not None and conn.peer_conn.rendezvous_ip.value:
+            via = (conn.peer_conn.rendezvous_ip, conn.peer_conn.rendezvous_port)
+        if via is not None or self.rendezvous_ip is not None:
+            self._send_relayed(conn.peer_name, payload, via=via)
 
     def _rx_loop(self):
         try:
@@ -654,7 +646,8 @@ class WavnetDriver(Component):
                     self._m_repair_attempts.add()
                     try:
                         yield from self.connect_by_name(
-                            peer_name, allow_relay=peer_name in self._relay_peers)
+                            peer_name, options=ConnectOptions(
+                                allow_relay=peer_name in self._relay_peers))
                     except (RpcTimeout, RpcError, TimeoutError):
                         # The punch may have failed because our own NAT
                         # mapping moved (reboot, expiry): peers were
@@ -713,17 +706,12 @@ class WavnetDriver(Component):
                                     self.public_endpoint[0],
                                     self.public_endpoint[1])
             payload = Payload(body.size, data=body, kind="wav")
-            via = None
-            if conn.peer_conn is not None and conn.peer_conn.rendezvous_ip.value:
-                via = (conn.peer_conn.rendezvous_ip,
-                       conn.peer_conn.rendezvous_port)
             deadline = self.sim.now + self.migrate_timeout
             while (self.sim.now < deadline and conn._path_token == token
                    and conn.usable):
                 if conn.remote is not None:
                     self._send_raw(conn.remote, payload)
-                if via is not None or self.rendezvous_ip is not None:
-                    self._send_relayed(peer, payload, via=via)
+                self._send_via_peer_rendezvous(conn, payload)
                 yield self.sim.timeout(0.25)
             if conn._path_token == token:
                 conn._path_token = None
@@ -764,11 +752,7 @@ class WavnetDriver(Component):
         # Direct reply doubles as the outbound traffic that opens our own
         # NAT filter toward the peer's new endpoint.
         self._send_raw(new_remote, payload)
-        via = None
-        if conn.peer_conn is not None and conn.peer_conn.rendezvous_ip.value:
-            via = (conn.peer_conn.rendezvous_ip, conn.peer_conn.rendezvous_port)
-        if via is not None or self.rendezvous_ip is not None:
-            self._send_relayed(conn.peer_name, payload, via=via)
+        self._send_via_peer_rendezvous(conn, payload)
 
     def _on_path_response(self, body: WavPathResponse) -> None:
         conn = self._by_cid.get(body.cid)

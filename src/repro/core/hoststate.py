@@ -59,11 +59,10 @@ _ID_MASK = (1 << _GEN_SHIFT) - 1
 class EndpointRow:
     """A lightweight live view of one :class:`HostTable` row.
 
-    Presents the attribute surface the rendezvous layer historically got
-    from its per-host ``RegisteredHost`` dataclass (``name``,
-    ``reach_ip``/``reach_port``, ``conn``, ``attrs``, ``last_seen``) but
-    reads and writes the table columns directly — constructing one
-    allocates nothing beyond the view object itself.
+    Presents a per-host attribute surface to the rendezvous layer
+    (``name``, ``reach_ip``/``reach_port``, ``conn``, ``attrs``,
+    ``last_seen``) but reads the table columns directly — constructing
+    one allocates nothing beyond the view object itself.
     """
 
     __slots__ = ("table", "host_id")
@@ -80,25 +79,13 @@ class EndpointRow:
     def reach_ip(self) -> IPv4Address:
         return IPv4Address(int(self.table.reach_ip[self.host_id]))
 
-    @reach_ip.setter
-    def reach_ip(self, value: IPv4Address) -> None:
-        self.table.reach_ip[self.host_id] = value.value
-
     @property
     def reach_port(self) -> int:
         return int(self.table.reach_port[self.host_id])
 
-    @reach_port.setter
-    def reach_port(self, value: int) -> None:
-        self.table.reach_port[self.host_id] = value
-
     @property
     def last_seen(self) -> float:
         return float(self.table.last_seen[self.host_id])
-
-    @last_seen.setter
-    def last_seen(self, value: float) -> None:
-        self.table.last_seen[self.host_id] = value
 
     @property
     def conn(self) -> ConnectionInfo:
@@ -107,10 +94,6 @@ class EndpointRow:
     @property
     def attrs(self) -> dict:
         return self.table.attrs_of(self.host_id)
-
-    @attrs.setter
-    def attrs(self, values: dict) -> None:
-        self.table.set_attrs(self.host_id, values)
 
     @property
     def registered(self) -> bool:
@@ -122,7 +105,7 @@ class EndpointRow:
 
     @property
     def size(self) -> int:
-        return 48  # wire-size estimate, matches the old RegisteredHost
+        return 48  # wire-size estimate
 
     def __repr__(self) -> str:
         return f"EndpointRow({self.name!r}, id={self.host_id})"
@@ -155,8 +138,7 @@ class HostTable:
         self.active: dict[int, Any] = {}
         self.materializer: Optional[Callable[[str], Any]] = None
         self.dematerializer: Optional[Callable[[str, Any], None]] = None
-        # Sparse side tables (empty for ordinary endpoints).
-        self._extra_attrs: dict[int, dict] = {}
+        # Sparse side table (empty for storm-scale synthetic endpoints).
         self._site_cfg: dict[int, dict] = {}
         # PDES single-owner access: when set via claim_partition(),
         # registration-state mutations outside the owning partition are
@@ -260,7 +242,9 @@ class HostTable:
         return ok
 
     # -- registration --------------------------------------------------
-    def _ensure_row(self, name: str) -> int:
+    def ensure_row(self, name: str) -> int:
+        """Create (or find) the directory row for ``name`` without
+        registering it — scenario setup reserves rows this way."""
         host_id = self._ids.get(name)
         if host_id is None:
             host_id = self._n
@@ -271,11 +255,6 @@ class HostTable:
             self._n += 1
             self._g_rows.set(self._n)
         return host_id
-
-    def ensure_row(self, name: str) -> int:
-        """Create (or find) the directory row for ``name`` without
-        registering it — scenario setup reserves rows this way."""
-        return self._ensure_row(name)
 
     # -- PDES single-owner access --------------------------------------
     def claim_partition(self, owner_group: int, context) -> None:
@@ -304,7 +283,7 @@ class HostTable:
         generation so handles minted for the previous registration go
         stale."""
         self._check_owner()
-        i = self._ensure_row(name)
+        i = self.ensure_row(name)
         self.public_ip[i] = conn.public_ip.value
         self.public_port[i] = conn.public_port
         self.private_ip[i] = conn.private_ip.value
@@ -338,7 +317,7 @@ class HostTable:
         shared (IPv4Address, port) endpoints. Returns the row ids.
         """
         self._check_owner()
-        ids = np.fromiter((self._ensure_row(n) for n in names),
+        ids = np.fromiter((self.ensure_row(n) for n in names),
                           dtype=np.int64, count=len(names))
         self.public_ip[ids] = public_ip
         self.public_port[ids] = public_port
@@ -370,22 +349,14 @@ class HostTable:
         return np.clip(x, 0.0, 1.0 - 1e-9)
 
     def set_attrs(self, host_id: int, attrs: dict) -> None:
-        """Single-row attribute update (the legacy register/keepalive
-        path). The exact dict is kept in a sparse side table so records
-        rebuilt for these rows are byte-identical to the pre-table code
-        (no float32 round-trip, ints stay ints); the columnar projection
-        exists for vectorized zone math. Batch registrations skip the
-        side table entirely — storm-scale rows stay columnar."""
-        self._extra_attrs[host_id] = dict(attrs)
+        """Single-row attribute update: project the named attributes
+        into the float32 column and re-derive the CAN coordinates."""
         for k, (name, _lo, _hi) in enumerate(self.spec.attributes):
             if name in attrs:
                 self.attr_values[host_id, k] = float(attrs[name])
         self.coords[host_id] = self._to_coords(self.attr_values[host_id])
 
     def attrs_of(self, host_id: int) -> dict:
-        exact = self._extra_attrs.get(host_id)
-        if exact is not None:
-            return dict(exact)
         return {name: float(self.attr_values[host_id, k])
                 for k, (name, _lo, _hi) in enumerate(self.spec.attributes)}
 
@@ -476,16 +447,15 @@ class HostTable:
             mask &= (self.flags[:n] & FLAG_REGISTERED) != 0
         return [self._names[i] for i in np.nonzero(mask)[0]]
 
-    def ids_in_zone(self, zone, ids: np.ndarray) -> np.ndarray:
-        """Subset of ``ids`` whose CAN coordinates fall inside ``zone``
-        — per-zone load, one vectorized containment test."""
-        if len(ids) == 0:
-            return ids
+    def in_zone(self, zone, ids: np.ndarray) -> np.ndarray:
+        """Boolean mask over ``ids``: rows whose CAN coordinates fall
+        inside ``zone`` — the one vectorized containment test behind
+        per-zone load, zone handoffs and batch self-partitioning."""
         pts = self.coords[ids]
         mask = np.ones(len(ids), dtype=bool)
         for d in range(self._dims):
             mask &= (pts[:, d] >= zone.lows[d]) & (pts[:, d] < zone.highs[d])
-        return ids[mask]
+        return mask
 
     # -- record / connection-info reconstruction -----------------------
     def connection_info(self, host_id: int) -> ConnectionInfo:
@@ -505,8 +475,7 @@ class HostTable:
             observed_port=int(self.reach_port[i]),
         )
 
-    def record(self, host_id: int,
-               expires_at: float = float("inf")) -> ResourceRecord:
+    def record(self, host_id: int) -> ResourceRecord:
         """Materialize a full ResourceRecord for one row (only done for
         the handful of rows a query actually returns)."""
         return ResourceRecord(
@@ -514,7 +483,6 @@ class HostTable:
             point=tuple(float(x) for x in self.coords[host_id]),
             attrs=self.attrs_of(host_id),
             conn=self.connection_info(host_id),
-            expires_at=expires_at,
         )
 
     # -- lazy materialization ------------------------------------------

@@ -1,62 +1,28 @@
 """Typed option bundles for WAVNet's connect/transfer APIs.
 
 The driver's connect path and the traffic generators (ttcp, netperf,
-ApacheBench) grew overlapping keyword knobs — ``allow_relay=``,
-``timeout=``, ``fidelity=``, ``cc=``, and now the traversal/migration
-controls. :class:`ConnectOptions` and :class:`TransferOptions` collapse
-them into two frozen dataclasses accepted everywhere via ``options=``.
-
-The old keywords still work as deprecated aliases: passing one emits a
-:class:`DeprecationWarning` and is folded into the options bundle (an
-explicit keyword wins over the same field in ``options=``).
+ApacheBench) share two frozen dataclasses, accepted everywhere via
+``options=``: :class:`ConnectOptions` for how to reach a peer and
+:class:`TransferOptions` for how to move bytes once connected.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["UNSET", "ConnectOptions", "TransferOptions"]
+__all__ = ["ConnectOptions", "TransferOptions", "resolve_options"]
 
 
-class _Unset:
-    """Sentinel distinguishing "keyword not passed" from an explicit
-    ``None`` (several legacy knobs legitimately accept None)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNSET"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-UNSET = _Unset()
-
-
-def _fold_legacy(options, cls, api: str, legacy: dict):
-    """Merge deprecated keyword aliases into an options bundle, warning
-    once per keyword actually used."""
-    base = options if options is not None else cls()
-    if not isinstance(base, cls):
+def resolve_options(options, cls, api: str):
+    """``options`` itself, or ``cls()`` defaults when it is None; a
+    bundle of the wrong type is a :class:`TypeError` naming ``api``."""
+    if options is None:
+        return cls()
+    if not isinstance(options, cls):
         raise TypeError(f"{api}: options= expects {cls.__name__}, "
-                        f"got {type(base).__name__}")
-    updates = {key: value for key, value in legacy.items() if value is not UNSET}
-    for key in updates:
-        warnings.warn(
-            f"{api}({key}=...) is deprecated; pass "
-            f"{api}(options={cls.__name__}({key}=...)) instead",
-            DeprecationWarning, stacklevel=4)
-    if updates:
-        base = replace(base, **updates)
-    return base
+                        f"got {type(options).__name__}")
+    return options
 
 
 @dataclass(frozen=True)
@@ -67,24 +33,10 @@ class ConnectOptions:
       fails (the extension beyond the paper).
     * ``timeout`` — per-connect hole-punch deadline (None = driver's
       ``punch_timeout``).
-    * ``predict_ports`` — aim punches at predicted symmetric-NAT
-      allocations (None = driver default, normally on).
-    * ``punch_fan`` — width of the predicted-port window (None =
-      driver default).
-    * ``migrate`` — QUIC-style path migration on rebinds for this
-      connection (None = driver default, normally off).
     """
 
     allow_relay: bool = True
     timeout: Optional[float] = None
-    predict_ports: Optional[bool] = None
-    punch_fan: Optional[int] = None
-    migrate: Optional[bool] = None
-
-    @classmethod
-    def coerce(cls, options: "Optional[ConnectOptions]", api: str,
-               **legacy) -> "ConnectOptions":
-        return _fold_legacy(options, cls, api, legacy)
 
 
 @dataclass(frozen=True)
@@ -101,8 +53,3 @@ class TransferOptions:
     fidelity: str = "packet"
     cc: Optional[str] = None
     cc_trace: Optional[object] = None
-
-    @classmethod
-    def coerce(cls, options: "Optional[TransferOptions]", api: str,
-               **legacy) -> "TransferOptions":
-        return _fold_legacy(options, cls, api, legacy)

@@ -34,7 +34,7 @@ Model elements
 * :class:`FluidFlow` — one bulk transfer. Its instantaneous cap is
   ``min(window/RTT, cc.rate_cap(loss), ramp)`` where the loss response
   comes from the congestion-control plane (:mod:`repro.net.cc`;
-  ``cc=None`` keeps the historical Reno/Mathis curve); the ramp models
+  ``cc=None`` means Reno, the Mathis curve); the ramp models
   TCP slow
   start (initial window delivered at once, then the rate cap doubles
   each RTT until it clears the window cap), which is what makes short
@@ -57,8 +57,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.net.cc import (INITIAL_CWND_SEGMENTS, cc_class, mathis_rate_bps,
-                          window_rate_bps)
+from repro.net.cc import INITIAL_CWND_SEGMENTS, cc_class, window_rate_bps
 from repro.sim.engine import Event, Simulator
 
 __all__ = ["FluidAborted", "FluidFlow", "FluidLink", "FluidNetwork",
@@ -196,12 +195,11 @@ class FluidFlow:
         self.window_bps = window_bps
         self.mss = path.mss
         self.state = "active"
-        # cc=None keeps the plane's historical Reno/Mathis loss response
-        # (the calibrated default every agreement gate was tuned on);
-        # naming an algorithm swaps in its steady-state response curve.
+        # The loss response is the named algorithm's steady-state curve;
+        # unnamed flows get Reno's (Mathis), the calibrated default every
+        # agreement gate was tuned on.
         self.cc = cc
-        self._rate_cap = (mathis_rate_bps if cc is None
-                          else cc_class(cc).rate_cap)
+        self._rate_cap = cc_class(cc or "reno").rate_cap
         self.done: Event = Event(sim)
         self.opened_at = sim.now
         self.deliver_offset = deliver_offset

@@ -28,10 +28,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.net.addresses import IPv4Address
-# Re-exported for back-compat: these historically lived here, and the
-# fluid plane / apps import them from this module.
-from repro.net.cc import (INITIAL_CWND_SEGMENTS, cc_algorithm,  # noqa: F401
-                          mathis_rate_bps, window_rate_bps)
+from repro.net.cc import cc_algorithm
 from repro.net.packet import ACK, FIN, RST, SYN, TcpSegment, ipv4
 from repro.sim.engine import Event, Simulator, Timer
 from repro.sim.queues import Store

@@ -3,28 +3,39 @@
 Protocol (all RPC over UDP between public rendezvous hosts):
 
 * ``can.join``    — routed to the owner of the joiner's point; the owner
-  splits its zone and replies with the joiner's half, the records that
-  fall in it, and the neighbor set.
+  splits its zone and replies with the joiner's half, the directory
+  handles that fall in it, and the neighbor set.
 * ``can.route``   — generic greedy routing envelope: carried operation is
   executed at the point's owner, the reply unwinds hop-by-hop.
 * ``can.nbr``     — neighbor announcement/refresh (zones + address).
-* ``can.leave``   — graceful departure: zone and records handed to the
+* ``can.leave``   — graceful departure: zone and handles handed to the
   merge-compatible neighbor, or to the smallest neighbor as an extra
   zone (nodes may own several zones, as in the CAN paper's takeover).
 * ``can.ping``    — liveness probe used before declaring a silent
   neighbor dead.
 * ``can.dead``    — gossip that a neighbor died ungracefully; receivers
   drop it and the arbitration winner absorbs its zones (see below).
-* ``can.replica`` — owner pushes a copy of each stored record to its
-  neighbors, so an ungraceful death does not lose the records: the
-  takeover node promotes its replicas of the dead node's records.
+* ``can.replica_ids`` — owner pushes a copy of each stored handle batch
+  to its neighbors, so an ungraceful death does not lose the entries:
+  the takeover node promotes its replicas of the dead node's handles.
+  Handles that change owner (join grant, shed, re-merge, leave,
+  takeover) and neighbors that appear later are covered by the
+  maintenance sweep, which re-sends the owner's full set once.
+
+**One directory.** An entry is a generation-checked
+:class:`~repro.core.hoststate.HostTable` *handle*, never a record copy:
+``put_ids`` publishes rows the rendezvous layer just wrote, ``get``
+rebuilds :class:`~repro.overlay.resources.ResourceRecord` answers from
+the table, and liveness is read there too — a handle answers queries
+while its generation matches, the row is registered and its
+``last_seen`` is within ``record_ttl``.
 
 **Ungraceful takeover.** A neighbor that misses three announcement
 intervals is probed (``can.ping``); on timeout it is declared dead and
 the death is gossiped. Every node that abutted the dead node computes
 the takeover owner locally — the abutting neighbor with the smallest
 ``node_id`` — and only the owner absorbs the zones and promotes the
-replicas. Rendezvous overlays are small and near-clique, so every
+handle replicas. Rendezvous overlays are small and near-clique, so every
 detector sees the same candidate set and the arbitration is
 deterministic; the graceful ``can.leave`` path is unchanged.
 
@@ -43,7 +54,6 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.net.addresses import IPv4Address
-from repro.overlay.resources import ResourceRecord
 from repro.overlay.rpc import RpcEndpoint, RpcError, RpcTimeout
 from repro.overlay.space import Point, Zone
 from repro.sim.lifecycle import Component
@@ -70,30 +80,27 @@ class NeighborInfo:
 @dataclass(frozen=True)
 class _JoinGrant:
     zone: Zone
-    records: tuple
     neighbors: tuple  # NeighborInfo snapshots
-    handles: tuple = ()  # HostTable handles whose points fall in the zone
+    handles: tuple  # HostTable handles whose points fall in the zone
 
     @property
     def size(self) -> int:
-        return (64 + sum(r.size for r in self.records)
-                + sum(n.size for n in self.neighbors) + 8 * len(self.handles))
+        return (64 + sum(n.size for n in self.neighbors)
+                + 8 * len(self.handles))
 
 
 @dataclass(frozen=True)
 class _ShedPayload:
-    """Hot-zone split handoff: half a zone plus the directory entries
-    (full records and table handles) that fall in it."""
+    """Hot-zone split handoff: half a zone plus the directory handles
+    that fall in it."""
 
     shedder: NeighborInfo
     zone: Zone
-    records: tuple
     handles: tuple
 
     @property
     def size(self) -> int:
-        return (48 + self.shedder.size + sum(r.size for r in self.records)
-                + 8 * len(self.handles))
+        return 48 + self.shedder.size + 8 * len(self.handles)
 
 
 @dataclass(frozen=True)
@@ -101,7 +108,7 @@ class _RouteOp:
     """An operation being routed to the owner of ``point``."""
 
     point: Point
-    op: str  # 'put' | 'get' | 'remove'
+    op: str  # 'get' | 'join' | 'put_ids'
     body: Any
     hops: int = 0
 
@@ -115,38 +122,36 @@ class CanNode(Component):
 
     As a lifecycle :class:`~repro.sim.lifecycle.Component` (kind
     ``can``): stop/crash drop all volatile overlay state (zones,
-    records, replicas, neighbors) and close the socket; ``restore``
+    handles, replicas, neighbors) and close the socket; ``restore``
     rebinds and rejoins through the cached peer addresses — the
     surviving overlay sees the old incarnation die ungracefully and
     takes over its zones, then admits the rejoiner as a fresh node.
     """
 
-    def __init__(self, host, dims: int = 2, port: int = CAN_PORT,
+    def __init__(self, host, table, port: int = CAN_PORT,
                  node_id: Optional[str] = None,
-                 ping_interval: float = 10.0, record_ttl: float = 120.0,
-                 table=None, replication_factor: Optional[int] = None,
+                 ping_interval: float = 10.0, record_ttl: float = 60.0,
+                 replication_factor: Optional[int] = None,
                  hot_zone_limit: Optional[int] = None,
                  retry_concurrency: Optional[int] = None) -> None:
         self.host = host
         self.sim = host.sim
         self.node_id = node_id or host.name
         Component.__init__(self, host.sim, "can", self.node_id)
-        self.dims = dims
+        self.dims = table.spec.dims
         self.port = port
         self.ip: IPv4Address = host.stack.ips[0]
         self.zones: list[Zone] = []
         self.neighbors: dict[str, NeighborInfo] = {}
-        self.records: dict[str, ResourceRecord] = {}
         self.ping_interval = ping_interval
         self.record_ttl = record_ttl
         self.joined = False
         self.routed_ops = 0
-        # Shared HostTable (fleet deployments): directory entries for
-        # table-registered endpoints are stored as generation-checked
-        # *handles* instead of full ResourceRecord copies.
+        # The HostTable every overlay node shares: directory entries are
+        # generation-checked *handles* to its rows.
         self.table = table
         self.handles: set[int] = set()
-        # None = replicate every stored record to every neighbor (the
+        # None = replicate every stored handle to every neighbor (the
         # original small-overlay behavior); an int caps the copies.
         self.replication_factor = replication_factor
         # When set, a zone holding more than this many directory entries
@@ -156,9 +161,8 @@ class CanNode(Component):
         # so storm-scale batch inserts don't pay a per-batch zone sweep.
         self.hot_zone_limit = hot_zone_limit
         self._split_mark = -1
-        # Replicas of records owned by other nodes, keyed by owner id —
-        # promoted into ``records`` if that owner dies ungracefully.
-        self.replicas: dict[str, dict[str, ResourceRecord]] = {}
+        # Replicas of handles owned by other nodes, keyed by owner id —
+        # promoted into ``handles`` if that owner dies ungracefully.
         self.handle_replicas: dict[str, set[int]] = {}
         # Peer addresses learned over time; survives a crash the way an
         # on-disk peer cache would, so a restored node can rejoin.
@@ -179,12 +183,12 @@ class CanNode(Component):
         self.rpc.register("can.leave", self._on_leave)
         self.rpc.register("can.ping", self._on_ping)
         self.rpc.register("can.dead", self._on_dead)
-        self.rpc.register("can.replica", self._on_replica)
         self.rpc.register("can.replica_ids", self._on_replica_ids)
         self.rpc.register("can.shed", self._on_shed)
         self.rpc.register("can.remerge", self._on_remerge)
         self._pinger = None
         self._probing: set[str] = set()
+        self._synced: set[str] = set()  # neighbors holding our full handle set
         self._remerging = False
 
     # -- lifecycle ------------------------------------------------------
@@ -197,12 +201,11 @@ class CanNode(Component):
         self.rpc.shutdown()
         self.joined = False
         self.zones = []
-        self.records.clear()
-        self.replicas.clear()
         self.handles.clear()
         self.handle_replicas.clear()
         self.neighbors.clear()
         self._probing.clear()
+        self._synced.clear()
         self._split_mark = -1
 
     def _on_restore(self) -> None:
@@ -238,9 +241,7 @@ class CanNode(Component):
             bootstrap_ip, bootstrap_port, "can.route",
             _RouteOp(point, "join", me), timeout=5.0)
         self.zones = [grant.zone]
-        for record in grant.records:
-            self.records[record.host_name] = record
-        self.handles.update(grant.handles)
+        self._inherit(grant.handles)
         for info in grant.neighbors:
             if info.node_id != self.node_id:
                 self.neighbors[info.node_id] = info
@@ -252,7 +253,7 @@ class CanNode(Component):
         return self
 
     def leave(self):
-        """Process: graceful departure — hand zones and records to a
+        """Process: graceful departure — hand zones and handles to a
         neighbor (merge-compatible if possible, else smallest)."""
         if not self.joined:
             return None
@@ -261,11 +262,9 @@ class CanNode(Component):
             yield from self.rpc.call(
                 target.ip, target.port, "can.leave",
                 _LeavePayload(self._my_info(), tuple(self.zones),
-                              tuple(self.records.values()),
                               tuple(sorted(self.handles))), timeout=5.0)
         self.joined = False
         self.zones = []
-        self.records.clear()
         self.handles.clear()
         if self._pinger is not None and self._pinger.is_alive:
             self._pinger.interrupt("leaving")
@@ -322,26 +321,18 @@ class CanNode(Component):
             while self.joined:
                 yield self.sim.timeout(self.ping_interval)
                 self._announce_to_neighbors()
-                self._expire_records()
+                self._prune_handles()
+                self._sync_replicas()
                 self._check_neighbors()
                 self._maybe_remerge()
         except Interrupt:
             return
 
-    def _expire_records(self) -> None:
-        now = self.sim.now
-        for name in [n for n, r in self.records.items() if r.expired(now)]:
-            del self.records[name]
-        for owner, reps in self.replicas.items():
-            for name in [n for n, r in reps.items() if r.expired(now)]:
-                del reps[name]
-        self._prune_handles()
-
     def _prune_handles(self) -> None:
         """Drop handles whose table row was unregistered or re-registered
-        (generation bump) — one vectorized validity mask per store."""
-        if self.table is None:
-            return
+        (generation bump) — one vectorized validity mask per store. A
+        handle that is merely silent past ``record_ttl`` stays: its row
+        is still registered, and a resumed keepalive revives it."""
         for store in [self.handles, *self.handle_replicas.values()]:
             if not store:
                 continue
@@ -368,15 +359,10 @@ class CanNode(Component):
         except (RpcTimeout, RpcError):
             self._declare_dead(info)
         else:
-            # Alive: the pong carries its current zones, so apply the
-            # same refresh-or-drop rule as a ``can.nbr`` announcement
-            # (a live peer whose zones no longer abut ours is simply
-            # forgotten, not declared dead).
-            fresh.last_seen = self.sim.now
-            if self._is_neighbor(fresh):
-                self.neighbors[fresh.node_id] = fresh
-            else:
-                self.neighbors.pop(fresh.node_id, None)
+            # Alive: the pong carries its current zones, so it is handled
+            # as a ``can.nbr`` announcement (a live peer whose zones no
+            # longer abut ours is simply forgotten, not declared dead).
+            self._on_neighbor(fresh, None, None)
         finally:
             self._probing.discard(info.node_id)
 
@@ -407,20 +393,15 @@ class CanNode(Component):
 
     def _takeover(self, dead: NeighborInfo) -> None:
         """Absorb the dead node's zones and promote our replicas of its
-        records — the CAN paper's TAKEOVER, previously implemented only
+        handles — the CAN paper's TAKEOVER, previously implemented only
         for graceful ``can.leave``."""
         self._m_takeovers.add()
         self._absorb_zones(dead.zones)
-        promoted = self.replicas.pop(dead.node_id, {})
-        refresh = self.sim.now + self.record_ttl
-        for record in promoted.values():
-            self.records[record.host_name] = record.refreshed(refresh)
-        promoted_ids = self.handle_replicas.pop(dead.node_id, None)
-        if promoted_ids:
-            self.handles.update(promoted_ids)
-            self._prune_handles()
+        promoted = self.handle_replicas.pop(dead.node_id, ())
+        self._inherit(promoted)
+        self._prune_handles()
         self.sim.trace.event("can.takeover", node=self.node_id, dead=dead.node_id,
-                             zones=len(dead.zones), records=len(promoted))
+                             zones=len(dead.zones), handles=len(promoted))
         self._announce_to_neighbors()
         self._prune_non_neighbors()
 
@@ -472,8 +453,7 @@ class CanNode(Component):
         if self.owns(op.point):
             return self._execute(op)
         if op.hops >= MAX_HOPS:
-            raise_err = RpcError(f"hop limit reached at {self.node_id}")
-            raise raise_err
+            raise RpcError(f"hop limit reached at {self.node_id}")
 
         def forward():
             nxt = self._next_hop(op.point)
@@ -487,48 +467,32 @@ class CanNode(Component):
 
     # -- operations executed at the owner --------------------------------------
     def _execute(self, op: _RouteOp):
-        if op.op == "put":
-            record: ResourceRecord = op.body
-            stored = record.refreshed(self.sim.now + self.record_ttl)
-            self.records[record.host_name] = stored
-            self._replicate(stored)
-            return ("stored", self.node_id)
-        if op.op == "put_ids":
-            return self._store_ids(op.body, op.hops)
-        if op.op == "remove":
-            self.records.pop(op.body, None)
-            if self.table is not None:
-                host_id = self.table.lookup(op.body)
-                if host_id >= 0:
-                    self.handles.discard(self.table.handle(host_id))
-            return ("removed", self.node_id)
         if op.op == "get":
-            limit = int(op.body) if op.body else 16
-            now = self.sim.now
-            live = [r for r in self.records.values() if not r.expired(now)]
-            live.extend(self._handle_records(op.point, limit))
-            live.sort(key=lambda r: sum((a - b) ** 2 for a, b in zip(r.point, op.point)))
-            return tuple(live[:limit])
+            return self._handle_records(op.point, int(op.body) if op.body else 16)
         if op.op == "join":
             return self._admit(op.body)
         raise RpcError(f"unknown CAN op {op.op!r}")
 
-    def _handle_records(self, point: Point, limit: int) -> list:
+    def _live_ids(self, handles: np.ndarray) -> np.ndarray:
+        """Table ids of the live entries among ``handles``. Liveness is
+        one rule, read from the table when it is needed: the handle's
+        generation still matches, the row is registered, and it was seen
+        (registered or kept alive) within ``record_ttl`` — no expiry
+        sweep has to run for a dead host to stop answering queries or
+        counting toward a zone's load."""
+        ids = self.table.handle_ids(handles[self.table.valid_mask(handles)])
+        return ids[self.table.last_seen[ids] > self.sim.now - self.record_ttl]
+
+    def _handle_records(self, point: Point, limit: int) -> tuple:
         """Build ResourceRecords for the ``limit`` live table handles
         nearest ``point`` — the only rows a query forces out of columnar
         form. Distance ranking is vectorized over the coords column."""
-        if self.table is None or not self.handles:
-            return []
         arr = np.fromiter(self.handles, dtype=np.int64, count=len(self.handles))
-        arr = arr[self.table.valid_mask(arr)]
-        if not len(arr):
-            return []
-        ids = self.table.handle_ids(arr)
+        ids = self._live_ids(arr)
         delta = self.table.coords[ids] - np.asarray(point, dtype=np.float64)
         d2 = (delta * delta).sum(axis=1)
         top = np.lexsort((ids, d2))[:limit]
-        expires = self.sim.now + self.record_ttl
-        return [self.table.record(int(ids[k]), expires_at=expires) for k in top]
+        return tuple(self.table.record(int(ids[k])) for k in top)
 
     # -- batched handle storage (registration-storm fast path) -------------
     def put_ids(self, ids) -> Any:
@@ -536,8 +500,6 @@ class CanNode(Component):
         rows. Handles whose points this node owns are stored locally; the
         rest are forwarded in per-destination sub-batches — one routed
         RPC per destination node, not one per endpoint."""
-        if self.table is None:
-            raise RpcError(f"{self.node_id} has no host table")
         handles = tuple(self.table.handle(int(i)) for i in np.asarray(ids))
         result = self._store_ids(handles, 0)
         if hasattr(result, "__next__"):
@@ -545,23 +507,18 @@ class CanNode(Component):
         return result
 
     def _store_ids(self, handles, hops: int):
-        if self.table is None:
-            raise RpcError(f"{self.node_id} has no host table")
         arr = np.asarray(handles, dtype=np.int64)
         ids = self.table.handle_ids(arr)
-        pts = self.table.coords[ids]
         own = np.zeros(len(arr), dtype=bool)
         for zone in self.zones:
-            m = np.ones(len(arr), dtype=bool)
-            for d in range(self.dims):
-                m &= (pts[:, d] >= zone.lows[d]) & (pts[:, d] < zone.highs[d])
-            own |= m
+            own |= self.table.in_zone(zone, ids)
         mine = arr[own]
         if len(mine):
-            self.handles.update(int(h) for h in mine)
+            mine = tuple(mine.tolist())
+            self.handles.update(mine)
             self._m_handles.add(len(mine))
-            self._replicate_ids(mine)
-            self._maybe_split()
+            self._replicate(mine, self._replica_targets())
+            self._maybe_split(len(arr))
         rest = arr[~own]
         if not len(rest):
             return ("stored", int(len(mine)))
@@ -570,23 +527,20 @@ class CanNode(Component):
 
         def forward():
             stored = int(len(mine))
-            rest_pts = pts[~own]
-            buckets: dict[str, list[int]] = {}
+            rest_pts = self.table.coords[ids[~own]]
+            buckets: dict[str, tuple] = {}  # next hop -> (first point, batch)
             for k, handle in enumerate(rest):
                 point = tuple(float(x) for x in rest_pts[k])
                 nxt = self._next_hop(point)
                 if nxt is None:
-                    continue  # unroutable while a neighbor is down; the
-                    # endpoint's next keepalive re-publishes it
-                buckets.setdefault(nxt.node_id, []).append(int(handle))
-            for node_id, batch in buckets.items():
+                    continue  # unroutable while a neighbor is down: not
+                    # counted as stored, so the publisher sees the shortfall
+                buckets.setdefault(nxt.node_id, (point, []))[1].append(int(handle))
+            for node_id, (point, batch) in buckets.items():
                 info = self.neighbors.get(node_id)
                 if info is None:
                     continue
-                first = self.table.coords[self.table.handle_ids(
-                    np.asarray(batch[:1], dtype=np.int64))][0]
-                fwd = _RouteOp(tuple(float(x) for x in first), "put_ids",
-                               tuple(batch), hops=hops + 1)
+                fwd = _RouteOp(point, "put_ids", tuple(batch), hops=hops + 1)
                 try:
                     reply = yield from self.rpc.call(info.ip, info.port,
                                                      "can.route", fwd)
@@ -597,10 +551,31 @@ class CanNode(Component):
 
         return forward()
 
-    def _replicate_ids(self, handles) -> None:
-        payload = (self.node_id, tuple(int(h) for h in handles))
-        for info in self._replica_targets():
-            self.rpc.notify(info.ip, info.port, "can.replica_ids", payload)
+    def _replicate(self, handles: tuple, targets) -> None:
+        """Push a copy of handles we own to ``targets``, so our
+        ungraceful death does not lose them."""
+        for info in targets:
+            self.rpc.notify(info.ip, info.port, "can.replica_ids",
+                            (self.node_id, handles))
+
+    def _inherit(self, handles) -> None:
+        """Take over handles another node owned — a join grant, a shed
+        or re-merged zone, a leaver's or a dead neighbor's entries. The
+        copies our neighbors hold are filed under the previous owner, so
+        the next maintenance sweep re-sends them our full set."""
+        self.handles.update(handles)
+        self._synced.clear()
+
+    def _sync_replicas(self) -> None:
+        """Anti-entropy, once per change: send our full handle set to
+        every replica target that has not had it since we last inherited
+        entries — including a neighbor that appeared after they were
+        stored (a joiner, a restored node) and so has no copy at all."""
+        targets = self._replica_targets()
+        fresh = [i for i in targets if i.node_id not in self._synced]
+        self._synced = {i.node_id for i in targets}
+        if fresh and self.handles:
+            self._replicate(tuple(sorted(self.handles)), fresh)
 
     def _replica_targets(self) -> list:
         if self.replication_factor is None:
@@ -608,22 +583,39 @@ class CanNode(Component):
         infos = sorted(self.neighbors.values(), key=lambda i: i.node_id)
         return infos[: self.replication_factor]
 
+    # -- zone contents ------------------------------------------------------
+    def _handles_in(self, zone: Zone) -> np.ndarray:
+        """Stored handles whose CAN coordinates fall inside ``zone`` —
+        what a join grant, a split or a re-merge hands over, and what
+        :meth:`zone_load` counts."""
+        arr = np.fromiter(self.handles, dtype=np.int64, count=len(self.handles))
+        return arr[self.table.in_zone(zone, self.table.handle_ids(arr))]
+
+    def _extract_handles(self, zone: Zone) -> tuple:
+        """Remove and return the handles falling inside ``zone`` — the
+        transferable half of a join, split or re-merge handoff."""
+        handles = tuple(int(h) for h in self._handles_in(zone))
+        self.handles.difference_update(handles)
+        return handles
+
     # -- hot-zone splitting -------------------------------------------------
     def zone_load(self, zone: Zone) -> int:
-        """Directory entries (records + live handles) in one zone."""
-        load = sum(1 for r in self.records.values() if zone.contains(r.point))
-        if self.table is not None and self.handles:
-            arr = np.fromiter(self.handles, dtype=np.int64,
-                              count=len(self.handles))
-            ids = self.table.handle_ids(arr[self.table.valid_mask(arr)])
-            load += int(len(self.table.ids_in_zone(zone, ids)))
-        return load
+        """Live directory entries in one zone."""
+        return len(self._live_ids(self._handles_in(zone)))
 
-    def _maybe_split(self) -> None:
+    def _maybe_split(self, arrived: int) -> None:
         """Shed half of any over-loaded zone to an abutting neighbor —
         load-driven splitting on top of the join-driven splits of the
-        CAN paper."""
+        CAN paper. Called after every store; ``arrived`` is how many
+        handles that store carried."""
         if self.hot_zone_limit is None or len(self.neighbors) == 0:
+            return
+        if (self._split_mark < 0 and arrived == 1
+                and len(self.handles) <= self.hot_zone_limit):
+            # The throttle below paces scans within a burst, counted from
+            # the first scan. One host registering while the whole store is
+            # under the limit cannot have made a zone hot, and must not set
+            # the phase of the scans a later storm gets.
             return
         if (self._split_mark >= 0 and len(self.handles) - self._split_mark
                 < max(1, self.hot_zone_limit // 4)):
@@ -633,8 +625,7 @@ class CanNode(Component):
             load = self.zone_load(zone)
             if load <= self.hot_zone_limit:
                 continue
-            lower, upper = zone.split()
-            keep, shed = lower, upper
+            keep, shed = zone.split()
             if self.zone_load(shed) < self.zone_load(keep):
                 keep, shed = shed, keep
             abutting = sorted(
@@ -645,61 +636,42 @@ class CanNode(Component):
             target = self.neighbors[abutting[0]]
             self.zones.remove(zone)
             self.zones.append(keep)
-            shed_records, shed_handles = self._extract_entries(shed)
+            shed_handles = self._extract_handles(shed)
             self._m_splits.add()
             self.sim.trace.event("can.split", node=self.node_id,
                                  load=load, target=target.node_id,
-                                 entries=len(shed_records) + len(shed_handles))
+                                 entries=len(shed_handles))
             self.sim.process(
-                self._shed_zone(target, shed, shed_records, shed_handles),
+                self._offer_zone("can.shed", target, shed, shed_handles),
                 name=f"can-shed:{self.node_id}->{target.node_id}")
 
-    def _extract_entries(self, zone: Zone) -> tuple[tuple, tuple]:
-        """Remove and return the directory entries (full records + table
-        handles) falling inside ``zone`` — the transferable half of a
-        split or re-merge handoff."""
-        records = tuple(r for r in self.records.values()
-                        if zone.contains(r.point))
-        for record in records:
-            del self.records[record.host_name]
-        handles: tuple = ()
-        if self.table is not None and self.handles:
-            arr = np.fromiter(self.handles, dtype=np.int64,
-                              count=len(self.handles))
-            ids = self.table.handle_ids(arr)
-            inside = self.table.ids_in_zone(zone, ids)
-            picked = arr[np.isin(ids, inside)]
-            handles = tuple(int(h) for h in picked)
-            self.handles.difference_update(handles)
-        return records, handles
-
-    def _shed_zone(self, target: NeighborInfo, zone: Zone,
-                   records: tuple, handles: tuple):
-        payload = _ShedPayload(self._my_info(), zone, records, handles)
+    def _offer_zone(self, kind: str, target: NeighborInfo, zone: Zone,
+                    handles: tuple):
+        """Process: hand ``zone`` and its handles to ``target`` with a
+        ``can.shed`` or ``can.remerge``. True once accepted; if the call
+        fails or the receiver refuses, reabsorb both so the directory
+        entries survive."""
         try:
-            yield from self.rpc.call(target.ip, target.port, "can.shed",
-                                     payload, timeout=5.0)
+            result = yield from self.rpc.call(
+                target.ip, target.port, kind,
+                _ShedPayload(self._my_info(), zone, handles), timeout=5.0)
         except (RpcTimeout, RpcError):
-            # Handoff failed: reabsorb so the directory entries survive.
+            result = None
+        if not result or result[0] == "refused":
             self._absorb_zones([zone])
-            for record in records:
-                self.records[record.host_name] = record
             self.handles.update(handles)
-            return
+            return False
         self._announce_to_neighbors()
         self._prune_non_neighbors()
+        return True
 
-    def _on_shed(self, payload: _ShedPayload, _src_ip, _src_port):
+    def _on_shed(self, payload: _ShedPayload, _src_ip, _src_port,
+                 verdict: str = "absorbed"):
         self._absorb_zones([payload.zone])
-        for record in payload.records:
-            self.records[record.host_name] = record
-        self.handles.update(payload.handles)
-        info = payload.shedder
-        info.last_seen = self.sim.now
-        self.neighbors[info.node_id] = info
-        self._known_peers[info.node_id] = (info.ip, info.port)
+        self._inherit(payload.handles)
+        self._on_neighbor(payload.shedder, None, None)
         self._announce_to_neighbors()
-        return ("absorbed", self.node_id)
+        return (verdict, self.node_id)
 
     # -- zone re-merge when load drains -------------------------------------
     def _maybe_remerge(self) -> None:
@@ -725,39 +697,24 @@ class CanNode(Component):
                 continue
             target = self.neighbors[candidates[0]]
             self.zones.remove(zone)
-            records, handles = self._extract_entries(zone)
+            handles = self._extract_handles(zone)
             self._remerging = True
             self.sim.process(
-                self._remerge_zone(target, zone, records, handles),
+                self._remerge_zone(target, zone, handles),
                 name=f"can-remerge:{self.node_id}->{target.node_id}")
             return  # at most one offer per maintenance sweep
 
-    def _remerge_zone(self, target: NeighborInfo, zone: Zone,
-                      records: tuple, handles: tuple):
-        payload = _ShedPayload(self._my_info(), zone, records, handles)
+    def _remerge_zone(self, target: NeighborInfo, zone: Zone, handles: tuple):
         try:
-            result = yield from self.rpc.call(target.ip, target.port,
-                                              "can.remerge", payload,
-                                              timeout=5.0)
-        except (RpcTimeout, RpcError):
-            result = None
+            merged = yield from self._offer_zone("can.remerge", target,
+                                                 zone, handles)
         finally:
             self._remerging = False
-        if not result or result[0] != "merged":
-            # Refused (receiver too loaded / zones drifted) or the call
-            # failed: reabsorb so the directory entries survive.
-            self._absorb_zones([zone])
-            for record in records:
-                self.records[record.host_name] = record
-            self.handles.update(handles)
-            return
-        self._m_remerges.add()
-        self.sim.trace.event("can.remerge", node=self.node_id,
-                             target=target.node_id,
-                             entries=len(records) + len(handles),
-                             zones=len(self.zones))
-        self._announce_to_neighbors()
-        self._prune_non_neighbors()
+        if merged:  # else refused: receiver too loaded, or zones drifted
+            self._m_remerges.add()
+            self.sim.trace.event("can.remerge", node=self.node_id,
+                                 target=target.node_id, entries=len(handles),
+                                 zones=len(self.zones))
 
     def _on_remerge(self, payload: _ShedPayload, _src_ip, _src_port):
         zone = payload.zone
@@ -765,20 +722,10 @@ class CanNode(Component):
         if merged_into is None:
             return ("refused", self.node_id)
         if self.hot_zone_limit is not None:
-            incoming = len(payload.records) + len(payload.handles)
-            if (self.zone_load(merged_into) + incoming
+            if (self.zone_load(merged_into) + len(payload.handles)
                     > self.hot_zone_limit // 2):
                 return ("refused", self.node_id)
-        self._absorb_zones([zone])
-        for record in payload.records:
-            self.records[record.host_name] = record
-        self.handles.update(payload.handles)
-        info = payload.shedder
-        info.last_seen = self.sim.now
-        self.neighbors[info.node_id] = info
-        self._known_peers[info.node_id] = (info.ip, info.port)
-        self._announce_to_neighbors()
-        return ("merged", self.node_id)
+        return self._on_shed(payload, _src_ip, _src_port, "merged")
 
     def _admit(self, joiner: NeighborInfo) -> _JoinGrant:
         """Split the zone covering the joiner's point and grant half."""
@@ -787,22 +734,9 @@ class CanNode(Component):
         # containing zone is the right choice when we have it).
         zone = max(self.zones, key=lambda z: z.volume())
         self.zones.remove(zone)
-        lower, upper = zone.split()
-        # Keep the half containing more of our records; grant the other.
-        mine, granted = lower, upper
+        mine, granted = zone.split()
         self.zones.append(mine)
-        moved = tuple(r for r in self.records.values() if granted.contains(r.point))
-        for record in moved:
-            del self.records[record.host_name]
-        moved_handles: tuple = ()
-        if self.table is not None and self.handles:
-            arr = np.fromiter(self.handles, dtype=np.int64,
-                              count=len(self.handles))
-            ids = self.table.handle_ids(arr)
-            in_granted = self.table.ids_in_zone(granted, ids)
-            picked = arr[np.isin(ids, in_granted)]
-            moved_handles = tuple(int(h) for h in picked)
-            self.handles.difference_update(moved_handles)
+        moved = self._extract_handles(granted)
         joiner_info = NeighborInfo(joiner.node_id, joiner.ip, joiner.port,
                                    zones=[granted], last_seen=self.sim.now)
         self._known_peers[joiner.node_id] = (joiner.ip, joiner.port)
@@ -814,7 +748,7 @@ class CanNode(Component):
         self.neighbors[joiner.node_id] = joiner_info
         self._prune_non_neighbors()
         self._announce_to_neighbors()
-        return _JoinGrant(granted, moved, tuple(grant_neighbors), moved_handles)
+        return _JoinGrant(granted, tuple(grant_neighbors), moved)
 
     # -- inbound notifications ---------------------------------------------------
     def _on_neighbor(self, info: NeighborInfo, _src_ip, _src_port):
@@ -829,13 +763,10 @@ class CanNode(Component):
         return None
 
     def _on_leave(self, payload: "_LeavePayload", _src_ip, _src_port):
-        # Absorb zones (merging into boxes where possible) and records.
+        # Absorb zones (merging into boxes where possible) and handles.
         self._absorb_zones(payload.zones)
-        for record in payload.records:
-            self.records[record.host_name] = record
-        self.handles.update(payload.handles)
+        self._inherit(payload.handles)
         self.neighbors.pop(payload.leaver.node_id, None)
-        self.replicas.pop(payload.leaver.node_id, None)
         self.handle_replicas.pop(payload.leaver.node_id, None)
         self._announce_to_neighbors()
         return ("absorbed", self.node_id)
@@ -850,36 +781,24 @@ class CanNode(Component):
         self._declare_dead(dead)
         return None
 
-    def _on_replica(self, payload: tuple, _src_ip, _src_port):
-        owner_id, record = payload
-        self.replicas.setdefault(owner_id, {})[record.host_name] = record
-        self._m_replicas.add()
-        return None
-
     def _on_replica_ids(self, payload: tuple, _src_ip, _src_port):
         owner_id, handles = payload
+        # One copy per handle, filed under its latest owner: entries that
+        # moved (shed, re-merged, taken over) leave the old owner's set.
+        for other, copies in self.handle_replicas.items():
+            if other != owner_id:
+                copies.difference_update(handles)
         self.handle_replicas.setdefault(owner_id, set()).update(handles)
         self._m_replicas.add(len(handles))
         return None
-
-    def _replicate(self, record: ResourceRecord) -> None:
-        """Push a copy of a freshly stored record to neighbors, so an
-        ungraceful death does not lose it (every neighbor by default —
-        overlays are small — or the first ``replication_factor`` by
-        node id)."""
-        payload = (self.node_id, record)
-        for info in self._replica_targets():
-            self.rpc.notify(info.ip, info.port, "can.replica", payload)
 
 
 @dataclass(frozen=True)
 class _LeavePayload:
     leaver: NeighborInfo
     zones: tuple
-    records: tuple
-    handles: tuple = ()
+    handles: tuple
 
     @property
     def size(self) -> int:
-        return (32 + 16 * len(self.zones) + sum(r.size for r in self.records)
-                + 8 * len(self.handles))
+        return 32 + 16 * len(self.zones) + 8 * len(self.handles)

@@ -34,20 +34,15 @@ import numpy as np
 from repro.core.hoststate import EndpointRow, HostTable
 from repro.net.addresses import IPv4Address
 from repro.overlay.can import CAN_PORT, CanNode
-from repro.overlay.resources import ConnectionInfo, ResourceRecord, ResourceSpec
+from repro.overlay.resources import ConnectionInfo, ResourceSpec
 from repro.overlay.rpc import RpcEndpoint, RpcError
-from repro.sim.engine import Simulator
+from repro.sim.engine import Interrupt, Simulator
 from repro.sim.lifecycle import Component
 
-__all__ = ["AdmissionReject", "RegisteredHost", "RendezvousServer",
-           "RENDEZVOUS_PORT"]
+__all__ = ["AdmissionReject", "RendezvousServer", "RENDEZVOUS_PORT"]
 
 RENDEZVOUS_PORT = 4001
 HOST_TTL = 60.0
-
-# The registry entry type: a live struct-of-arrays row view. Kept under
-# the historical name — the attribute surface is unchanged.
-RegisteredHost = EndpointRow
 
 
 class AdmissionReject(RpcError):
@@ -57,9 +52,9 @@ class AdmissionReject(RpcError):
 class _HostsView:
     """Mapping-like live view of the table rows one server owns.
 
-    Supports the subset of the old ``dict[str, RegisteredHost]``
-    interface the protocol handlers and tests use: membership, length,
-    iteration (names), ``get``/``__getitem__`` (row views), ``values``.
+    Supports the subset of the ``dict[str, EndpointRow]`` interface
+    the protocol handlers and tests use: membership, length, iteration
+    (names), ``get``/``__getitem__`` (row views).
     """
 
     def __init__(self, table: HostTable, owner: int) -> None:
@@ -95,16 +90,6 @@ class _HostsView:
 
     def __iter__(self):
         return iter(self._table.names_of(self._ids()))
-
-    def keys(self):
-        return list(self)
-
-    def values(self):
-        return [self._table.row(int(i)) for i in self._ids()]
-
-    def items(self):
-        return [(self._table.name_of(int(i)), self._table.row(int(i)))
-                for i in self._ids()]
 
 
 class _TokenBucket:
@@ -218,7 +203,7 @@ class RendezvousServer(Component):
     """
 
     def __init__(self, host, spec: Optional[ResourceSpec] = None,
-                 can_dims: int = 2, port: int = RENDEZVOUS_PORT,
+                 port: int = RENDEZVOUS_PORT,
                  can_port: int = CAN_PORT, host_ttl: float = HOST_TTL,
                  table: Optional[HostTable] = None, server_index: int = 0,
                  admission_rate: Optional[float] = None,
@@ -237,8 +222,9 @@ class RendezvousServer(Component):
         self.table = table if table is not None else HostTable(
             self.sim, spec=self.spec)
         self.server_index = server_index
-        self.can = CanNode(host, dims=self.spec.dims, port=can_port,
-                           table=self.table,
+        # One liveness horizon: the CAN stops answering for a host at
+        # the same age at which the (optional) reaper unregisters it.
+        self.can = CanNode(host, self.table, port=can_port, record_ttl=host_ttl,
                            replication_factor=replication_factor,
                            hot_zone_limit=hot_zone_limit,
                            retry_concurrency=retry_concurrency)
@@ -265,12 +251,7 @@ class RendezvousServer(Component):
         self.rpc = RpcEndpoint(host.stack, self._sock, name=f"rvz:{host.name}",
                                own_loop=False,
                                retry_concurrency=retry_concurrency)
-        self._rx_proc = self.sim.process(self._rx_loop(self._sock),
-                                         name=f"rvz-rx:{host.name}")
-        self._expiry_proc = None
-        if expiry_interval:
-            self._expiry_proc = self.sim.process(
-                self._expiry_loop(), name=f"rvz-expire:{host.name}")
+        self._start_loops()
         self.rpc.register("rvz.register", self._on_register)
         self.rpc.register("rvz.register_batch", self._on_register_batch)
         self.rpc.register("rvz.keepalive", self._on_keepalive)
@@ -280,13 +261,20 @@ class RendezvousServer(Component):
         self.rpc.register("rvz.relay_connect", self._on_relay_connect)
         self.rpc.register("rvz.latency_report", self._on_latency_report)
 
+    def _start_loops(self) -> None:
+        self._rx_proc = self.sim.process(self._rx_loop(self._sock),
+                                         name=f"rvz-rx:{self.host.name}")
+        self._expiry_proc = None
+        if self.expiry_interval:
+            self._expiry_proc = self.sim.process(
+                self._expiry_loop(), name=f"rvz-expire:{self.host.name}")
+
     def _rx_loop(self, sock):
         """Demultiplex the rendezvous socket: RPC envelopes to the RPC
         endpoint, relayed tunnel payloads (symmetric-NAT fallback) to the
         target host's registered endpoint."""
         from repro.core.assembler import WavRelay
         from repro.net.packet import Payload
-        from repro.sim.engine import Interrupt
 
         try:
             while True:
@@ -309,7 +297,6 @@ class RendezvousServer(Component):
         """Process: periodic TTL sweep over this server's table rows —
         the idle-endpoint liveness reaper at fleet scale (a materialized
         host's driver keepalives exempt it)."""
-        from repro.sim.engine import Interrupt
         try:
             while True:
                 yield self.sim.timeout(self.expiry_interval)
@@ -338,11 +325,7 @@ class RendezvousServer(Component):
     def _on_restore(self) -> None:
         self._sock = self.host.udp.bind(self.port)
         self.rpc.rebind(self._sock)
-        self._rx_proc = self.sim.process(self._rx_loop(self._sock),
-                                         name=f"rvz-rx:{self.host.name}")
-        if self.expiry_interval:
-            self._expiry_proc = self.sim.process(
-                self._expiry_loop(), name=f"rvz-expire:{self.host.name}")
+        self._start_loops()
         self.can.restore()
 
     # -- overlay membership --------------------------------------------------
@@ -367,21 +350,20 @@ class RendezvousServer(Component):
         raise AdmissionReject(f"admission: retry after {retry:.3f}")
 
     # -- host admission --------------------------------------------------------
-    def _record_for(self, reg: EndpointRow) -> ResourceRecord:
-        point = self.spec.to_point(**reg.attrs)
-        return ResourceRecord(reg.name, point, dict(reg.attrs), reg.conn)
-
     def _on_register(self, body: _RegisterBody, src_ip: IPv4Address, src_port: int):
         self._admit(1)
         self._m_registered.add()
         host_id = self.table.register(body.name, body.conn, dict(body.attrs),
                                       (src_ip, src_port), self.sim.now,
                                       owner=self.server_index)
-        reg = self.table.row(host_id)
 
         def publish():
-            record = self._record_for(reg)
-            yield from self.can.route("put", record.point, record)
+            _stored, n = yield from self.can.put_ids([host_id])
+            if not n:
+                # The point's owner crashed and is not yet taken over: fail,
+                # so the driver retries or tries its next candidate, rather
+                # than answer "registered" for a host no query can find.
+                raise RpcError(f"{body.name!r}: directory owner unreachable")
             return ("registered", self.host.name)
 
         return publish()
@@ -406,29 +388,21 @@ class RendezvousServer(Component):
 
         return publish()
 
-    def _on_keepalive(self, body, src_ip: IPv4Address, src_port: int):
+    def _on_keepalive(self, name: str, src_ip: IPv4Address, src_port: int):
+        """Liveness-epoch bump (and reach-endpoint refresh: the NAT
+        mapping this very datagram rode is where notifications go). No
+        CAN refresh: directory answers read liveness from the table."""
         self._m_keepalives.add()
-        name, attrs = body
         reg = self.hosts.get(name)
         if reg is None:
             raise RpcError(f"{name!r} not registered")
-        reg.last_seen = self.sim.now
-        reg.reach_ip, reg.reach_port = src_ip, src_port
-        if attrs:
-            reg.attrs = dict(attrs)
-
-        def refresh():
-            record = self._record_for(reg)
-            yield from self.can.route("put", record.point, record)
-            return ("ok", self.host.name)
-
-        return refresh()
+        self.table.touch(reg.host_id, self.sim.now, reach=(src_ip, src_port))
+        return ("ok", self.host.name)
 
     def _on_keepalive_batch(self, batch: _KeepaliveBatch,
                             src_ip: IPv4Address, src_port: int):
         """Batched liveness-epoch bump for idle table-resident
-        endpoints. No CAN refresh needed: handle records read liveness
-        straight from the table."""
+        endpoints."""
         self._m_keepalives.add(len(batch.names))
         alive = self.table.touch_names(batch.names, self.sim.now)
         return ("ok", alive)

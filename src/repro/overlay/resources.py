@@ -3,15 +3,17 @@
 The paper stores each host's *state* — "a multi-dimensional vector" of
 attributes such as available CPU and memory — at the CAN node whose zone
 covers that vector (§II.B, Fig 3). :class:`ResourceSpec` defines the
-attribute schema and normalization; :class:`ResourceRecord` is what is
-actually stored, bundling the resource state with the connection
+attribute schema and normalization; :class:`ResourceRecord` is what a
+query answers with, bundling the resource state with the connection
 information a peer needs to reach the host (rendezvous address + NAT
-2-tuple, exactly the fields listed in the paper).
+2-tuple, exactly the fields listed in the paper). The directory itself
+stores table handles (:mod:`repro.overlay.can`); records are rebuilt
+from the :class:`~repro.core.hoststate.HostTable` row per answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.nat.types import NatType
 from repro.net.addresses import IPv4Address
@@ -86,14 +88,7 @@ class ResourceRecord:
     point: Point
     attrs: dict
     conn: ConnectionInfo
-    expires_at: float = float("inf")
 
     @property
     def size(self) -> int:
         return 64 + 8 * len(self.point)
-
-    def expired(self, now: float) -> bool:
-        return now >= self.expires_at
-
-    def refreshed(self, expires_at: float) -> "ResourceRecord":
-        return replace(self, expires_at=expires_at)

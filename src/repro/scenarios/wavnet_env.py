@@ -25,6 +25,14 @@ from repro.stun.server import StunServerPair
 
 __all__ = ["WavnetEnvironment", "WavnetHost", "wavnet_mesh"]
 
+# What add_host/add_endpoint accept about the site itself, with the
+# defaults; any other keyword goes to the WavnetDriver constructor.
+SITE_DEFAULTS = dict(
+    nat_type="port-restricted", access_bandwidth_bps=100e6,
+    access_latency=0.0005, udp_timeout=60.0, attrs=None, pulse_interval=5.0,
+    public=False, tcp_mss=1460, tcp_send_buf=262144, tcp_recv_buf=262144,
+    cpu_factor=1.0, port_alloc=None, port_stride=1)
+
 
 @dataclass
 class WavnetHost:
@@ -146,49 +154,26 @@ class WavnetEnvironment:
         across partitions."""
         self.cloud.declare_remote_site(name, partition)
 
-    def add_host(
-        self,
-        name: str,
-        nat_type: str = "port-restricted",
-        rendezvous_index: Optional[int] = None,
-        access_bandwidth_bps: float = 100e6,
-        access_latency: float = 0.0005,
-        udp_timeout: float = 60.0,
-        attrs: Optional[dict] = None,
-        pulse_interval: float = 5.0,
-        public: bool = False,
-        tcp_mss: int = 1460,
-        tcp_send_buf: int = 262144,
-        tcp_recv_buf: int = 262144,
-        cpu_factor: float = 1.0,
-        port_alloc: Optional[str] = None,
-        port_stride: int = 1,
-        **driver_kwargs,
-    ) -> WavnetHost:
+    def add_host(self, name: str, **site_config) -> WavnetHost:
         """Add one desktop host (behind its own NAT unless ``public``):
-        reserve its directory row, then build the full object stack.
-
-        ``nat_type`` accepts combined specs like ``"symmetric-sequential"``
-        naming the NAT's port-allocation policy; ``port_alloc=`` /
-        ``port_stride=`` override it explicitly."""
-        self.add_endpoint(name, nat_type=nat_type,
-                          rendezvous_index=rendezvous_index,
-                          access_bandwidth_bps=access_bandwidth_bps,
-                          access_latency=access_latency,
-                          udp_timeout=udp_timeout, attrs=attrs,
-                          pulse_interval=pulse_interval, public=public,
-                          tcp_mss=tcp_mss, tcp_send_buf=tcp_send_buf,
-                          tcp_recv_buf=tcp_recv_buf, cpu_factor=cpu_factor,
-                          port_alloc=port_alloc, port_stride=port_stride,
-                          **driver_kwargs)
-        return self._build_host(name)
+        reserve its directory row (:meth:`add_endpoint` documents the
+        keywords), then build the full object stack."""
+        self.add_endpoint(name, **site_config)
+        return self.build_declared(name)
 
     def add_endpoint(self, name: str, region: int = -1, **site_config) -> int:
         """Reserve a table row for an endpoint *without* building any
         object stack: allocates its stable virtual IP and public-address
         slot and records the site configuration, so a later
         :meth:`materialize` (or :meth:`add_host`, which calls this)
-        constructs an identical host every time. Returns the row id."""
+        constructs an identical host every time. Returns the row id.
+
+        ``site_config`` takes the :data:`SITE_DEFAULTS` keys plus
+        ``rendezvous_index``; anything else is a ``WavnetDriver``
+        keyword. ``nat_type`` accepts combined specs like
+        ``"symmetric-sequential"`` naming the NAT's port-allocation
+        policy; ``port_alloc=`` / ``port_stride=`` override it
+        explicitly."""
         if name in self.hosts:
             raise ValueError(f"duplicate host {name!r}")
         host_id = self.table.ensure_row(name)
@@ -196,9 +181,9 @@ class WavnetEnvironment:
             raise ValueError(f"endpoint {name!r} already declared")
         # Fleet-aware server selection: a ``None`` (or absent) index
         # means "hash me onto the ring" — the same assignment the fleet
-        # itself would compute. An explicit integer keeps the legacy
-        # static pinning.
-        rendezvous_index = site_config.get("rendezvous_index")
+        # itself would compute. An explicit integer pins the server
+        # (round-robin layouts in the churn and storm scenarios).
+        rendezvous_index = site_config.pop("rendezvous_index", None)
         fleet_assigned = rendezvous_index is None
         if fleet_assigned:
             rendezvous_index = self.ring.index(name)
@@ -210,12 +195,7 @@ class WavnetEnvironment:
         self.table.virtual_ip[host_id] = vip.value
         if region >= 0:
             self.table.region[host_id] = region
-        cfg = dict(nat_type="port-restricted", rendezvous_index=0,
-                   access_bandwidth_bps=100e6, access_latency=0.0005,
-                   udp_timeout=60.0, attrs=None, pulse_interval=5.0,
-                   public=False, tcp_mss=1460, tcp_send_buf=262144,
-                   tcp_recv_buf=262144, cpu_factor=1.0,
-                   port_alloc=None, port_stride=1)
+        cfg = dict(SITE_DEFAULTS)
         driver_kwargs = {k: v for k, v in site_config.items() if k not in cfg}
         cfg.update({k: v for k, v in site_config.items() if k in cfg})
         cfg["rendezvous_index"] = rendezvous_index
@@ -225,10 +205,13 @@ class WavnetEnvironment:
         self.table.set_site_config(host_id, **cfg)
         return host_id
 
-    def _build_host(self, name: str) -> WavnetHost:
-        """Construct the full host/NAT/driver stack for a declared
-        endpoint from its table row — used by :meth:`add_host` and by
-        lazy materialization, so both produce identical stacks."""
+    def build_declared(self, name: str) -> WavnetHost:
+        """Construct (without starting) the full host/NAT/driver stack
+        for an endpoint declared via :meth:`add_endpoint`, from its
+        table row — used by :meth:`add_host`, by lazy materialization
+        and by PDES partitions (every partition declares every endpoint
+        for lock-step address allocation, then builds only the ones it
+        owns), so all three produce identical stacks."""
         host_id = self.table.lookup(name)
         cfg = self.table.site_config(host_id)
         if not cfg:
@@ -258,8 +241,8 @@ class WavnetEnvironment:
                 access_bandwidth_bps=cfg["access_bandwidth_bps"],
                 access_latency=cfg["access_latency"],
                 udp_timeout=cfg["udp_timeout"],
-                port_alloc=cfg.get("port_alloc"),
-                port_stride=cfg.get("port_stride", 1),
+                port_alloc=cfg["port_alloc"],
+                port_stride=cfg["port_stride"],
                 **stack_kwargs)
             host = site.hosts[0]
         # Every other rendezvous server is a registration failover
@@ -267,7 +250,7 @@ class WavnetEnvironment:
         # order (the server that inherits their ring arc), pinned ones
         # in index order.
         driver_kwargs = dict(cfg["driver_kwargs"])
-        if cfg.get("fleet_assigned"):
+        if cfg["fleet_assigned"]:
             backups = [self.rendezvous_addr(j)
                        for j in self.ring.order(name)[1:]]
         else:
@@ -292,13 +275,6 @@ class WavnetEnvironment:
         self.hosts[wav_host.name] = wav_host
         return wav_host
 
-    def build_declared(self, name: str) -> WavnetHost:
-        """Construct (without starting) the full stack for an endpoint
-        previously declared via :meth:`add_endpoint` — the PDES path:
-        every partition declares every endpoint (lock-step address
-        allocation), then builds only the ones it owns."""
-        return self._build_host(name)
-
     # -- lazy materialization ------------------------------------------
     def materialize(self, name: str) -> WavnetHost:
         """Instantiate and start the full stack for a table-resident
@@ -319,7 +295,7 @@ class WavnetEnvironment:
         self.table.demote(host_id)
 
     def _materialize_host(self, name: str) -> WavnetHost:
-        wav = self._build_host(name)
+        wav = self.build_declared(name)
         self.sim.run_coro(wav.driver.start())
         return wav
 

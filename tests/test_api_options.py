@@ -1,10 +1,8 @@
-"""ConnectOptions/TransferOptions bundles and their deprecated aliases.
+"""ConnectOptions/TransferOptions bundles.
 
 Every connect/transfer entry point (driver.connect, connect_by_name,
-open_transfer, ttcp_transfer, netperf_stream, ApacheBench) accepts a
-typed ``options=`` bundle; the scattered legacy keywords still work but
-emit a DeprecationWarning and fold into the bundle (explicit keyword
-wins over the same field in ``options=``).
+open_transfer, ttcp_transfer, netperf_stream, ApacheBench) takes its
+knobs through one typed ``options=`` bundle.
 """
 
 import warnings
@@ -14,7 +12,6 @@ import pytest
 from repro import ConnectOptions, Simulator, TransferOptions, WavnetEnvironment
 from repro.apps.ab import ApacheBench
 from repro.apps.ttcp import ttcp_transfer
-from repro.core.options import UNSET
 from repro.net.addresses import IPv4Address
 from repro.scenarios.builder import host_pair
 
@@ -30,60 +27,25 @@ def test_top_level_api_surface():
         assert getattr(repro, name) is not None
 
 
-def test_legacy_kwarg_folds_with_warning():
-    with pytest.warns(DeprecationWarning, match=r"connect\(allow_relay"):
-        opts = ConnectOptions.coerce(None, "connect",
-                                     allow_relay=False, timeout=UNSET)
-    assert opts.allow_relay is False
-    assert opts.timeout is None  # untouched field keeps its default
-
-
-def test_explicit_legacy_kwarg_wins_over_options_field():
-    with pytest.warns(DeprecationWarning, match="cc="):
-        opts = TransferOptions.coerce(TransferOptions(cc="reno"), "x",
-                                      cc="bbr", fidelity=UNSET)
-    assert opts.cc == "bbr"
-
-
 def test_options_path_emits_no_warning():
+    sim = Simulator(seed=1)
+    a, _b, _link = host_pair(sim)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        opts = TransferOptions.coerce(TransferOptions(fidelity="fluid"),
-                                      "x", fidelity=UNSET, cc=UNSET)
-    assert opts.fidelity == "fluid"
+        ab = ApacheBench(a, IPv4Address("10.0.0.2"),
+                         options=TransferOptions(fidelity="fluid", cc="bbr"))
+    assert (ab.fidelity, ab.cc) == ("fluid", "bbr")
 
 
 def test_wrong_options_type_raises():
-    with pytest.raises(TypeError, match="TransferOptions"):
-        TransferOptions.coerce(ConnectOptions(), "open_transfer")
-
-
-def test_ttcp_legacy_fidelity_warns():
     sim = Simulator(seed=1)
     a, _b, _link = host_pair(sim)
-    gen = ttcp_transfer(a, IPv4Address("10.0.0.2"), 1000, fidelity="packet")
-    with pytest.warns(DeprecationWarning, match="ttcp_transfer"):
-        next(gen)  # generator body (and the coerce) runs on first advance
-    gen.close()
-
-
-def test_apachebench_legacy_fidelity_warns():
-    sim = Simulator(seed=1)
-    a, _b, _link = host_pair(sim)
-    with pytest.warns(DeprecationWarning, match="ApacheBench"):
-        ApacheBench(a, IPv4Address("10.0.0.2"), fidelity="packet")
-
-
-def test_driver_legacy_connect_kwargs_still_work():
-    sim = Simulator(seed=9)
-    env = WavnetEnvironment(sim)
-    env.add_host("a")
-    env.add_host("b")
-    env.up()
-    driver = env.hosts["a"].driver
-    with pytest.warns(DeprecationWarning, match="connect_by_name"):
-        conn = sim.run_coro(driver.connect_by_name("b", allow_relay=True))
-    assert conn.usable
+    with pytest.raises(TypeError, match="ApacheBench.*TransferOptions"):
+        ApacheBench(a, IPv4Address("10.0.0.2"), options=ConnectOptions())
+    gen = ttcp_transfer(a, IPv4Address("10.0.0.2"), 1000,
+                        options=ConnectOptions())
+    with pytest.raises(TypeError, match="ttcp_transfer.*TransferOptions"):
+        next(gen)  # generator body (and the check) runs on first advance
 
 
 def test_driver_connect_options_bundle():

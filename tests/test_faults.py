@@ -3,11 +3,14 @@ and plans, and the self-healing behaviors they exist to exercise —
 connection repair, rendezvous failover, NAT-reboot recovery, and CAN
 ungraceful takeover."""
 
+import numpy as np
 import pytest
 
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.l2 import Link, Port
 from repro.net.wan import WanCloud
+from repro.overlay.rendezvous import _RegisterBody
+from repro.overlay.rpc import RpcError
 from repro.scenarios.churn import (
     build_churn_env,
     mesh_converged,
@@ -311,7 +314,7 @@ class TestCanTakeover:
     def test_ungraceful_death_triggers_takeover(self):
         """Crash one rendezvous CAN node: its neighbors probe, declare
         it dead, and the arbitration winner absorbs its zones and
-        promotes its replicated records."""
+        promotes its replicated directory handles."""
         sim = Simulator(seed=27)
         env = WavnetEnvironment(sim, n_rendezvous=3)
         p = sim.process(env.join_rendezvous_overlay())
@@ -321,17 +324,18 @@ class TestCanTakeover:
         start = sim.process(wav.driver.start())
         sim.run(until=start)
         sim.run(until=sim.now + 5.0)
-        # Find the CAN node owning h0's resource record, then kill it.
-        owner = next(s.can for s in env.rendezvous if "h0" in s.can.records)
+        # Find the CAN node owning h0's directory handle, then kill it.
+        h0 = env.table.handle(env.table.lookup("h0"))
+        owner = next(s.can for s in env.rendezvous if h0 in s.can.handles)
         survivors = [s.can for s in env.rendezvous if s.can is not owner]
-        assert any("h0" in c.replicas.get(owner.node_id, {})
+        assert any(h0 in c.handle_replicas.get(owner.node_id, ())
                    for c in survivors)
         owner.crash()
         # Detection: 3 missed announce intervals + probe timeout.
         sim.run(until=sim.now + 4 * owner.ping_interval + 10.0)
         assert all(owner.node_id not in c.neighbors for c in survivors)
-        # The record survived the death via replica promotion.
-        assert any("h0" in c.records for c in survivors)
+        # The entry survived the death via replica promotion.
+        assert any(h0 in c.handles for c in survivors)
         takeovers = sum(
             int(sim.metrics.value(f"{c.node_id}.can.takeovers"))
             for c in survivors)
@@ -339,3 +343,96 @@ class TestCanTakeover:
         # The dead node's zone space is fully re-owned.
         total = sum(z.volume() for c in survivors for z in c.zones)
         assert total == pytest.approx(1.0)
+
+    def test_reregistration_after_crash_invalidates_old_handle_everywhere(self):
+        """A host that crashes and comes back re-registers: the row's
+        generation bumps, so the handle of its previous incarnation is
+        dead in the owner's store and in every replica, and queries
+        answer with the new incarnation exactly once."""
+        sim = Simulator(seed=28)
+        env = WavnetEnvironment(sim, n_rendezvous=3)
+        sim.run_coro(env.join_rendezvous_overlay())
+        sim.run(until=sim.now + 15.0)
+        wav = env.add_host("h0", rendezvous_index=1)
+        probe = env.add_host("h1", rendezvous_index=2)
+        sim.run_coro(env.start_all())
+        cans = [s.can for s in env.rendezvous]
+        row = env.table.lookup("h0")
+        old = env.table.handle(row)
+
+        def stores_holding(handle):
+            return sum(handle in c.handles for c in cans) + sum(
+                handle in reps for c in cans
+                for reps in c.handle_replicas.values())
+
+        sim.run(until=sim.now + 1.0)  # replica notifications land
+        assert stores_holding(old) >= 2  # the owner and a replica
+
+        wav.driver.crash()
+        wav.driver.restore()
+        sim.run(until=sim.now + 5.0)
+        new = env.table.handle(row)
+        assert new != old
+        assert not env.table.valid_mask(np.array([old])).any()
+        answers = sim.run_coro(probe.driver.query_resources(limit=8))
+        assert [r.host_name for r in answers].count("h0") == 1
+        # The next maintenance sweep drops the stale handle from every
+        # store; the fresh one is what the directory holds.
+        sim.run(until=sim.now + 2 * cans[0].ping_interval)
+        assert stores_holding(old) == 0
+        assert stores_holding(new) >= 2
+
+    def test_failover_is_refused_until_the_directory_can_store_the_host(self):
+        """The rendezvous server that also owns the hosts' CAN point
+        crashes. Until its neighbors detect the death, every route to
+        that point ends at the dead node: a failover registration
+        elsewhere cannot be stored and must fail — not answer
+        "registered" for a host no query can find — so the driver keeps
+        trying, and the attempt after the takeover sticks."""
+        sim = Simulator(seed=29)
+        env = WavnetEnvironment(sim, n_rendezvous=3)
+        sim.run_coro(env.join_rendezvous_overlay())
+        sim.run(until=sim.now + 15.0)
+        # One host per server; default hosts share one CAN point.
+        hosts = [env.add_host(f"h{i}", rendezvous_index=i) for i in range(3)]
+        sim.run_coro(env.start_all())
+        point = env.table.spec.to_point(**hosts[0].driver.attrs)
+        x = next(i for i, s in enumerate(env.rendezvous) if s.can.owns(point))
+        wav, probe = hosts[x], hosts[(x + 1) % 3]
+        dead = env.rendezvous[x]
+        survivors = [s.can for s in env.rendezvous if s is not dead]
+
+        def visible():
+            return {r.host_name for r in
+                    sim.run_coro(probe.driver.query_resources(limit=8))}
+
+        assert wav.driver.name in visible()
+        dead.crash()
+        # Inside the detection window the dead node is still the listed
+        # owner of the point, whichever survivor is asked. (A patient
+        # caller: the driver's own 5 s timeout fires before the answer.)
+        other = env.rendezvous[(x + 1) % 3]
+
+        def register_elsewhere():
+            try:
+                yield from wav.driver.rpc.call(
+                    other.ip, other.port, "rvz.register",
+                    _RegisterBody(wav.driver.name,
+                                  wav.driver.connection_info(),
+                                  dict(wav.driver.attrs)),
+                    timeout=20.0, retries=1)
+            except RpcError as exc:
+                return str(exc)
+            return "registered"
+
+        assert "directory owner unreachable" in sim.run_coro(
+            register_elsewhere())
+        assert all(dead.can.node_id in c.neighbors for c in survivors)
+        # The keepalive loop fails over for real once a survivor owns
+        # the point; the other hosts' entries come back by replica
+        # promotion.
+        sim.run(until=sim.now + 150.0)
+        assert wav.driver.rendezvous_ip != dead.ip
+        assert wav.driver.name in visible()
+        handle = env.table.handle(env.table.lookup(wav.driver.name))
+        assert any(handle in c.handles for c in survivors)

@@ -48,7 +48,7 @@ def test_register_row_roundtrip():
     # The table stamps the freshest observed mapping (the reach port)
     # into rebuilt ConnectionInfos for predicted-port punching.
     assert row.conn == replace(_conn(), observed_port=_reach()[1])
-    # Exact attrs survive (no float32 round-trip; ints stay ints).
+    # Attrs read back from the float32 column (these are exact in it).
     assert row.attrs == attrs
     assert table.lookup("h0") == host_id
     assert table.lookup("nope") == -1
@@ -118,8 +118,8 @@ def test_zone_selection_vectorized():
                         _reach(), now=0.0)
     lower, upper = Zone.whole(2).split()
     ids = np.array([lo, hi])
-    assert list(table.ids_in_zone(lower, ids)) == [lo]
-    assert list(table.ids_in_zone(upper, ids)) == [hi]
+    assert list(ids[table.in_zone(lower, ids)]) == [lo]
+    assert list(ids[table.in_zone(upper, ids)]) == [hi]
 
 
 # -- admission ---------------------------------------------------------

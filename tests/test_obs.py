@@ -388,7 +388,7 @@ class TestDriverObservability:
         driver = env.hosts["h0"].driver
         driver.stop()
         driver.stop()  # second stop must be a no-op, not an error
-        assert driver.stopped
+        assert not driver.running
         assert len(sim.trace.events("driver.stop")) == 1
         sim.run(until=sim.now + 1.0)
 

@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.core.hoststate import HostTable
 from repro.nat.types import NatType
 from repro.net.addresses import IPv4Address
 from repro.net.wan import WanCloud
 from repro.overlay.can import CanNode
-from repro.overlay.resources import ConnectionInfo, ResourceRecord
+from repro.overlay.resources import ConnectionInfo
 from repro.overlay.rpc import RpcEndpoint, RpcError, RpcTimeout
 from repro.scenarios.builder import make_public_host
 from repro.sim import Simulator
@@ -19,11 +20,12 @@ def make_conn_info(ip="8.0.0.1", port=20001):
 
 def build_overlay(sim, n_nodes, cloud_latency=0.005):
     cloud = WanCloud(sim, default_latency=cloud_latency)
+    table = HostTable(sim)  # the one directory every node shares
     nodes = []
     for i in range(n_nodes):
         host = make_public_host(sim, cloud, f"rvz{i}", f"9.0.{i // 250}.{(i % 250) + 1}",
                                 network="9.0.0.0/8")
-        nodes.append(CanNode(host, dims=2))
+        nodes.append(CanNode(host, table))
     nodes[0].bootstrap()
 
     def joiner(sim):
@@ -33,6 +35,18 @@ def build_overlay(sim, n_nodes, cloud_latency=0.005):
     p = sim.process(joiner(sim))
     sim.run(until=p)
     return cloud, nodes
+
+
+def put(node, name, point):
+    """Process: what a rendezvous server does on ``rvz.register`` — write
+    the table row, then publish its handle through ``node``. ``point``
+    is in CAN space; the spec's attribute ranges scale it back."""
+    table = node.table
+    attrs = {attr: lo + x * (hi - lo)
+             for (attr, lo, hi), x in zip(table.spec.attributes, point)}
+    host_id = table.register(name, make_conn_info(), attrs,
+                             (IPv4Address("8.0.0.1"), 20001), node.sim.now)
+    return node.put_ids([host_id])
 
 
 class TestRpcLayer:
@@ -179,18 +193,19 @@ class TestCanOverlay:
     def test_put_get_roundtrip_across_overlay(self):
         sim = Simulator(seed=4)
         _cloud, nodes = build_overlay(sim, 8)
-        record = ResourceRecord("host-x", (0.123, 0.876), {"cpu_ghz": 2.0},
-                                make_conn_info())
+        point = (0.123, 0.876)
 
         def runner(sim):
-            yield from nodes[3].route("put", record.point, record)
-            got = yield from nodes[6].route("get", record.point, 4)
+            yield from put(nodes[3], "host-x", point)
+            got = yield from nodes[6].route("get", point, 4)
             return got
 
         p = sim.process(runner(sim))
         sim.run(until=p)
-        names = [r.host_name for r in p.value]
-        assert "host-x" in names
+        (record,) = p.value
+        assert record.host_name == "host-x"
+        assert record.point == pytest.approx(point)
+        assert record.conn.public_port == make_conn_info().public_port
 
     def test_get_returns_nearest_records(self):
         sim = Simulator(seed=5)
@@ -198,8 +213,7 @@ class TestCanOverlay:
 
         def runner(sim):
             for i, point in enumerate([(0.1, 0.1), (0.12, 0.12), (0.9, 0.9)]):
-                rec = ResourceRecord(f"h{i}", point, {}, make_conn_info())
-                yield from nodes[0].route("put", point, rec)
+                yield from put(nodes[0], f"h{i}", point)
             got = yield from nodes[0].route("get", (0.11, 0.11), 2)
             return got
 
@@ -207,21 +221,6 @@ class TestCanOverlay:
         sim.run(until=p)
         names = {r.host_name for r in p.value}
         assert names <= {"h0", "h1"}
-
-    def test_remove_record(self):
-        sim = Simulator(seed=6)
-        _cloud, nodes = build_overlay(sim, 4)
-
-        def runner(sim):
-            rec = ResourceRecord("gone", (0.4, 0.4), {}, make_conn_info())
-            yield from nodes[1].route("put", rec.point, rec)
-            yield from nodes[2].route("remove", rec.point, "gone")
-            got = yield from nodes[3].route("get", rec.point, 8)
-            return got
-
-        p = sim.process(runner(sim))
-        sim.run(until=p)
-        assert all(r.host_name != "gone" for r in p.value)
 
     def test_routing_hop_latency_is_real(self):
         """Routing across the overlay takes at least one cloud RTT."""
@@ -245,15 +244,15 @@ class TestCanOverlay:
     def test_graceful_leave_hands_over_records(self):
         sim = Simulator(seed=8)
         _cloud, nodes = build_overlay(sim, 4)
-        record = ResourceRecord("kept", (0.77, 0.77), {}, make_conn_info())
+        point = (0.77, 0.77)
 
         def runner(sim):
-            yield from nodes[0].route("put", record.point, record)
-            owner = next(n for n in nodes if n.owns(record.point))
+            yield from put(nodes[0], "kept", point)
+            owner = next(n for n in nodes if n.owns(point))
             yield sim.process(owner.leave())
-            # Someone else must own the point and still have the record.
+            # Someone else must own the point and still have the entry.
             survivors = [n for n in nodes if n.joined]
-            got = yield from survivors[0].route("get", record.point, 8)
+            got = yield from survivors[0].route("get", point, 8)
             return got, sum(z.volume() for n in survivors for z in n.zones)
 
         p = sim.process(runner(sim))
@@ -269,26 +268,113 @@ class TestCanOverlay:
             n.record_ttl = 5.0
 
         def runner(sim):
-            rec = ResourceRecord("fleeting", (0.6, 0.6), {}, make_conn_info())
-            yield from nodes[0].route("put", rec.point, rec)
+            yield from put(nodes[0], "fleeting", (0.6, 0.6))
+            fresh = yield from nodes[1].route("get", (0.6, 0.6), 8)
             yield sim.timeout(30.0)
-            got = yield from nodes[1].route("get", rec.point, 8)
-            return got
+            stale = yield from nodes[1].route("get", (0.6, 0.6), 8)
+            return fresh, stale
 
         p = sim.process(runner(sim))
         sim.run(until=p)
-        assert all(r.host_name != "fleeting" for r in p.value)
+        fresh, stale = p.value
+        assert [r.host_name for r in fresh] == ["fleeting"]
+        assert stale == ()  # never kept alive: last_seen fell out of the TTL
 
     def test_routing_scales_to_32_nodes(self):
         sim = Simulator(seed=10)
         _cloud, nodes = build_overlay(sim, 32)
 
         def runner(sim):
-            rec = ResourceRecord("far", (0.95, 0.05), {}, make_conn_info())
-            yield from nodes[17].route("put", rec.point, rec)
-            got = yield from nodes[31].route("get", rec.point, 2)
+            yield from put(nodes[17], "far", (0.95, 0.05))
+            got = yield from nodes[31].route("get", (0.95, 0.05), 2)
             return got
 
         p = sim.process(runner(sim))
         sim.run(until=p)
         assert "far" in {r.host_name for r in p.value}
+
+
+class TestReplication:
+    """Every handle a node owns is copied at its neighbors under the
+    node's id — however the node came to own it, whenever the neighbor
+    appeared."""
+
+    def settle(self, sim, node, intervals=5.0):
+        sim.run(until=sim.now + intervals * node.ping_interval)
+
+    def test_second_crash_keeps_what_the_first_takeover_saved(self):
+        sim = Simulator(seed=11)
+        _cloud, nodes = build_overlay(sim, 3)
+        point = (0.3, 0.7)
+        sim.run_coro(put(nodes[0], "twice", point))
+        handle = nodes[0].table.handle(nodes[0].table.lookup("twice"))
+        for _crash in range(2):
+            self.settle(sim, nodes[0], 2.0)  # a maintenance sweep passes
+            owner = next(n for n in nodes if n.joined and n.owns(point))
+            others = [n for n in nodes if n.joined and n is not owner]
+            assert all(handle in n.handle_replicas[owner.node_id]
+                       for n in others)
+            owner.crash()
+            self.settle(sim, nodes[0])  # detection + takeover
+        (last,) = [n for n in nodes if n.joined]
+        assert handle in last.handles
+        last.table.touch(last.table.lookup("twice"), sim.now)  # a keepalive
+        assert [r.host_name for r in last._handle_records(point, 4)] == ["twice"]
+
+    def test_late_joiner_receives_a_copy_of_older_entries(self):
+        sim = Simulator(seed=12)
+        _cloud, nodes = build_overlay(sim, 1)
+        for i, point in enumerate([(0.1, 0.1), (0.9, 0.9)]):
+            sim.run_coro(put(nodes[0], f"old{i}", point))
+        late = CanNode(make_public_host(sim, _cloud, "late", "9.0.0.77",
+                                        network="9.0.0.0/8"), nodes[0].table)
+        sim.run_coro(late.join_via(nodes[0].ip))
+        self.settle(sim, late, 2.0)
+        # Each side holds the other's entries: whoever dies, none is lost.
+        assert nodes[0].handles and late.handles
+        assert late.handle_replicas[nodes[0].node_id] == nodes[0].handles
+        assert nodes[0].handle_replicas[late.node_id] == late.handles
+
+    def test_moved_entry_is_filed_under_its_new_owner_only(self):
+        sim = Simulator(seed=13)
+        _cloud, nodes = build_overlay(sim, 3)
+        watcher = nodes[2]
+        watcher._on_replica_ids(("a", (7, 8, 9)), None, None)
+        watcher._on_replica_ids(("b", (8,)), None, None)
+        assert watcher.handle_replicas["a"] == {7, 9}
+        assert watcher.handle_replicas["b"] == {8}
+
+    def test_silent_hosts_do_not_count_toward_zone_load(self):
+        sim = Simulator(seed=14)
+        _cloud, (node,) = build_overlay(sim, 1)
+        sim.run_coro(put(node, "quiet", (0.5, 0.5)))
+        (zone,) = node.zones
+        assert node.zone_load(zone) == 1
+        sim.run(until=sim.now + node.record_ttl + 1.0)
+        assert node.zone_load(zone) == 0
+        assert len(node.handles) == 1  # still registered: a keepalive revives it
+        node.table.touch(node.table.lookup("quiet"), sim.now)
+        assert node.zone_load(zone) == 1
+
+
+class TestHotZoneSplit:
+    def test_lone_registrations_split_a_zone_once_it_is_over_the_limit(self):
+        """No batch is needed: the row that takes the store over
+        ``hot_zone_limit`` triggers the scan, the ones before it do not."""
+        sim = Simulator(seed=15)
+        _cloud, nodes = build_overlay(sim, 2)
+        for n in nodes:
+            n.hot_zone_limit = 3
+        owner = next(n for n in nodes if n.owns((0.2, 0.2)))
+        splits = sim.metrics.get(f"{owner.node_id}.can.splits")
+        (zone,) = owner.zones
+        inside = [tuple(lo + (hi - lo) * f for lo, hi in zip(zone.lows, zone.highs))
+                  for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        for i, point in enumerate(inside[:3]):
+            sim.run_coro(put(owner, f"h{i}", point))
+        assert splits.value == 0 and owner._split_mark < 0
+        for i, point in enumerate(inside[3:], start=3):
+            sim.run_coro(put(owner, f"h{i}", point))
+        sim.run(until=sim.now + 1.0)
+        assert splits.value >= 1
+        assert sum(len(n.handles) for n in nodes) == 5  # shed, not lost

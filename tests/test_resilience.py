@@ -110,3 +110,25 @@ class TestRegistrationLifecycle:
         p = sim.process(query(sim))
         sim.run(until=p)
         assert all(r.host_name != "h1" for r in p.value)
+
+    def test_stopped_host_leaves_answers_at_ttl_with_no_expiry_loop(self):
+        """Liveness is read from the table when the answer is built: a
+        stopped host drops out once its ``last_seen`` is a TTL old,
+        although nothing swept its row or its directory handle."""
+        sim, env = build(2, keepalive_interval=15.0)
+        rvz = env.rendezvous[0]
+        assert rvz._expiry_proc is None  # no reaper in this deployment
+        env.hosts["h1"].driver.stop()
+        driver = env.hosts["h0"].driver
+
+        def names():
+            return {r.host_name
+                    for r in sim.run_coro(driver.query_resources(limit=8))}
+
+        sim.run(until=sim.now + rvz.can.record_ttl / 2)
+        assert "h1" in names()  # silent, but still inside the TTL
+        sim.run(until=sim.now + rvz.can.record_ttl)
+        assert "h1" not in names()
+        assert "h1" in rvz.hosts  # row still registered ...
+        handle = env.table.handle(env.table.lookup("h1"))
+        assert handle in rvz.can.handles  # ... and its handle still stored
