@@ -5,7 +5,7 @@ patterns every WAVNet experiment leans on.
   timeouts and get interrupted away from them, leaving stale calendar
   entries (the pattern of CONNECT_PULSE rearms and punch-loop teardown).
 * ``frame_fanout`` — per-frame delivery: a learning switch floods frames
-  to N sinks over unshaped links, the ``call_in``/``_Delivery`` path.
+  to N sinks over unshaped links, the ``call_in``/bound-delivery path.
 * ``ttcp_transfer`` — a Fig-6-style bulk TCP transfer over a fast link:
   segments, ACKs, and retransmit-timer management end to end.
 
@@ -44,12 +44,16 @@ BASELINE_PRE = {
     "ttcp_transfer": 13_954,
 }
 
-# Ops/sec measured right after the fast path landed. The CI perf-smoke
-# floor is a generous 3x below this (runner hardware varies widely).
+# Ops/sec measured on the current kernel (re-recorded with PR 13's
+# fused dispatch loop and slotted wire formats: three runs on the 2-core
+# container, python 3.11, lowest of the three rounded down; the parent
+# commit scored 540k / 372k / 50k on the same box the same hour). The CI
+# perf-smoke floor is a generous 3x below this (runner hardware varies
+# widely). Re-record whenever a PR moves the kernel or the frame path.
 BASELINE_POST = {
-    "timer_churn": 460_000,
-    "frame_fanout": 300_000,
-    "ttcp_transfer": 43_000,
+    "timer_churn": 575_000,
+    "frame_fanout": 400_000,
+    "ttcp_transfer": 75_000,
 }
 
 

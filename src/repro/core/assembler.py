@@ -8,18 +8,19 @@ simulation):
 * ``WavPulse``  — the 2-byte CONNECT_PULSE keepalive (§II.B).
 * ``WavPunch`` / ``WavPunchAck`` — hole-punching probes.
 
-Everything travels as the payload of a UDP datagram between host public
-endpoints, so the per-packet overhead of the virtual layer is
+Like every wire format (:class:`repro.net.packet.WireFormat`) these are
+value objects, immutable by convention, whose ``size`` is fixed at
+construction. Everything travels as the payload of a UDP datagram between
+host public endpoints, so the per-packet overhead of the virtual layer is
 ``4 (WAVNet) + 8 (UDP) + 20 (IP) + 18 (outer Ethernet)`` bytes — the
 "redundant packet headers" the paper sets out to minimize.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from repro.net.packet import EthernetFrame, Payload
+from repro.net.packet import EthernetFrame, Payload, WireFormat
 
 __all__ = [
     "DATA_HEADER",
@@ -40,50 +41,44 @@ PUNCH_SIZE = 20
 PATH_FRAME_SIZE = 24
 
 
-@dataclass(frozen=True)
-class WavData:
+class WavData(WireFormat):
     """A tunneled layer-2 frame."""
 
-    frame: EthernetFrame
+    _fields = ("frame",)
+    __slots__ = _fields + ("size",)
 
-    @property
-    def size(self) -> int:
-        return DATA_HEADER + self.frame.size
+    def __init__(self, frame: EthernetFrame) -> None:
+        self.frame = frame
+        self.size = DATA_HEADER + frame.size
 
 
-@dataclass(frozen=True)
-class WavPulse:
+class WavPulse(WireFormat):
     """CONNECT_PULSE: 2-byte keepalive refreshing NAT bindings."""
 
-    @property
-    def size(self) -> int:
-        return PULSE_SIZE
+    __slots__ = ()
+    size = PULSE_SIZE
 
 
-@dataclass(frozen=True)
-class WavPunch:
+class _WavProbe(WireFormat):
+    __slots__ = _fields = ("sender", "nonce")
+    size = PUNCH_SIZE
+
+    def __init__(self, sender: str, nonce: int = 0) -> None:
+        self.sender = sender
+        self.nonce = nonce
+
+
+class WavPunch(_WavProbe):
     """Hole-punching probe carrying the sender's WAVNet identity."""
 
-    sender: str
-    nonce: int = 0
-
-    @property
-    def size(self) -> int:
-        return PUNCH_SIZE
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WavPunchAck:
-    sender: str
-    nonce: int = 0
-
-    @property
-    def size(self) -> int:
-        return PUNCH_SIZE
+class WavPunchAck(_WavProbe):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WavPathChallenge:
+class WavPathChallenge(WireFormat):
     """QUIC-style PATH_CHALLENGE: migrate an established connection to a
     new path without re-punching.
 
@@ -93,33 +88,32 @@ class WavPathChallenge:
     adopt as the connection's remote address once the token validates.
     """
 
-    sender: str
-    cid: int
-    token: int
-    new_ip: object  # IPv4Address
-    new_port: int
+    __slots__ = _fields = ("sender", "cid", "token", "new_ip", "new_port")
+    size = PATH_FRAME_SIZE
 
-    @property
-    def size(self) -> int:
-        return PATH_FRAME_SIZE
+    def __init__(self, sender: str, cid: int, token: int, new_ip: object,
+                 new_port: int) -> None:
+        self.sender = sender
+        self.cid = cid
+        self.token = token
+        self.new_ip = new_ip  # IPv4Address
+        self.new_port = new_port
 
 
-@dataclass(frozen=True)
-class WavPathResponse:
+class WavPathResponse(WireFormat):
     """PATH_RESPONSE: echoes the challenge token, proving the new path
     carries traffic in both directions."""
 
-    sender: str
-    cid: int
-    token: int
+    __slots__ = _fields = ("sender", "cid", "token")
+    size = PATH_FRAME_SIZE
 
-    @property
-    def size(self) -> int:
-        return PATH_FRAME_SIZE
+    def __init__(self, sender: str, cid: int, token: int) -> None:
+        self.sender = sender
+        self.cid = cid
+        self.token = token
 
 
-@dataclass(frozen=True)
-class WavRelay:
+class WavRelay(WireFormat):
     """Extension (paper future work): rendezvous-relayed tunnel payload
     for peers whose NATs defeat hole punching (symmetric<->symmetric).
 
@@ -128,13 +122,14 @@ class WavRelay:
     endpoint. 16 bytes of relay header on top of the inner payload.
     """
 
-    sender: str
-    target: str
-    inner: object  # WavData | WavPulse
+    _fields = ("sender", "target", "inner")
+    __slots__ = _fields + ("size",)
 
-    @property
-    def size(self) -> int:
-        return 16 + self.inner.size
+    def __init__(self, sender: str, target: str, inner: object) -> None:
+        self.sender = sender
+        self.target = target
+        self.inner = inner  # WavData | WavPulse
+        self.size = 16 + inner.size
 
 
 class PacketAssembler:

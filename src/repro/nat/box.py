@@ -11,7 +11,6 @@ do, so ping works from behind the NAT.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Optional
 
 from repro.nat.mapping import MappingTable
@@ -138,41 +137,25 @@ class NatBox(Router, Component):
             return None  # box is down/crashed: everything blackholes
         if iface is not self.outside or packet.dst != self.public_ip:
             return packet
-        table = self._table_for(packet.proto)
+        proto = packet.proto
+        table = self._table_for(proto)
         if table is None:
             return packet
-        now = self.sim.now
         payload = packet.payload
-        if packet.proto == PROTO_UDP:
-            dgram: UdpDatagram = payload
-            mapping = table.inbound(dgram.dst_port, packet.src, dgram.src_port, now)
-            if mapping is None:
-                self.dropped_unsolicited += 1
-                return None
-            self.translated_in += 1
-            return packet.with_dst(mapping.internal_ip).with_payload(
-                replace(dgram, dst_port=mapping.internal_port))
-        if packet.proto == PROTO_TCP:
-            seg: TcpSegment = payload
-            mapping = table.inbound(seg.dst_port, packet.src, seg.src_port, now)
-            if mapping is None:
-                self.dropped_unsolicited += 1
-                return None
-            self.translated_in += 1
-            return packet.with_dst(mapping.internal_ip).with_payload(
-                replace(seg, dst_port=mapping.internal_port))
-        if packet.proto == PROTO_ICMP:
-            msg: IcmpMessage = payload
-            if msg.kind == "echo-request":
+        if proto == PROTO_ICMP:
+            if payload.kind == "echo-request":
                 return packet  # ping to the NAT itself: answer locally
-            mapping = table.inbound(msg.ident, packet.src, 0, now)
-            if mapping is None:
-                self.dropped_unsolicited += 1
-                return None
-            self.translated_in += 1
-            return packet.with_dst(mapping.internal_ip).with_payload(
-                replace(msg, ident=mapping.internal_port))
-        return packet
+            ext_port, src_port = payload.ident, 0
+        else:
+            ext_port, src_port = payload.dst_port, payload.src_port
+        mapping = table.inbound(ext_port, packet.src, src_port, self.sim.now)
+        if mapping is None:
+            self.dropped_unsolicited += 1
+            return None
+        self.translated_in += 1
+        return IPv4Packet(packet.src, mapping.internal_ip, proto,
+                          _with_port(payload, proto, dst_port=mapping.internal_port),
+                          packet.ttl)
 
     def _post_routing(self, packet: IPv4Packet, iface: Interface) -> Optional[IPv4Packet]:
         """Outbound SNAT: rewrite inside (ip, port) to the public endpoint."""
@@ -182,31 +165,20 @@ class NatBox(Router, Component):
             return packet
         if self.inside_network is None or packet.src not in self.inside_network:
             return packet  # NAT's own traffic
-        table = self._table_for(packet.proto)
+        proto = packet.proto
+        table = self._table_for(proto)
         if table is None:
             return None  # unsupported protocol cannot traverse
-        now = self.sim.now
         payload = packet.payload
-        if packet.proto == PROTO_UDP:
-            dgram: UdpDatagram = payload
-            mapping = table.outbound(packet.src, dgram.src_port, packet.dst, dgram.dst_port, now)
-            self.translated_out += 1
-            return packet.with_src(self.public_ip).with_payload(
-                replace(dgram, src_port=mapping.external_port))
-        if packet.proto == PROTO_TCP:
-            seg: TcpSegment = payload
-            mapping = table.outbound(packet.src, seg.src_port, packet.dst, seg.dst_port, now)
-            self.translated_out += 1
-            return packet.with_src(self.public_ip).with_payload(
-                replace(seg, src_port=mapping.external_port))
-        if packet.proto == PROTO_ICMP:
-            msg: IcmpMessage = payload
-            # NAT on the ident field; destination "port" is 0.
-            mapping = table.outbound(packet.src, msg.ident, packet.dst, 0, now)
-            self.translated_out += 1
-            return packet.with_src(self.public_ip).with_payload(
-                replace(msg, ident=mapping.external_port))
-        return packet
+        if proto == PROTO_ICMP:
+            int_port, dst_port = payload.ident, 0  # destination "port" is 0
+        else:
+            int_port, dst_port = payload.src_port, payload.dst_port
+        mapping = table.outbound(packet.src, int_port, packet.dst, dst_port, self.sim.now)
+        self.translated_out += 1
+        return IPv4Packet(self.public_ip, packet.dst, proto,
+                          _with_port(payload, proto, src_port=mapping.external_port),
+                          packet.ttl)
 
     def external_endpoint_for(
         self, int_ip: IPv4Address, int_port: int, dst_ip: IPv4Address, dst_port: int
@@ -215,3 +187,19 @@ class NatBox(Router, Component):
         would be seen as (what STUN discovers)."""
         mapping = self.udp_mappings.outbound(int_ip, int_port, dst_ip, dst_port, self.sim.now)
         return (self.public_ip, mapping.external_port)
+
+
+def _with_port(payload, proto: int, src_port: Optional[int] = None,
+               dst_port: Optional[int] = None):
+    """A new transport payload with the SNAT ``src_port`` or the DNAT
+    ``dst_port`` set (wire formats are never mutated); ICMP echo is NATed
+    on its ``ident`` in both directions."""
+    if proto == PROTO_ICMP:
+        return IcmpMessage(payload.kind, dst_port if src_port is None else src_port,
+                           payload.seq, payload.payload_size, payload.timestamp)
+    src = payload.src_port if src_port is None else src_port
+    dst = payload.dst_port if dst_port is None else dst_port
+    if proto == PROTO_UDP:
+        return UdpDatagram(src, dst, payload.payload)
+    return TcpSegment(src, dst, payload.seq, payload.ack, payload.flags, payload.window,
+                      payload.payload_size, payload.payload_data, payload.sack)

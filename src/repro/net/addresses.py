@@ -1,9 +1,10 @@
 """MAC and IPv4 addressing.
 
-Addresses are small immutable value objects backed by integers so they are
-cheap to hash and compare on the packet fast path. IPv4 parsing accepts
-dotted-quad strings; CIDR networks support containment tests and host
-enumeration for scenario builders.
+Addresses are small immutable value objects backed by integers; the hash
+and ``is_broadcast`` are computed once, at construction, so lookups on the
+packet fast path (ARP cache, MAC tables, NAT mapping keys) allocate nothing.
+IPv4 parsing accepts dotted-quad strings; CIDR networks support containment
+tests and host enumeration for scenario builders.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ __all__ = [
 class MacAddress:
     """48-bit Ethernet address."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "is_broadcast", "_hash")
 
     def __init__(self, value: Union[int, str, "MacAddress"]) -> None:
         if isinstance(value, MacAddress):
-            self.value = value.value
-            return
-        if isinstance(value, str):
+            value = value.value
+        elif isinstance(value, str):
             parts = value.split(":")
             if len(parts) != 6:
                 raise ValueError(f"bad MAC {value!r}")
@@ -38,16 +38,17 @@ class MacAddress:
         if not 0 <= value < (1 << 48):
             raise ValueError(f"MAC out of range: {value:#x}")
         self.value = value
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.value == (1 << 48) - 1
+        self.is_broadcast = value == (1 << 48) - 1
+        self._hash = hash(("mac", value))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, MacAddress) and other.value == self.value
+        return other is self or (other.__class__ is MacAddress and other.value == self.value)
 
     def __hash__(self) -> int:
-        return hash(("mac", self.value))
+        return self._hash
+
+    def __reduce__(self):
+        return (MacAddress, (self.value,))  # the cached hash is per process
 
     def __str__(self) -> str:
         octets = [(self.value >> (8 * i)) & 0xFF for i in range(5, -1, -1)]
@@ -79,13 +80,12 @@ def mac_factory(prefix: int = 0x02_00_00_00_00_00):
 class IPv4Address:
     """32-bit IPv4 address."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "is_broadcast", "_hash")
 
     def __init__(self, value: Union[int, str, "IPv4Address"]) -> None:
         if isinstance(value, IPv4Address):
-            self.value = value.value
-            return
-        if isinstance(value, str):
+            value = value.value
+        elif isinstance(value, str):
             parts = value.split(".")
             if len(parts) != 4:
                 raise ValueError(f"bad IPv4 {value!r}")
@@ -98,19 +98,20 @@ class IPv4Address:
         if not 0 <= value < (1 << 32):
             raise ValueError(f"IPv4 out of range: {value:#x}")
         self.value = value
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.value == (1 << 32) - 1
+        self.is_broadcast = value == (1 << 32) - 1
+        self._hash = hash(("ip", value))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IPv4Address) and other.value == self.value
+        return other is self or (other.__class__ is IPv4Address and other.value == self.value)
 
     def __lt__(self, other: "IPv4Address") -> bool:
         return self.value < other.value
 
     def __hash__(self) -> int:
-        return hash(("ip", self.value))
+        return self._hash
+
+    def __reduce__(self):
+        return (IPv4Address, (self.value,))  # the cached hash is per process
 
     def __str__(self) -> str:
         octets = [(self.value >> (8 * i)) & 0xFF for i in range(3, -1, -1)]
@@ -126,7 +127,7 @@ class IPv4Address:
 class IPv4Network:
     """CIDR prefix, e.g. ``IPv4Network('10.1.0.0/24')``."""
 
-    __slots__ = ("network", "prefix_len", "_mask")
+    __slots__ = ("network", "prefix_len", "_mask", "broadcast")
 
     def __init__(self, cidr: str) -> None:
         addr, _, plen = cidr.partition("/")
@@ -138,13 +139,10 @@ class IPv4Network:
         self._mask = ((1 << self.prefix_len) - 1) << (32 - self.prefix_len) if self.prefix_len else 0
         base = IPv4Address(addr).value & self._mask
         self.network = IPv4Address(base)
+        self.broadcast = IPv4Address(base | (~self._mask & 0xFFFFFFFF))
 
     def __contains__(self, ip: IPv4Address) -> bool:
         return (ip.value & self._mask) == self.network.value
-
-    @property
-    def broadcast(self) -> IPv4Address:
-        return IPv4Address(self.network.value | (~self._mask & 0xFFFFFFFF))
 
     def host(self, index: int) -> IPv4Address:
         """The ``index``-th host address (1-based; 0 is the network address)."""

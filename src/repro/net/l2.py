@@ -18,6 +18,7 @@ The medium model:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Protocol
 
 from repro.net.addresses import MacAddress
@@ -160,7 +161,7 @@ class _Pipe:
         if self.loss > 0.0 and self._loss_rng.random() < self.loss:
             self.frames_lost += 1
             return
-        self.sim.call_in(self.latency, _Delivery(self.dst, frame))
+        self.sim.call_in(self.latency, partial(self.dst.deliver, frame))
 
     def _finish_tx(self) -> None:
         frame = self._tx_frame
@@ -178,19 +179,6 @@ class _Pipe:
                 self.sim.call_in(frame.size * 8.0 / bw, self._finish_cb)
                 return
             self._emit(frame)
-
-
-class _Delivery:
-    """Bound frame delivery; avoids closure allocation churn on hot path."""
-
-    __slots__ = ("port", "frame")
-
-    def __init__(self, port: Port, frame: EthernetFrame) -> None:
-        self.port = port
-        self.frame = frame
-
-    def __call__(self) -> None:
-        self.port.deliver(self.frame)
 
 
 class Link(Component):
@@ -360,20 +348,9 @@ class Switch:
 
     def _emit(self, port: Port, frame: EthernetFrame) -> None:
         if self.forward_delay > 0:
-            self.sim.call_in(self.forward_delay, _PortEmit(port, frame))
+            self.sim.call_in(self.forward_delay, partial(port.transmit, frame))
         else:
             port.transmit(frame)
-
-
-class _PortEmit:
-    __slots__ = ("port", "frame")
-
-    def __init__(self, port: Port, frame: EthernetFrame) -> None:
-        self.port = port
-        self.frame = frame
-
-    def __call__(self) -> None:
-        self.port.transmit(self.frame)
 
 
 class Bridge(Switch):

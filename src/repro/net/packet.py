@@ -12,12 +12,15 @@ match the real protocols:
 * ICMP echo header: 8 B
 
 Every object exposes ``.size`` — its on-wire byte count including the
-sizes of everything it encapsulates.
+sizes of everything it encapsulates. The objects are ``__slots__``
+classes, immutable by convention: ``size`` is computed once, at
+construction, from the headers and the already-built payload, so a
+rewrite (NAT, TTL decrement) constructs a new object and nothing on the
+per-hop path recurses into the nesting again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.net.addresses import IPv4Address, MacAddress
@@ -35,6 +38,7 @@ __all__ = [
     "TcpSegment",
     "UDP_HEADER",
     "UdpDatagram",
+    "WireFormat",
 ]
 
 ETHERNET_HEADER = 14
@@ -53,47 +57,73 @@ PROTO_TCP = 6
 PROTO_UDP = 17
 
 
-@dataclass(frozen=True)
-class Payload:
+class WireFormat:
+    """Base of every wire format: equality, hash and ``repr`` by value
+    over the constructor fields a subclass names in ``_fields``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((self.__class__.__name__, self._key()))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({body})"
+
+
+class Payload(WireFormat):
     """Opaque application payload: a byte count plus optional metadata.
 
     ``data`` is never serialized; it carries simulation-level objects
     (e.g. an HTTP request descriptor or a WAVNet-encapsulated frame).
     """
 
-    size: int
-    data: Any = None
-    kind: str = ""
+    __slots__ = _fields = ("size", "data", "kind")
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"negative payload size {self.size}")
+    def __init__(self, size: int, data: Any = None, kind: str = "") -> None:
+        if size < 0:
+            raise ValueError(f"negative payload size {size}")
+        self.size = size
+        self.data = data
+        self.kind = kind
 
 
-@dataclass(frozen=True)
-class IcmpMessage:
+class IcmpMessage(WireFormat):
     """ICMP echo request/reply (``kind`` is 'echo-request'/'echo-reply')."""
 
-    kind: str
-    ident: int
-    seq: int
-    payload_size: int = 56
-    timestamp: float = 0.0  # sender's clock, echoed back for RTT
+    _fields = ("kind", "ident", "seq", "payload_size", "timestamp")
+    __slots__ = _fields + ("size",)
 
-    @property
-    def size(self) -> int:
-        return ICMP_HEADER + self.payload_size
+    def __init__(self, kind: str, ident: int, seq: int, payload_size: int = 56,
+                 timestamp: float = 0.0) -> None:
+        self.kind = kind
+        self.ident = ident
+        self.seq = seq
+        self.payload_size = payload_size
+        self.timestamp = timestamp  # sender's clock, echoed back for RTT
+        self.size = ICMP_HEADER + payload_size
 
 
-@dataclass(frozen=True)
-class UdpDatagram:
-    src_port: int
-    dst_port: int
-    payload: Payload
+class UdpDatagram(WireFormat):
+    _fields = ("src_port", "dst_port", "payload")
+    __slots__ = _fields + ("size",)
 
-    @property
-    def size(self) -> int:
-        return UDP_HEADER + self.payload.size
+    def __init__(self, src_port: int, dst_port: int, payload: Payload) -> None:
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.payload = payload
+        self.size = UDP_HEADER + payload.size
 
 
 # TCP flag bits.
@@ -103,23 +133,26 @@ FIN = 0x01
 RST = 0x04
 
 
-@dataclass(frozen=True)
-class TcpSegment:
-    src_port: int
-    dst_port: int
-    seq: int
-    ack: int
-    flags: int
-    window: int
-    payload_size: int = 0
-    payload_data: Any = None
-    # SACK blocks: up to 4 (start, end) byte ranges the receiver holds
-    # above the cumulative ACK (RFC 2018; on by default as in 2011 Linux).
-    sack: tuple = ()
+class TcpSegment(WireFormat):
+    _fields = ("src_port", "dst_port", "seq", "ack", "flags", "window",
+               "payload_size", "payload_data", "sack")
+    __slots__ = _fields + ("size",)
 
-    @property
-    def size(self) -> int:
-        return TCP_HEADER + self.payload_size
+    def __init__(self, src_port: int, dst_port: int, seq: int, ack: int, flags: int,
+                 window: int, payload_size: int = 0, payload_data: Any = None,
+                 sack: tuple = ()) -> None:
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.seq = seq
+        self.ack = ack
+        self.flags = flags
+        self.window = window
+        self.payload_size = payload_size
+        self.payload_data = payload_data
+        # SACK blocks: up to 4 (start, end) byte ranges the receiver holds
+        # above the cumulative ACK (RFC 2018; on by default as in 2011 Linux).
+        self.sack = sack
+        self.size = TCP_HEADER + payload_size
 
     @property
     def syn(self) -> bool:
@@ -150,64 +183,58 @@ class TcpSegment:
         return f"TCP[{'|'.join(names) or 'DATA'} seq={self.seq} ack={self.ack} len={self.payload_size}]"
 
 
-@dataclass(frozen=True)
-class IPv4Packet:
-    src: IPv4Address
-    dst: IPv4Address
-    proto: int
-    payload: Any  # UdpDatagram | TcpSegment | IcmpMessage
-    ttl: int = 64
+class IPv4Packet(WireFormat):
+    _fields = ("src", "dst", "proto", "payload", "ttl")
+    __slots__ = _fields + ("size",)
 
-    @property
-    def size(self) -> int:
-        return IPV4_HEADER + self.payload.size
+    def __init__(self, src: IPv4Address, dst: IPv4Address, proto: int,
+                 payload: Any, ttl: int = 64) -> None:
+        self.src = src
+        self.dst = dst
+        self.proto = proto
+        self.payload = payload  # UdpDatagram | TcpSegment | IcmpMessage
+        self.ttl = ttl
+        self.size = IPV4_HEADER + payload.size
 
     def decremented(self) -> "IPv4Packet":
         return IPv4Packet(self.src, self.dst, self.proto, self.payload, self.ttl - 1)
 
-    def with_src(self, src: IPv4Address) -> "IPv4Packet":
-        return IPv4Packet(src, self.dst, self.proto, self.payload, self.ttl)
 
-    def with_dst(self, dst: IPv4Address) -> "IPv4Packet":
-        return IPv4Packet(self.src, dst, self.proto, self.payload, self.ttl)
-
-    def with_payload(self, payload: Any) -> "IPv4Packet":
-        return IPv4Packet(self.src, self.dst, self.proto, payload, self.ttl)
-
-
-@dataclass(frozen=True)
-class ArpPacket:
+class ArpPacket(WireFormat):
     """ARP request/reply ('request'/'reply'); gratuitous ARP is a reply
     whose sender == target (the post-migration announcement)."""
 
-    op: str
-    sender_mac: MacAddress
-    sender_ip: IPv4Address
-    target_mac: Optional[MacAddress]
-    target_ip: IPv4Address
+    _fields = ("op", "sender_mac", "sender_ip", "target_mac", "target_ip")
+    __slots__ = _fields
+    size = ARP_SIZE
 
-    @property
-    def size(self) -> int:
-        return ARP_SIZE
+    def __init__(self, op: str, sender_mac: MacAddress, sender_ip: IPv4Address,
+                 target_mac: Optional[MacAddress], target_ip: IPv4Address) -> None:
+        self.op = op
+        self.sender_mac = sender_mac
+        self.sender_ip = sender_ip
+        self.target_mac = target_mac
+        self.target_ip = target_ip
 
     @property
     def is_gratuitous(self) -> bool:
         return self.op == "reply" and self.sender_ip == self.target_ip
 
 
-@dataclass(frozen=True)
-class EthernetFrame:
-    src: MacAddress
-    dst: MacAddress
-    ethertype: int
-    payload: Any  # IPv4Packet | ArpPacket
-    vlan: Optional[int] = None
+class EthernetFrame(WireFormat):
+    _fields = ("src", "dst", "ethertype", "payload", "vlan")
+    __slots__ = _fields + ("size",)
 
-    @property
-    def size(self) -> int:
+    def __init__(self, src: MacAddress, dst: MacAddress, ethertype: int,
+                 payload: Any, vlan: Optional[int] = None) -> None:
+        self.src = src
+        self.dst = dst
+        self.ethertype = ethertype
+        self.payload = payload  # IPv4Packet | ArpPacket
+        self.vlan = vlan
         # Minimum Ethernet payload is 46 B (frames are padded on the wire).
-        body = max(self.payload.size, 46)
-        return ETHERNET_HEADER + ETHERNET_FCS + body
+        body = payload.size
+        self.size = ETHERNET_HEADER + ETHERNET_FCS + (body if body > 46 else 46)
 
 
 def ipv4(src: IPv4Address, dst: IPv4Address, payload: Any, ttl: int = 64) -> IPv4Packet:

@@ -14,6 +14,7 @@ delay.
 
 from __future__ import annotations
 
+from functools import partial
 
 from repro.net.addresses import MacAddress
 from repro.net.l2 import Port
@@ -190,7 +191,7 @@ class WanCloud:
         port = self.ports.get(dst_site)
         if port is None:
             return
-        self.sim.call_at(deliver_time, _CloudDelivery(port, frame))
+        self.sim.call_at(deliver_time, partial(port.transmit, frame))
 
     def expand_flood(self, src_site: str, send_time: float):
         """Destinations of a remote flood record, in attachment order:
@@ -236,15 +237,4 @@ class WanCloud:
             return
         # Kernel fast lane: one calendar entry per frame, no Event churn
         # (same treatment as the unshaped-link bypass in net/l2).
-        self.sim.call_in(self.latency(src, dst), _CloudDelivery(port, frame))
-
-
-class _CloudDelivery:
-    __slots__ = ("port", "frame")
-
-    def __init__(self, port: Port, frame: EthernetFrame) -> None:
-        self.port = port
-        self.frame = frame
-
-    def __call__(self) -> None:
-        self.port.transmit(self.frame)
+        self.sim.call_in(self.latency(src, dst), partial(port.transmit, frame))

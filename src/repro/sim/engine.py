@@ -14,7 +14,9 @@ Processes resume in deterministic order: the calendar is keyed by
 ``(time, seq)`` where ``seq`` increases monotonically with every schedule
 operation.
 
-Two calendar fast paths keep the per-frame hot loops cheap:
+``run``, ``run_window`` and ``step`` share one dispatch loop
+(:meth:`Simulator._dispatch`) that pops and unpacks each calendar entry
+once. Two calendar fast paths keep the per-frame hot loops cheap:
 
 * :meth:`Simulator.call_in` / :meth:`Simulator.call_at` push a bare
   callable onto the calendar — no :class:`Event`, no callback list, no
@@ -31,8 +33,8 @@ Two calendar fast paths keep the per-frame hot loops cheap:
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Callable, Generator, Iterable
+from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Any
 
@@ -70,6 +72,8 @@ _PENDING = 0
 _TRIGGERED = 1  # scheduled on the calendar, callbacks not yet run
 _PROCESSED = 2  # callbacks have run
 _CANCELLED = 3  # scheduled, then canceled; skipped when popped
+
+_INF = float("inf")
 
 
 class Event:
@@ -342,7 +346,7 @@ class Process(Event):
     def _throw_interrupt(self, cause: Any) -> None:
         if not self.is_alive:
             return  # died between interrupt() and delivery
-        self._step(lambda: self.generator.throw(Interrupt(cause)))
+        self._step(self.generator.throw, Interrupt(cause))
 
     def _resume(self, event: Event) -> None:
         if self._waiting_on is not event:
@@ -350,13 +354,11 @@ class Process(Event):
         self._waiting_on = None
         if event._exc is not None:
             event.defuse()
-            exc = event._exc
-            self._step(lambda: self.generator.throw(exc))
+            self._step(self.generator.throw, event._exc)
         else:
-            value = event._value
-            self._step(lambda: self.generator.send(value))
+            self._step(self.generator.send, event._value)
 
-    def _step(self, advance: Callable[[], Any]) -> None:
+    def _step(self, advance: Callable[[Any], Any], arg: Any) -> None:
         sim = self.sim
         prev = sim._active_process
         sim._active_process = self
@@ -366,7 +368,7 @@ class Process(Event):
         profiling = sim.profile.enabled
         wall = perf_counter() if profiling else 0.0
         try:
-            target = advance()
+            target = advance(arg)  # generator.send(value) / .throw(exc)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -411,10 +413,10 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         # Calendar entries are heap tuples ordered by (time, seq):
-        #   (time, seq, event)           — a triggered Event
+        #   (time, seq, event, None)     — a triggered Event
         #   (time, seq, None, callable)  — fast-lane call_in/call_at/timer
-        # seq is unique, so comparison never reaches the third element
-        # and the two shapes can share one heap.
+        # seq is unique, so comparison never reaches the third element;
+        # one shape, so the dispatch loop unpacks an entry in one step.
         self._calendar: list[tuple] = []
         self._seq = 0
         self._cancelled = 0  # canceled entries still parked on the heap
@@ -456,16 +458,16 @@ class Simulator:
         """
         if when < self.now:
             raise SimulationError(f"call_at({when}) is in the past (now={self.now})")
-        self._seq += 1
-        heapq.heappush(self._calendar, (when, self._seq, None, fn))
+        self._seq = seq = self._seq + 1
+        heappush(self._calendar, (when, seq, None, fn))
 
     def call_in(self, delay: float, fn: Callable[[], None]) -> None:
         """Fast lane: run ``fn()`` after ``delay`` time units (see
         :meth:`call_at`)."""
         if delay < 0:
             raise SimulationError(f"negative call_in delay {delay!r}")
-        self._seq += 1
-        heapq.heappush(self._calendar, (self.now + delay, self._seq, None, fn))
+        self._seq = seq = self._seq + 1
+        heappush(self._calendar, (self.now + delay, seq, None, fn))
 
     def timer(self, delay: float, fn: Callable[[], None]) -> Timer:
         """Cancelable fast lane: run ``fn()`` after ``delay`` unless the
@@ -473,14 +475,14 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative timer delay {delay!r}")
         t = Timer(self, fn, self.now + delay)
-        self._seq += 1
-        heapq.heappush(self._calendar, (t.when, self._seq, None, t))
+        self._seq = seq = self._seq + 1
+        heappush(self._calendar, (t.when, seq, None, t))
         return t
 
     # -- scheduling ---------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        self._seq += 1
-        heapq.heappush(self._calendar, (self.now + delay, self._seq, event))
+        self._seq = seq = self._seq + 1
+        heappush(self._calendar, (self.now + delay, seq, event, None))
 
     def _note_cancel(self) -> None:
         """Bookkeeping for lazy cancelation; compacts the calendar when
@@ -501,8 +503,10 @@ class Simulator:
             elif item._state == _CANCELLED:
                 continue
             live.append(entry)
-        heapq.heapify(live)  # (time, seq) keys are untouched: order is preserved
-        self._calendar = live
+        heapify(live)  # (time, seq) keys are untouched: order is preserved
+        # In place: the dispatch loop holds the calendar in a local, and a
+        # rebound list would leave it draining a stale heap.
+        self._calendar[:] = live
         self._cancelled = 0
 
     # -- execution ----------------------------------------------------
@@ -522,9 +526,9 @@ class Simulator:
                     return entry[0]
             elif item._state != _CANCELLED:
                 return entry[0]
-            heapq.heappop(cal)
+            heappop(cal)
             self._cancelled -= 1
-        return float("inf")
+        return _INF
 
     def step(self) -> None:
         """Dispatch the next live calendar entry.
@@ -533,15 +537,32 @@ class Simulator:
         advancing the clock or counting as a dispatch; if only canceled
         entries remained, the calendar drains quietly.
         """
-        cal = self._calendar
-        if not cal:
+        if not self._calendar:
             raise SimulationError("step() on an empty calendar")
-        pop = heapq.heappop
+        self._dispatch(_INF, False, None, once=True)
+
+    def _dispatch(self, limit: float, strict: bool, stop: Event | None,
+                  once: bool = False) -> None:
+        """The one dispatch loop behind :meth:`run`, :meth:`run_window`
+        and :meth:`step`: run live entries in ``(time, seq)`` order while
+        their time is at most ``limit`` (below it when ``strict``), until
+        ``stop`` triggers, or — ``once`` — until one has run.
+
+        Each entry is popped and unpacked once. ``now`` and
+        ``events_dispatched`` are written before the callback runs, so
+        both read exactly from inside it; the calendar is a local, which
+        is why :meth:`_compact` must never rebind it.
+        """
+        cal = self._calendar
         while cal:
-            entry = pop(cal)
-            item = entry[2]
+            if stop is not None and stop._state != _PENDING:
+                return
+            entry = heappop(cal)
+            when, _seq, item, fn = entry
+            if when >= limit and (strict or when > limit):
+                heappush(cal, entry)  # past the horizon: back it goes, same key
+                return
             if item is None:
-                fn = entry[3]
                 if fn.__class__ is Timer:
                     cb = fn.fn
                     if cb is None:
@@ -549,17 +570,18 @@ class Simulator:
                         continue
                     fn.fn = None
                     fn = cb
-                self.now = entry[0]
+                self.now = when
                 self.events_dispatched += 1
                 fn()
-                return
-            if item._state == _CANCELLED:
+            elif item._state == _CANCELLED:
                 self._cancelled -= 1
                 continue
-            self.now = entry[0]
-            self.events_dispatched += 1
-            item._run_callbacks()
-            return
+            else:
+                self.now = when
+                self.events_dispatched += 1
+                item._run_callbacks()
+            if once:
+                return
 
     def run_coro(self, coro: Generator[Event, Any, Any] | Process,
                  name: str | None = None) -> Any:
@@ -573,33 +595,23 @@ class Simulator:
         """Run until the calendar drains, ``until`` time passes, or an
         ``until`` event triggers (its value is returned)."""
         if isinstance(until, Event):
-            stop = until
-            while not stop.triggered:
-                if not self._calendar:
-                    raise SimulationError(
-                        "run(until=event): calendar drained before event triggered"
-                    )
-                self.step()
-            if stop._exc is not None:
+            self._dispatch(_INF, False, until)
+            if until._state == _PENDING:
+                raise SimulationError(
+                    "run(until=event): calendar drained before event triggered"
+                )
+            if until._exc is not None:
                 # The awaited event failed: surface the failure to the
                 # caller instead of silently returning None (its waiters,
                 # if any, already defused it).
-                raise stop._exc
-            return stop._value
-        horizon = float("inf") if until is None else float(until)
+                raise until._exc
+            return until._value
+        horizon = _INF if until is None else float(until)
         if horizon < self.now:
             raise SimulationError(f"run(until={horizon}) is in the past (now={self.now})")
-        # peek() purges canceled heads, so the horizon check always sees
-        # a live entry and step() dispatches exactly that entry. peek()
-        # returning inf means no live events remain (even with until=None,
-        # where horizon is also inf — hence the explicit inf check).
-        inf = float("inf")
-        while True:
-            t = self.peek()
-            if t == inf or t > horizon:
-                break
-            self.step()
-        if horizon != float("inf"):
+        # No horizon: strictly below inf, so an entry parked at t=inf never runs.
+        self._dispatch(horizon, horizon == _INF, None)
+        if horizon != _INF:
             self.now = horizon
         return None
 
@@ -617,10 +629,5 @@ class Simulator:
         end = float(end)
         if end < self.now:
             raise SimulationError(f"run_window({end}) is in the past (now={self.now})")
-        inf = float("inf")
-        while True:
-            t = self.peek()
-            if t == inf or t >= end:
-                break
-            self.step()
+        self._dispatch(end, True, None)
         self.now = end

@@ -9,9 +9,9 @@ import pytest
 from repro.core.hoststate import HostTable
 from repro.exp.spec import ExperimentSpec, envelope_bytes, run_spec
 from repro.faults.plan import FaultPlan
-from repro.net.addresses import BROADCAST_MAC, mac_factory
+from repro.net.addresses import BROADCAST_MAC, IPv4Address, mac_factory
 from repro.net.fluid import FluidLink, FluidNetwork, FluidPath
-from repro.net.packet import EthernetFrame
+from repro.net.packet import EthernetFrame, Payload, UdpDatagram, ipv4
 from repro.net.wan import WanCloud
 from repro.overlay.fleet import HashRing
 from repro.scenarios.storm import StormLane
@@ -111,7 +111,11 @@ _mint = mac_factory()
 
 
 def _frame(dst):
-    return EthernetFrame(src=_mint(), dst=dst, ethertype=0x0800, payload=None)
+    # The smallest real payload: an empty UDP datagram in IPv4 (the frame
+    # pads it to the 46-byte Ethernet minimum).
+    packet = ipv4(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"),
+                  UdpDatagram(1, 2, Payload(0)))
+    return EthernetFrame(src=_mint(), dst=dst, ethertype=0x0800, payload=packet)
 
 
 class TestCloudBoundary:

@@ -535,6 +535,61 @@ def test_calendar_compaction_reclaims_canceled_bulk():
     assert sim.now == 1.0
 
 
+def _cancel_storm(sim, log):
+    """100 live callbacks at t = 1..100 that log (now, events_dispatched),
+    200 doomed timers beyond them, and a callback at t = 10.5 that
+    cancels all 200 — enough to compact the calendar mid-loop."""
+    for i in range(1, 101):
+        sim.call_in(float(i), lambda: log.append((sim.now, sim.events_dispatched)))
+    doomed = [sim.timer(1000.0 + i, lambda: log.append("doomed")) for i in range(200)]
+
+    def cancel_all():
+        before = sim._calendar
+        for t in doomed:
+            t.cancel()
+        # Compacted (90 live callbacks + few stragglers), and in place.
+        assert len(sim._calendar) < 200
+        assert sim._calendar is before
+
+    sim.call_in(10.5, cancel_all)
+
+
+def test_compaction_mid_run_until_event_keeps_every_live_entry():
+    """Regression: _compact() used to rebind the calendar, so a loop
+    holding it in a local drained a stale heap after >= 64 cancelations
+    and run(until=event) raised "calendar drained" with live entries
+    still scheduled."""
+    sim = Simulator()
+    log = []
+    _cancel_storm(sim, log)
+    done = sim.event()
+    sim.call_in(100.5, done.succeed)
+    sim.run(until=done)
+    assert sim.now == 100.5
+    # Every live entry ran, in order; the counter read from inside each
+    # callback is exact (the cancel callback at 10.5 is dispatch 11).
+    assert log == [(float(i), i if i <= 10 else i + 1) for i in range(1, 101)]
+    assert sim.events_dispatched == 102  # 100 + cancel_all + done.succeed
+    sim.run()
+    assert sim.events_dispatched == 103  # the done event itself; no doomed timer
+    assert sim.peek() == float("inf")
+
+
+def test_compaction_mid_run_window_keeps_every_live_entry():
+    sim = Simulator()
+    log = []
+    _cancel_storm(sim, log)
+    sim.run_window(50.0)  # strictly before 50: the t=50 entry waits
+    assert sim.now == 50.0
+    assert log == [(float(i), i if i <= 10 else i + 1) for i in range(1, 50)]
+    assert sim.events_dispatched == 50
+    assert sim.peek() == 50.0
+    sim.run()
+    assert [t for t, _ in log] == [float(i) for i in range(1, 101)]
+    assert sim.events_dispatched == 101
+    assert sim.now == 100.0
+
+
 def test_run_coro_runs_generator_to_completion():
     sim = Simulator()
 
