@@ -99,7 +99,7 @@ class ApacheBench:
         """Process: run C workers for ``duration`` seconds; returns AbReport."""
         sim = self.host.sim
         self.report.started_at = sim.now
-        workers = [sim.process(self._worker(), name=f"ab:{self.host.name}:{i}")
+        workers = [sim.process(self._client(), name=f"ab:{self.host.name}:{i}")
                    for i in range(self.concurrency)]
         yield sim.timeout(duration)
         self._stop = True
@@ -114,7 +114,7 @@ class ApacheBench:
         sim = self.host.sim
         self.report.started_at = sim.now
         self._target = count
-        workers = [sim.process(self._worker(limit=True), name=f"ab:{self.host.name}:{i}")
+        workers = [sim.process(self._client(limit=True), name=f"ab:{self.host.name}:{i}")
                    for i in range(self.concurrency)]
         for w in workers:
             yield w
@@ -126,7 +126,7 @@ class ApacheBench:
         return target is not None and (
             self.report.requests_completed + self.report.requests_failed >= target)
 
-    def _worker(self, limit: bool = False):
+    def _client(self, limit: bool = False):
         from repro.sim.engine import Interrupt
 
         sim = self.host.sim

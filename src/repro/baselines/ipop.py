@@ -5,9 +5,11 @@ losses to, not a bug-for-bug copy:
 
 1. **Data path through a P2P routing layer.** Every packet is processed
    by a user-level routing stack (C#/Brunet era) with a serialized
-   per-packet CPU cost at the endpoints and at every relay. This caps
-   packet rate and is what makes IPOP "less than 20% of the native
-   performance" on uncongested links (Fig 7).
+   per-packet CPU cost at the endpoints and at every relay (one
+   :class:`~repro.sim.queues.Serializer` per node, shared by both
+   directions and by relayed traffic — one CPU). This caps packet rate
+   and is what makes IPOP "less than 20% of the native performance" on
+   uncongested links (Fig 7).
 2. **Structured ring overlay with bounded direct connections.** Nodes
    keep successor/predecessor + a few shortcuts; direct (shortcut)
    connections to arbitrary peers are created on demand but capped at
@@ -43,7 +45,7 @@ from repro.net.packet import (
     frame_for,
 )
 from repro.net.stack import Host, Interface
-from repro.sim.queues import Store
+from repro.sim.queues import Serializer
 
 __all__ = ["IpopConfig", "IpopDirectory", "IpopNode", "IpopOverlay"]
 
@@ -143,6 +145,7 @@ class IpopNode:
         self.ring_id = ring_position(self.name)
         self.virtual_ip = IPv4Address(virtual_ip)
         self.sock = host.udp.bind(self.config.port)
+        self.sock.handler = self._on_datagram
         self.public_endpoint: tuple[IPv4Address, int] = (host.stack.ips[0], self.config.port)
 
         # Overlay links: peer name -> reachable endpoint.
@@ -154,10 +157,11 @@ class IpopNode:
         # Local delivery: IP -> callable(IPv4Packet).
         self.local_ips: dict[IPv4Address, Callable[[IPv4Packet], None]] = {}
 
-        # Serialized user-level packet processing (the C# stack).
-        self._cpu: Store = Store(self.sim, capacity=self.config.cpu_queue_capacity)
+        # Serialized user-level packet processing (the C# stack): one
+        # Serializer for outbound, inbound and relayed packets alike.
+        self._cpu = Serializer(self.sim, self.config.cpu_queue_capacity,
+                               self._cpu_time, self._cpu_done)
         self._cpu_rng = self.sim.rng.stream(f"ipop.cpu.{self.name}")
-        self.cpu_drops = 0
         self.packets_relayed = 0
         self.packets_sent = 0
         self.packets_delivered = 0
@@ -173,9 +177,6 @@ class IpopNode:
         patch(self._bridge_port, self.bridge.new_port("ipop"))
         self._bridge_mac = host.mac_mint()
         self._vm_macs: dict[IPv4Address, MacAddress] = {}
-
-        self.sim.process(self._rx_loop(), name=f"ipop-rx:{self.name}")
-        self.sim.process(self._cpu_loop(), name=f"ipop-cpu:{self.name}")
 
     # ------------------------------------------------------------------
     # tun plumbing
@@ -195,7 +196,7 @@ class IpopNode:
     def _on_tun_frame(self, frame: EthernetFrame) -> None:
         if frame.ethertype != ETHERTYPE_IPV4:
             return
-        self._enqueue_cpu(("out", frame.payload))
+        self._out(frame.payload)
 
     def _deliver_to_stack(self, packet: IPv4Packet) -> None:
         self.host.stack.deliver_local(packet)
@@ -248,31 +249,32 @@ class IpopNode:
             if deliver is not None:
                 deliver(packet)
             return
-        self._enqueue_cpu(("out", packet))
+        self._out(packet)
 
     # ------------------------------------------------------------------
     # user-level packet processing
     # ------------------------------------------------------------------
-    def _enqueue_cpu(self, work) -> None:
-        if not self._cpu.try_put(work):
-            self.cpu_drops += 1
+    @property
+    def cpu_drops(self) -> int:
+        return self._cpu.drops
 
-    def _cpu_loop(self):
-        sim = self.sim
+    def _process(self, step, item, cost: float) -> None:
+        """Run ``step(item)`` once the CPU has spent ``cost`` seconds
+        (plus jitter, drawn as the work enters service) on it."""
+        self._cpu.offer((step, item, cost))
+
+    def _out(self, packet: IPv4Packet) -> None:
+        self._process(self._route_out, packet,
+                      self._fragments_of(packet) * self.config.endpoint_cost)
+
+    def _cpu_time(self, work) -> float:
         jitter = self.config.cpu_jitter_mean
-        while True:
-            kind, item = yield self._cpu.get()
-            extra = float(self._cpu_rng.exponential(jitter)) if jitter > 0 else 0.0
-            if kind == "out":
-                frags = self._fragments_of(item)
-                yield sim.timeout(frags * self.config.endpoint_cost + extra)
-                self._route_out(item)
-            elif kind == "relay":
-                yield sim.timeout(item.fragments * self.config.relay_cost + extra)
-                self._forward(item)
-            elif kind == "in":
-                yield sim.timeout(item.fragments * self.config.endpoint_cost + extra)
-                self._deliver(item)
+        extra = float(self._cpu_rng.exponential(jitter)) if jitter > 0 else 0.0
+        return work[2] + extra
+
+    def _cpu_done(self, work) -> None:
+        step, item, _cost = work
+        step(item)
 
     # ------------------------------------------------------------------
     # routing
@@ -365,39 +367,39 @@ class IpopNode:
     # ------------------------------------------------------------------
     # inbound
     # ------------------------------------------------------------------
-    def _rx_loop(self):
-        while True:
-            payload, src_ip, src_port = yield self.sock.recvfrom()
-            body = payload.data
-            if isinstance(body, _IpopPacket):
-                if body.target_node == self.name:
-                    self._enqueue_cpu(("in", body))
-                else:
-                    self.packets_relayed += 1
-                    self._enqueue_cpu(("relay", body))
-            elif isinstance(body, _Hello):
-                if body.sender in self.pending_ring or body.sender in self.neighbors:
-                    new = body.sender not in self.neighbors
-                    self.neighbors[body.sender] = (src_ip, src_port)
-                    if new:
-                        self.sock.sendto(src_ip, src_port,
-                                         Payload(24, data=_Hello(self.name), kind="ipop"))
-                elif len(self.direct) < self.config.max_direct or body.sender in self.direct:
-                    already = body.sender in self.direct
-                    self.direct[body.sender] = (src_ip, src_port)
-                    if not already:
-                        self.sock.sendto(src_ip, src_port,
-                                         Payload(24, data=_Hello(self.name), kind="ipop"))
-            elif isinstance(body, _RoutedHello):
-                if body.target_node == self.name:
-                    peer_ep = self.overlay.endpoint_of(body.requester)
-                    if peer_ep is not None:
-                        self.sock.sendto(peer_ep[0], peer_ep[1],
-                                         Payload(24, data=_Hello(self.name), kind="ipop"))
-                else:
-                    nxt = self._greedy_next_hop(body.target_node)
-                    if nxt is not None:
-                        self.sock.sendto(nxt[0], nxt[1], payload)
+    def _on_datagram(self, payload: Payload, src_ip: IPv4Address, src_port: int) -> None:
+        body = payload.data
+        if isinstance(body, _IpopPacket):
+            if body.target_node == self.name:
+                self._process(self._deliver, body,
+                              body.fragments * self.config.endpoint_cost)
+            else:
+                self.packets_relayed += 1
+                self._process(self._forward, body,
+                              body.fragments * self.config.relay_cost)
+        elif isinstance(body, _Hello):
+            if body.sender in self.pending_ring or body.sender in self.neighbors:
+                new = body.sender not in self.neighbors
+                self.neighbors[body.sender] = (src_ip, src_port)
+                if new:
+                    self.sock.sendto(src_ip, src_port,
+                                     Payload(24, data=_Hello(self.name), kind="ipop"))
+            elif len(self.direct) < self.config.max_direct or body.sender in self.direct:
+                already = body.sender in self.direct
+                self.direct[body.sender] = (src_ip, src_port)
+                if not already:
+                    self.sock.sendto(src_ip, src_port,
+                                     Payload(24, data=_Hello(self.name), kind="ipop"))
+        elif isinstance(body, _RoutedHello):
+            if body.target_node == self.name:
+                peer_ep = self.overlay.endpoint_of(body.requester)
+                if peer_ep is not None:
+                    self.sock.sendto(peer_ep[0], peer_ep[1],
+                                     Payload(24, data=_Hello(self.name), kind="ipop"))
+            else:
+                nxt = self._greedy_next_hop(body.target_node)
+                if nxt is not None:
+                    self.sock.sendto(nxt[0], nxt[1], payload)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ A :class:`WavConnection` goes through::
 * **Keepalive** — an established connection exchanges the 2-byte
   CONNECT_PULSE every ``pulse_interval`` (paper: 5 s) so NATs "re-count
   the timeout of the existing connections".
-* **Liveness** — silence for ``liveness_factor`` pulse intervals marks
+* **Liveness** — silence for ``LIVENESS_FACTOR`` pulse intervals marks
   the connection DEAD; the driver tears it down and the WAV-Switch
   forgets its MACs.
 """
@@ -30,6 +30,10 @@ from repro.overlay.resources import ConnectionInfo
 from repro.sim.engine import Event, Interrupt, Timer
 
 __all__ = ["ConnectionState", "WavConnection", "connection_cid"]
+
+PUNCH_INTERVAL = 0.2  # seconds between probe rounds while punching
+LIVENESS_FACTOR = 4.0  # pulse intervals of silence before DEAD
+MIGRATE_THRESHOLD = 1.5  # pulse intervals of silence before path validation
 
 
 def connection_cid(a: str, b: str) -> int:
@@ -59,9 +63,7 @@ class WavConnection:
         peer_name: str,
         peer_conn: Optional[ConnectionInfo] = None,
         pulse_interval: float = 5.0,
-        punch_interval: float = 0.2,
         punch_timeout: float = 10.0,
-        liveness_factor: float = 4.0,
         predict_ports: bool = True,
         punch_fan: int = 8,
         migrate: bool = False,
@@ -71,9 +73,7 @@ class WavConnection:
         self.peer_name = peer_name
         self.peer_conn = peer_conn
         self.pulse_interval = pulse_interval
-        self.punch_interval = punch_interval
         self.punch_timeout = punch_timeout
-        self.liveness_factor = liveness_factor
         self.predict_ports = predict_ports
         self.punch_fan = punch_fan
         self.migrate_enabled = migrate
@@ -195,7 +195,7 @@ class WavConnection:
                     self.driver._send_raw(endpoint,
                                           self.driver.assembler.punch(self.driver.name, nonce))
                 nonce += 1
-                yield self.sim.timeout(self.punch_interval)
+                yield self.sim.timeout(PUNCH_INTERVAL)
         except Interrupt:
             return
         if self.state is ConnectionState.PUNCHING:
@@ -331,12 +331,12 @@ class WavConnection:
         if not self.usable:
             return
         silent_for = self.sim.now - self.last_heard
-        if silent_for > self.liveness_factor * self.pulse_interval:
+        if silent_for > LIVENESS_FACTOR * self.pulse_interval:
             self.state = ConnectionState.DEAD
             self.driver._connection_dead(self, reason="liveness")
             return
         if (self.migrate_enabled and not self.relayed
-                and silent_for > self.driver.migrate_threshold * self.pulse_interval):
+                and silent_for > MIGRATE_THRESHOLD * self.pulse_interval):
             # Suspicious silence on a direct path: the NAT may have
             # rebound under us. Validate/repair the path by migration
             # well before the liveness deadline declares the peer dead.

@@ -4,7 +4,7 @@ Downloading "the WAVNet driver, which is already configured with
 well-known rendezvous server(s)" (§II.B) corresponds to constructing a
 :class:`WavnetDriver` and running :meth:`start`. The driver owns:
 
-* one UDP socket (``wav_port``) carrying *everything* — STUN probes,
+* one UDP socket (``WAV_PORT``) carrying *everything* — STUN probes,
   rendezvous RPC, hole-punch probes, CONNECT_PULSE, and tunneled frames —
   so one NAT mapping covers control and data;
 * the software bridge, tap device, WAV-Switch, and Packet Assembler;
@@ -44,6 +44,9 @@ from repro.stun.messages import StunResponse
 __all__ = ["WavnetDriver", "WAV_PORT"]
 
 WAV_PORT = 8777
+REPAIR_JITTER = 0.3  # repair backoff is stretched by up to this fraction
+UPGRADE_INTERVAL = 30.0  # seconds between relay->direct upgrade attempts
+MIGRATE_TIMEOUT = 2.0  # seconds a path challenge may go unanswered
 
 
 class WavnetDriver(Component):
@@ -51,7 +54,7 @@ class WavnetDriver(Component):
 
     As a lifecycle :class:`~repro.sim.lifecycle.Component` (kind
     ``driver``): ``stop``/``crash`` close every tunnel, halt the
-    keepalive/receive loops, close the socket and take the tap down;
+    keepalive loop, close the socket and take the tap down;
     ``restore`` rebinds, brings the tap back up and re-runs
     :meth:`start` (STUN, registration, keepalive) from scratch — peers
     notice the death through CONNECT_PULSE silence and their repair
@@ -72,24 +75,18 @@ class WavnetDriver(Component):
         rendezvous_ip: IPv4Address | str | None = None,
         rendezvous_port: int = RENDEZVOUS_PORT,
         stun_server_ip: IPv4Address | str | None = None,
-        wav_port: int = WAV_PORT,
         pulse_interval: float = 5.0,
         punch_timeout: float = 10.0,
         keepalive_interval: float = 20.0,
         attrs: Optional[dict] = None,
         name: Optional[str] = None,
         backup_rendezvous_ips: Optional[list] = None,
-        auto_repair: bool = True,
         repair_backoff_base: float = 1.0,
         repair_backoff_cap: float = 30.0,
-        repair_jitter: float = 0.3,
-        upgrade_interval: float = 30.0,
         retry_concurrency: Optional[int] = None,
         predict_ports: bool = True,
         punch_fan: int = 8,
         migration: bool = False,
-        migrate_threshold: float = 1.5,
-        migrate_timeout: float = 2.0,
     ) -> None:
         self.host = host
         self.sim = host.sim
@@ -111,11 +108,8 @@ class WavnetDriver(Component):
         self.pulse_interval = pulse_interval
         self.punch_timeout = punch_timeout
         self.keepalive_interval = keepalive_interval
-        self.auto_repair = auto_repair
         self.repair_backoff_base = repair_backoff_base
         self.repair_backoff_cap = repair_backoff_cap
-        self.repair_jitter = repair_jitter
-        self.upgrade_interval = upgrade_interval
         # Traversal/migration behaviour of every connection this driver
         # makes. Migration is opt-in: enabling it changes repair
         # dynamics, and scenarios that measured the classic re-punch loop
@@ -123,8 +117,6 @@ class WavnetDriver(Component):
         self.predict_ports = predict_ports
         self.punch_fan = punch_fan
         self.migration = migration
-        self.migrate_threshold = migrate_threshold
-        self.migrate_timeout = migrate_timeout
         self.attrs = dict(attrs or {"cpu_ghz": 2.0, "mem_mb": 2048.0})
 
         # --- data-plane plumbing (Fig 2 / Fig 5) ---
@@ -177,10 +169,9 @@ class WavnetDriver(Component):
         self._m_peer_moved = m.counter("migrate.peer_moved")
 
         # --- control plane ---
-        self._wav_port = wav_port
-        self.sock = host.udp.bind(wav_port)
+        self.sock = self._bind()
         self.rpc = RpcEndpoint(host.stack, self.sock, name=f"wav:{self.name}",
-                               own_loop=False, retry_concurrency=retry_concurrency)
+                               retry_concurrency=retry_concurrency)
         self.rpc.register("wav.punch", self._on_punch_notice)
         self.connections: dict[str, WavConnection] = {}
         self._by_endpoint: dict[tuple[IPv4Address, int], WavConnection] = {}
@@ -196,7 +187,6 @@ class WavnetDriver(Component):
         from repro.sim.queues import Store
         self._stun_inbox = Store(self.sim)
         self._stun_client: Optional[StunClient] = None
-        self._rx_proc = self.sim.process(self._rx_loop(), name=f"wav-rx:{self.name}")
         self._keepalive_proc = None
         self._upgrade_proc = None
         # --- repair supervision (self-healing) ---
@@ -230,9 +220,8 @@ class WavnetDriver(Component):
             yield from self._register_somewhere()
             self._keepalive_proc = self.sim.process(
                 self._rendezvous_keepalive(), name=f"wav-ka:{self.name}")
-            if self.upgrade_interval > 0:
-                self._upgrade_proc = self.sim.process(
-                    self._upgrade_loop(), name=f"wav-upgrade:{self.name}")
+            self._upgrade_proc = self.sim.process(
+                self._upgrade_loop(), name=f"wav-upgrade:{self.name}")
         if not self.started.triggered:
             self.started.succeed(self)
         return self
@@ -338,7 +327,7 @@ class WavnetDriver(Component):
         upgrade them to a direct path (NAT state changes over time)."""
         try:
             while True:
-                yield self.sim.timeout(self.upgrade_interval)
+                yield self.sim.timeout(UPGRADE_INTERVAL)
                 for conn in list(self.connections.values()):
                     if conn.usable and conn.relayed and conn.peer_conn is not None:
                         conn.start_punching()
@@ -352,11 +341,11 @@ class WavnetDriver(Component):
         for conn in list(self.connections.values()):
             conn.close()
         self._cancel_repairs()
-        for proc in (self._keepalive_proc, self._upgrade_proc, self._rx_proc):
+        for proc in (self._keepalive_proc, self._upgrade_proc):
             if proc is not None and proc.is_alive:
                 proc.interrupt("stopped")
                 proc.defuse()
-        self._keepalive_proc = self._upgrade_proc = self._rx_proc = None
+        self._keepalive_proc = self._upgrade_proc = None
         self._stun_client = None  # bound to the socket we are closing
         self.sock.close()
         self.connections.clear()
@@ -366,12 +355,16 @@ class WavnetDriver(Component):
         self.tap.up = False
 
     def _on_restore(self) -> None:
-        self.sock = self.host.udp.bind(self._wav_port)
-        self.rpc.rebind(self.sock)  # own_loop=False: just reattach
-        self._rx_proc = self.sim.process(self._rx_loop(), name=f"wav-rx:{self.name}")
+        self.sock = self._bind()
+        self.rpc.rebind(self.sock)
         self.tap.up = True
         self.started = Event(self.sim)
         self.sim.process(self.start(), name=f"wav-restart:{self.name}")
+
+    def _bind(self):
+        sock = self.host.udp.bind(WAV_PORT)
+        sock.handler = self._on_datagram
+        return sock
 
     def _cancel_repairs(self) -> None:
         for proc in list(self._repairing.values()):
@@ -529,65 +522,62 @@ class WavnetDriver(Component):
         if via is not None or self.rendezvous_ip is not None:
             self._send_relayed(conn.peer_name, payload, via=via)
 
-    def _rx_loop(self):
-        try:
-            yield from self._rx_loop_body()
-        except Interrupt:
-            return
+    def _on_datagram(self, payload: Payload, src_ip: IPv4Address, src_port: int) -> None:
+        """Demultiplex the one socket: tunnel frames, keepalives, punch
+        and path-validation probes, STUN replies, and RPC."""
+        src = (src_ip, src_port)
+        body = payload.data
+        if isinstance(body, WavData):
+            conn = self._by_endpoint.get(src)
+            if conn is None:
+                return  # tunnel data from an unknown endpoint
+            conn.on_data(payload.size)
+            frame = self.assembler.decapsulate(payload)
+            self.switch.learn(frame.src, conn)
+            self.tap.inject(frame)
+        elif isinstance(body, WavPulse):
+            conn = self._by_endpoint.get(src)
+            if conn is not None:
+                conn.on_pulse(src)
+        elif isinstance(body, WavPunch):
+            conn = self._ensure_connection(body.sender, None)
+            conn.on_punch(src, body.nonce)
+        elif isinstance(body, WavPunchAck):
+            conn = self.connections.get(body.sender)
+            if conn is not None:
+                conn.on_punch_ack(src)
+        elif isinstance(body, WavPathChallenge):
+            self._on_path_challenge(body, src)
+        elif isinstance(body, WavPathResponse):
+            self._on_path_response(body)
+        elif isinstance(body, WavRelay):
+            self._on_relayed(body, src)
+        elif isinstance(body, StunResponse):
+            self._stun_inbox.try_put((payload, src_ip, src_port))
+        else:
+            self.rpc.handle_datagram(payload, src_ip, src_port)
 
-    def _rx_loop_body(self):
-        while True:
-            payload, src_ip, src_port = yield self.sock.recvfrom()
-            src = (src_ip, src_port)
-            body = payload.data
-            if isinstance(body, WavData):
-                conn = self._by_endpoint.get(src)
-                if conn is None:
-                    continue  # tunnel data from an unknown endpoint
-                conn.on_data(payload.size)
-                frame = self.assembler.decapsulate(payload)
-                self.switch.learn(frame.src, conn)
-                self.tap.inject(frame)
-            elif isinstance(body, WavPulse):
-                conn = self._by_endpoint.get(src)
-                if conn is not None:
-                    conn.on_pulse(src)
-            elif isinstance(body, WavPunch):
-                conn = self._ensure_connection(body.sender, None)
-                conn.on_punch(src, body.nonce)
-            elif isinstance(body, WavPunchAck):
-                conn = self.connections.get(body.sender)
-                if conn is not None:
-                    conn.on_punch_ack(src)
-            elif isinstance(body, WavPathChallenge):
-                self._on_path_challenge(body, src)
-            elif isinstance(body, WavPathResponse):
-                self._on_path_response(body)
-            elif isinstance(body, WavRelay):
-                self._m_relay_rx.add()
-                inner = body.inner
-                # Path-validation frames ride the relay for guaranteed
-                # delivery during migration; they must not flip the
-                # connection into relayed mode.
-                if isinstance(inner, WavPathChallenge):
-                    self._on_path_challenge(inner, src)
-                    continue
-                if isinstance(inner, WavPathResponse):
-                    self._on_path_response(inner)
-                    continue
-                conn = self._ensure_connection(body.sender, None)
-                if not conn.usable:
-                    conn.establish_relayed()
-                if isinstance(inner, WavData):
-                    conn.on_data(body.size)
-                    self.switch.learn(inner.frame.src, conn)
-                    self.tap.inject(inner.frame)
-                elif isinstance(inner, WavPulse):
-                    conn.on_pulse(src)
-            elif isinstance(body, StunResponse):
-                self._stun_inbox.try_put((payload, src_ip, src_port))
-            else:
-                self.rpc.handle_datagram(payload, src_ip, src_port)
+    def _on_relayed(self, body: WavRelay, src) -> None:
+        self._m_relay_rx.add()
+        inner = body.inner
+        # Path-validation frames ride the relay for guaranteed delivery
+        # during migration; they must not flip the connection into
+        # relayed mode.
+        if isinstance(inner, WavPathChallenge):
+            self._on_path_challenge(inner, src)
+            return
+        if isinstance(inner, WavPathResponse):
+            self._on_path_response(inner)
+            return
+        conn = self._ensure_connection(body.sender, None)
+        if not conn.usable:
+            conn.establish_relayed()
+        if isinstance(inner, WavData):
+            conn.on_data(body.size)
+            self.switch.learn(inner.frame.src, conn)
+            self.tap.inject(inner.frame)
+        elif isinstance(inner, WavPulse):
+            conn.on_pulse(src)
 
     # -- connection table callbacks -------------------------------------------
     def _connection_established(self, conn: WavConnection) -> None:
@@ -616,7 +606,7 @@ class WavnetDriver(Component):
             self._m_conn_lost.add()
             self.sim.trace.event("conn.lost", host=self.name,
                                  peer=conn.peer_name, reason=reason)
-            if self.auto_repair and self.running and self.rendezvous_ip is not None:
+            if self.running and self.rendezvous_ip is not None:
                 self._schedule_repair(conn.peer_name)
 
     # -- repair supervision (self-healing) ------------------------------
@@ -636,7 +626,7 @@ class WavnetDriver(Component):
             while self.running:
                 delay = min(self.repair_backoff_cap,
                             self.repair_backoff_base * (2.0 ** attempts))
-                delay *= 1.0 + self.repair_jitter * float(self._repair_rng.random())
+                delay *= 1.0 + REPAIR_JITTER * float(self._repair_rng.random())
                 yield self.sim.timeout(delay)
                 if not self.running:
                     return
@@ -706,7 +696,7 @@ class WavnetDriver(Component):
                                     self.public_endpoint[0],
                                     self.public_endpoint[1])
             payload = Payload(body.size, data=body, kind="wav")
-            deadline = self.sim.now + self.migrate_timeout
+            deadline = self.sim.now + MIGRATE_TIMEOUT
             while (self.sim.now < deadline and conn._path_token == token
                    and conn.usable):
                 if conn.remote is not None:

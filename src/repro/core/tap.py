@@ -6,10 +6,10 @@ driver inject frames back (delivery direction). Crossing the tap costs
 CPU time — the user/kernel copy that makes user-level virtual networks
 slower than native — modeled as a per-frame cost plus a per-byte cost.
 
-Each direction is a *serialized* station (the real driver is a single
-``read()``/``write()`` loop per direction), so line-rate bursts are
-naturally paced through the tap instead of arriving at the access queue
-as one slug. These two knobs (per-frame/per-byte cost) are what Figures
+The real driver is a single ``read()``/``write()`` loop per direction,
+so the tap is one :class:`~repro.sim.queues.Serializer` per direction:
+line-rate bursts are naturally paced through the tap instead of arriving
+at the access queue as one slug. These two knobs (per-frame/per-byte cost) are what Figures
 6-7's "close-to-native" comparison is sensitive to.
 """
 
@@ -20,7 +20,7 @@ from typing import Callable, Optional
 from repro.net.l2 import Port
 from repro.net.packet import EthernetFrame
 from repro.sim.engine import Simulator
-from repro.sim.queues import Store
+from repro.sim.queues import Serializer
 
 __all__ = ["TapDevice"]
 
@@ -44,44 +44,39 @@ class TapDevice:
         self.capture_handler: Optional[Callable[[EthernetFrame], None]] = None
         self.frames_captured = 0
         self.frames_injected = 0
-        self.drops = 0
         self.up = True
-        self._capture_q: Store = Store(sim, capacity=queue_capacity)
-        self._inject_q: Store = Store(sim, capacity=queue_capacity)
-        sim.process(self._worker(self._capture_q, self._deliver_captured),
-                    name=f"tap-rd:{name}")
-        sim.process(self._worker(self._inject_q, self._deliver_injected),
-                    name=f"tap-wr:{name}")
+        # Each station holds ``queue_capacity`` frames plus one in service.
+        self._capture = Serializer(sim, queue_capacity, self._cost,
+                                   self._deliver_captured)
+        self._inject = Serializer(sim, queue_capacity, self._cost,
+                                  self._deliver_injected)
+
+    @property
+    def drops(self) -> int:
+        return self._capture.drops + self._inject.drops
 
     def _cost(self, frame: EthernetFrame) -> float:
         return self.per_frame_cost + self.per_byte_cost * frame.size
 
-    def _worker(self, queue: Store, deliver: Callable[[EthernetFrame], None]):
-        while True:
-            frame = yield queue.get()
-            yield self.sim.timeout(self._cost(frame))
-            if self.up:
-                deliver(frame)
-
+    # A frame already in the tap when it goes down is lost with it.
     def _deliver_captured(self, frame: EthernetFrame) -> None:
-        if self.capture_handler is not None:
+        if self.up and self.capture_handler is not None:
             self.capture_handler(frame)
 
     def _deliver_injected(self, frame: EthernetFrame) -> None:
-        self.port.transmit(frame)
+        if self.up:
+            self.port.transmit(frame)
 
     # Bridge -> tap (capture: frame leaves the host for the tunnel).
     def on_frame(self, frame: EthernetFrame, port: Port) -> None:
         if not self.up or self.capture_handler is None:
             return
         self.frames_captured += 1
-        if not self._capture_q.try_put(frame):
-            self.drops += 1
+        self._capture.offer(frame)
 
     # Tunnel -> tap (inject: frame enters the host's bridge).
     def inject(self, frame: EthernetFrame) -> None:
         if not self.up:
             return
         self.frames_injected += 1
-        if not self._inject_q.try_put(frame):
-            self.drops += 1
+        self._inject.offer(frame)

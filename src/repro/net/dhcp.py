@@ -58,7 +58,7 @@ class DhcpServer:
         self.offers_made = 0
         self.acks_sent = 0
         self.sock = stack.udp.bind(DHCP_SERVER_PORT)
-        stack.sim.process(self._serve(), name=f"dhcpd:{stack.name}")
+        self.sock.handler = self._on_datagram
 
     def _allocate(self, mac: MacAddress) -> IPv4Address:
         existing = self.leases.get(mac)
@@ -69,22 +69,22 @@ class DhcpServer:
         self.leases[mac] = ip
         return ip
 
-    def _serve(self):
-        while True:
-            payload, _src_ip, _src_port = yield self.sock.recvfrom()
-            msg: _DhcpMessage = payload.data
-            if msg.op == "discover":
-                ip = self._allocate(msg.client_mac)
-                self.offers_made += 1
-                self._reply(_DhcpMessage("offer", msg.client_mac, your_ip=ip,
-                                         server_ip=self.iface.ip, network=self.pool,
-                                         xid=msg.xid), msg.client_mac)
-            elif msg.op == "request":
-                ip = self._allocate(msg.client_mac)
-                self.acks_sent += 1
-                self._reply(_DhcpMessage("ack", msg.client_mac, your_ip=ip,
-                                         server_ip=self.iface.ip, network=self.pool,
-                                         xid=msg.xid), msg.client_mac)
+    def _on_datagram(self, payload: Payload, _src_ip, _src_port) -> None:
+        msg = payload.data
+        if not isinstance(msg, _DhcpMessage):
+            return  # anyone on the segment can send to port 67
+        if msg.op == "discover":
+            ip = self._allocate(msg.client_mac)
+            self.offers_made += 1
+            self._reply(_DhcpMessage("offer", msg.client_mac, your_ip=ip,
+                                     server_ip=self.iface.ip, network=self.pool,
+                                     xid=msg.xid), msg.client_mac)
+        elif msg.op == "request":
+            ip = self._allocate(msg.client_mac)
+            self.acks_sent += 1
+            self._reply(_DhcpMessage("ack", msg.client_mac, your_ip=ip,
+                                     server_ip=self.iface.ip, network=self.pool,
+                                     xid=msg.xid), msg.client_mac)
 
     def _reply(self, msg: _DhcpMessage, client_mac: MacAddress) -> None:
         # The client has no IP yet: answer to the broadcast address but

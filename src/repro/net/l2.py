@@ -25,7 +25,7 @@ from repro.net.addresses import MacAddress
 from repro.net.packet import EthernetFrame
 from repro.sim.engine import Simulator
 from repro.sim.lifecycle import Component
-from repro.sim.queues import Channel
+from repro.sim.queues import Serializer
 
 __all__ = ["Bridge", "Link", "Port", "Switch", "patch"]
 
@@ -94,19 +94,19 @@ def patch(a: Port, b: Port) -> None:
 class _Pipe:
     """One direction of a link: queue -> serializer -> propagation.
 
-    The datapath is callback-driven on the kernel fast lane — no
-    transmitter process, no per-frame Event round-trip:
+    The queue and serializer are one :class:`~repro.sim.queues.Serializer`
+    station whose service time is the frame's transmission time at the
+    current bandwidth; the pipe adds admin state in front of it and
+    accounting, loss and propagation behind it:
 
-    * **Unshaped bypass** — with ``bandwidth_bps is None`` and an idle
-      serializer, ``send`` schedules the delivery directly: one calendar
-      entry per frame, zero Event allocations.
-    * **Shaped path** — an idle serializer starts the frame immediately
-      via one ``call_in``; completion pulls the next frame off the
-      drop-tail queue. Two calendar entries per frame total.
+    * **Unshaped** — with ``bandwidth_bps`` unset the station holds
+      nothing: one calendar entry per frame (the delivery), zero Events.
+    * **Shaped** — an idle station starts the frame at once; completion
+      pulls the next frame off the drop-tail queue. Two entries per frame.
 
-    Timing is identical to the old process-based transmitter: frames
-    serialize strictly in order, loss is drawn after serialization, and
-    reshaping mid-frame lets the in-service frame finish at the old rate.
+    Frames serialize strictly in order, loss is drawn after
+    serialization, and reshaping mid-frame lets the in-service frame
+    finish at the old rate.
     """
 
     def __init__(
@@ -127,32 +127,26 @@ class _Pipe:
         self.loss = loss
         self._loss_rng = loss_rng
         self.name = name
-        self.queue = Channel(sim, capacity=queue_capacity)
+        self.queue = Serializer(sim, queue_capacity, self._tx_time, self._emit)
         self.up = True  # admin state, mirrored from the owning Link
         self.bytes_sent = 0
         self.frames_sent = 0
         self.frames_lost = 0
         self.frames_dropped_down = 0  # offered while admin-down
-        self._tx_frame: Optional[EthernetFrame] = None  # frame in service
-        self._finish_cb = self._finish_tx  # bind once, not per frame
 
     def send(self, frame: EthernetFrame) -> None:
         if not self.up:
             self.frames_dropped_down += 1
             return
-        if self._tx_frame is None and not self.queue.items:
-            bw = self.bandwidth_bps
-            if bw is None:
-                self._emit(frame)  # unshaped bypass: straight to the wire
-                return
-            self._tx_frame = frame
-            self.sim.call_in(frame.size * 8.0 / bw, self._finish_cb)
-            return
-        self.queue.offer(frame)  # drop-tail on overflow (counted by Channel)
+        self.queue.offer(frame)  # drop-tail on overflow (counted by the station)
 
     @property
     def drops(self) -> int:
         return self.queue.drops
+
+    def _tx_time(self, frame: EthernetFrame) -> Optional[float]:
+        bw = self.bandwidth_bps
+        return bw and frame.size * 8.0 / bw
 
     def _emit(self, frame: EthernetFrame) -> None:
         """Post-serialization half: accounting, loss, propagation."""
@@ -162,23 +156,6 @@ class _Pipe:
             self.frames_lost += 1
             return
         self.sim.call_in(self.latency, partial(self.dst.deliver, frame))
-
-    def _finish_tx(self) -> None:
-        frame = self._tx_frame
-        self._tx_frame = None
-        assert frame is not None
-        self._emit(frame)
-        # Pull queued frames; loop (not recursion) in case the link was
-        # reshaped to unbounded rate while frames were queued.
-        queue = self.queue
-        while queue.items:
-            frame = queue.get_nowait()
-            bw = self.bandwidth_bps
-            if bw:
-                self._tx_frame = frame
-                self.sim.call_in(frame.size * 8.0 / bw, self._finish_cb)
-                return
-            self._emit(frame)
 
 
 class Link(Component):

@@ -2,14 +2,19 @@
 
 Sockets follow BSD semantics closely enough for the protocols above them
 (STUN, hole punching, WAVNet tunnels, DHCP): bind to a local port,
-``sendto`` any destination, receive (payload, source) tuples from a FIFO
-inbox. Unbound-port sends get an ephemeral port, which is what creates
-NAT mappings when the datagram crosses a NAT box.
+``sendto`` any destination, receive (payload, source) tuples. Unbound-port
+sends get an ephemeral port, which is what creates NAT mappings when the
+datagram crosses a NAT box.
+
+A socket is read one of two ways. Code that *reacts* to datagrams (a
+server, a tunnel driver, an RPC endpoint) sets ``sock.handler`` and is
+called back from inside :meth:`UdpLayer.receive`; code that *waits* for a
+reply (a STUN or DHCP client) leaves it unset and yields ``recvfrom()``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.net.addresses import IPv4Address
 from repro.net.packet import Payload, UdpDatagram, ipv4
@@ -25,15 +30,20 @@ EPHEMERAL_LIMIT = 60999
 class UdpSocket:
     """A bound UDP endpoint.
 
-    ``recvfrom()`` returns an event yielding ``(payload, src_ip,
-    src_port)``. The inbox is bounded (default 512 datagrams) with
-    drop-tail overflow, mirroring a kernel socket buffer.
+    With ``handler`` set, every arriving datagram is passed to
+    ``handler(payload, src_ip, src_port)`` at once and nothing is queued.
+    A handler runs inside the stack's receive path, so it must drop — not
+    dereference — payloads that are not its protocol's type. Without one,
+    ``recvfrom()`` returns an event yielding the same triple from a
+    bounded inbox (default 512 datagrams, drop-tail), mirroring a kernel
+    socket buffer.
     """
 
     def __init__(self, layer: "UdpLayer", port: int, inbox_capacity: int = 512) -> None:
         self.layer = layer
         self.port = port
         self.inbox: Store = Store(layer.stack.sim, capacity=inbox_capacity)
+        self.handler: Optional[Callable[[Payload, IPv4Address, int], None]] = None
         self.closed = False
         self.drops = 0
         self._taps: Optional[list] = None
@@ -75,13 +85,9 @@ class UdpSocket:
                 tap.datagram(self.name, "rx", payload.size,
                              src=f"{src_ip}:{src_port}",
                              info=type(payload.data).__name__)
-        inbox = self.inbox
-        if inbox._getters:
-            # Common case: a receiver is parked in recvfrom(), so the
-            # buffer is empty — hand the datagram straight to its event
-            # and skip the bounded-buffer bookkeeping.
-            inbox._getters.popleft().succeed((payload, src_ip, src_port))
-        elif not inbox.try_put((payload, src_ip, src_port)):
+        if self.handler is not None:
+            self.handler(payload, src_ip, src_port)
+        elif not self.inbox.try_put((payload, src_ip, src_port)):
             self.drops += 1
 
 

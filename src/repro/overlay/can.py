@@ -175,9 +175,10 @@ class CanNode(Component):
         self._m_merges = self.metrics.counter("merges")
         self._m_remerges = self.metrics.counter("remerges")
         self._m_handles = self.metrics.counter("handles.stored")
-        self.rpc = RpcEndpoint(host.stack, host.udp.bind(port),
-                               name=f"can:{self.node_id}",
+        sock = host.udp.bind(port)
+        self.rpc = RpcEndpoint(host.stack, sock, name=f"can:{self.node_id}",
                                retry_concurrency=retry_concurrency)
+        sock.handler = self.rpc.handle_datagram
         self.rpc.register("can.route", self._on_route)
         self.rpc.register("can.nbr", self._on_neighbor)
         self.rpc.register("can.leave", self._on_leave)
@@ -209,7 +210,9 @@ class CanNode(Component):
         self._split_mark = -1
 
     def _on_restore(self) -> None:
-        self.rpc.rebind(self.host.udp.bind(self.port))
+        sock = self.host.udp.bind(self.port)
+        sock.handler = self.rpc.handle_datagram
+        self.rpc.rebind(sock)
         self.sim.process(self._rejoin(), name=f"can-rejoin:{self.node_id}")
 
     def _rejoin(self):

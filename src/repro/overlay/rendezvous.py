@@ -33,10 +33,12 @@ import numpy as np
 
 from repro.core.hoststate import EndpointRow, HostTable
 from repro.net.addresses import IPv4Address
-from repro.overlay.can import CAN_PORT, CanNode
+from repro.core.assembler import WavRelay
+from repro.net.packet import Payload
+from repro.overlay.can import CanNode
 from repro.overlay.resources import ConnectionInfo, ResourceSpec
 from repro.overlay.rpc import RpcEndpoint, RpcError
-from repro.sim.engine import Interrupt, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.lifecycle import Component
 
 __all__ = ["AdmissionReject", "RendezvousServer", "RENDEZVOUS_PORT"]
@@ -196,19 +198,17 @@ class RendezvousServer(Component):
     ``rendezvous``): ``crash`` kills the process — the registrations
     this server owns are released from the shared host table (volatile
     registry semantics), latency reports are lost, both sockets close,
-    and the embedded CAN node crashes with it; ``restore`` rebinds,
-    restarts the receive loop, and rejoins the CAN overlay through
-    cached peer addresses. Hosts re-appear in the registry only when
-    their keepalives (or a driver failover re-registration) arrive.
+    and the embedded CAN node crashes with it; ``restore`` rebinds and
+    rejoins the CAN overlay through cached peer addresses. Hosts
+    re-appear in the registry only when their keepalives (or a driver
+    failover re-registration) arrive.
     """
 
     def __init__(self, host, spec: Optional[ResourceSpec] = None,
-                 port: int = RENDEZVOUS_PORT,
-                 can_port: int = CAN_PORT, host_ttl: float = HOST_TTL,
+                 port: int = RENDEZVOUS_PORT, host_ttl: float = HOST_TTL,
                  table: Optional[HostTable] = None, server_index: int = 0,
                  admission_rate: Optional[float] = None,
                  admission_burst: Optional[float] = None,
-                 expiry_interval: Optional[float] = None,
                  retry_concurrency: Optional[int] = None,
                  replication_factor: Optional[int] = None,
                  hot_zone_limit: Optional[int] = None) -> None:
@@ -223,8 +223,8 @@ class RendezvousServer(Component):
             self.sim, spec=self.spec)
         self.server_index = server_index
         # One liveness horizon: the CAN stops answering for a host at
-        # the same age at which the (optional) reaper unregisters it.
-        self.can = CanNode(host, self.table, port=can_port, record_ttl=host_ttl,
+        # the same age at which :meth:`expire_hosts` unregisters it.
+        self.can = CanNode(host, self.table, record_ttl=host_ttl,
                            replication_factor=replication_factor,
                            hot_zone_limit=hot_zone_limit,
                            retry_concurrency=retry_concurrency)
@@ -235,7 +235,6 @@ class RendezvousServer(Component):
         self.admission = (_TokenBucket(admission_rate,
                                        admission_burst or 2 * admission_rate)
                           if admission_rate else None)
-        self.expiry_interval = expiry_interval
         self.metrics = self.sim.metrics.scope(f"{host.name}.rvz")
         self._m_registered = self.metrics.counter("hosts.registered")
         self._m_batched = self.metrics.counter("hosts.batch_registered")
@@ -248,10 +247,9 @@ class RendezvousServer(Component):
         self._m_rejected = self.metrics.counter("admission.rejected")
         self._m_expired = self.metrics.counter("hosts.expired")
         self._sock = host.udp.bind(port)
+        self._sock.handler = self._on_datagram
         self.rpc = RpcEndpoint(host.stack, self._sock, name=f"rvz:{host.name}",
-                               own_loop=False,
                                retry_concurrency=retry_concurrency)
-        self._start_loops()
         self.rpc.register("rvz.register", self._on_register)
         self.rpc.register("rvz.register_batch", self._on_register_batch)
         self.rpc.register("rvz.keepalive", self._on_keepalive)
@@ -261,62 +259,24 @@ class RendezvousServer(Component):
         self.rpc.register("rvz.relay_connect", self._on_relay_connect)
         self.rpc.register("rvz.latency_report", self._on_latency_report)
 
-    def _start_loops(self) -> None:
-        self._rx_proc = self.sim.process(self._rx_loop(self._sock),
-                                         name=f"rvz-rx:{self.host.name}")
-        self._expiry_proc = None
-        if self.expiry_interval:
-            self._expiry_proc = self.sim.process(
-                self._expiry_loop(), name=f"rvz-expire:{self.host.name}")
-
-    def _rx_loop(self, sock):
-        """Demultiplex the rendezvous socket: RPC envelopes to the RPC
-        endpoint, relayed tunnel payloads (symmetric-NAT fallback) to the
-        target host's registered endpoint."""
-        from repro.core.assembler import WavRelay
-        from repro.net.packet import Payload
-
-        try:
-            while True:
-                payload, src_ip, src_port = yield sock.recvfrom()
-                body = payload.data
-                if isinstance(body, WavRelay):
-                    reg = self.hosts.get(body.target)
-                    if reg is not None:
-                        self.frames_relayed += 1
-                        self._m_relay_frames.add()
-                        self._m_relay_bytes.add(payload.size)
-                        sock.sendto(reg.reach_ip, reg.reach_port,
-                                    Payload(payload.size, data=body, kind="wav"))
-                    continue
-                self.rpc.handle_datagram(payload, src_ip, src_port)
-        except Interrupt:
+    def _on_datagram(self, payload: Payload, src_ip: IPv4Address, src_port: int) -> None:
+        """Demultiplex the rendezvous socket: relayed tunnel payloads
+        (symmetric-NAT fallback) to the target host's registered
+        endpoint, everything else to the RPC endpoint."""
+        body = payload.data
+        if isinstance(body, WavRelay):
+            reg = self.hosts.get(body.target)
+            if reg is not None:
+                self.frames_relayed += 1
+                self._m_relay_frames.add()
+                self._m_relay_bytes.add(payload.size)
+                self._sock.sendto(reg.reach_ip, reg.reach_port,
+                                  Payload(payload.size, data=body, kind="wav"))
             return
-
-    def _expiry_loop(self):
-        """Process: periodic TTL sweep over this server's table rows —
-        the idle-endpoint liveness reaper at fleet scale (a materialized
-        host's driver keepalives exempt it)."""
-        try:
-            while True:
-                yield self.sim.timeout(self.expiry_interval)
-                gone = self.expire_hosts()
-                if gone:
-                    self.sim.trace.event("rvz.expired", server=self.host.name,
-                                         count=len(gone))
-        except Interrupt:
-            return
+        self.rpc.handle_datagram(payload, src_ip, src_port)
 
     # -- lifecycle ------------------------------------------------------
     def _on_stop(self) -> None:
-        if self._rx_proc is not None and self._rx_proc.is_alive:
-            self._rx_proc.interrupt("stopped")
-            self._rx_proc.defuse()
-        self._rx_proc = None
-        if self._expiry_proc is not None and self._expiry_proc.is_alive:
-            self._expiry_proc.interrupt("stopped")
-            self._expiry_proc.defuse()
-        self._expiry_proc = None
         self._sock.close()
         self.table.release_owner(self.server_index)
         self.latency_reports.clear()
@@ -324,8 +284,8 @@ class RendezvousServer(Component):
 
     def _on_restore(self) -> None:
         self._sock = self.host.udp.bind(self.port)
+        self._sock.handler = self._on_datagram
         self.rpc.rebind(self._sock)
-        self._start_loops()
         self.can.restore()
 
     # -- overlay membership --------------------------------------------------

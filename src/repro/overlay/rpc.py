@@ -54,13 +54,14 @@ class RpcEndpoint:
     """RPC service bound to one UDP socket."""
 
     def __init__(self, stack, sock: UdpSocket, name: str = "rpc",
-                 own_loop: bool = True,
                  retry_concurrency: Optional[int] = None) -> None:
-        """With ``own_loop=False`` the endpoint does not read the socket;
-        the owner demultiplexes datagrams and feeds RPC envelopes through
-        :meth:`handle_datagram` (the WAVNet driver shares one socket
-        between RPC control traffic and the tunnel data plane, so they
-        ride the same NAT mapping).
+        """The endpoint sends on ``sock`` but does not read it: the
+        socket's owner routes arriving datagrams to
+        :meth:`handle_datagram` — ``sock.handler = rpc.handle_datagram``
+        when RPC is all the socket carries, its own demultiplexer when
+        not (the WAVNet driver shares one socket between RPC control
+        traffic and the tunnel data plane, so they ride the same NAT
+        mapping).
 
         ``retry_concurrency`` caps concurrent retry probes *per
         destination*: when that many retries are already in flight to a
@@ -84,29 +85,18 @@ class RpcEndpoint:
         self._m_timeouts = metrics.counter("timeouts")
         self._m_coalesced = metrics.counter("retries_coalesced")
         self._m_served = metrics.counter("served")
-        self._own_loop = own_loop
-        self._dispatcher = None
-        if own_loop:
-            self._dispatcher = stack.sim.process(self._dispatch_loop(), name=f"rpc:{name}")
 
     # -- lifecycle --------------------------------------------------------
     def shutdown(self) -> None:
-        """Stop reading the socket and close it (component crash/stop).
-        In-flight calls time out naturally; handlers stay registered so
-        :meth:`rebind` can bring the endpoint back."""
-        if self._dispatcher is not None and self._dispatcher.is_alive:
-            self._dispatcher.interrupt("shutdown")
-            self._dispatcher.defuse()
-            self._dispatcher = None
+        """Close the socket (component crash/stop). In-flight calls time
+        out naturally; handlers stay registered so :meth:`rebind` can
+        bring the endpoint back."""
         self.sock.close()
 
     def rebind(self, sock: UdpSocket) -> None:
         """Attach a fresh socket after :meth:`shutdown` (component
-        restore); restarts the dispatch loop if this endpoint owns one."""
+        restore)."""
         self.sock = sock
-        if self._own_loop and (self._dispatcher is None or not self._dispatcher.is_alive):
-            self._dispatcher = self.stack.sim.process(
-                self._dispatch_loop(), name=f"rpc:{self.name}")
 
     # -- server side ------------------------------------------------------
     def register(self, kind: str, handler: Callable) -> None:
@@ -117,20 +107,12 @@ class RpcEndpoint:
             raise RuntimeError(f"duplicate RPC handler for {kind!r}")
         self.handlers[kind] = handler
 
-    def _dispatch_loop(self):
-        from repro.sim.engine import Interrupt
-        try:
-            while True:
-                payload, src_ip, src_port = yield self.sock.recvfrom()
-                self.handle_datagram(payload, src_ip, src_port)
-        except Interrupt:
-            return
-
-    def handle_datagram(self, payload: Payload, src_ip: IPv4Address, src_port: int) -> bool:
-        """Process one datagram; returns False if it was not an RPC envelope."""
+    def handle_datagram(self, payload: Payload, src_ip: IPv4Address, src_port: int) -> None:
+        """Process one datagram (a socket handler); what is not an RPC
+        envelope is dropped."""
         env = payload.data
         if not isinstance(env, _Envelope):
-            return False
+            return
         if env.is_reply:
             waiter = self._waiting.pop(env.rpc_id, None)
             if waiter is not None and not waiter.triggered:
@@ -139,24 +121,23 @@ class RpcEndpoint:
                     waiter.defuse()
                 else:
                     waiter.succeed(env.body)
-            return True
+            return
         handler = self.handlers.get(env.kind)
         if handler is None:
             self._reply(env, src_ip, src_port, f"no handler for {env.kind!r}", error=True)
-            return True
+            return
         self.requests_served += 1
         self._m_served.add()
         try:
             result = handler(env.body, src_ip, src_port)
         except Exception as exc:  # handler bug or modeled failure
             self._reply(env, src_ip, src_port, repr(exc), error=True)
-            return True
+            return
         if inspect.isgenerator(result):
             self.stack.sim.process(self._async_reply(result, env, src_ip, src_port),
                                    name=f"rpc-handler:{env.kind}")
         else:
             self._reply(env, src_ip, src_port, result)
-        return True
 
     def _async_reply(self, gen, env: _Envelope, src_ip: IPv4Address, src_port: int):
         try:
@@ -250,6 +231,3 @@ class RpcEndpoint:
         gate = self._retry_gates.pop(dest, None)
         if gate is not None and not gate.triggered:
             gate.succeed(None)
-
-    def close(self) -> None:
-        self.sock.close()

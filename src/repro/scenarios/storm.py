@@ -76,9 +76,10 @@ class StormLane:
         host = make_public_host(sim, env.cloud, f"lane{region}",
                                 f"7.1.{region // 250}.{(region % 250) + 1}",
                                 network="7.0.0.0/8")
-        self.rpc = RpcEndpoint(host.stack, host.udp.bind(LANE_PORT),
-                               name=f"lane{region}",
+        sock = host.udp.bind(LANE_PORT)
+        self.rpc = RpcEndpoint(host.stack, sock, name=f"lane{region}",
                                retry_concurrency=retry_concurrency)
+        sock.handler = self.rpc.handle_datagram
         # Synthetic per-endpoint columns: deterministic addresses, NAT
         # mappings, and attribute draws spread across the CAN space.
         idx = base_index + np.arange(count, dtype=np.int64)

@@ -61,7 +61,6 @@ class WavnetEnvironment:
                  admission_burst: Optional[float] = None,
                  replication_factor: Optional[int] = None,
                  hot_zone_limit: Optional[int] = None,
-                 expiry_interval: Optional[float] = None,
                  retry_concurrency: Optional[int] = None,
                  build_control: bool = True,
                  control_partition: int = 0) -> None:
@@ -105,7 +104,6 @@ class WavnetEnvironment:
                                       admission_burst=admission_burst,
                                       replication_factor=replication_factor,
                                       hot_zone_limit=hot_zone_limit,
-                                      expiry_interval=expiry_interval,
                                       retry_concurrency=retry_concurrency)
             if i == 0:
                 server.bootstrap()

@@ -24,13 +24,12 @@ from repro.sim.engine import (
     Timer,
 )
 from repro.sim.lifecycle import Component, ComponentRegistry, LifecycleState
-from repro.sim.queues import Channel, QueueFull, Store
+from repro.sim.queues import QueueFull, Serializer, Store
 from repro.sim.rng import RngRegistry
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Channel",
     "Component",
     "ComponentRegistry",
     "Counter",
@@ -41,6 +40,7 @@ __all__ = [
     "Process",
     "QueueFull",
     "RngRegistry",
+    "Serializer",
     "SimulationError",
     "Simulator",
     "Store",

@@ -1,21 +1,24 @@
-"""FIFO stores and rendezvous channels for inter-process communication.
+"""The two queueing primitives: a FIFO to wait on and a station that serves.
 
-:class:`Store` is the workhorse: an optionally capacity-bounded FIFO whose
-``get()``/``put()`` return events a process can ``yield`` on. Network
-sockets, NIC transmit queues, and application inboxes are all Stores.
+:class:`Store` is for code that *waits*: an optionally capacity-bounded
+FIFO whose ``get()``/``put()`` return events a process can ``yield`` on
+(socket inboxes, application mailboxes).
 
-:class:`Channel` adds a non-blocking drop-on-full put — the semantics of a
-drop-tail router queue.
+:class:`Serializer` is for code that *reacts*: a drop-tail waiting room in
+front of a single server that calls ``done(item)`` when each item's service
+time has elapsed — a link's transmitter, a tap's ``read()`` loop, a
+user-level stack's CPU. It runs on the kernel fast lane: no process, one
+calendar entry per served item.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
+from typing import Any, Callable, Optional
 
 from repro.sim.engine import Event, SimulationError, Simulator
 
-__all__ = ["Channel", "QueueFull", "Store"]
+__all__ = ["QueueFull", "Serializer", "Store"]
 
 
 class QueueFull(Exception):
@@ -101,26 +104,66 @@ class Store:
             ev.succeed(item)
 
 
-class Channel(Store):
-    """Bounded FIFO with drop-tail put — a router queue.
+_IDLE = object()  # nothing in service (an item may legitimately be None)
 
-    :meth:`offer` is the datapath entry point; it never blocks and reports
-    drops via its return value so callers can count them.
+
+class Serializer:
+    """Drop-tail queue in front of one server, callback-driven.
+
+    ``service_time(item)`` is asked when an item *enters service*, so a
+    station reshaped while items wait serves them at the new rate and
+    lets the one in service finish at the old. A falsy service time means
+    the item is not held at all: ``done`` runs inside ``offer`` and no
+    calendar entry is made. Capacity is defined from the first item:
+    ``capacity`` waiting plus one in service; an offer beyond that is
+    dropped and counted in ``drops``. ``done`` may call ``offer``.
     """
 
-    def __init__(self, sim: Simulator, capacity: int) -> None:
-        super().__init__(sim, capacity=capacity)
+    __slots__ = ("sim", "capacity", "service_time", "done", "items", "drops",
+                 "_serving", "_finish_cb")
+
+    def __init__(self, sim: Simulator, capacity: int,
+                 service_time: Callable[[Any], Optional[float]],
+                 done: Callable[[Any], None]) -> None:
+        if capacity < 1:
+            raise SimulationError(f"serializer capacity must be >= 1, got {capacity}")
+        self.sim = sim
+        self.capacity = capacity
+        self.service_time = service_time
+        self.done = done
+        self.items: deque[Any] = deque()
         self.drops = 0
+        self._serving: Any = _IDLE
+        self._finish_cb = self._finish  # bind once, not per item
 
     def offer(self, item: Any) -> bool:
-        # Hot path for every queued frame: inline the bound/deliver logic
-        # (capacity is always an int for a Channel) instead of paying the
-        # is_full property plus two method calls of ``try_put``.
-        if len(self.items) < self.capacity:
-            if self._getters:
-                self._getters.popleft().succeed(item)
+        """Admit ``item`` (True) or drop it because the room is full."""
+        if self._serving is _IDLE and not self.items:
+            delay = self.service_time(item)
+            if delay:
+                self._serving = item
+                self.sim.call_in(delay, self._finish_cb)
             else:
-                self.items.append(item)
+                self.done(item)
+            return True
+        if len(self.items) < self.capacity:
+            self.items.append(item)
             return True
         self.drops += 1
         return False
+
+    def _finish(self) -> None:
+        item, self._serving = self._serving, _IDLE
+        self.done(item)
+        # Pull waiting items; a loop, not recursion, in case the station
+        # was reshaped to a zero service time while they waited. Anything
+        # ``done`` offers meanwhile joins the back of the room.
+        items = self.items
+        while items:
+            item = items.popleft()
+            delay = self.service_time(item)
+            if delay:
+                self._serving = item
+                self.sim.call_in(delay, self._finish_cb)
+                return
+            self.done(item)

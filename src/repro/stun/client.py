@@ -59,9 +59,9 @@ class StunClient:
                  server_port: int = STUN_PORT, timeout: float = 0.8, retries: int = 2,
                  inbox=None) -> None:
         """``inbox`` (a Store of ``(payload, ip, port)``) lets an owner
-        that already demultiplexes the socket (the WAVNet driver) feed
+        whose handler demultiplexes the socket (the WAVNet driver) feed
         STUN responses in, instead of this client reading the socket —
-        two readers on one socket steal each other's datagrams."""
+        ``recvfrom()`` sees nothing on a socket that has a handler."""
         self.stack = stack
         self.sock = sock
         self.server_ip = IPv4Address(server_ip)

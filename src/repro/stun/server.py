@@ -9,6 +9,8 @@ duty to the other host / other socket.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.net.addresses import IPv4Address, IPv4Network
 from repro.net.l2 import Link
 from repro.net.packet import Payload
@@ -49,9 +51,7 @@ class StunServerPair:
                  latency=attach_latency, bandwidth_bps=1e9, name=f"{name}.{tag}.access")
             self.hosts[ip] = host
             for port in (STUN_PORT, STUN_ALT_PORT):
-                sock = host.udp.bind(port)
-                sim.process(self._serve(host, ip, port, sock),
-                            name=f"stun:{tag}:{port}")
+                host.udp.bind(port).handler = partial(self._on_datagram, ip, port)
 
     def _other_ip(self, ip: IPv4Address) -> IPv4Address:
         return self.alternate_ip if ip == self.primary_ip else self.primary_ip
@@ -59,24 +59,23 @@ class StunServerPair:
     def _other_port(self, port: int) -> int:
         return STUN_ALT_PORT if port == STUN_PORT else STUN_PORT
 
-    def _serve(self, host: Host, ip: IPv4Address, port: int, sock):
-        while True:
-            payload, src_ip, src_port = yield sock.recvfrom()
-            request = payload.data
-            if not isinstance(request, StunRequest):
-                continue
-            self.requests_served += 1
-            reply_ip = self._other_ip(ip) if request.change_ip else ip
-            reply_port = self._other_port(port) if request.change_port else port
-            response = StunResponse(
-                txid=request.txid,
-                mapped_ip=src_ip,
-                mapped_port=src_port,
-                source_ip=reply_ip,
-                source_port=reply_port,
-                changed_ip=self._other_ip(ip),
-                changed_port=self._other_port(port),
-            )
-            reply_host = self.hosts[reply_ip]
-            reply_sock = reply_host.udp.sockets[reply_port]
-            reply_sock.sendto(src_ip, src_port, Payload(response.size, data=response, kind="stun"))
+    def _on_datagram(self, ip: IPv4Address, port: int,
+                     payload: Payload, src_ip: IPv4Address, src_port: int) -> None:
+        """A datagram arrived on the socket bound to ``ip``:``port``."""
+        request = payload.data
+        if not isinstance(request, StunRequest):
+            return
+        self.requests_served += 1
+        reply_ip = self._other_ip(ip) if request.change_ip else ip
+        reply_port = self._other_port(port) if request.change_port else port
+        response = StunResponse(
+            txid=request.txid,
+            mapped_ip=src_ip,
+            mapped_port=src_port,
+            source_ip=reply_ip,
+            source_port=reply_port,
+            changed_ip=self._other_ip(ip),
+            changed_port=self._other_port(port),
+        )
+        reply_sock = self.hosts[reply_ip].udp.sockets[reply_port]
+        reply_sock.sendto(src_ip, src_port, Payload(response.size, data=response, kind="stun"))

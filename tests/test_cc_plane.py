@@ -62,7 +62,7 @@ class TestExtractionGoldens:
         tx = sim.process(ttcp_transfer(pair.host_a, pair.ip_b,
                                        2 * 1024 * 1024, buf_size=16384))
         sim.run(until=tx)
-        assert sim.events_dispatched == 70223
+        assert sim.events_dispatched == 61118  # PR 14: reader and station hops removed
         assert sim.now == 8.321956171784915
         assert tx.value.rate_kbps == 1439.4374177960692
 
@@ -90,7 +90,7 @@ class TestExtractionGoldens:
         tx = sim.process(ttcp_transfer(pair.host_a, pair.ip_b, 1024 * 1024,
                                        buf_size=16384))
         sim.run(until=tx)
-        assert sim.events_dispatched == 61042
+        assert sim.events_dispatched == 52260  # PR 14: reader and station hops removed
         assert sim.now == 1.8996153161233158
         assert tx.value.rate_kbps == 836.3972337686617
 
@@ -106,7 +106,7 @@ class TestExtractionGoldens:
                          concurrency=4)
         p = sim.process(ab.run_requests(60))
         sim.run(until=p)
-        assert sim.events_dispatched == 31849
+        assert sim.events_dispatched == 27874  # PR 14: reader and station hops removed
         assert sim.now == 8.27973915199994
         assert p.value.requests_per_second == 40.59708595921439
         assert p.value.connect_ms() == (30.376319999998458,
@@ -158,7 +158,7 @@ class TestExtractionGoldens:
                                        options=TransferOptions(
                                            fidelity="fluid")))
         sim.run(until=tx)
-        assert sim.events_dispatched == 724
+        assert sim.events_dispatched == 682  # PR 14: reader and station hops removed
         assert sim.now == 8.074181891091174
         assert tx.value.rate_kbps == 1591.3560850714712
 

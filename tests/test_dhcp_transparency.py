@@ -6,6 +6,7 @@ without any modification")."""
 from repro.net.addresses import IPv4Address, IPv4Network
 from repro.net.dhcp import DhcpClient, DhcpServer
 from repro.net.icmp import Pinger
+from repro.net.packet import Payload
 from repro.scenarios.builder import make_lan
 from repro.scenarios.wavnet_env import WavnetEnvironment
 from repro.sim import Simulator
@@ -54,6 +55,19 @@ class TestDhcpOnLan:
         p2 = sim.process(clients[0].acquire())
         sim.run(until=p2)
         assert p2.value.ip == first
+
+    def test_server_ignores_non_dhcp_datagram(self):
+        """Anyone on the segment can send to UDP 67: junk is dropped,
+        not dereferenced, and the server keeps serving."""
+        sim = Simulator()
+        server, clients = self.build(sim, 2)
+        assert sim.run_coro(clients[0].acquire()) is not None
+        junk = clients[0].stack.udp.bind()  # a LAN peer with an address
+        for data in ("junk", None):
+            junk.sendto(server.iface.ip, 67, Payload(10, data=data))
+        sim.run()
+        assert sim.run_coro(clients[1].acquire()) is not None
+        assert server.offers_made == 2 and server.acks_sent == 2
 
     def test_no_server_times_out(self):
         sim = Simulator()

@@ -222,3 +222,81 @@ class TestUdpSockets:
             sock.sendto(IPv4Address("10.0.0.2"), 5000, Payload(10))
         sim.run()
         assert server.drops == 3
+
+
+class TestUdpHandlerSockets:
+    """``sock.handler`` — the callback way to read a socket."""
+
+    DST = IPv4Address("10.0.0.2")
+
+    def test_handler_gets_payload_and_source(self):
+        sim = Simulator()
+        a, b, _link = host_pair(sim, latency=0.002)
+        got = []
+        server = b.udp.bind(5000)
+        server.handler = lambda payload, ip, port: got.append(
+            (sim.now, payload.data, str(ip), port))
+        a.udp.bind(6000).sendto(self.DST, 5000, Payload(64, data="hello"))
+        sim.run()
+        (when, *rest), = got
+        assert rest == ["hello", "10.0.0.1", 6000]
+        assert when > 0.002  # called on arrival, inside the receive path
+        assert len(server.inbox) == 0 and server.drops == 0  # nothing queued
+
+    def test_no_delivery_after_close(self):
+        sim = Simulator()
+        a, b, _link = host_pair(sim, latency=0.002)
+        got = []
+        server = b.udp.bind(5000)
+        server.handler = lambda *datagram: got.append(datagram)
+        sock = a.udp.bind()
+        sock.sendto(self.DST, 5000, Payload(10))  # in flight at close
+        server.close()
+        sim.run()
+        sock.sendto(self.DST, 5000, Payload(10))  # sent after close
+        sim.run()
+        assert got == []
+        assert b.udp.rx_unmatched == 2
+
+    def test_handler_reattached_after_rebind(self):
+        """A re-bound port is a new socket: it delivers to nobody until
+        its owner attaches the handler again."""
+        sim = Simulator()
+        a, b, _link = host_pair(sim)
+        got = []
+
+        def handler(payload, _ip, _port):
+            got.append(payload.data)
+
+        first = b.udp.bind(5000)
+        first.handler = handler
+        first.close()
+        second = b.udp.bind(5000)
+        assert second.handler is None
+        sock = a.udp.bind()
+        sock.sendto(self.DST, 5000, Payload(10, data="queued"))
+        sim.run()
+        assert got == [] and len(second.inbox) == 1
+        second.handler = handler
+        sock.sendto(self.DST, 5000, Payload(10, data="handled"))
+        sim.run()
+        assert got == ["handled"] and len(second.inbox) == 1
+
+    def test_recvfrom_untouched_without_handler(self):
+        """Datagrams that arrive before anyone waits are buffered, in
+        order, for a later ``recvfrom()``."""
+        sim = Simulator()
+        a, b, _link = host_pair(sim)
+        server = b.udp.bind(5000)
+        sock = a.udp.bind()
+        for word in ("one", "two"):
+            sock.sendto(self.DST, 5000, Payload(10, data=word))
+        sim.run()
+        assert len(server.inbox) == 2
+
+        def read_two():
+            first = yield server.recvfrom()
+            second = yield server.recvfrom()
+            return first[0].data, second[0].data
+
+        assert sim.run_coro(read_two()) == ("one", "two")

@@ -56,6 +56,8 @@ class TestRpcLayer:
         b = make_public_host(sim, cloud, "b", "9.0.0.2", network="9.0.0.0/8")
         ep_a = RpcEndpoint(a.stack, a.udp.bind(5000), "a")
         ep_b = RpcEndpoint(b.stack, b.udp.bind(5000), "b")
+        for ep in (ep_a, ep_b):  # the socket's owner routes datagrams to RPC
+            ep.sock.handler = ep.handle_datagram
         return ep_a, ep_b
 
     def test_sync_handler_roundtrip(self):

@@ -25,20 +25,14 @@ class TestReconnect:
         sim, env = build(2)
         env.connect("h0", "h1")
         conn1 = env.hosts["h0"].driver.connections["h1"]
-        # h1's driver crashes: all of its processes stop and the socket
-        # closes (ordered so no process touches the dead socket).
+        # h1's driver crashes: its processes stop and the socket closes.
         h1 = env.hosts["h1"].driver
         h1.stop()
-        h1.sock.close()
         sim.run(until=sim.now + 90)
         assert conn1.state is ConnectionState.DEAD
-        # h1 comes back: rebind the socket and re-register.
-        env.hosts["h1"].driver.sock = env.hosts["h1"].host.udp.bind(8777)
-        env.hosts["h1"].driver.rpc.sock = env.hosts["h1"].driver.sock
-        env.hosts["h1"].driver.tap.up = True
-        env.hosts["h1"].driver._rx_proc = sim.process(
-            env.hosts["h1"].driver._rx_loop(), name="wav-rx:h1-restarted")
-        sim.run_coro(env.hosts["h1"].driver.start())
+        # h1 comes back: restore() rebinds the socket and re-registers.
+        h1.restore()
+        sim.run(until=h1.started)
         p = sim.process(env.connect_pair("h0", "h1"))
         sim.run(until=p)
         assert p.value.usable
@@ -66,6 +60,36 @@ class TestReconnect:
         env.hosts["h1"].driver.stop()
         sim.run(until=sim.now + 90)
         assert not sw.mac_table
+
+
+class TestTeardown:
+    def test_stopped_mesh_leaves_nothing_behind_and_restores(self):
+        """Stop every driver and rendezvous server of a mesh: no timer,
+        process or bound socket of theirs survives, so a run with no
+        horizon returns. A restored server and driver then find each
+        other again through freshly bound handler sockets."""
+        sim = Simulator(seed=5)
+        env = WavnetEnvironment(sim, n_rendezvous=2)
+        for i in range(3):
+            env.add_host(f"h{i}")
+        env.up().connect()
+        components = [h.driver for h in env.hosts.values()] + env.rendezvous
+        for component in components:
+            component.stop()
+        sim.run()  # no horizon: returns only if the calendar drains
+        assert sim.peek() == float("inf")
+        assert not any(c.running for c in components)
+        assert not any(s.can.running for s in env.rendezvous)
+        for stack in ([h.host.stack for h in env.hosts.values()]
+                      + [s.host.stack for s in env.rendezvous]):
+            assert not stack.udp.sockets
+
+        rvz, driver = env.rendezvous[0], env.hosts["h0"].driver
+        rvz.restore()
+        driver.restore()
+        sim.run(until=driver.started)  # the registered reply was received
+        assert "h0" in rvz.hosts
+        assert driver.sock.handler is not None and len(driver.sock.inbox) == 0
 
 
 class TestRegistrationLifecycle:
@@ -117,7 +141,6 @@ class TestRegistrationLifecycle:
         although nothing swept its row or its directory handle."""
         sim, env = build(2, keepalive_interval=15.0)
         rvz = env.rendezvous[0]
-        assert rvz._expiry_proc is None  # no reaper in this deployment
         env.hosts["h1"].driver.stop()
         driver = env.hosts["h0"].driver
 

@@ -1,8 +1,8 @@
-"""Unit tests for Store/Channel FIFO primitives."""
+"""Unit tests for the Store FIFO and the Serializer station."""
 
 import pytest
 
-from repro.sim import Channel, QueueFull, SimulationError, Simulator, Store
+from repro.sim import QueueFull, Serializer, SimulationError, Simulator, Store
 
 
 def test_put_then_get_immediate():
@@ -135,27 +135,93 @@ def test_invalid_capacity():
         Store(sim, capacity=0)
 
 
-def test_channel_counts_drops():
+def station(sim, capacity=8, service_time=1.0):
+    """A Serializer recording ``(finish_time, item)``; ``service_time``
+    may be a number or a callable."""
+    served = []
+    cost = service_time if callable(service_time) else (lambda _item: service_time)
+    st = Serializer(sim, capacity, cost,
+                    lambda item: served.append((sim.now, item)))
+    return st, served
+
+
+def test_serializer_idle_start_costs_one_calendar_entry():
     sim = Simulator()
-    ch = Channel(sim, capacity=2)
-    assert ch.offer(1) and ch.offer(2)
-    assert not ch.offer(3)
-    assert not ch.offer(4)
-    assert ch.drops == 2
-    assert len(ch) == 2
+    st, served = station(sim, service_time=0.5)
+    assert st.offer("a")
+    assert served == []  # held for its service time, not passed through
+    sim.run()
+    assert served == [(0.5, "a")]
+    assert sim.events_dispatched == 1
 
 
-def test_channel_offer_wakes_getter():
+def test_serializer_fifo_under_back_to_back_offers():
     sim = Simulator()
-    ch = Channel(sim, capacity=4)
-    got = []
-
-    def getter(sim):
-        item = yield ch.get()
-        got.append(item)
-
-    sim.process(getter(sim))
+    st, served = station(sim)
+    for item in "abc":
+        assert st.offer(item)
     sim.run()
-    ch.offer("pkt")
+    assert served == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
+    assert sim.events_dispatched == 3  # one entry per served item
+
+
+def test_serializer_capacity_and_drops():
+    """Capacity is ``capacity`` waiting plus one in service, from the
+    first item on."""
+    sim = Simulator()
+    st, served = station(sim, capacity=2)
+    assert [st.offer(i) for i in range(5)] == [True, True, True, False, False]
+    assert st.drops == 2
     sim.run()
-    assert got == ["pkt"]
+    assert [item for _t, item in served] == [0, 1, 2]
+    assert st.offer(5)  # room again once drained
+    with pytest.raises(SimulationError):
+        Serializer(sim, 0, lambda _i: 1.0, lambda _i: None)
+
+
+def test_serializer_falsy_service_time_passes_through():
+    for falsy in (None, 0, 0.0):
+        sim = Simulator()
+        st, served = station(sim, capacity=1, service_time=falsy)
+        assert st.offer("a") and st.offer("b")  # nothing is ever held
+        assert served == [(0.0, "a"), (0.0, "b")]
+        sim.run()
+        assert sim.events_dispatched == 0
+        assert st.drops == 0
+
+
+def test_serializer_offer_from_inside_done():
+    """``done`` may feed the station: the new item waits its turn behind
+    whatever is already queued."""
+    sim = Simulator()
+    served = []
+
+    def done(item):
+        served.append((sim.now, item))
+        if item == "a":
+            assert st.offer("a-again")
+
+    st = Serializer(sim, 8, lambda _item: 1.0, done)
+    st.offer("a")
+    st.offer("b")
+    sim.run()
+    assert served == [(1.0, "a"), (2.0, "b"), (3.0, "a-again")]
+
+
+def test_serializer_reshaped_while_items_wait():
+    """Link reshaping: the item in service finishes at the old rate, the
+    waiting ones are served at the new one — including "unshaped", which
+    drains them all in the same instant without recursion."""
+    sim = Simulator()
+    rate = {"t": 1.0}
+    st, served = station(sim, service_time=lambda _item: rate["t"])
+    for item in "abcd":
+        st.offer(item)
+    sim.run(until=0.5)
+    rate["t"] = 0.25
+    sim.run(until=1.3)
+    assert served == [(1.0, "a"), (1.25, "b")]
+    rate["t"] = None
+    sim.run()
+    assert served == [(1.0, "a"), (1.25, "b"), (1.5, "c"), (1.5, "d")]
+    assert st.offer("e") and served[-1] == (1.5, "e")  # idle and unshaped
