@@ -225,6 +225,10 @@ class HostTable:
     def handle(self, host_id: int) -> int:
         return host_id | (int(self.generation[host_id]) << _GEN_SHIFT)
 
+    def handles(self, ids: np.ndarray) -> np.ndarray:
+        """:meth:`handle` for a whole array of row ids, as int64."""
+        return ids | (self.generation[ids].astype(np.int64) << _GEN_SHIFT)
+
     def handle_ids(self, handles: np.ndarray) -> np.ndarray:
         return (handles & _ID_MASK).astype(np.int64)
 

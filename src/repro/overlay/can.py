@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.net.addresses import IPv4Address
 from repro.overlay.rpc import RpcEndpoint, RpcError, RpcTimeout
-from repro.overlay.space import Point, Zone
+from repro.overlay.space import Point, Zone, zone_distances
 from repro.sim.lifecycle import Component
 
 __all__ = ["CanNode", "NeighborInfo"]
@@ -288,11 +288,6 @@ class CanNode(Component):
     def owns(self, point: Point) -> bool:
         return any(z.contains(point) for z in self.zones)
 
-    def distance_to(self, point: Point) -> float:
-        if not self.zones:
-            return float("inf")
-        return min(z.distance_to_point(point) for z in self.zones)
-
     def _my_info(self) -> NeighborInfo:
         return NeighborInfo(self.node_id, self.ip, self.port,
                             zones=list(self.zones), last_seen=self.sim.now)
@@ -435,17 +430,35 @@ class CanNode(Component):
                                           timeout=timeout)
         return result
 
-    def _next_hop(self, point: Point, exclude: Optional[set] = None) -> Optional[NeighborInfo]:
-        best: Optional[NeighborInfo] = None
-        best_d = self.distance_to(point)
-        for info in self.neighbors.values():
-            if exclude and info.node_id in exclude:
-                continue
-            d = min((z.distance_to_point(point) for z in info.zones), default=float("inf"))
-            if d < best_d - 1e-15:
-                best_d = d
-                best = info
-        return best
+    def _next_hops(self, pts: np.ndarray) -> np.ndarray:
+        """Greedy next hop for every row of ``pts`` (``(m, dims)``): the
+        index into ``self.neighbors`` (insertion order) of the neighbor
+        to forward to, ``-1`` where none is strictly closer than we are.
+
+        One :func:`zone_distances` call over our zones and every
+        neighbor's; then the rule, a loop over neighbors of vector ops
+        over points: start from our own distance, walk the neighbors in
+        insertion order, take one only when it beats the best so far by
+        more than 1e-15 — so of several equally close, the first wins.
+        """
+        zones = [*self.zones, *(z for info in self.neighbors.values()
+                                for z in info.zones)]
+        dist = zone_distances([z.lows for z in zones], [z.highs for z in zones], pts)
+        # Per-owner minimum over its columns; no zones = infinitely far.
+        stop = len(self.zones)
+        best_d = dist[:, :stop].min(axis=1, initial=np.inf)
+        hops = np.full(len(dist), -1, dtype=np.int64)
+        for k, info in enumerate(self.neighbors.values()):
+            start, stop = stop, stop + len(info.zones)
+            d = dist[:, start:stop].min(axis=1, initial=np.inf)
+            closer = d < best_d - 1e-15
+            best_d = np.where(closer, d, best_d)
+            hops[closer] = k
+        return hops
+
+    def _next_hop(self, point: Point) -> Optional[NeighborInfo]:
+        hop = int(self._next_hops(np.asarray([point], dtype=np.float64))[0])
+        return None if hop < 0 else list(self.neighbors.values())[hop]
 
     def _on_route(self, op: _RouteOp, _src_ip, _src_port):
         self.routed_ops += 1
@@ -503,7 +516,7 @@ class CanNode(Component):
         rows. Handles whose points this node owns are stored locally; the
         rest are forwarded in per-destination sub-batches — one routed
         RPC per destination node, not one per endpoint."""
-        handles = tuple(self.table.handle(int(i)) for i in np.asarray(ids))
+        handles = self.table.handles(np.asarray(ids, dtype=np.int64))
         result = self._store_ids(handles, 0)
         if hasattr(result, "__next__"):
             result = yield from result
@@ -530,20 +543,26 @@ class CanNode(Component):
 
         def forward():
             stored = int(len(mine))
-            rest_pts = self.table.coords[ids[~own]]
-            buckets: dict[str, tuple] = {}  # next hop -> (first point, batch)
-            for k, handle in enumerate(rest):
-                point = tuple(float(x) for x in rest_pts[k])
-                nxt = self._next_hop(point)
-                if nxt is None:
+            rest_pts = self.table.coords[ids[~own]].astype(np.float64)
+            hop = self._next_hops(rest_pts)
+            node_ids = list(self.neighbors)
+            # One sub-batch per next hop, in order of each hop's first
+            # handle, handles in batch order. On the wire the batch is a
+            # tuple of ints and the point a tuple of floats: an array has
+            # a ``size`` of its own, which ``_RouteOp.size`` would read.
+            hop_of, first = np.unique(hop, return_index=True)
+            buckets = []
+            for j, k in sorted(zip(first.tolist(), hop_of.tolist())):
+                if k < 0:
                     continue  # unroutable while a neighbor is down: not
                     # counted as stored, so the publisher sees the shortfall
-                buckets.setdefault(nxt.node_id, (point, []))[1].append(int(handle))
-            for node_id, (point, batch) in buckets.items():
+                buckets.append((node_ids[k], tuple(rest_pts[j].tolist()),
+                                tuple(rest[hop == k].tolist())))
+            for node_id, point, batch in buckets:
                 info = self.neighbors.get(node_id)
                 if info is None:
                     continue
-                fwd = _RouteOp(point, "put_ids", tuple(batch), hops=hops + 1)
+                fwd = _RouteOp(point, "put_ids", batch, hops=hops + 1)
                 try:
                     reply = yield from self.rpc.call(info.ip, info.port,
                                                      "can.route", fwd)

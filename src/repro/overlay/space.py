@@ -8,10 +8,13 @@ zones sharing a (d-1)-dimensional face, with wraparound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-__all__ = ["Point", "Zone", "torus_distance"]
+import numpy as np
+
+__all__ = ["Point", "Zone", "torus_distance", "zone_distances"]
 
 Point = tuple  # tuple[float, ...] in [0,1)^d
 
@@ -50,6 +53,41 @@ def torus_distance(a: Point, b: Point) -> float:
         d = min(d, 1.0 - d)
         total += d * d
     return total ** 0.5
+
+
+def zone_distances(lows, highs, pts) -> np.ndarray:
+    """:meth:`Zone.distance_to_point` for ``m`` points against ``Z`` zones
+    at once: ``lows`` / ``highs`` are the zones' bounds stacked ``(Z, d)``,
+    ``pts`` is ``(m, d)``, the result ``(m, Z)``.
+
+    Bit-identical to the scalar method, not merely close: greedy routing
+    compares these distances, and one flipped comparison reroutes a
+    registration storm. So every axis does the scalar's operations in the
+    scalar's order, squares accumulate from ``0.0`` in axis order, and the
+    root is the correctly rounded one on both sides (``np.sqrt`` here,
+    ``math.sqrt`` there — C ``pow(x, 0.5)`` is 1 ulp off on ~0.1 % of
+    inputs).
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    lows = np.asarray(lows, dtype=np.float64)
+    highs = np.asarray(highs, dtype=np.float64)
+    if pts.ndim != 2:
+        raise ValueError(f"points must be (m, d), got shape {pts.shape}")
+    if len(lows) == 0:
+        return np.empty((len(pts), 0))
+    if pts.shape[1] != lows.shape[1]:
+        raise ValueError(f"point dim {pts.shape[1]} != zone dim {lows.shape[1]}")
+    total = np.zeros((len(pts), len(lows)))
+    for axis in range(pts.shape[1]):
+        x = pts[:, axis, None]
+        lo, hi = lows[:, axis], highs[:, axis]
+        from_lo, from_hi = x - lo, x - hi
+        d = np.minimum(np.abs(from_lo), np.abs(from_hi))
+        for wrapped in (from_lo + 1.0, from_hi - 1.0, from_lo - 1.0, from_hi + 1.0):
+            np.minimum(d, np.abs(wrapped), out=d)
+        d[(lo - 1e-12 <= x) & (x < hi + 1e-12)] = 0.0
+        total += d * d
+    return np.sqrt(total)
 
 
 @dataclass(frozen=True)
@@ -121,12 +159,15 @@ class Zone:
         return abut_dims == 1
 
     def distance_to_point(self, point: Sequence[float]) -> float:
-        """Torus distance from the zone (as a set) to a point."""
+        """Torus distance from the zone (as a set) to a point
+        (:func:`zone_distances` is the same arithmetic over arrays)."""
+        if len(point) != self.dims:
+            raise ValueError(f"point dim {len(point)} != zone dim {self.dims}")
         total = 0.0
         for x, lo, hi in zip(point, self.lows, self.highs):
             d = _axis_distance(x, lo, hi)
             total += d * d
-        return total ** 0.5
+        return math.sqrt(total)
 
     def can_merge(self, other: "Zone") -> bool:
         """True if the union of the two zones is itself a box."""

@@ -69,6 +69,24 @@ def test_handles_go_stale_on_reregistration():
     assert not table.valid_mask(np.array([fresh])).any()
 
 
+def test_handles_of_an_id_array_match_handle_per_row():
+    sim = Simulator(seed=1)
+    table = HostTable(sim)
+    for k in range(6):
+        table.register(f"h{k}", _conn(), {}, _reach(), now=0.0)
+    for k, times in [(1, 1), (4, 3)]:  # re-registrations bump generations
+        for _ in range(times):
+            table.register(f"h{k}", _conn(public_port=32000), {}, _reach(), now=1.0)
+    picked = np.array([4, 0, 1, 1, 5], dtype=np.int64)
+    handles = table.handles(picked)
+    assert handles.dtype == np.int64
+    assert handles.tolist() == [table.handle(int(i)) for i in picked]
+    assert len({h >> 32 for h in handles.tolist()}) == 3  # generations differ
+    assert table.handle_ids(handles).tolist() == picked.tolist()
+    assert table.valid_mask(handles).all()
+    assert table.handles(np.zeros(0, dtype=np.int64)).tolist() == []
+
+
 def test_register_batch_vectorized():
     sim = Simulator(seed=1)
     table = HostTable(sim)

@@ -1,15 +1,18 @@
 """Tests for the CAN overlay: join, routing, put/get, leave, RPC layer."""
 
+import numpy as np
 import pytest
 
 from repro.core.hoststate import HostTable
 from repro.nat.types import NatType
 from repro.net.addresses import IPv4Address
 from repro.net.wan import WanCloud
-from repro.overlay.can import CanNode
+from repro.overlay.can import CanNode, NeighborInfo
 from repro.overlay.resources import ConnectionInfo
 from repro.overlay.rpc import RpcEndpoint, RpcError, RpcTimeout
+from repro.overlay.space import Zone
 from repro.scenarios.builder import make_public_host
+from repro.scenarios.storm import registration_storm
 from repro.sim import Simulator
 
 
@@ -37,16 +40,20 @@ def build_overlay(sim, n_nodes, cloud_latency=0.005):
     return cloud, nodes
 
 
-def put(node, name, point):
-    """Process: what a rendezvous server does on ``rvz.register`` — write
-    the table row, then publish its handle through ``node``. ``point``
-    is in CAN space; the spec's attribute ranges scale it back."""
+def register_row(node, name, point) -> int:
+    """Write the table row for ``name``. ``point`` is in CAN space; the
+    spec's attribute ranges scale it back."""
     table = node.table
     attrs = {attr: lo + x * (hi - lo)
              for (attr, lo, hi), x in zip(table.spec.attributes, point)}
-    host_id = table.register(name, make_conn_info(), attrs,
-                             (IPv4Address("8.0.0.1"), 20001), node.sim.now)
-    return node.put_ids([host_id])
+    return table.register(name, make_conn_info(), attrs,
+                          (IPv4Address("8.0.0.1"), 20001), node.sim.now)
+
+
+def put(node, name, point):
+    """Process: what a rendezvous server does on ``rvz.register`` — write
+    the table row, then publish its handle through ``node``."""
+    return node.put_ids([register_row(node, name, point)])
 
 
 class TestRpcLayer:
@@ -380,3 +387,140 @@ class TestHotZoneSplit:
         sim.run(until=sim.now + 1.0)
         assert splits.value >= 1
         assert sum(len(n.handles) for n in nodes) == 5  # shed, not lost
+
+
+def reference_next_hop(node, point) -> int:
+    """The scalar greedy rule that ``CanNode._next_hops`` replaced, kept
+    here as the oracle: start from our own distance, walk the neighbors in
+    insertion order, take one only when it is closer by more than 1e-15.
+    Returns the neighbor's position in ``node.neighbors``, -1 for none."""
+    best = -1
+    best_d = min((z.distance_to_point(point) for z in node.zones),
+                 default=float("inf"))
+    for k, info in enumerate(node.neighbors.values()):
+        d = min((z.distance_to_point(point) for z in info.zones),
+                default=float("inf"))
+        if d < best_d - 1e-15:
+            best_d, best = d, k
+    return best
+
+
+def lone_node():
+    _cloud, (node,) = build_overlay(Simulator(), 1)
+    return node
+
+
+def set_neighbors(node, zone_lists) -> None:
+    node.neighbors = {
+        f"n{k}": NeighborInfo(f"n{k}", IPv4Address(f"9.0.1.{k + 1}"), 4000, zones=zones)
+        for k, zones in enumerate(zone_lists)}
+
+
+class TestBatchRouting:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_next_hops_is_the_scalar_rule_on_random_tables(self, seed):
+        """Random tilings dealt to this node and 2-7 neighbors: several
+        zones per owner, one neighbor announcing no zones, one repeating
+        another's zones (exact ties everywhere it is closest), and points
+        this node owns among the destinations."""
+        rng = np.random.default_rng(seed)
+        node = lone_node()
+        leaves = [Zone.whole(node.dims)]
+        for _ in range(int(rng.integers(6, 30))):
+            leaves.extend(leaves.pop(int(rng.integers(len(leaves)))).split())
+        n_owners = int(rng.integers(3, 9))
+        dealt = [[] for _ in range(n_owners)]
+        for leaf in leaves:
+            dealt[int(rng.integers(n_owners))].append(leaf)
+        node.zones = dealt[0]
+        neighbor_zones = dealt[1:]
+        neighbor_zones.insert(int(rng.integers(len(neighbor_zones) + 1)), [])
+        twin = int(rng.integers(len(neighbor_zones)))
+        neighbor_zones.append(list(neighbor_zones[twin]))
+        set_neighbors(node, neighbor_zones)
+
+        pts = rng.random((400, node.dims)).astype(np.float32).astype(np.float64)
+        pts = np.vstack([pts, *(z.center() for z in node.zones)])
+        hops = node._next_hops(pts)
+        expected = [reference_next_hop(node, tuple(p)) for p in pts.tolist()]
+        assert hops.tolist() == expected
+        assert len(neighbor_zones) - 1 not in expected  # the twin never wins a tie
+        owned = [i for i, p in enumerate(pts.tolist()) if node.owns(p)]
+        assert len(owned) >= len(node.zones) and all(hops[i] == -1 for i in owned)
+        infos = list(node.neighbors.values())
+        for p, k in zip(pts[:20].tolist(), expected[:20]):
+            assert node._next_hop(tuple(p)) is (infos[k] if k >= 0 else None)
+
+    def test_exact_tie_goes_to_the_first_neighbor_in_insertion_order(self):
+        node = lone_node()
+        node.zones = [Zone((0.0, 0.0), (0.25, 1.0))]
+        far = Zone((0.5, 0.0), (0.75, 1.0))
+        set_neighbors(node, [[Zone((0.25, 0.0), (0.5, 1.0))], [far], [far]])
+        pts = np.array([[0.6, 0.5], [0.3, 0.5], [0.1, 0.5]])
+        assert node._next_hops(pts).tolist() == [1, 0, -1]
+        node.neighbors["n1"] = node.neighbors.pop("n1")  # now after n2
+        assert node._next_hops(pts).tolist() == [1, 0, -1]
+        assert node._next_hop((0.6, 0.5)).node_id == "n2"
+
+    def test_no_neighbors_means_no_hop(self):
+        node = lone_node()
+        node.zones = [Zone((0.0, 0.0), (0.5, 1.0))]
+        assert node._next_hops(np.array([[0.7, 0.5], [0.2, 0.5]])).tolist() == [-1, -1]
+        assert node._next_hop((0.7, 0.5)) is None
+        node.zones = []  # not joined: infinitely far, any zone is closer
+        set_neighbors(node, [[], [Zone.whole(2)]])
+        assert node._next_hops(np.array([[0.7, 0.5]])).tolist() == [1]
+
+    def test_forwarded_sub_batches_are_plain_tuples_in_first_handle_order(self):
+        """A batch is split per next hop, hops ordered by their first
+        handle and handles in batch order; each sub-batch travels as a
+        tuple of ints behind the first point as a tuple of floats — an
+        array body would change ``_RouteOp.size`` (ndarray has ``.size``)."""
+        sim = Simulator(seed=21)
+        _cloud, nodes = build_overlay(sim, 6)
+        node, table = nodes[0], nodes[0].table
+        rng = np.random.default_rng(3)
+        ids = [register_row(node, f"b{i}", point)
+               for i, point in enumerate(rng.random((64, node.dims)).tolist())]
+        sent = []
+        call = node.rpc.call
+
+        def spy(ip, port, method, body, **kw):
+            sent.append((ip, body))
+            return call(ip, port, method, body, **kw)
+
+        node.rpc.call = spy
+        assert sim.run_coro(node.put_ids(ids)) == ("stored", 64)
+        assert sum(len(n.handles) for n in nodes) == 64
+
+        hop_ip = {}  # the per-handle loop the grouping replaced
+        for i in ids:
+            point = tuple(table.coords[i].astype(np.float64).tolist())
+            if not node.owns(point):
+                hop_ip.setdefault(node._next_hop(point).ip,
+                                  (point, []))[1].append(table.handle(i))
+        assert len(hop_ip) > 1
+        assert [(ip, op.point, op.body) for ip, op in sent] == [
+            (ip, point, tuple(batch)) for ip, (point, batch) in hop_ip.items()]
+        for _ip, op in sent:
+            assert type(op.body) is tuple and {type(h) for h in op.body} == {int}
+            assert {type(x) for x in op.point} == {float}
+            assert op.size == 24 + 8 * node.dims + 16
+
+
+def test_quick_registration_storm_trajectory_is_pinned():
+    """The perf benchmark's ``--quick`` storm, pinned exactly. Hot-zone
+    shedding is chaotic — one routing decision, one sub-batch sent in
+    another order or one frame of another size moves every number here —
+    so this is the first test to fail when an edit that should be
+    behaviour-neutral is not. Re-pin only for a change that means to
+    alter the directory protocol."""
+    n = 12_500
+    _sim, payload = registration_storm(
+        seed=7, n_endpoints=n, n_rendezvous=4, n_regions=8, batch=512,
+        admission_rate=n / 4, admission_burst=n / 8, hot_zone_limit=n // 32)
+    assert payload["filled"] == n
+    assert payload["can_splits"] == 67
+    assert payload["can_merges"] == 34
+    assert payload["handles_stored"] == 13109
+    assert payload["fill_elapsed_s"] == 2.463857757393045

@@ -1,10 +1,11 @@
 """Tests + property tests for CAN zone geometry."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.overlay.space import Zone, torus_distance
+from repro.overlay.space import Zone, torus_distance, zone_distances
 
 
 class TestZoneBasics:
@@ -28,6 +29,18 @@ class TestZoneBasics:
             Zone((0.5,), (0.5,))
         with pytest.raises(ValueError):
             Zone((0.2, 0.0), (1.2, 1.0))
+
+    def test_distance_dim_mismatch_raises(self):
+        """A point of the wrong dimension is refused, as by ``contains``
+        (the zip in ``distance_to_point`` used to truncate it silently)."""
+        zone = Zone.whole(2)
+        for point in [(0.5,), (0.5, 0.5, 0.5)]:
+            with pytest.raises(ValueError):
+                zone.distance_to_point(point)
+            with pytest.raises(ValueError):
+                zone_distances([zone.lows], [zone.highs], [point])
+        with pytest.raises(ValueError):
+            zone_distances([zone.lows], [zone.highs], (0.5, 0.5))  # not (m, d)
 
     def test_split_halves_longest_dim(self):
         z = Zone((0.0, 0.0), (1.0, 0.5))
@@ -131,3 +144,49 @@ class TestZoneProperties:
             zones.extend(z.split())
         total = sum(z.volume() for z in zones)
         assert total == pytest.approx(1.0)
+
+
+@st.composite
+def zones_and_points(draw):
+    """Zones of one dimension — free boxes, boxes on the wrap-around faces
+    at 0 and 1, full-width axes, and the leaves of repeated ``split()`` —
+    with points drawn at random, on zone faces, and at float32 precision
+    (what the host table's coords column holds)."""
+    dims = draw(st.integers(1, 4))
+    edge = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+
+    def box():
+        bounds = []
+        for _ in range(dims):
+            lo, hi = sorted((draw(edge), draw(edge)))
+            bounds.append((lo, hi) if lo < hi else (0.0, 1.0))
+        return Zone(tuple(b[0] for b in bounds), tuple(b[1] for b in bounds))
+
+    zones = [box() for _ in range(draw(st.integers(0, 4)))]
+    leaves = [Zone.whole(dims)]
+    for _ in range(draw(st.integers(0, 8))):
+        leaf = leaves.pop(draw(st.integers(0, len(leaves) - 1)))
+        leaves.extend(leaf.split())
+    zones.extend(leaves)
+    faces = sorted({x for z in zones for x in z.lows + z.highs if x < 1.0})
+    coord = (st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(faces)
+             | st.floats(0.0, 1.0, exclude_max=True, width=32))
+    pts = draw(st.lists(st.tuples(*[coord] * dims), min_size=1, max_size=6))
+    return zones, pts
+
+
+class TestZoneDistances:
+    @given(zones_and_points())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_is_bitwise_the_scalar_distance(self, case):
+        """``==``, not ``approx``: greedy routing compares these numbers,
+        and the batch kernel must take every decision the scalar takes."""
+        zones, pts = case
+        dist = zone_distances([z.lows for z in zones], [z.highs for z in zones], pts)
+        assert dist.shape == (len(pts), len(zones))
+        for i, point in enumerate(pts):
+            for j, zone in enumerate(zones):
+                assert dist[i, j] == zone.distance_to_point(point)
+
+    def test_no_zones_gives_an_empty_column_set(self):
+        assert zone_distances([], [], np.zeros((3, 2))).shape == (3, 0)
