@@ -26,6 +26,7 @@ from repro.core.assembler import WavPulse
 from repro.nat.types import NatType
 from repro.net.addresses import IPv4Address
 from repro.net.packet import Payload
+from repro.overlay.rendezvous import RENDEZVOUS_PORT
 from repro.overlay.resources import ConnectionInfo
 from repro.sim.engine import Event, Interrupt, Timer
 
@@ -62,21 +63,15 @@ class WavConnection:
         driver,
         peer_name: str,
         peer_conn: Optional[ConnectionInfo] = None,
-        pulse_interval: float = 5.0,
         punch_timeout: float = 10.0,
-        predict_ports: bool = True,
-        punch_fan: int = 8,
-        migrate: bool = False,
     ) -> None:
+        """Pulse interval, port prediction, punch fan and path migration
+        are the driver's settings and are read from it."""
         self.driver = driver
         self.sim = driver.sim
         self.peer_name = peer_name
         self.peer_conn = peer_conn
-        self.pulse_interval = pulse_interval
         self.punch_timeout = punch_timeout
-        self.predict_ports = predict_ports
-        self.punch_fan = punch_fan
-        self.migrate_enabled = migrate
         self.cid = connection_cid(driver.name, peer_name)
         self.migrations = 0
         self._path_token: Optional[int] = None
@@ -145,7 +140,7 @@ class WavConnection:
             return out
         pub = (pc.public_ip, pc.public_port)
         priv = (pc.private_ip, pc.private_port)
-        stride = pc.alloc_stride if self.predict_ports else 0
+        stride = pc.alloc_stride if self.driver.predict_ports else 0
         if pc.nat_type is NatType.SYMMETRIC and stride > 0:
             self_sym = self.driver.nat_type is NatType.SYMMETRIC
             if self_sym:
@@ -158,7 +153,7 @@ class WavConnection:
                 if ep not in out:
                     out.append(ep)
             base = pc.observed_port or pc.public_port
-            for k in range(1, self.punch_fan + 1):
+            for k in range(1, self.driver.punch_fan + 1):
                 port = base + (off + k) * stride
                 if port > 65535:
                     break
@@ -220,7 +215,7 @@ class WavConnection:
         self.last_heard = self.sim.now
         if self.state is ConnectionState.ESTABLISHED:
             if (self.relayed and remote != (self.driver.rendezvous_ip,
-                                            self.driver.rendezvous_port)):
+                                            RENDEZVOUS_PORT)):
                 self._upgrade(remote)
             else:
                 self.remote = remote
@@ -243,7 +238,7 @@ class WavConnection:
             self.established_event.succeed(self)
         if self._punch_proc is not None and self._punch_proc.is_alive:
             self._punch_proc.interrupt("established")
-        self._pulse_timer = self.sim.timer(self.pulse_interval, self._pulse_cb)
+        self._pulse_timer = self.sim.timer(driver.pulse_interval, self._pulse_cb)
         driver._connection_established(self)
 
     def _upgrade(self, remote: tuple[IPv4Address, int]) -> None:
@@ -277,7 +272,7 @@ class WavConnection:
         """Fall back to relaying through the rendezvous server (extension
         for NAT pairs that defeat hole punching)."""
         self.relayed = True
-        self._establish((self.driver.rendezvous_ip, self.driver.rendezvous_port))
+        self._establish((self.driver.rendezvous_ip, RENDEZVOUS_PORT))
 
     def on_pulse(self, src: tuple[IPv4Address, int]) -> None:
         self.pulses_received += 1
@@ -330,19 +325,21 @@ class WavConnection:
         self._pulse_timer = None
         if not self.usable:
             return
+        driver = self.driver
+        pulse_interval = driver.pulse_interval
         silent_for = self.sim.now - self.last_heard
-        if silent_for > LIVENESS_FACTOR * self.pulse_interval:
+        if silent_for > LIVENESS_FACTOR * pulse_interval:
             self.state = ConnectionState.DEAD
-            self.driver._connection_dead(self, reason="liveness")
+            driver._connection_dead(self, reason="liveness")
             return
-        if (self.migrate_enabled and not self.relayed
-                and silent_for > MIGRATE_THRESHOLD * self.pulse_interval):
+        if (driver.migration and not self.relayed
+                and silent_for > MIGRATE_THRESHOLD * pulse_interval):
             # Suspicious silence on a direct path: the NAT may have
             # rebound under us. Validate/repair the path by migration
             # well before the liveness deadline declares the peer dead.
-            self.driver._start_migration(self)
-        self.send(self.driver.assembler.pulse())
-        self._pulse_timer = self.sim.timer(self.pulse_interval, self._pulse_cb)
+            driver._start_migration(self)
+        self.send(driver.assembler.pulse())
+        self._pulse_timer = self.sim.timer(pulse_interval, self._pulse_cb)
 
     def close(self) -> None:
         self.state = ConnectionState.DEAD

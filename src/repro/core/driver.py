@@ -41,9 +41,10 @@ from repro.sim.lifecycle import Component
 from repro.stun.client import StunClient
 from repro.stun.messages import StunResponse
 
-__all__ = ["WavnetDriver", "WAV_PORT"]
+__all__ = ["WavnetDriver", "WAV_PORT", "VIRTUAL_NETWORK"]
 
 WAV_PORT = 8777
+VIRTUAL_NETWORK = IPv4Network("10.99.0.0/16")  # the one virtual LAN
 REPAIR_JITTER = 0.3  # repair backoff is stretched by up to this fraction
 UPGRADE_INTERVAL = 30.0  # seconds between relay->direct upgrade attempts
 MIGRATE_TIMEOUT = 2.0  # seconds a path challenge may go unanswered
@@ -71,9 +72,7 @@ class WavnetDriver(Component):
         self,
         host: Host,
         virtual_ip: IPv4Address | str,
-        virtual_network: IPv4Network | str = "10.99.0.0/16",
         rendezvous_ip: IPv4Address | str | None = None,
-        rendezvous_port: int = RENDEZVOUS_PORT,
         stun_server_ip: IPv4Address | str | None = None,
         pulse_interval: float = 5.0,
         punch_timeout: float = 10.0,
@@ -83,7 +82,6 @@ class WavnetDriver(Component):
         backup_rendezvous_ips: Optional[list] = None,
         repair_backoff_base: float = 1.0,
         repair_backoff_cap: float = 30.0,
-        retry_concurrency: Optional[int] = None,
         predict_ports: bool = True,
         punch_fan: int = 8,
         migration: bool = False,
@@ -93,10 +91,7 @@ class WavnetDriver(Component):
         self.name = name or host.name
         Component.__init__(self, host.sim, "driver", self.name)
         self.virtual_ip = IPv4Address(virtual_ip)
-        self.virtual_network = (IPv4Network(virtual_network)
-                                if isinstance(virtual_network, str) else virtual_network)
         self.rendezvous_ip = IPv4Address(rendezvous_ip) if rendezvous_ip else None
-        self.rendezvous_port = rendezvous_port
         self.rendezvous_candidates: list[IPv4Address] = []
         if self.rendezvous_ip is not None:
             self.rendezvous_candidates.append(self.rendezvous_ip)
@@ -129,7 +124,7 @@ class WavnetDriver(Component):
 
         # Host's own presence on the virtual LAN.
         self.wav_iface: Interface = host.stack.add_interface("wav0", host.mac_mint())
-        self.wav_iface.configure(self.virtual_ip, self.virtual_network)
+        self.wav_iface.configure(self.virtual_ip, VIRTUAL_NETWORK)
         host.stack.connected_route_for(self.wav_iface)
         patch(self.wav_iface.port, self.bridge.new_port(f"{self.name}.br0.wav0"))
 
@@ -170,8 +165,7 @@ class WavnetDriver(Component):
 
         # --- control plane ---
         self.sock = self._bind()
-        self.rpc = RpcEndpoint(host.stack, self.sock, name=f"wav:{self.name}",
-                               retry_concurrency=retry_concurrency)
+        self.rpc = RpcEndpoint(host.stack, self.sock, name=f"wav:{self.name}")
         self.rpc.register("wav.punch", self._on_punch_notice)
         self.connections: dict[str, WavConnection] = {}
         self._by_endpoint: dict[tuple[IPv4Address, int], WavConnection] = {}
@@ -231,7 +225,7 @@ class WavnetDriver(Component):
         ``rendezvous_ip`` (``connection_info()`` embeds it, so callers
         trying another candidate set it first)."""
         result = yield from self.rpc.call(
-            self.rendezvous_ip, self.rendezvous_port, "rvz.register",
+            self.rendezvous_ip, RENDEZVOUS_PORT, "rvz.register",
             _RegisterBody(self.name, self.connection_info(), dict(self.attrs)),
             timeout=5.0, retries=retries)
         return result
@@ -255,7 +249,7 @@ class WavnetDriver(Component):
         pub_ip, pub_port = self.public_endpoint
         return ConnectionInfo(
             rendezvous_ip=self.rendezvous_ip or IPv4Address(0),
-            rendezvous_port=self.rendezvous_port,
+            rendezvous_port=RENDEZVOUS_PORT,
             public_ip=pub_ip,
             public_port=pub_port,
             private_ip=self.host.stack.ips[0],
@@ -271,7 +265,7 @@ class WavnetDriver(Component):
                 yield self.sim.timeout(self.keepalive_interval)
                 try:
                     yield from self.rpc.call(
-                        self.rendezvous_ip, self.rendezvous_port, "rvz.keepalive",
+                        self.rendezvous_ip, RENDEZVOUS_PORT, "rvz.keepalive",
                         self.name, timeout=5.0, retries=2)
                     failures = 0
                 except (RpcTimeout, RpcError):
@@ -384,7 +378,7 @@ class WavnetDriver(Component):
         query = dict(self.attrs)
         query.update(attrs)
         records = yield from self.rpc.call(
-            self.rendezvous_ip, self.rendezvous_port, "rvz.query",
+            self.rendezvous_ip, RENDEZVOUS_PORT, "rvz.query",
             (query, limit), timeout=10.0)
         return [r for r in records if r.host_name != self.name]
 
@@ -401,7 +395,7 @@ class WavnetDriver(Component):
         if existing is not None and existing.usable:
             return existing
         notice = yield from self.rpc.call(
-            self.rendezvous_ip, self.rendezvous_port, "rvz.connect",
+            self.rendezvous_ip, RENDEZVOUS_PORT, "rvz.connect",
             _ConnectBody(self.name, self.connection_info(), record.host_name,
                          record.conn.rendezvous_ip, record.conn.rendezvous_port),
             timeout=10.0)
@@ -438,11 +432,7 @@ class WavnetDriver(Component):
         conn = self.connections.get(peer_name)
         if conn is None or conn.state is ConnectionState.DEAD:
             conn = WavConnection(self, peer_name, peer_conn,
-                                 pulse_interval=self.pulse_interval,
-                                 punch_timeout=punch_timeout or self.punch_timeout,
-                                 predict_ports=self.predict_ports,
-                                 punch_fan=self.punch_fan,
-                                 migrate=self.migration)
+                                 punch_timeout or self.punch_timeout)
             self.connections[peer_name] = conn
         elif peer_conn is not None and conn.peer_conn is None:
             conn.peer_conn = peer_conn
@@ -507,7 +497,7 @@ class WavnetDriver(Component):
         knows the peer's reach endpoint in multi-server deployments)."""
         self._m_relay_tx.add()
         wrapped = WavRelay(self.name, peer_name, payload.data)
-        dst = via or (self.rendezvous_ip, self.rendezvous_port)
+        dst = via or (self.rendezvous_ip, RENDEZVOUS_PORT)
         self.sock.sendto(dst[0], dst[1],
                          Payload(wrapped.size, data=wrapped, kind="wav"))
 
@@ -775,7 +765,7 @@ class WavnetDriver(Component):
     def report_latencies(self, rtts: dict[str, float]):
         """Process: report measured RTTs to the rendezvous distance locator."""
         result = yield from self.rpc.call(
-            self.rendezvous_ip, self.rendezvous_port, "rvz.latency_report",
+            self.rendezvous_ip, RENDEZVOUS_PORT, "rvz.latency_report",
             (self.name, dict(rtts)), timeout=5.0)
         return result
 

@@ -42,8 +42,7 @@ from repro.nat.types import NatType
 from repro.net.addresses import IPv4Address
 from repro.overlay.resources import ConnectionInfo, ResourceRecord, ResourceSpec
 
-__all__ = ["EndpointRow", "HostTable", "FLAG_MATERIALIZED", "FLAG_REGISTERED",
-           "FLAG_RELAY"]
+__all__ = ["HostTable", "FLAG_MATERIALIZED", "FLAG_REGISTERED", "FLAG_RELAY"]
 
 FLAG_REGISTERED = 1    # row currently admitted by a rendezvous server
 FLAG_MATERIALIZED = 2  # full driver/NAT/L2 stack exists for this row
@@ -54,61 +53,7 @@ _NAT_TYPES = list(NatType)
 
 _GEN_SHIFT = 32
 _ID_MASK = (1 << _GEN_SHIFT) - 1
-
-
-class EndpointRow:
-    """A lightweight live view of one :class:`HostTable` row.
-
-    Presents a per-host attribute surface to the rendezvous layer
-    (``name``, ``reach_ip``/``reach_port``, ``conn``, ``attrs``,
-    ``last_seen``) but reads the table columns directly — constructing
-    one allocates nothing beyond the view object itself.
-    """
-
-    __slots__ = ("table", "host_id")
-
-    def __init__(self, table: "HostTable", host_id: int) -> None:
-        self.table = table
-        self.host_id = host_id
-
-    @property
-    def name(self) -> str:
-        return self.table.name_of(self.host_id)
-
-    @property
-    def reach_ip(self) -> IPv4Address:
-        return IPv4Address(int(self.table.reach_ip[self.host_id]))
-
-    @property
-    def reach_port(self) -> int:
-        return int(self.table.reach_port[self.host_id])
-
-    @property
-    def last_seen(self) -> float:
-        return float(self.table.last_seen[self.host_id])
-
-    @property
-    def conn(self) -> ConnectionInfo:
-        return self.table.connection_info(self.host_id)
-
-    @property
-    def attrs(self) -> dict:
-        return self.table.attrs_of(self.host_id)
-
-    @property
-    def registered(self) -> bool:
-        return bool(self.table.flags[self.host_id] & FLAG_REGISTERED)
-
-    @property
-    def materialized(self) -> bool:
-        return bool(self.table.flags[self.host_id] & FLAG_MATERIALIZED)
-
-    @property
-    def size(self) -> int:
-        return 48  # wire-size estimate
-
-    def __repr__(self) -> str:
-        return f"EndpointRow({self.name!r}, id={self.host_id})"
+_INITIAL_CAPACITY = 256  # rows; columns double from here
 
 
 class HostTable:
@@ -123,12 +68,11 @@ class HostTable:
     incarnation.
     """
 
-    def __init__(self, sim, spec: Optional[ResourceSpec] = None,
-                 capacity: int = 256) -> None:
+    def __init__(self, sim, spec: Optional[ResourceSpec] = None) -> None:
         self.sim = sim
         self.spec = spec or ResourceSpec()
         self._dims = self.spec.dims
-        self._capacity = max(int(capacity), 16)
+        self._capacity = _INITIAL_CAPACITY
         self._n = 0
         self._ids: dict[str, int] = {}
         self._names: list[Optional[str]] = []
@@ -211,15 +155,6 @@ class HostTable:
         if name is None:
             raise KeyError(f"host_id {host_id} is unnamed")
         return name
-
-    def row(self, host_id: int) -> EndpointRow:
-        return EndpointRow(self, host_id)
-
-    def row_by_name(self, name: str) -> EndpointRow:
-        host_id = self.lookup(name)
-        if host_id < 0:
-            raise KeyError(name)
-        return EndpointRow(self, host_id)
 
     # -- handles (generation-checked cross-layer references) -----------
     def handle(self, host_id: int) -> int:

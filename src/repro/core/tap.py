@@ -9,7 +9,7 @@ slower than native — modeled as a per-frame cost plus a per-byte cost.
 The real driver is a single ``read()``/``write()`` loop per direction,
 so the tap is one :class:`~repro.sim.queues.Serializer` per direction:
 line-rate bursts are naturally paced through the tap instead of arriving
-at the access queue as one slug. These two knobs (per-frame/per-byte cost) are what Figures
+at the access queue as one slug. The two cost knobs are what Figures
 6-7's "close-to-native" comparison is sensitive to.
 """
 

@@ -10,6 +10,7 @@ event plus a ``faults.injected.<kind>`` counter.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.net.l2 import Link
@@ -68,7 +69,7 @@ class FaultInjector:
         prior = link.ab.loss
         self._note("loss_burst", link=link.name, loss=loss, duration=duration)
         link.set_loss(loss)
-        self.sim.call_in(duration, _RestoreLoss(link, prior))
+        self.sim.call_in(duration, partial(link.set_loss, prior))
 
     # -- WAN faults -----------------------------------------------------
     def partition(self, cloud: WanCloud, group_a, group_b,
@@ -78,7 +79,7 @@ class FaultInjector:
                    a=sorted(group_a), b=sorted(group_b))
         cloud.partition(group_a, group_b)
         if duration is not None:
-            self.sim.call_in(duration, _Heal(cloud, tuple(group_a), tuple(group_b)))
+            self.sim.call_in(duration, partial(cloud.heal, tuple(group_a), tuple(group_b)))
 
     def heal(self, cloud: WanCloud, group_a=None, group_b=None) -> None:
         self._note("heal", cloud=cloud.name)
@@ -142,26 +143,3 @@ class FaultInjector:
         self.endpoint_down(table, names)
         self._note("regional_outage", region=region, endpoints=len(names))
         return names
-
-
-class _RestoreLoss:
-    __slots__ = ("link", "loss")
-
-    def __init__(self, link: Link, loss: float) -> None:
-        self.link = link
-        self.loss = loss
-
-    def __call__(self) -> None:
-        self.link.set_loss(self.loss)
-
-
-class _Heal:
-    __slots__ = ("cloud", "a", "b")
-
-    def __init__(self, cloud: WanCloud, a, b) -> None:
-        self.cloud = cloud
-        self.a = a
-        self.b = b
-
-    def __call__(self) -> None:
-        self.cloud.heal(self.a, self.b)

@@ -12,6 +12,7 @@ perturbs other random draws.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.faults.injector import FaultInjector
 
@@ -32,17 +33,6 @@ class FaultEvent:
     kind: str
     kwargs: dict = field(default_factory=dict)
     group: int = 0
-
-
-class _Injection:
-    __slots__ = ("injector", "event")
-
-    def __init__(self, injector: FaultInjector, event: FaultEvent) -> None:
-        self.injector = injector
-        self.event = event
-
-    def __call__(self) -> None:
-        getattr(self.injector, self.event.kind)(**self.event.kwargs)
 
 
 class FaultPlan:
@@ -104,7 +94,8 @@ class FaultPlan:
         for event in sorted(self.events, key=lambda e: e.at):
             if partition is not None and not partition.owns(event.group):
                 continue
-            self.sim.call_at(event.at, _Injection(self.injector, event))
+            verb = getattr(self.injector, event.kind)
+            self.sim.call_at(event.at, partial(verb, **event.kwargs))
         return self
 
     def __len__(self) -> int:

@@ -38,14 +38,6 @@ class NatType(enum.Enum):
         raise ValueError(f"unknown NAT type {value!r}")
 
     @property
-    def endpoint_independent_mapping(self) -> bool:
-        return self is not NatType.SYMMETRIC
-
-    @property
-    def per_destination_mapping(self) -> bool:
-        return self is NatType.SYMMETRIC
-
-    @property
     def hole_punchable(self) -> bool:
         """Whether WAVNet's UDP hole punching works against this type
         (assuming the peer is at most port-restricted)."""

@@ -64,10 +64,6 @@ class Port:
             self._taps = []
         self._taps.append(tap)
 
-    def remove_tap(self, tap) -> None:
-        if self._taps is not None and tap in self._taps:
-            self._taps.remove(tap)
-
     def transmit(self, frame: EthernetFrame) -> None:
         """Push a frame out of the device into the medium (if any)."""
         if self._medium is not None and self.up:

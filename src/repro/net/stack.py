@@ -149,9 +149,6 @@ class NetworkStack:
         self.routes.append(Route(net, iface, gw, metric))
         self.routes.sort(key=lambda r: (-r.network.prefix_len, r.metric))
 
-    def del_routes_via(self, iface: Interface) -> None:
-        self.routes = [r for r in self.routes if r.iface is not iface]
-
     def connected_route_for(self, iface: Interface) -> None:
         """Add the directly-connected route implied by the iface config."""
         if iface.network is None:

@@ -13,9 +13,10 @@ the transport has to reproduce real TCP dynamics:
 * receiver flow control (advertised window backed by a finite buffer);
 * byte-counted streams with in-order delivery and out-of-order reassembly.
 
-Simplifications relative to a kernel stack: no SACK, no Nagle, no delayed
-ACKs, no TIME_WAIT, sequence numbers never wrap (Python ints). None of
-these affect the phenomena the paper measures.
+Loss recovery is SACK-based (a scoreboard of the ranges the peer holds,
+RFC 3517 pipe accounting). Simplifications relative to a kernel stack:
+no Nagle, no delayed ACKs, no TIME_WAIT, sequence numbers never wrap
+(Python ints). None of these affect the phenomena the paper measures.
 
 Application data is modeled as byte *counts*; message objects ride along
 as "markers" pinned to a byte offset and surface at the receiver exactly
@@ -124,7 +125,6 @@ class TcpConnection:
         # holds above snd_una; _rtx_next tracks recovery progress.
         self._sacked: list[tuple[int, int]] = []
         self._rtx_next = 0
-        self._stale_dupacks = 0  # dupacks since the last head retransmit
         self._fr_credit = 0      # new-data sends allowed during recovery
         self._head_rtx_mark = 0  # sack high-water when head was last resent
         self._head_rtx_time = -1.0
@@ -159,11 +159,14 @@ class TcpConnection:
         self.bytes_delivered_total = 0
         self.retransmits = 0
         self.timeouts = 0
-        self._send_kick = Event(self.sim)
         self._closed_for_send = False
         self.reset = False
-
-        self.sim.process(self._sender_loop(), name=f"tcp-send:{local_port}")
+        # The sender is one fast-lane callback, on the calendar at most
+        # once: set while a drain is scheduled or pacing, so kicks in
+        # between are absorbed.
+        self._drain_cb = self._drain  # bind once, not per kick
+        self._drain_pending = True
+        self.sim.call_in(0.0, self._drain_cb)
 
     # ------------------------------------------------------------------
     # Public API
@@ -253,8 +256,9 @@ class TcpConnection:
         self._kick_send()
 
     def _kick_send(self) -> None:
-        if not self._send_kick.triggered:
-            self._send_kick.succeed(None)
+        if not self._drain_pending:
+            self._drain_pending = True
+            self.sim.call_in(0.0, self._drain_cb)
 
     def _kick_timer(self) -> None:
         """(Re)arm the RTO timer to cover ``_rto_deadline``."""
@@ -271,30 +275,25 @@ class TcpConnection:
     def _effective_window(self) -> int:
         return min(self.cwnd, self.snd_wnd)
 
-    def _sender_loop(self):
-        sim = self.sim
+    def _drain(self) -> None:
+        """Send what the windows allow (a fast-lane callback)."""
+        if self.reset:
+            return  # still pending: a reset connection never drains again
         burst = 0
-        while True:
-            if self.reset:
-                return
-            progressed = self._pump()
-            if progressed:
-                burst += 1
-                if burst >= 10 and self.srtt:
-                    # Micro-burst pacing: spread window-sized sends over
-                    # a fraction of the RTT instead of blasting them
-                    # back-to-back into a short bottleneck queue.
-                    # Rate-based strategies (BBR) supply the rate; the
-                    # default is two windows per RTT.
-                    rate = self.cc_algo.pacing_rate()
-                    if rate is None:
-                        rate = 2.0 * max(self._effective_window(), self.mss) / self.srtt
-                    yield sim.timeout(burst * self.mss / rate)
-                    burst = 0
-                continue
-            burst = 0
-            self._send_kick = Event(sim)
-            yield self._send_kick
+        while self._pump():
+            burst += 1
+            if burst >= 10 and self.srtt:
+                # Micro-burst pacing: spread window-sized sends over
+                # a fraction of the RTT instead of blasting them
+                # back-to-back into a short bottleneck queue.
+                # Rate-based strategies (BBR) supply the rate; the
+                # default is two windows per RTT.
+                rate = self.cc_algo.pacing_rate()
+                if rate is None:
+                    rate = 2.0 * max(self._effective_window(), self.mss) / self.srtt
+                self.sim.call_in(burst * self.mss / rate, self._drain_cb)
+                return  # still pending: kicks during the gap change nothing
+        self._drain_pending = False
 
     def _pump(self) -> bool:
         """Emit at most one segment; True if something was sent."""
@@ -599,7 +598,6 @@ class TcpConnection:
                 self.rcv_nxt = seg.seq + 1
                 self.snd_una = 1
                 self.snd_wnd = seg.window
-                self._sample_rtt_handshake()
                 self._become_established()
                 self._send_ack()
             return
@@ -624,10 +622,6 @@ class TcpConnection:
             self._process_ack(seg)
         if seg.payload_size > 0 or seg.fin:
             self._process_data(seg)
-
-    def _sample_rtt_handshake(self) -> None:
-        # Handshake RTT seeds the estimator (SYN sent at connection start).
-        pass  # seeded lazily by the first data probe; INITIAL_RTO covers setup
 
     def _process_ack(self, seg: TcpSegment) -> None:
         old_wnd = self.snd_wnd
@@ -655,7 +649,6 @@ class TcpConnection:
             flight_before = self.snd_nxt - self.snd_una
             acked = ack - self.snd_una
             self.snd_una = ack
-            self._stale_dupacks = 0
             if self._sacked and self._sacked[0][1] <= ack:
                 self._sacked = [r for r in self._sacked if r[1] > ack]
             self.bytes_acked_total += acked
@@ -764,10 +757,6 @@ class TcpConnection:
         return min(max(self.srtt + 4 * self.rttvar, MIN_RTO), MAX_RTO)
 
     # -- receive side -------------------------------------------------
-    @property
-    def rcv_buffered(self) -> int:
-        return self.rcv_unread + self.ooo_bytes
-
     def _advertised_window(self) -> int:
         # Canonical receive window: free space against *in-order* unread
         # data only. Out-of-order bytes do not shrink the advertisement
@@ -879,7 +868,6 @@ class TcpConnection:
             pending.event.fail(ConnectionReset("connection reset"))
             pending.event.defuse()
         self._send_waiters.clear()
-        self._kick_send()
         self._rto_deadline = None
         if self._rto_timer is not None:
             self._rto_timer.cancel()

@@ -25,12 +25,10 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "IntervalRate",
     "MetricsRegistry",
     "MetricsScope",
     "TimeSeries",
     "path_matches",
-    "record_any",
 ]
 
 
@@ -202,48 +200,6 @@ class Histogram:
         return {"kind": "histogram", "values": list(self._values)}
 
 
-class IntervalRate:
-    """Accumulates a quantity (e.g. bytes) and reports per-interval rates.
-
-    Used for netperf-style interim result reporting: call :meth:`add` on
-    every delivery, :meth:`snapshot` from a periodic polling process.
-    """
-
-    def __init__(self, sim, name: str = "") -> None:
-        self.sim = sim
-        self.name = name
-        self.total = 0.0
-        self._last_total = 0.0
-        self._last_time = sim.now
-        self.series = TimeSeries(sim, name=f"{name}.rate")
-
-    def add(self, amount: float) -> None:
-        self.total += amount
-
-    def snapshot(self) -> float:
-        """Rate (units/second) since the previous snapshot; records it."""
-        now = self.sim.now
-        dt = now - self._last_time
-        delta = self.total - self._last_total
-        rate = delta / dt if dt > 0 else 0.0
-        self._last_total = self.total
-        self._last_time = now
-        self.series.record(rate)
-        return rate
-
-    def overall_rate(self, since: float = 0.0) -> float:
-        dt = self.sim.now - since
-        return self.total / dt if dt > 0 else 0.0
-
-    def describe(self) -> dict:
-        return {"kind": "rate", "total": self.total, "snapshots": len(self.series)}
-
-    def export(self) -> dict:
-        return {"kind": "rate", "total": self.total,
-                "snapshot_times": list(self.series._times),
-                "snapshot_rates": list(self.series._values)}
-
-
 def path_matches(path: str, patterns: Iterable[str]) -> bool:
     """True if ``path`` matches any glob, or sits under any pattern
     interpreted as a dotted prefix."""
@@ -251,16 +207,6 @@ def path_matches(path: str, patterns: Iterable[str]) -> bool:
         if fnmatchcase(path, pat) or path.startswith(pat + "."):
             return True
     return False
-
-
-def record_any(sink: Any, value: float) -> None:
-    """Duck-typed helper: record into TimeSeries / add into Counter-likes."""
-    if hasattr(sink, "record"):
-        sink.record(value)
-    elif hasattr(sink, "add"):
-        sink.add(value)
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"unsupported sink {type(sink).__name__}")
 
 
 class MetricsRegistry:
@@ -295,9 +241,6 @@ class MetricsRegistry:
     def series(self, path: str) -> TimeSeries:
         return self._get(path, TimeSeries, lambda: TimeSeries(self.sim, path))
 
-    def rate(self, path: str) -> IntervalRate:
-        return self._get(path, IntervalRate, lambda: IntervalRate(self.sim, path))
-
     def histogram(self, path: str) -> Histogram:
         return self._get(path, Histogram, lambda: Histogram(path))
 
@@ -324,14 +267,12 @@ class MetricsRegistry:
                 if p == prefix or p.startswith(dotted)}
 
     def value(self, path: str, default: float = 0.0) -> float:
-        """Scalar shortcut: counter/gauge value, rate total, series mean."""
+        """Scalar shortcut: counter/gauge value, histogram count, series mean."""
         metric = self._metrics.get(path)
         if metric is None:
             return default
         if isinstance(metric, (Counter, Gauge)):
             return float(metric.value)
-        if isinstance(metric, IntervalRate):
-            return float(metric.total)
         if isinstance(metric, Histogram):
             return float(metric.count)
         return metric.mean()
@@ -378,9 +319,6 @@ class MetricsScope:
 
     def series(self, path: str) -> TimeSeries:
         return self.registry.series(self._join(path))
-
-    def rate(self, path: str) -> IntervalRate:
-        return self.registry.rate(self._join(path))
 
     def histogram(self, path: str) -> Histogram:
         return self.registry.histogram(self._join(path))

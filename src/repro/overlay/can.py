@@ -62,6 +62,8 @@ __all__ = ["CanNode", "NeighborInfo"]
 
 CAN_PORT = 4000
 MAX_HOPS = 64
+PING_INTERVAL = 10.0  # seconds between neighbor announcements / sweeps
+HOST_TTL = 60.0  # the one liveness horizon: directory answers and expiry
 
 
 @dataclass
@@ -128,23 +130,19 @@ class CanNode(Component):
     takes over its zones, then admits the rejoiner as a fresh node.
     """
 
-    def __init__(self, host, table, port: int = CAN_PORT,
-                 node_id: Optional[str] = None,
-                 ping_interval: float = 10.0, record_ttl: float = 60.0,
+    def __init__(self, host, table,
                  replication_factor: Optional[int] = None,
-                 hot_zone_limit: Optional[int] = None,
-                 retry_concurrency: Optional[int] = None) -> None:
+                 hot_zone_limit: Optional[int] = None) -> None:
         self.host = host
         self.sim = host.sim
-        self.node_id = node_id or host.name
+        self.node_id = host.name
         Component.__init__(self, host.sim, "can", self.node_id)
         self.dims = table.spec.dims
-        self.port = port
         self.ip: IPv4Address = host.stack.ips[0]
         self.zones: list[Zone] = []
         self.neighbors: dict[str, NeighborInfo] = {}
-        self.ping_interval = ping_interval
-        self.record_ttl = record_ttl
+        self.ping_interval = PING_INTERVAL
+        self.record_ttl = HOST_TTL
         self.joined = False
         self.routed_ops = 0
         # The HostTable every overlay node shares: directory entries are
@@ -175,9 +173,8 @@ class CanNode(Component):
         self._m_merges = self.metrics.counter("merges")
         self._m_remerges = self.metrics.counter("remerges")
         self._m_handles = self.metrics.counter("handles.stored")
-        sock = host.udp.bind(port)
-        self.rpc = RpcEndpoint(host.stack, sock, name=f"can:{self.node_id}",
-                               retry_concurrency=retry_concurrency)
+        sock = host.udp.bind(CAN_PORT)
+        self.rpc = RpcEndpoint(host.stack, sock, name=f"can:{self.node_id}")
         sock.handler = self.rpc.handle_datagram
         self.rpc.register("can.route", self._on_route)
         self.rpc.register("can.nbr", self._on_neighbor)
@@ -210,7 +207,7 @@ class CanNode(Component):
         self._split_mark = -1
 
     def _on_restore(self) -> None:
-        sock = self.host.udp.bind(self.port)
+        sock = self.host.udp.bind(CAN_PORT)
         sock.handler = self.rpc.handle_datagram
         self.rpc.rebind(sock)
         self.sim.process(self._rejoin(), name=f"can-rejoin:{self.node_id}")
@@ -289,7 +286,7 @@ class CanNode(Component):
         return any(z.contains(point) for z in self.zones)
 
     def _my_info(self) -> NeighborInfo:
-        return NeighborInfo(self.node_id, self.ip, self.port,
+        return NeighborInfo(self.node_id, self.ip, CAN_PORT,
                             zones=list(self.zones), last_seen=self.sim.now)
 
     def _is_neighbor(self, info: NeighborInfo) -> bool:

@@ -15,9 +15,10 @@ This is the paper's "rendezvous server" (Fig 1-3): a public host that
 
 Beyond the paper, the registry is backed by the struct-of-arrays
 :class:`~repro.core.hoststate.HostTable` rather than per-host objects:
-``server.hosts`` is a live view over the table rows this server owns,
-so a million registered-but-idle endpoints cost table rows, not Python
-object stacks. Registration supports *batching* (``rvz.register_batch``
+a server's registrations are the rows tagged with its index in the
+``owner`` column (:meth:`RendezvousServer.registered`), so a million
+registered-but-idle endpoints cost table rows, not Python object
+stacks. Registration supports *batching* (``rvz.register_batch``
 carries column arrays for hundreds of endpoints in one envelope) and
 *admission control* (a token bucket sheds load during registration
 storms with an explicit retry-after error instead of silent queue
@@ -31,12 +32,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.hoststate import EndpointRow, HostTable
+from repro.core.hoststate import FLAG_REGISTERED, HostTable
 from repro.net.addresses import IPv4Address
 from repro.core.assembler import WavRelay
 from repro.net.packet import Payload
-from repro.overlay.can import CanNode
-from repro.overlay.resources import ConnectionInfo, ResourceSpec
+from repro.overlay.can import HOST_TTL, CanNode
+from repro.overlay.resources import ConnectionInfo
 from repro.overlay.rpc import RpcEndpoint, RpcError
 from repro.sim.engine import Simulator
 from repro.sim.lifecycle import Component
@@ -44,54 +45,10 @@ from repro.sim.lifecycle import Component
 __all__ = ["AdmissionReject", "RendezvousServer", "RENDEZVOUS_PORT"]
 
 RENDEZVOUS_PORT = 4001
-HOST_TTL = 60.0
 
 
 class AdmissionReject(RpcError):
     """Registration shed by the token bucket; retry after backoff."""
-
-
-class _HostsView:
-    """Mapping-like live view of the table rows one server owns.
-
-    Supports the subset of the ``dict[str, EndpointRow]`` interface
-    the protocol handlers and tests use: membership, length, iteration
-    (names), ``get``/``__getitem__`` (row views).
-    """
-
-    def __init__(self, table: HostTable, owner: int) -> None:
-        self._table = table
-        self._owner = owner
-
-    def _owned(self, name: str) -> int:
-        host_id = self._table.lookup(name)
-        if host_id < 0 or int(self._table.owner[host_id]) != self._owner:
-            return -1
-        if not (self._table.flags[host_id] & 1):  # FLAG_REGISTERED
-            return -1
-        return host_id
-
-    def get(self, name: str, default=None):
-        host_id = self._owned(name)
-        return self._table.row(host_id) if host_id >= 0 else default
-
-    def __getitem__(self, name: str) -> EndpointRow:
-        row = self.get(name)
-        if row is None:
-            raise KeyError(name)
-        return row
-
-    def __contains__(self, name: str) -> bool:
-        return self._owned(name) >= 0
-
-    def _ids(self) -> np.ndarray:
-        return self._table.registered_ids(owner=self._owner)
-
-    def __len__(self) -> int:
-        return int(len(self._ids()))
-
-    def __iter__(self):
-        return iter(self._table.names_of(self._ids()))
 
 
 class _TokenBucket:
@@ -204,31 +161,24 @@ class RendezvousServer(Component):
     failover re-registration) arrive.
     """
 
-    def __init__(self, host, spec: Optional[ResourceSpec] = None,
-                 port: int = RENDEZVOUS_PORT, host_ttl: float = HOST_TTL,
-                 table: Optional[HostTable] = None, server_index: int = 0,
+    def __init__(self, host, table: HostTable, server_index: int = 0,
                  admission_rate: Optional[float] = None,
                  admission_burst: Optional[float] = None,
-                 retry_concurrency: Optional[int] = None,
                  replication_factor: Optional[int] = None,
                  hot_zone_limit: Optional[int] = None) -> None:
         self.host = host
         self.sim: Simulator = host.sim
         Component.__init__(self, host.sim, "rendezvous", host.name)
-        self.spec = spec or ResourceSpec()
-        self.port = port
-        self.host_ttl = host_ttl
-        self.ip: IPv4Address = host.stack.ips[0]
-        self.table = table if table is not None else HostTable(
-            self.sim, spec=self.spec)
-        self.server_index = server_index
+        self.port = RENDEZVOUS_PORT
         # One liveness horizon: the CAN stops answering for a host at
         # the same age at which :meth:`expire_hosts` unregisters it.
-        self.can = CanNode(host, self.table, record_ttl=host_ttl,
+        self.host_ttl = HOST_TTL
+        self.ip: IPv4Address = host.stack.ips[0]
+        self.table = table
+        self.server_index = server_index
+        self.can = CanNode(host, table,
                            replication_factor=replication_factor,
-                           hot_zone_limit=hot_zone_limit,
-                           retry_concurrency=retry_concurrency)
-        self.hosts = _HostsView(self.table, server_index)
+                           hot_zone_limit=hot_zone_limit)
         self.latency_reports: dict[tuple[str, str], float] = {}
         self.connects_brokered = 0
         self.frames_relayed = 0
@@ -246,10 +196,9 @@ class RendezvousServer(Component):
         self._m_admitted = self.metrics.counter("admission.accepted")
         self._m_rejected = self.metrics.counter("admission.rejected")
         self._m_expired = self.metrics.counter("hosts.expired")
-        self._sock = host.udp.bind(port)
+        self._sock = host.udp.bind(self.port)
         self._sock.handler = self._on_datagram
-        self.rpc = RpcEndpoint(host.stack, self._sock, name=f"rvz:{host.name}",
-                               retry_concurrency=retry_concurrency)
+        self.rpc = RpcEndpoint(host.stack, self._sock, name=f"rvz:{host.name}")
         self.rpc.register("rvz.register", self._on_register)
         self.rpc.register("rvz.register_batch", self._on_register_batch)
         self.rpc.register("rvz.keepalive", self._on_keepalive)
@@ -265,15 +214,32 @@ class RendezvousServer(Component):
         endpoint, everything else to the RPC endpoint."""
         body = payload.data
         if isinstance(body, WavRelay):
-            reg = self.hosts.get(body.target)
-            if reg is not None:
+            i = self.registered(body.target)
+            if i >= 0:
                 self.frames_relayed += 1
                 self._m_relay_frames.add()
                 self._m_relay_bytes.add(payload.size)
-                self._sock.sendto(reg.reach_ip, reg.reach_port,
+                self._sock.sendto(IPv4Address(int(self.table.reach_ip[i])),
+                                  int(self.table.reach_port[i]),
                                   Payload(payload.size, data=body, kind="wav"))
             return
         self.rpc.handle_datagram(payload, src_ip, src_port)
+
+    # -- registry (this server's slice of the shared table) -------------
+    def registered(self, name: str) -> int:
+        """Row id of ``name`` if this server holds its live registration
+        (owner column + ``FLAG_REGISTERED``), else -1."""
+        i = self.table.lookup(name)
+        if i < 0 or int(self.table.owner[i]) != self.server_index:
+            return -1
+        if not (self.table.flags[i] & FLAG_REGISTERED):
+            return -1
+        return i
+
+    def host_names(self) -> list[str]:
+        """Names registered with this server, in row order."""
+        return self.table.names_of(
+            self.table.registered_ids(owner=self.server_index))
 
     # -- lifecycle ------------------------------------------------------
     def _on_stop(self) -> None:
@@ -293,7 +259,7 @@ class RendezvousServer(Component):
         self.can.bootstrap()
 
     def join_via(self, other: "RendezvousServer"):
-        return self.can.join_via(other.ip, other.can.port)
+        return self.can.join_via(other.ip)
 
     # -- admission control -----------------------------------------------------
     def _admit(self, n: int) -> None:
@@ -353,10 +319,10 @@ class RendezvousServer(Component):
         mapping this very datagram rode is where notifications go). No
         CAN refresh: directory answers read liveness from the table."""
         self._m_keepalives.add()
-        reg = self.hosts.get(name)
-        if reg is None:
+        i = self.registered(name)
+        if i < 0:
             raise RpcError(f"{name!r} not registered")
-        self.table.touch(reg.host_id, self.sim.now, reach=(src_ip, src_port))
+        self.table.touch(i, self.sim.now, reach=(src_ip, src_port))
         return ("ok", self.host.name)
 
     def _on_keepalive_batch(self, batch: _KeepaliveBatch,
@@ -374,7 +340,7 @@ class RendezvousServer(Component):
         attrs, limit = body
 
         def run():
-            point = self.spec.to_point(**attrs)
+            point = self.table.spec.to_point(**attrs)
             records = yield from self.can.route("get", point, int(limit))
             return records
 
@@ -410,15 +376,16 @@ class RendezvousServer(Component):
         return self._relay_local(body)
 
     def _relay_local(self, body: _ConnectBody):
-        reg = self.hosts.get(body.target)
-        if reg is None:
+        i = self.registered(body.target)
+        if i < 0:
             raise RpcError(f"host {body.target!r} not registered here")
         # Step 3: tell b1 to start punching toward a1.
-        self.rpc.notify(reg.reach_ip, reg.reach_port, "wav.punch",
+        self.rpc.notify(IPv4Address(int(self.table.reach_ip[i])),
+                        int(self.table.reach_port[i]), "wav.punch",
                         _PunchNotice(body.requester, body.requester_conn))
         if False:
             yield  # pragma: no cover - keeps this a generator for uniformity
-        return _PunchNotice(body.target, reg.conn)
+        return _PunchNotice(body.target, self.table.connection_info(i))
 
     # -- distance locator --------------------------------------------------------
     def _on_latency_report(self, body, _src_ip, _src_port):
@@ -434,7 +401,7 @@ class RendezvousServer(Component):
         unmeasured) — the distance locator state used for grouping."""
         names = sorted({a for a, _b in self.latency_reports}
                        | {b for _a, b in self.latency_reports}
-                       | set(self.hosts))
+                       | set(self.host_names()))
         index = {n: i for i, n in enumerate(names)}
         matrix = np.full((len(names), len(names)), np.nan)
         np.fill_diagonal(matrix, 0.0)

@@ -53,21 +53,14 @@ def _body_size(body: Any) -> int:
 class RpcEndpoint:
     """RPC service bound to one UDP socket."""
 
-    def __init__(self, stack, sock: UdpSocket, name: str = "rpc",
-                 retry_concurrency: Optional[int] = None) -> None:
+    def __init__(self, stack, sock: UdpSocket, name: str = "rpc") -> None:
         """The endpoint sends on ``sock`` but does not read it: the
         socket's owner routes arriving datagrams to
         :meth:`handle_datagram` — ``sock.handler = rpc.handle_datagram``
         when RPC is all the socket carries, its own demultiplexer when
         not (the WAVNet driver shares one socket between RPC control
         traffic and the tunnel data plane, so they ride the same NAT
-        mapping).
-
-        ``retry_concurrency`` caps concurrent retry probes *per
-        destination*: when that many retries are already in flight to a
-        peer, further retry attempts from this endpoint wait for one of
-        the active probes to resolve instead of sending — a registration
-        storm against a dead peer stays N probes, not N×callers."""
+        mapping)."""
         self.stack = stack
         self.sock = sock
         self.name = name
@@ -76,14 +69,10 @@ class RpcEndpoint:
         self._waiting: dict[int, Any] = {}  # rpc_id -> Event
         self.calls_made = 0
         self.requests_served = 0
-        self.retry_concurrency = retry_concurrency
-        self._retry_inflight: dict[tuple, int] = {}  # dest -> live probes
-        self._retry_gates: dict[tuple, Any] = {}  # dest -> Event
         metrics = stack.sim.metrics.scope(f"{name}.rpc")
         self._m_calls = metrics.counter("calls")
         self._m_retries = metrics.counter("retries")
         self._m_timeouts = metrics.counter("timeouts")
-        self._m_coalesced = metrics.counter("retries_coalesced")
         self._m_served = metrics.counter("served")
 
     # -- lifecycle --------------------------------------------------------
@@ -172,27 +161,12 @@ class RpcEndpoint:
              timeout: float = 2.0, retries: int = 3):
         """Process body: returns the reply body; raises RpcTimeout/RpcError."""
         sim = self.stack.sim
-        dest = (dst_ip, dst_port)
         last_exc: Optional[Exception] = None
         for attempt in range(retries):
             if self.sock.closed:
                 # Our component crashed mid-call; surface as a timeout so
                 # callers' existing retry/abort paths handle it.
                 raise RpcTimeout(f"{kind}: local endpoint closed")
-            gated = attempt > 0 and self.retry_concurrency is not None
-            if gated and self._retry_inflight.get(dest, 0) >= self.retry_concurrency:
-                # This peer already has the full complement of retry
-                # probes in flight; piggyback on one instead of adding
-                # another packet to the storm. The gate fires when any
-                # active probe resolves (reply or timeout), after which
-                # we re-attempt (and may send if a slot is free).
-                self._m_coalesced.add()
-                gate = self._retry_gates.get(dest)
-                if gate is None or gate.triggered:
-                    gate = self._retry_gates[dest] = sim.event()
-                yield sim.any_of([gate, sim.timeout(timeout)])
-                last_exc = RpcTimeout(f"{kind} to {dst_ip}:{dst_port} (coalesced)")
-                continue
             rpc_id = self._alloc_id()
             env = _Envelope(rpc_id, kind, body, is_reply=False)
             waiter = sim.event()
@@ -202,16 +176,9 @@ class RpcEndpoint:
                 self._m_calls.add()
             else:
                 self._m_retries.add()
-                if gated:
-                    self._retry_inflight[dest] = self._retry_inflight.get(dest, 0) + 1
             self.sock.sendto(dst_ip, dst_port,
                              Payload(ENVELOPE_OVERHEAD + _body_size(body), data=env, kind="rpc"))
-            deadline = sim.timeout(timeout)
-            try:
-                yield sim.any_of([waiter, deadline])
-            finally:
-                if gated:
-                    self._release_retry(dest)
+            yield sim.any_of([waiter, sim.timeout(timeout)])
             if waiter.processed:
                 return waiter.value  # may raise RpcError via the fail path
             if waiter.triggered:
@@ -221,13 +188,3 @@ class RpcEndpoint:
             last_exc = RpcTimeout(f"{kind} to {dst_ip}:{dst_port}")
         self._m_timeouts.add()
         raise last_exc
-
-    def _release_retry(self, dest: tuple) -> None:
-        n = self._retry_inflight.get(dest, 0)
-        if n <= 1:
-            self._retry_inflight.pop(dest, None)
-        else:
-            self._retry_inflight[dest] = n - 1
-        gate = self._retry_gates.pop(dest, None)
-        if gate is not None and not gate.triggered:
-            gate.succeed(None)

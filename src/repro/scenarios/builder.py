@@ -84,12 +84,6 @@ class Lan:
     hosts: list = field(default_factory=list)
     links: list = field(default_factory=list)
 
-    def host_by_name(self, name: str) -> Host:
-        for h in self.hosts:
-            if h.name == name:
-                return h
-        raise KeyError(name)
-
 
 def make_lan(
     sim: Simulator,

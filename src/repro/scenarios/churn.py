@@ -159,7 +159,7 @@ def mesh_converged(env: WavnetEnvironment) -> bool:
         server = by_ip.get(wav.driver.rendezvous_ip)
         if server is None or not server.running:
             return False
-        if wav.name not in server.hosts:
+        if server.registered(wav.name) < 0:
             return False
     for i, a in enumerate(running):
         for b in running[i + 1:]:

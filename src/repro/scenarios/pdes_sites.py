@@ -40,7 +40,7 @@ from repro.net.fluid import FluidNetwork, FluidPath
 from repro.net.wan import WanCloud
 from repro.scenarios.builder import make_public_host
 from repro.scenarios.fluid import _find_link
-from repro.scenarios.storm import StormLane
+from repro.scenarios.storm import StormLane, control_counters
 from repro.scenarios.wavnet_env import WavnetEnvironment
 from repro.sim.engine import Simulator
 from repro.sim.pdes import PartitionContext, pdes_merger
@@ -332,22 +332,9 @@ def pdes_storm(seed: int = 0, partitions: int = 1, n_endpoints: int = 600,
     ctx.run(sim, env.cloud, horizon)
     shards: dict[int, dict] = {}
     if ctx.owns(0):
-        accepted = rejected = splits = merges = remerges = handles = 0
-        for server in env.rendezvous:
-            rvz = sim.metrics.scope(f"{server.host.name}.rvz")
-            accepted += int(rvz.value("admission.accepted"))
-            rejected += int(rvz.value("admission.rejected"))
-            can = sim.metrics.scope(f"{server.can.node_id}.can")
-            splits += int(can.value("splits"))
-            merges += int(can.value("merges"))
-            remerges += int(can.value("remerges"))
-            handles += int(can.value("handles.stored"))
         shards[0] = {"rows": len(env.table),
                      "registered": int(env.table.registered_count),
-                     "admission_accepted": accepted,
-                     "admission_rejected": rejected,
-                     "can_splits": splits, "can_merges": merges,
-                     "can_remerges": remerges, "handles_stored": handles}
+                     **control_counters(env)}
     for r, lane in lanes.items():
         shards[1 + r] = {
             "region": r,

@@ -43,8 +43,8 @@ from repro.scenarios.builder import make_public_host
 from repro.scenarios.wavnet_env import WavnetEnvironment
 from repro.sim.engine import Simulator
 
-__all__ = ["StormLane", "build_storm_lanes", "registration_storm",
-           "steady_state_bytes"]
+__all__ = ["StormLane", "build_storm_lanes", "control_counters",
+           "registration_storm", "steady_state_bytes"]
 
 LANE_PORT = 4700
 _NAT_CODE = list(NatType).index(NatType.PORT_RESTRICTED)
@@ -55,8 +55,7 @@ class StormLane:
     batch-registers synthetic endpoints with the rendezvous fleet."""
 
     def __init__(self, sim, env: WavnetEnvironment, region: int,
-                 count: int, base_index: int,
-                 retry_concurrency: int | None = 4) -> None:
+                 count: int, base_index: int) -> None:
         self.sim = sim
         self.env = env
         self.region = region
@@ -77,8 +76,7 @@ class StormLane:
                                 f"7.1.{region // 250}.{(region % 250) + 1}",
                                 network="7.0.0.0/8")
         sock = host.udp.bind(LANE_PORT)
-        self.rpc = RpcEndpoint(host.stack, sock, name=f"lane{region}",
-                               retry_concurrency=retry_concurrency)
+        self.rpc = RpcEndpoint(host.stack, sock, name=f"lane{region}")
         sock.handler = self.rpc.handle_datagram
         # Synthetic per-endpoint columns: deterministic addresses, NAT
         # mappings, and attribute draws spread across the CAN space.
@@ -88,7 +86,7 @@ class StormLane:
         self.private_ip = np.full(count, 0xC0A80002, dtype=np.uint32)
         self.private_port = np.full(count, 4242, dtype=np.uint16)
         self.nat_code = np.full(count, _NAT_CODE, dtype=np.uint8)
-        attrs = env.spec.attributes
+        attrs = env.table.spec.attributes
         self.attr_values = np.empty((count, len(attrs)), dtype=np.float32)
         for k, (_name, lo, hi) in enumerate(attrs):
             self.attr_values[:, k] = self.rng.uniform(lo, hi, size=count)
@@ -194,6 +192,23 @@ def steady_state_bytes(env: WavnetEnvironment) -> int:
     return int(total)
 
 
+def control_counters(env: WavnetEnvironment) -> dict:
+    """Admission and CAN counters summed over the env's rendezvous
+    servers, under the payload keys the storm scenarios report."""
+    metrics = env.sim.metrics
+
+    def total(path: str) -> int:
+        return sum(int(metrics.value(f"{server.host.name}.{path}"))
+                   for server in env.rendezvous)
+
+    return {"admission_accepted": total("rvz.admission.accepted"),
+            "admission_rejected": total("rvz.admission.rejected"),
+            "can_splits": total("can.splits"),
+            "can_merges": total("can.merges"),
+            "can_remerges": total("can.remerges"),
+            "handles_stored": total("can.handles.stored")}
+
+
 def _join(procs):
     results = []
     for proc in procs:
@@ -243,7 +258,7 @@ def registration_storm(seed: int = 0, n_endpoints: int = 10_000,
              for lane in lanes]
     filled = sum(sim.run_coro(_join(procs)))
     fill_elapsed = max(sim.now - t0, 1e-9)
-    loads_filled = env.fleet.publish_load()
+    loads_filled = env.fleet_load()
     if keepalive_interval is not None:
         for lane in lanes:
             sim.process(lane.keepalive_loop(keepalive_interval),
@@ -266,20 +281,8 @@ def registration_storm(seed: int = 0, n_endpoints: int = 10_000,
     reconnect_elapsed = max(storm_lane.done_at - t1, 1e-9)
     if settle > 0:
         sim.run(until=sim.now + settle)
-    loads_final = env.fleet.publish_load()
+    loads_final = env.fleet_load()
 
-    accepted = rejected = splits = merges = remerges = handles = 0
-    for server in env.rendezvous:
-        rvz = sim.metrics.scope(f"{server.host.name}.rvz")
-        accepted += int(rvz.value("admission.accepted"))
-        rejected += int(rvz.value("admission.rejected"))
-        can = sim.metrics.scope(f"{server.can.node_id}.can")
-        splits += int(can.value("splits"))
-        merges += int(can.value("merges"))
-        remerges += int(can.value("remerges"))
-        handles += int(can.value("handles.stored"))
-    coalesced = sum(int(sim.metrics.value(f"lane{r}.rpc.retries_coalesced"))
-                    for r in range(n_regions))
     bytes_total = steady_state_bytes(env)
     payload = {
         "n_endpoints": n_endpoints,
@@ -295,16 +298,10 @@ def registration_storm(seed: int = 0, n_endpoints: int = 10_000,
         "reconnect_elapsed_s": reconnect_elapsed,
         "reconnect_ops_per_sec": reconnected / reconnect_elapsed,
         "rejected_batches": sum(lane.rejected_batches for lane in lanes),
-        "admission_accepted": accepted,
-        "admission_rejected": rejected,
-        "retries_coalesced": coalesced,
         "punch_latency_s": punch_latencies,
         "keepalive_sweeps": sum(lane.keepalive_sweeps for lane in lanes),
         "keepalives_acked": sum(lane.keepalives_acked for lane in lanes),
-        "can_splits": splits,
-        "can_merges": merges,
-        "can_remerges": remerges,
-        "handles_stored": handles,
+        **control_counters(env),
         "fleet_load_filled": loads_filled,
         "fleet_load_final": loads_final,
         "steady_state_bytes": bytes_total,

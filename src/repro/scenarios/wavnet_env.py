@@ -10,15 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.driver import WavnetDriver
+from repro.core.driver import VIRTUAL_NETWORK, WavnetDriver
 from repro.core.hoststate import HostTable
 from repro.exp.spec import scenario
 from repro.net.addresses import IPv4Address
 from repro.net.stack import Host
 from repro.net.wan import WanCloud
-from repro.overlay.fleet import HashRing, RendezvousFleet
+from repro.overlay.fleet import HashRing
 from repro.overlay.rendezvous import RendezvousServer
-from repro.overlay.resources import ResourceSpec
 from repro.scenarios.builder import NattedSite, make_natted_site, make_public_host
 from repro.sim.engine import Simulator
 from repro.stun.server import StunServerPair
@@ -55,31 +54,26 @@ class WavnetEnvironment:
     """A WAN with STUN + rendezvous infrastructure and WAVNet hosts."""
 
     def __init__(self, sim: Simulator, default_latency: float = 0.025,
-                 n_rendezvous: int = 1, spec: Optional[ResourceSpec] = None,
-                 virtual_network: str = "10.99.0.0/16",
+                 n_rendezvous: int = 1,
                  admission_rate: Optional[float] = None,
                  admission_burst: Optional[float] = None,
                  replication_factor: Optional[int] = None,
                  hot_zone_limit: Optional[int] = None,
-                 retry_concurrency: Optional[int] = None,
                  build_control: bool = True,
                  control_partition: int = 0) -> None:
         self.sim = sim
         self.cloud = WanCloud(sim, default_latency=default_latency)
-        self.spec = spec or ResourceSpec()
-        self.virtual_network = virtual_network
         self.n_rendezvous = n_rendezvous
         self.rendezvous: list[RendezvousServer] = []
         self.hosts: dict[str, WavnetHost] = {}
-        self.retry_concurrency = retry_concurrency
         self._next_vip = 1
         self._next_pub = 1
-        # Driver-side view of the fleet assignment: pure name hashing,
-        # identical with or without live server objects.
+        # The fleet assignment: pure name hashing, identical with or
+        # without live server objects.
         self.ring = HashRing([f"rvz{i}" for i in range(n_rendezvous)])
         # Single source of truth for every registered endpoint; the
         # rendezvous servers all own slices of it (fleet sharding).
-        self.table = HostTable(sim, spec=self.spec)
+        self.table = HostTable(sim)
         self.table.materializer = self._materialize_host
         self.table.dematerializer = self._dematerialize_host
         if not build_control:
@@ -88,7 +82,6 @@ class WavnetEnvironment:
             # partition's process; here those sites are boundary
             # declarations and their addresses are derived, not built.
             self.stun = None
-            self.fleet = None
             for site in ("stun.primary", "stun.alt"):
                 self.cloud.declare_remote_site(site, control_partition)
             for i in range(n_rendezvous):
@@ -98,17 +91,14 @@ class WavnetEnvironment:
         for i in range(n_rendezvous):
             rhost = make_public_host(sim, self.cloud, f"rvz{i}", f"9.1.0.{i + 1}",
                                      network="9.1.0.0/24")
-            server = RendezvousServer(rhost, spec=self.spec,
-                                      table=self.table, server_index=i,
+            server = RendezvousServer(rhost, self.table, server_index=i,
                                       admission_rate=admission_rate,
                                       admission_burst=admission_burst,
                                       replication_factor=replication_factor,
-                                      hot_zone_limit=hot_zone_limit,
-                                      retry_concurrency=retry_concurrency)
+                                      hot_zone_limit=hot_zone_limit)
             if i == 0:
                 server.bootstrap()
             self.rendezvous.append(server)
-        self.fleet = RendezvousFleet(self.rendezvous)
 
     def join_rendezvous_overlay(self):
         """Process: join all non-bootstrap rendezvous nodes into the CAN
@@ -118,7 +108,7 @@ class WavnetEnvironment:
                 yield self.sim.process(server.join_via(self.rendezvous[0]))
 
     def _alloc_vip(self) -> IPv4Address:
-        vip = IPv4Address("10.99.0.0") + self._next_vip
+        vip = VIRTUAL_NETWORK.host(self._next_vip)
         self._next_vip += 1
         return vip
 
@@ -139,9 +129,25 @@ class WavnetEnvironment:
 
     def assign_rendezvous(self, name: str) -> int:
         """Fleet consistent-hash assignment for an endpoint name (static
-        ring — identical to ``fleet.assign_index`` while all servers are
-        up, and available without server objects)."""
+        ring, available without server objects)."""
         return self.ring.index(name)
+
+    def fleet_load(self) -> dict:
+        """Refresh the ``rvz.fleet.load.<server>`` / ``servers_up``
+        gauges from the table's owner column; returns {server_name:
+        registered endpoints}."""
+        metrics = self.sim.metrics.scope("rvz.fleet")
+        loads = {}
+        for server in self.rendezvous:
+            n = len(self.table.registered_ids(owner=server.server_index))
+            loads[server.host.name] = n
+            metrics.gauge(f"load.{server.host.name}").set(n)
+        up = sum(1 for server in self.rendezvous if server.running)
+        metrics.gauge("servers_up").set(up)
+        self.sim.trace.event("rvz.fleet.load", servers_up=up,
+                             max_load=max(loads.values(), default=0),
+                             min_load=min(loads.values(), default=0))
+        return loads
 
     # -- pdes boundary -------------------------------------------------
     def declare_remote_host(self, name: str, partition: int) -> None:
@@ -178,9 +184,8 @@ class WavnetEnvironment:
         if self.table.site_config(host_id):
             raise ValueError(f"endpoint {name!r} already declared")
         # Fleet-aware server selection: a ``None`` (or absent) index
-        # means "hash me onto the ring" — the same assignment the fleet
-        # itself would compute. An explicit integer pins the server
-        # (round-robin layouts in the churn and storm scenarios).
+        # means "hash me onto the ring". An explicit integer pins the
+        # server (round-robin layouts in the churn and storm scenarios).
         rendezvous_index = site_config.pop("rendezvous_index", None)
         fleet_assigned = rendezvous_index is None
         if fleet_assigned:
@@ -256,12 +261,9 @@ class WavnetEnvironment:
                        for j in range(self.n_rendezvous)
                        if j != rendezvous_index]
         driver_kwargs.setdefault("backup_rendezvous_ips", backups)
-        if self.retry_concurrency is not None:
-            driver_kwargs.setdefault("retry_concurrency", self.retry_concurrency)
         driver = WavnetDriver(
             host,
             virtual_ip=IPv4Address(int(self.table.virtual_ip[host_id])),
-            virtual_network=self.virtual_network,
             rendezvous_ip=rendezvous_ip,
             stun_server_ip=self.stun_primary_ip,
             attrs=cfg["attrs"],

@@ -11,7 +11,7 @@ simulated time are delivered in schedule order (a monotonically increasing
 sequence number breaks ties), so a fixed seed reproduces a run exactly.
 """
 
-from repro.obs.metrics import Counter, IntervalRate, TimeSeries
+from repro.obs.metrics import Counter, TimeSeries
 from repro.sim.engine import (
     AllOf,
     AnyOf,
@@ -35,7 +35,6 @@ __all__ = [
     "Counter",
     "Event",
     "Interrupt",
-    "IntervalRate",
     "LifecycleState",
     "Process",
     "QueueFull",

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Generator, Iterable
 from heapq import heapify, heappop, heappush
-from time import perf_counter
 from typing import Any
 
 __all__ = [
@@ -362,11 +361,6 @@ class Process(Event):
         sim = self.sim
         prev = sim._active_process
         sim._active_process = self
-        # Profiling is opt-in: the two perf_counter() calls per resume
-        # cost more than most resumes do, so they are gated off unless
-        # sim.profile.enable() was called.
-        profiling = sim.profile.enabled
-        wall = perf_counter() if profiling else 0.0
         try:
             target = advance(arg)  # generator.send(value) / .throw(exc)
         except StopIteration as stop:
@@ -382,8 +376,6 @@ class Process(Event):
             return
         finally:
             sim._active_process = prev
-            if profiling:
-                sim.profile.account(self.name, perf_counter() - wall)
         if target is self:
             raise SimulationError(f"process {self.name!r} cannot wait on itself")
         if not isinstance(target, Event):
@@ -422,15 +414,14 @@ class Simulator:
         self._cancelled = 0  # canceled entries still parked on the heap
         self._active_process: Process | None = None
         self.events_dispatched = 0
-        from repro.obs import MetricsRegistry, StepProfiler, Tracer
+        from repro.obs import MetricsRegistry, Tracer
         from repro.sim.lifecycle import ComponentRegistry
         from repro.sim.rng import RngRegistry
 
         self.rng = RngRegistry(seed)
-        # Observability spine: one registry/tracer/profiler per run.
+        # Observability spine: one registry and one tracer per run.
         self.metrics = MetricsRegistry(self)
         self.trace = Tracer(self)
-        self.profile = StepProfiler()
         # Failure plane: every lifecycle-aware component registers here.
         self.components = ComponentRegistry(self)
 

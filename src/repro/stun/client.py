@@ -24,6 +24,8 @@ from repro.stun.messages import STUN_PORT, StunRequest, StunResponse
 
 __all__ = ["StunClient", "StunProbeResult"]
 
+RETRIES = 2  # sends per test before it counts as unanswered
+
 
 @dataclass
 class StunProbeResult:
@@ -56,8 +58,7 @@ class StunClient:
     """
 
     def __init__(self, stack, sock: UdpSocket, server_ip: IPv4Address | str,
-                 server_port: int = STUN_PORT, timeout: float = 0.8, retries: int = 2,
-                 inbox=None) -> None:
+                 timeout: float = 0.8, inbox=None) -> None:
         """``inbox`` (a Store of ``(payload, ip, port)``) lets an owner
         whose handler demultiplexes the socket (the WAVNet driver) feed
         STUN responses in, instead of this client reading the socket —
@@ -65,11 +66,14 @@ class StunClient:
         self.stack = stack
         self.sock = sock
         self.server_ip = IPv4Address(server_ip)
-        self.server_port = server_port
         self.timeout = timeout
-        self.retries = retries
         self.inbox = inbox
-        self._txid = int(id(self)) & 0xFFFF
+        # Transaction ids start at a draw from a stream named after the
+        # host: the same in every same-seed run, and a later client on
+        # this host (driver restore) draws again, so it does not match a
+        # stale reply to its predecessor.
+        self._txid = int(stack.sim.rng.stream(
+            f"stun.txid.{stack.name}").integers(1 << 32))
         self._pending_get = None
 
     def _recv(self):
@@ -85,7 +89,7 @@ class StunClient:
                  change_ip: bool = False, change_port: bool = False):
         """Process: one test (with retries); returns StunResponse or None."""
         sim = self.stack.sim
-        for _attempt in range(self.retries):
+        for _attempt in range(RETRIES):
             txid = self._next_txid()
             req = StunRequest(txid, change_ip=change_ip, change_port=change_port)
             self.sock.sendto(dst_ip, dst_port, Payload(req.size, data=req, kind="stun"))
@@ -105,20 +109,20 @@ class StunClient:
 
     def discover_endpoint(self):
         """Process: Test I only; returns (mapped_ip, mapped_port) or None."""
-        response = yield from self._request(self.server_ip, self.server_port)
+        response = yield from self._request(self.server_ip, STUN_PORT)
         if response is None:
             return None
         return (response.mapped_ip, response.mapped_port)
 
     def classify(self):
         """Process: full RFC 3489 classification; returns StunProbeResult."""
-        test1 = yield from self._request(self.server_ip, self.server_port)
+        test1 = yield from self._request(self.server_ip, STUN_PORT)
         if test1 is None:
             return StunProbeResult(NatType.SYMMETRIC, None, None, blocked=True)
         mapped = (test1.mapped_ip, test1.mapped_port)
         local_ips = self.stack.ips
 
-        test2 = yield from self._request(self.server_ip, self.server_port,
+        test2 = yield from self._request(self.server_ip, STUN_PORT,
                                          change_ip=True, change_port=True)
         if test1.mapped_ip in local_ips:
             # Not NATed at all; Test II separates OPEN from a symmetric
@@ -138,7 +142,7 @@ class StunClient:
             stride = yield from self._infer_stride(mapped, alt_mapped, test1)
             return StunProbeResult(NatType.SYMMETRIC, *mapped, alloc_stride=stride)
 
-        test3 = yield from self._request(self.server_ip, self.server_port,
+        test3 = yield from self._request(self.server_ip, STUN_PORT,
                                          change_port=True)
         if test3 is not None:
             return StunProbeResult(NatType.RESTRICTED_CONE, *mapped)

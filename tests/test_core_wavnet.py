@@ -26,7 +26,7 @@ class TestConnectionSetup:
     def test_drivers_start_and_register(self):
         sim, env = build_env(2)
         rvz = env.rendezvous[0]
-        assert set(rvz.hosts) == {"h0", "h1"}
+        assert set(rvz.host_names()) == {"h0", "h1"}
         for wav_host in env.hosts.values():
             assert wav_host.driver.nat_type is not None
             assert wav_host.driver.public_endpoint is not None

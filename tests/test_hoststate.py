@@ -1,6 +1,6 @@
 """The million-endpoint control plane: HostTable, fleet, admission,
-batched registration, retry coalescing, table-resident fault verbs,
-and the lazy materialize/demote lifecycle."""
+batched registration, table-resident fault verbs, and the lazy
+materialize/demote lifecycle."""
 
 from dataclasses import replace
 
@@ -12,12 +12,9 @@ from repro.core.hoststate import (FLAG_MATERIALIZED, FLAG_REGISTERED,
 from repro.faults import FaultInjector
 from repro.nat.types import NatType
 from repro.net.addresses import IPv4Address
-from repro.net.wan import WanCloud
 from repro.overlay.rendezvous import _RegisterBatch, _TokenBucket
 from repro.overlay.resources import ConnectionInfo
-from repro.overlay.rpc import RpcEndpoint, RpcTimeout
 from repro.overlay.space import Zone
-from repro.scenarios.builder import make_public_host
 from repro.scenarios.wavnet_env import WavnetEnvironment
 from repro.sim import Simulator
 
@@ -41,15 +38,16 @@ def test_register_row_roundtrip():
     table = HostTable(sim)
     attrs = {"cpu_ghz": 3, "mem_mb": 2048.5}
     host_id = table.register("h0", _conn(), attrs, _reach(), now=1.5, owner=2)
-    row = table.row(host_id)
-    assert row.name == "h0"
-    assert row.registered and not row.materialized
-    assert row.last_seen == 1.5
+    assert table.name_of(host_id) == "h0"
+    flags = int(table.flags[host_id])
+    assert flags & FLAG_REGISTERED and not flags & FLAG_MATERIALIZED
+    assert float(table.last_seen[host_id]) == 1.5
     # The table stamps the freshest observed mapping (the reach port)
     # into rebuilt ConnectionInfos for predicted-port punching.
-    assert row.conn == replace(_conn(), observed_port=_reach()[1])
+    assert table.connection_info(host_id) == replace(
+        _conn(), observed_port=_reach()[1])
     # Attrs read back from the float32 column (these are exact in it).
-    assert row.attrs == attrs
+    assert table.attrs_of(host_id) == attrs
     assert table.lookup("h0") == host_id
     assert table.lookup("nope") == -1
     assert int(table.owner[host_id]) == 2
@@ -168,8 +166,9 @@ def test_rendezvous_batch_registration_and_query():
         region=2)
     result = server._on_register_batch(batch, *_reach())
     assert sim.run_coro(result)[1] == n
-    assert len(server.hosts) == n
-    assert "b7" in server.hosts and server.hosts["b7"].registered
+    assert len(server.host_names()) == n
+    assert server.registered("b7") == env.table.lookup("b7") >= 0
+    assert server.registered("nobody") == -1
     # Handle-backed directory answers queries without full records.
     records = sim.run_coro(
         server.can.route("get", (0.5, 0.5), 5))
@@ -182,54 +181,28 @@ def test_rendezvous_batch_registration_and_query():
 def test_fleet_consistent_assignment_and_failover():
     sim = Simulator(seed=5)
     env = WavnetEnvironment(sim, n_rendezvous=3)
-    fleet = env.fleet
-    before = {f"n{i}": fleet.assign_index(f"n{i}") for i in range(50)}
-    # Stable across repeated calls.
-    assert before == {f"n{i}": fleet.assign_index(f"n{i}") for i in range(50)}
+    names = [f"n{i}" for i in range(50)]
+
+    def live(name):
+        """Where a driver's failover walk ends: the first RUNNING server
+        in ring-successor order."""
+        return next(i for i in env.ring.order(name)
+                    if env.rendezvous[i].running)
+
+    before = {name: live(name) for name in names}
+    assert before == {name: env.ring.index(name) for name in names}
     assert len(set(before.values())) == 3  # all servers get endpoints
     victim = env.rendezvous[0]
     victim.crash()
-    after = {name: fleet.assign_index(name) for name in before}
+    after = {name: live(name) for name in names}
     moved = {n for n in before if before[n] != after[n]}
     assert moved == {n for n, idx in before.items() if idx == 0}
     assert all(after[n] != 0 for n in moved)
     victim.restore()
-    assert before == {name: fleet.assign_index(name) for name in before}
-    loads = fleet.publish_load()
+    assert before == {name: live(name) for name in names}
+    loads = env.fleet_load()
     assert set(loads) == {s.host.name for s in env.rendezvous}
-
-
-# -- retry coalescing --------------------------------------------------
-
-def test_retry_coalescing_caps_probes_per_destination():
-    sim = Simulator(seed=9)
-    cloud = WanCloud(sim, default_latency=0.005)
-    host = make_public_host(sim, cloud, "caller", "7.2.0.1",
-                            network="7.2.0.0/24")
-    make_public_host(sim, cloud, "void", "7.2.0.2", network="7.2.0.0/24")
-    rpc = RpcEndpoint(host.stack, host.udp.bind(5001), name="caller",
-                      retry_concurrency=1)
-    outcomes = []
-
-    def attempt():
-        try:
-            yield from rpc.call(IPv4Address("7.2.0.2"), 9999, "nothing",
-                                None, timeout=0.2, retries=4)
-        except RpcTimeout:
-            outcomes.append("timeout")
-
-    procs = [sim.process(attempt()) for _ in range(4)]
-
-    def drive():
-        for p in procs:
-            yield p
-
-    sim.run_coro(drive())
-    assert outcomes == ["timeout"] * 4
-    coalesced = sim.metrics.value("caller.rpc.retries_coalesced")
-    retries = sim.metrics.value("caller.rpc.retries")
-    assert coalesced > 0
-    assert retries < 4 * 3  # ungated would send every retry
+    assert sim.metrics.value("rvz.fleet.servers_up") == 3
 
 
 # -- table-resident fault verbs ---------------------------------------
@@ -242,10 +215,10 @@ def test_endpoint_fault_verbs_without_materialization():
                        region=region)
     injector = FaultInjector(sim)
     assert injector.endpoint_down(table, "f2") == 1
-    assert not table.row_by_name("f2").registered
+    f2 = table.lookup("f2")
+    assert not table.flags[f2] & FLAG_REGISTERED
     assert injector.endpoint_reconnect(table, "f2", owner=1) == 1
-    row = table.row_by_name("f2")
-    assert row.registered and int(table.owner[table.lookup("f2")]) == 1
+    assert table.flags[f2] & FLAG_REGISTERED and int(table.owner[f2]) == 1
     downed = injector.regional_outage(table, 0)
     assert sorted(downed) == ["f0", "f1"]
     assert table.registered_count == 1
@@ -266,7 +239,7 @@ def test_materialize_demote_rematerialize_cycle():
     sim.run(until=sim.now + 2.0)
     assert "lazy" in env.hosts
     assert bool(env.table.flags[host_id] & FLAG_MATERIALIZED)
-    assert "lazy" in env.rendezvous[0].hosts
+    assert env.rendezvous[0].registered("lazy") >= 0
     vip = wav.virtual_ip
     conn = env.connect("anchor", "lazy")
     assert conn is not None and not conn.relayed
@@ -275,12 +248,12 @@ def test_materialize_demote_rematerialize_cycle():
     assert not (env.table.flags[host_id] & FLAG_MATERIALIZED)
     assert f"driver:lazy" not in sim.components
     # Directory row survives demotion with the captured NAT mapping.
-    row = env.table.row(host_id)
-    assert row.conn.public_ip.value == int(env.table.public_ip[host_id])
+    conn = env.table.connection_info(host_id)
+    assert conn.public_ip.value == int(env.table.public_ip[host_id]) != 0
     again = env.materialize("lazy")
     sim.run(until=sim.now + 2.0)
     assert again.virtual_ip == vip  # identical rebuild
-    assert "lazy" in env.rendezvous[0].hosts
+    assert env.rendezvous[0].registered("lazy") >= 0
     conn2 = env.connect("anchor", "lazy")
     assert conn2 is not None
 

@@ -30,7 +30,7 @@ class TestCanOfRendezvous:
 
     def test_registrations_split_across_servers(self):
         sim, env = build()
-        counts = [len(r.hosts) for r in env.rendezvous]
+        counts = [len(r.host_names()) for r in env.rendezvous]
         assert counts == [2, 2, 2]
 
     def test_resource_query_crosses_the_overlay(self):

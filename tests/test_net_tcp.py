@@ -454,3 +454,59 @@ class TestCongestionControl:
         sim.run(until=300)
         assert result.get("got") == 400_000
         assert result["timeouts"] >= 1
+
+
+class TestSenderDrain:
+    """Kick absorption and micro-burst pacing of the sender."""
+
+    def idle_connection(self):
+        """An established, idle client connection whose outgoing segments
+        are recorded instead of sent — no ACK comes back, so what leaves
+        and when depends on the sender alone."""
+        sim = Simulator()
+        a, b, _link = host_pair(sim, latency=0.002, bandwidth_bps=None)
+        b.tcp.listen(5001)
+        conn = a.tcp.connect(B_IP, 5001)
+        sim.run(until=1.0)
+        assert conn.state == "ESTABLISHED"
+        sent = []
+        conn._emit = lambda seg: sent.append((sim.now, seg.payload_size))
+        return sim, conn, sent
+
+    def test_two_kicks_in_one_instant_are_one_calendar_entry(self):
+        sim, conn, _sent = self.idle_connection()
+        before = len(sim._calendar)
+        conn._kick_send()
+        conn._kick_send()
+        assert len(sim._calendar) == before + 1
+
+    def test_window_leaves_in_paced_bursts_of_ten(self):
+        sim, conn, sent = self.idle_connection()
+        mss = conn.mss
+        conn.srtt = 0.1
+        conn.cwnd = 64 * mss
+        assert conn.cc_algo.pacing_rate() is None  # two windows per RTT
+        gap = 10 * mss / (2.0 * 64 * mss / conn.srtt)
+        t0 = sim.now
+        conn.send(100 * mss)
+        sim.run(until=t0 + gap / 2)
+        assert len(sent) == 10
+        # A kick during the pacing gap adds nothing to the calendar.
+        before = len(sim._calendar)
+        conn._kick_send()
+        assert len(sim._calendar) == before
+        sim.run(until=t0 + 10 * gap)
+        assert [size for _t, size in sent] == [mss] * 64
+        times = sorted({t for t, _size in sent})
+        assert times == pytest.approx([t0 + k * gap for k in range(7)])
+        assert [sum(1 for t, _s in sent if t == when) for when in times] \
+            == [10] * 6 + [4]
+
+    def test_kick_on_reset_connection_sends_nothing(self):
+        sim, conn, sent = self.idle_connection()
+        conn.abort()
+        del sent[:]  # the RST
+        conn.snd_buffered = 5 * conn.mss
+        conn._kick_send()
+        sim.run(until=sim.now + 1.0)
+        assert sent == [] and conn.snd_nxt == conn.snd_una

@@ -1,7 +1,7 @@
 """Tests for the observability spine (``repro.obs``): the hierarchical
-metrics registry, trace spans/events with JSONL export, packet taps,
-and the engine-level step profiler — plus the instrumentation threaded
-through the WAVNet driver, rendezvous relay, and live migration."""
+metrics registry, trace spans/events with JSONL export, and packet taps
+— plus the instrumentation threaded through the WAVNet driver,
+rendezvous relay, and live migration."""
 
 import json
 import math
@@ -13,7 +13,7 @@ from repro.net.addresses import IPv4Address
 from repro.net.icmp import Pinger
 from repro.net.packet import Payload
 from repro.obs import MetricsRegistry, PacketTap, Tracer, attach_tap
-from repro.obs.metrics import Counter, Gauge, Histogram, IntervalRate, TimeSeries
+from repro.obs.metrics import Counter, Gauge, Histogram, TimeSeries
 from repro.scenarios.builder import host_pair, make_lan
 from repro.scenarios.wavnet_env import WavnetEnvironment
 from repro.sim import Simulator
@@ -38,9 +38,8 @@ class TestMetricsRegistry:
         assert isinstance(m.counter("a"), Counter)
         assert isinstance(m.gauge("b"), Gauge)
         assert isinstance(m.series("c"), TimeSeries)
-        assert isinstance(m.rate("d"), IntervalRate)
         assert isinstance(m.histogram("e"), Histogram)
-        assert len(m) == 5
+        assert len(m) == 4
 
     def test_scope_prefixes_paths(self):
         sim = Simulator()
@@ -263,36 +262,6 @@ class TestEngineAccounting:
         sim.process(proc(sim), name="ticker")
         sim.run()
         assert sim.events_dispatched >= 5
-
-    def test_profile_disabled_by_default(self):
-        sim = Simulator()
-
-        def proc(sim):
-            yield sim.timeout(1.0)
-
-        sim.process(proc(sim), name="quiet")
-        sim.run()
-        assert not sim.profile.enabled
-        assert sim.profile.total_steps() == 0
-        assert sim.profile.steps("quiet") == 0
-
-    def test_profile_aggregates_by_process_name(self):
-        sim = Simulator()
-        sim.profile.enable()  # off by default: accounting is opt-in
-
-        def proc(sim):
-            for _ in range(3):
-                yield sim.timeout(1.0)
-
-        sim.process(proc(sim), name="worker:a")
-        sim.process(proc(sim), name="worker:b")
-        sim.run()
-        # 3 timeouts + the final StopIteration resume per process.
-        assert sim.profile.steps("worker:a") == 4
-        assert sim.profile.total_steps() == 8
-        assert sim.profile.by_prefix()["worker"][0] == 8
-        assert sim.profile.total_wall() >= 0.0
-        assert "worker" in sim.profile.render()
 
 
 class TestRunUntilFailedEvent:

@@ -524,3 +524,6 @@ def test_quick_registration_storm_trajectory_is_pinned():
     assert payload["can_merges"] == 34
     assert payload["handles_stored"] == 13109
     assert payload["fill_elapsed_s"] == 2.463857757393045
+    # n endpoints + the four punch-probe hosts, before and after the outage.
+    assert sum(payload["fleet_load_filled"].values()) == 12504
+    assert sum(payload["fleet_load_final"].values()) == 12504

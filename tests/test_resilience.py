@@ -88,7 +88,7 @@ class TestTeardown:
         rvz.restore()
         driver.restore()
         sim.run(until=driver.started)  # the registered reply was received
-        assert "h0" in rvz.hosts
+        assert rvz.registered("h0") >= 0
         assert driver.sock.handler is not None and len(driver.sock.inbox) == 0
 
 
@@ -96,17 +96,17 @@ class TestRegistrationLifecycle:
     def test_host_expires_without_keepalive(self):
         sim, env = build(1, keepalive_interval=10_000)
         rvz = env.rendezvous[0]
-        assert "h0" in rvz.hosts
+        assert rvz.registered("h0") >= 0
         sim.run(until=sim.now + rvz.host_ttl + 10)
         assert rvz.expire_hosts() == ["h0"]
-        assert "h0" not in rvz.hosts
+        assert rvz.registered("h0") < 0
 
     def test_host_stays_registered_with_keepalive(self):
         sim, env = build(1, keepalive_interval=15.0)
         rvz = env.rendezvous[0]
         sim.run(until=sim.now + rvz.host_ttl + 30)
         assert rvz.expire_hosts() == []
-        assert "h0" in rvz.hosts
+        assert rvz.registered("h0") >= 0
 
     def test_record_refresh_keeps_resources_discoverable(self):
         sim, env = build(2, keepalive_interval=15.0)
@@ -152,6 +152,6 @@ class TestRegistrationLifecycle:
         assert "h1" in names()  # silent, but still inside the TTL
         sim.run(until=sim.now + rvz.can.record_ttl)
         assert "h1" not in names()
-        assert "h1" in rvz.hosts  # row still registered ...
+        assert rvz.registered("h1") >= 0  # row still registered ...
         handle = env.table.handle(env.table.lookup("h1"))
         assert handle in rvz.can.handles  # ... and its handle still stored

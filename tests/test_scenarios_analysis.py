@@ -41,7 +41,7 @@ class TestRealWanScenario:
         started = sim.process(wan.env.start_all())
         sim.run(until=started)
         assert len(wan.hosts) == 8
-        assert set(wan.env.rendezvous[0].hosts) == set(SITES)
+        assert set(wan.env.rendezvous[0].host_names()) == set(SITES)
 
 
 class TestEmulatedWanScenario:

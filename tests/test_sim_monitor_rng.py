@@ -5,9 +5,8 @@ The probe classes live in :mod:`repro.obs.metrics` (re-exported from
 """
 
 import numpy as np
-import pytest
 
-from repro.sim import Counter, IntervalRate, Simulator, TimeSeries
+from repro.sim import Counter, Simulator, TimeSeries
 from repro.sim.rng import RngRegistry
 
 
@@ -118,42 +117,3 @@ class TestCounter:
         c.add(4)
         assert int(c) == 5
         assert "pkts=5" in repr(c)
-
-
-class TestIntervalRate:
-    def test_snapshot_rates(self):
-        sim = Simulator()
-        meter = IntervalRate(sim, "bytes")
-        rates = []
-
-        def proc(sim):
-            meter.add(100)
-            yield sim.timeout(1)
-            rates.append(meter.snapshot())  # 100 B over 1 s
-            meter.add(50)
-            yield sim.timeout(2)
-            rates.append(meter.snapshot())  # 50 B over 2 s
-
-        sim.process(proc(sim))
-        sim.run()
-        assert rates == [100.0, 25.0]
-        assert meter.total == 150
-        assert len(meter.series) == 2
-
-    def test_snapshot_zero_dt(self):
-        sim = Simulator()
-        meter = IntervalRate(sim)
-        meter.add(10)
-        assert meter.snapshot() == 0.0
-
-    def test_overall_rate(self):
-        sim = Simulator()
-        meter = IntervalRate(sim)
-
-        def proc(sim):
-            meter.add(200)
-            yield sim.timeout(4)
-
-        sim.process(proc(sim))
-        sim.run()
-        assert meter.overall_rate() == pytest.approx(50.0)

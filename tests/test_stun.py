@@ -8,8 +8,10 @@ from repro.net.l2 import Link
 from repro.net.stack import Host
 from repro.net.wan import WanCloud
 from repro.scenarios.builder import make_natted_site, named_mac_factory
+from repro.scenarios.wavnet_env import WavnetEnvironment
 from repro.sim import Simulator
 from repro.stun.client import StunClient
+from repro.stun.messages import StunRequest
 from repro.stun.server import StunServerPair
 
 
@@ -119,3 +121,50 @@ class TestEndpointDiscovery:
         proc = sim.process(client.classify())
         sim.run(until=30)
         assert stun.requests_served >= 2
+
+
+def record_txids(sock) -> list:
+    """Every STUN transaction id ``sock`` sends from now on, in order."""
+    sent = []
+    real = sock.sendto
+
+    def sendto(dst_ip, dst_port, payload):
+        if isinstance(payload.data, StunRequest):
+            sent.append(payload.data.txid)
+        return real(dst_ip, dst_port, payload)
+
+    sock.sendto = sendto
+    return sent
+
+
+class TestTransactionIds:
+    def test_same_seed_sends_same_txids(self):
+        """What goes on the wire depends on the seed alone — not on where
+        the client object happens to sit in memory."""
+        runs = []
+        for _ in range(2):  # both clients alive at once: distinct id()s
+            sim = Simulator(seed=4)
+            _cloud, _stun, host, _site = build(sim, "symmetric")
+            sock = host.udp.bind(7100)
+            client = StunClient(host.stack, sock, "9.9.9.1")
+            runs.append((sim, client, record_txids(sock)))
+        for sim, client, _sent in runs:
+            sim.process(client.classify())
+            sim.run(until=30)
+        assert len(runs[0][2]) >= 4
+        assert runs[0][2] == runs[1][2]
+
+    def test_restored_driver_reuses_no_txid(self):
+        """The client a restored driver makes must not match a stale
+        reply to its predecessor."""
+        sim = Simulator(seed=4)
+        env = WavnetEnvironment(sim)
+        driver = env.add_host("h0").driver
+        first = record_txids(driver.sock)
+        env.up()
+        driver.crash()
+        driver.restore()
+        second = record_txids(driver.sock)  # the socket restore() just bound
+        sim.run(until=sim.now + 30)
+        assert first and second
+        assert not set(first) & set(second)
