@@ -9,7 +9,7 @@ loaded brokering path) at one endpoint count and reports
 * ``fill_ops_per_sec`` / ``reconnect_ops_per_sec`` — control-plane
   registration throughput (simulated time);
 * ``punch_p50_s`` / ``punch_p95_s`` — punch-coordination latency for
-  materialized hosts connecting while the storm runs;
+  fully built hosts connecting while the storm runs;
 * ``bytes_per_endpoint`` — steady-state control-plane memory per idle
   endpoint (table columns + name index + CAN handle stores);
 * ``rss_per_endpoint`` — measured peak-RSS growth per endpoint (each

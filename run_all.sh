@@ -4,7 +4,6 @@
 set -x
 python -m pytest tests/ 2>&1 | tee /root/repo/test_output.txt
 python benchmarks/perf/run.py --selftest 2>&1 | tee /root/repo/bench_perf_selftest_output.txt
-python benchmarks/bench_kernel_events.py --check 2>&1 | tee /root/repo/bench_kernel_output.txt
 python benchmarks/bench_churn_recovery.py --check 2>&1 | tee /root/repo/bench_churn_output.txt
 python benchmarks/bench_sweep_parallel.py --check 2>&1 | tee /root/repo/bench_sweep_output.txt
 python benchmarks/bench_fluid_agreement.py --check 2>&1 | tee /root/repo/bench_fluid_agreement_output.txt

@@ -743,24 +743,6 @@ class WavnetDriver(Component):
             conn.migrations += 1
             conn.last_heard = self.sim.now
 
-    # -- lazy materialization support -----------------------------------
-    def export_endpoint_state(self) -> dict:
-        """Snapshot the control-plane facts worth folding back into a
-        :class:`~repro.core.hoststate.HostTable` row when this host is
-        demoted: everything here is re-derivable through the normal
-        protocols (STUN, registration) on re-materialization, but
-        keeping it lets the directory keep answering queries about the
-        endpoint while it has no object stack."""
-        pub = self.public_endpoint or (self.host.stack.ips[0], self.sock.port)
-        return {
-            "nat_type": (self.nat_type or NatType.OPEN).value,
-            "public_ip": str(pub[0]),
-            "public_port": int(pub[1]),
-            "virtual_ip": str(self.virtual_ip),
-            "attrs": dict(self.attrs),
-            "relay_peers": sorted(self._relay_peers),
-        }
-
     # -- distance reporting (feeds the grouping strategy) ---------------------
     def report_latencies(self, rtts: dict[str, float]):
         """Process: report measured RTTs to the rendezvous distance locator."""

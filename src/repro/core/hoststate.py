@@ -4,21 +4,15 @@ The paper validates WAVNet at 7 sites / ~400 PlanetLab hosts, where
 every host can afford a full object stack (driver, NAT box, L2 ports,
 simulation processes). Pushing the rendezvous + CAN control plane to
 10^5-10^6 *registered* endpoints is impossible at ~100 KB per idle
-host, so registered-endpoint state is split from materialized hosts:
-
-* :class:`HostTable` — a struct-of-arrays table (numpy columns, one row
-  per endpoint) holding everything the control plane needs about a
-  registered endpoint: packed NAT mapping (public/private 2-tuples),
-  reachability endpoint, rendezvous assignment, CAN coordinates,
-  resource attributes, liveness epoch, relay/materialized flags. No
-  per-host Process, socket, or L2 objects — an idle endpoint costs a
-  table row plus its name.
-* :meth:`HostTable.materialize` — lazily instantiate the full
-  driver/NAT/L2 stack for a host that actively punches or moves
-  traffic, through a scenario-supplied hook.
-* :meth:`HostTable.demote` — fold an idle host back into the table:
-  its registration state is captured into the row and the object stack
-  is torn down.
+host, so registered-endpoint state is split from built hosts:
+:class:`HostTable` is a struct-of-arrays table (numpy columns, one row
+per endpoint) holding everything the control plane needs about a
+registered endpoint: packed NAT mapping (public/private 2-tuples),
+reachability endpoint, rendezvous assignment, CAN coordinates,
+resource attributes, liveness epoch, the registered flag. No per-host
+Process, socket, or L2 objects — an idle endpoint costs a table row
+plus its name. Hosts that punch or move traffic are built eagerly by
+the scenario (``WavnetEnvironment.add_host``) next to their row.
 
 Rows are identified by a dense integer ``host_id``; cross-layer
 references (CAN directory entries, replicas) use *handles* — the row id
@@ -34,7 +28,7 @@ endpoint load with one vectorized containment test.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,11 +36,9 @@ from repro.nat.types import NatType
 from repro.net.addresses import IPv4Address
 from repro.overlay.resources import ConnectionInfo, ResourceRecord, ResourceSpec
 
-__all__ = ["HostTable", "FLAG_MATERIALIZED", "FLAG_REGISTERED", "FLAG_RELAY"]
+__all__ = ["HostTable", "FLAG_REGISTERED"]
 
-FLAG_REGISTERED = 1    # row currently admitted by a rendezvous server
-FLAG_MATERIALIZED = 2  # full driver/NAT/L2 stack exists for this row
-FLAG_RELAY = 4         # endpoint is relay-only (punching known to fail)
+FLAG_REGISTERED = 1  # row currently admitted by a rendezvous server
 
 _NAT_CODES = {t: i for i, t in enumerate(NatType)}
 _NAT_TYPES = list(NatType)
@@ -69,7 +61,6 @@ class HostTable:
     """
 
     def __init__(self, sim, spec: Optional[ResourceSpec] = None) -> None:
-        self.sim = sim
         self.spec = spec or ResourceSpec()
         self._dims = self.spec.dims
         self._capacity = _INITIAL_CAPACITY
@@ -77,24 +68,12 @@ class HostTable:
         self._ids: dict[str, int] = {}
         self._names: list[Optional[str]] = []
         self._alloc(self._capacity)
-        # Full object stacks for materialized hosts (host_id -> stack
-        # handle, opaque to the table) plus the scenario-supplied hooks.
-        self.active: dict[int, Any] = {}
-        self.materializer: Optional[Callable[[str], Any]] = None
-        self.dematerializer: Optional[Callable[[str, Any], None]] = None
         # Sparse side table (empty for storm-scale synthetic endpoints).
         self._site_cfg: dict[int, dict] = {}
-        # PDES single-owner access: when set via claim_partition(),
-        # registration-state mutations outside the owning partition are
-        # placement bugs and raise instead of silently diverging.
-        self._partition_guard = None
         m = sim.metrics.scope("hosttable")
         self._m_registered = m.counter("registered")
         self._m_expired = m.counter("expired")
-        self._m_materialized = m.counter("materialized")
-        self._m_demoted = m.counter("demoted")
         self._g_rows = m.gauge("rows")
-        self._g_active = m.gauge("active")
 
     # -- storage -------------------------------------------------------
     def _alloc(self, capacity: int) -> None:
@@ -195,33 +174,12 @@ class HostTable:
             self._g_rows.set(self._n)
         return host_id
 
-    # -- PDES single-owner access --------------------------------------
-    def claim_partition(self, owner_group: int, context) -> None:
-        """Declare registration state single-owner for PDES: only the
-        partition owning ``owner_group`` (per the
-        :class:`~repro.sim.pdes.PartitionContext`) may mutate it. Every
-        partition replicates the *rows* (so address allocation stays in
-        lock-step), but registrations/keepalives/expiry land only where
-        the rendezvous servers live; elsewhere they raise."""
-        self._partition_guard = (int(owner_group), context)
-
-    def _check_owner(self) -> None:
-        if self._partition_guard is None:
-            return
-        owner_group, ctx = self._partition_guard
-        if not ctx.owns(owner_group):
-            raise RuntimeError(
-                f"HostTable registration state is owned by the partition "
-                f"holding group {owner_group}; this mutation ran in "
-                f"partition {ctx.partition_id} — a PDES placement bug")
-
     def register(self, name: str, conn: ConnectionInfo, attrs: dict,
                  reach: tuple, now: float, owner: int = -1,
                  region: int = -1) -> int:
         """Admit (or re-admit) ``name``; returns its row id. Bumps the
         generation so handles minted for the previous registration go
         stale."""
-        self._check_owner()
         i = self.ensure_row(name)
         self.public_ip[i] = conn.public_ip.value
         self.public_port[i] = conn.public_port
@@ -255,7 +213,6 @@ class HostTable:
         parallel per-endpoint columns; ``rendezvous``/``reach`` are
         shared (IPv4Address, port) endpoints. Returns the row ids.
         """
-        self._check_owner()
         ids = np.fromiter((self.ensure_row(n) for n in names),
                           dtype=np.int64, count=len(names))
         self.public_ip[ids] = public_ip
@@ -309,7 +266,6 @@ class HostTable:
     def touch_names(self, names, now: float) -> int:
         """Batched keepalive: bump liveness epochs for every known name;
         returns how many were still-registered rows."""
-        self._check_owner()
         ids = [self._ids[n] for n in names if n in self._ids]
         if not ids:
             return 0
@@ -335,13 +291,10 @@ class HostTable:
         return [self._names[i] for i in ids]
 
     def expire(self, horizon: float, owner: Optional[int] = None) -> list[str]:
-        """Unregister rows whose liveness epoch predates ``horizon``
-        (materialized hosts are exempt — their drivers keepalive).
+        """Unregister rows whose liveness epoch predates ``horizon``.
         Returns the expired names."""
-        self._check_owner()
         n = self._n
         mask = ((self.flags[:n] & FLAG_REGISTERED) != 0) \
-            & ((self.flags[:n] & FLAG_MATERIALIZED) == 0) \
             & (self.last_seen[:n] < horizon)
         if owner is not None:
             mask &= self.owner[:n] == owner
@@ -356,7 +309,6 @@ class HostTable:
         """Fault verb support: endpoints went dark. Their registrations
         drop immediately (the storm re-registers them later); row data
         survives so reconnection needs no side channel."""
-        self._check_owner()
         count = 0
         for name in names:
             host_id = self._ids.get(name)
@@ -424,36 +376,7 @@ class HostTable:
             conn=self.connection_info(host_id),
         )
 
-    # -- lazy materialization ------------------------------------------
-    def materialize(self, host_id: int):
-        """Instantiate the full driver/NAT/L2 stack for this endpoint
-        via the scenario-supplied hook; idempotent."""
-        if host_id in self.active:
-            return self.active[host_id]
-        if self.materializer is None:
-            raise RuntimeError("HostTable has no materializer hook")
-        stack = self.materializer(self.name_of(host_id))
-        self.active[host_id] = stack
-        self.flags[host_id] |= FLAG_MATERIALIZED
-        self._m_materialized.add()
-        self._g_active.set(len(self.active))
-        self.sim.trace.event("host.materialize", host=self.name_of(host_id))
-        return stack
-
-    def demote(self, host_id: int) -> None:
-        """Fold a materialized host back into the table: capture its
-        registration state into the row, tear the object stack down."""
-        stack = self.active.pop(host_id, None)
-        if stack is None:
-            return
-        if self.dematerializer is not None:
-            self.dematerializer(self.name_of(host_id), stack)
-        self.flags[host_id] &= np.uint8(~FLAG_MATERIALIZED & 0xFF)
-        self._m_demoted.add()
-        self._g_active.set(len(self.active))
-        self.sim.trace.event("host.demote", host=self.name_of(host_id))
-
-    # -- site construction state (materialize/demote round trips) ------
+    # -- site construction state (add_endpoint -> build_declared) ------
     def set_site_config(self, host_id: int, **cfg) -> None:
         if cfg:
             self._site_cfg[host_id] = cfg
@@ -463,5 +386,4 @@ class HostTable:
 
     def __repr__(self) -> str:
         return (f"HostTable(rows={self._n}, "
-                f"registered={self.registered_count}, "
-                f"active={len(self.active)})")
+                f"registered={self.registered_count})")

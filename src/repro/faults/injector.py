@@ -93,24 +93,15 @@ class FaultInjector:
 
     # -- table-resident endpoint faults ---------------------------------
     # Churn at 10^5-10^6 endpoints operates on HostTable rows directly:
-    # no object stack is materialized just to kill an idle endpoint.
+    # no object stack exists for an idle endpoint.
     def endpoint_down(self, table, names) -> int:
         """Endpoints go dark: registrations drop immediately (their rows
         and directory state survive, so a later reconnect needs no side
-        channel). Materialized hosts are crashed through their driver
-        component instead, so both representations get one verb."""
+        channel). Returns how many were registered."""
         names = [names] if isinstance(names, str) else list(names)
-        table_names = []
-        for name in names:
-            host_id = table.lookup(name)
-            if host_id >= 0 and host_id in table.active:
-                stack = table.active[host_id]
-                self.crash(stack.driver.component_id)
-            else:
-                table_names.append(name)
-        downed = table.mark_down(table_names)
+        downed = table.mark_down(names)
         self._note("endpoint_down", count=len(names), table_resident=downed)
-        return downed + (len(names) - len(table_names))
+        return downed
 
     def endpoint_reconnect(self, table, names, owner: int = -1,
                            region: int = -1) -> int:

@@ -21,18 +21,11 @@ __all__ = ["FaultEvent", "FaultPlan"]
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One scheduled injection: ``injector.<kind>(**kwargs)`` at ``at``.
-
-    ``group`` is the PDES site-group the faulted component lives in:
-    a partitioned run arms each entry only in the partition that owns
-    its group, so every verb executes exactly once, in the process that
-    holds the target objects.
-    """
+    """One scheduled injection: ``injector.<kind>(**kwargs)`` at ``at``."""
 
     at: float
     kind: str
     kwargs: dict = field(default_factory=dict)
-    group: int = 0
 
 
 class FaultPlan:
@@ -46,15 +39,13 @@ class FaultPlan:
         self.events: list[FaultEvent] = []
         self.armed = False
 
-    def at(self, t: float, kind: str, group: int = 0, **kwargs) -> "FaultPlan":
-        """Schedule ``injector.<kind>(**kwargs)`` at absolute time ``t``;
-        ``group`` routes the entry to its owning PDES partition (ignored
-        by serial runs)."""
+    def at(self, t: float, kind: str, **kwargs) -> "FaultPlan":
+        """Schedule ``injector.<kind>(**kwargs)`` at absolute time ``t``."""
         if self.armed:
             raise RuntimeError("plan already armed")
         if not hasattr(self.injector, kind):
             raise ValueError(f"unknown fault kind {kind!r}")
-        self.events.append(FaultEvent(float(t), kind, dict(kwargs), int(group)))
+        self.events.append(FaultEvent(float(t), kind, dict(kwargs)))
         return self
 
     def random_churn(self, component_ids, start: float, stop: float,
@@ -79,21 +70,13 @@ class FaultPlan:
             self.at(min(stop, t + downtime), "restore", component_id=cid)
         return self
 
-    def arm(self, partition=None) -> "FaultPlan":
+    def arm(self) -> "FaultPlan":
         """Install every entry on the simulator calendar (fast-lane
-        callables — no process overhead per injection).
-
-        With a :class:`~repro.sim.pdes.PartitionContext`, only the
-        entries whose ``group`` this partition owns are armed — the
-        verbs run in the process holding the faulted objects, and the
-        union over all partitions is exactly the serial schedule.
-        """
+        callables — no process overhead per injection)."""
         if self.armed:
             raise RuntimeError("plan already armed")
         self.armed = True
         for event in sorted(self.events, key=lambda e: e.at):
-            if partition is not None and not partition.owns(event.group):
-                continue
             verb = getattr(self.injector, event.kind)
             self.sim.call_at(event.at, partial(verb, **event.kwargs))
         return self

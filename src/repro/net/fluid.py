@@ -399,19 +399,6 @@ class FluidNetwork:
         (duration mode)."""
         if path is None:
             path = self.route(src, dst_ip)
-        if path.cloud is not None and path.sites is not None:
-            # PDES solver ownership: each partition runs its own fluid
-            # solver over the links it owns, so a flow's whole path —
-            # in particular its WAN site pair — must live in one
-            # partition. Cross-partition bulk traffic should use
-            # fidelity="packet" (frames cross via the cloud boundary).
-            remote = [s for s in path.sites if path.cloud.is_remote(s)]
-            if remote:
-                raise RuntimeError(
-                    f"fluid flow {name or src} rides WAN site(s) {remote} "
-                    "owned by another PDES partition; fluid flows must be "
-                    "intra-partition — co-locate both endpoints' site "
-                    "groups or run the transfer at packet fidelity")
         if name is None:
             name = f"flow{self._flow_seq}"
         self._flow_seq += 1

@@ -133,10 +133,6 @@ class WanCloud:
         """True when ``site`` is a declared other-partition attachment."""
         return site in self._remote_sites
 
-    def remote_partitions(self) -> list[int]:
-        """Partition ids that own at least one declared remote site."""
-        return sorted(set(self._remote_sites.values()))
-
     def min_remote_latency(self) -> float:
         """Minimum one-way latency from any local site to any remote
         site — the conservative PDES lookahead for this partition."""

@@ -15,7 +15,7 @@ rows plus RPC envelopes, not drivers and NAT boxes. The storm itself:
    admission control on, the token buckets shed the front of the wave
    and the lane backs off with jittered retries; with
    ``hot_zone_limit`` set, the CAN sheds hot zones under the load.
-   Meanwhile a handful of *real* (materialized) hosts punch tunnels
+   Meanwhile a handful of *real* (fully built) hosts punch tunnels
    through the same brokering path, sampling punch-coordination
    latency under control-plane pressure.
 
@@ -67,8 +67,7 @@ class StormLane:
         self.keepalive_sweeps = 0
         self.keepalives_acked = 0
         # Server assignment is the fleet's static consistent hash,
-        # computed through the env's ring so it needs no live server
-        # objects (the lane works inside a control-less PDES partition).
+        # computed through the env's ring.
         self._groups: dict[int, list[int]] = {}
         for k, name in enumerate(self.names):
             self._groups.setdefault(env.assign_rendezvous(name), []).append(k)
@@ -264,7 +263,7 @@ def registration_storm(seed: int = 0, n_endpoints: int = 10_000,
             sim.process(lane.keepalive_loop(keepalive_interval),
                         name=f"storm-keepalive:r{lane.region}")
 
-    # Phase 2: regional outage (table-resident — nothing materialized).
+    # Phase 2: regional outage (table-resident — no object stacks involved).
     injector = FaultInjector(sim)
     downed = injector.regional_outage(env.table, outage_region)
 

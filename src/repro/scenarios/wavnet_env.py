@@ -74,8 +74,6 @@ class WavnetEnvironment:
         # Single source of truth for every registered endpoint; the
         # rendezvous servers all own slices of it (fleet sharding).
         self.table = HostTable(sim)
-        self.table.materializer = self._materialize_host
-        self.table.dematerializer = self._dematerialize_host
         if not build_control:
             # PDES: the control plane (STUN pair + rendezvous servers +
             # the authoritative table mutations) lives in another
@@ -169,7 +167,7 @@ class WavnetEnvironment:
         """Reserve a table row for an endpoint *without* building any
         object stack: allocates its stable virtual IP and public-address
         slot and records the site configuration, so a later
-        :meth:`materialize` (or :meth:`add_host`, which calls this)
+        :meth:`build_declared` (or :meth:`add_host`, which calls both)
         constructs an identical host every time. Returns the row id.
 
         ``site_config`` takes the :data:`SITE_DEFAULTS` keys plus
@@ -211,10 +209,10 @@ class WavnetEnvironment:
     def build_declared(self, name: str) -> WavnetHost:
         """Construct (without starting) the full host/NAT/driver stack
         for an endpoint declared via :meth:`add_endpoint`, from its
-        table row — used by :meth:`add_host`, by lazy materialization
-        and by PDES partitions (every partition declares every endpoint
-        for lock-step address allocation, then builds only the ones it
-        owns), so all three produce identical stacks."""
+        table row — used by :meth:`add_host` and by PDES partitions
+        (every partition declares every endpoint for lock-step address
+        allocation, then builds only the ones it owns), so both produce
+        identical stacks."""
         host_id = self.table.lookup(name)
         cfg = self.table.site_config(host_id)
         if not cfg:
@@ -274,46 +272,6 @@ class WavnetEnvironment:
         wav_host = WavnetHost(host=host, driver=driver, site=site)
         self.hosts[wav_host.name] = wav_host
         return wav_host
-
-    # -- lazy materialization ------------------------------------------
-    def materialize(self, name: str) -> WavnetHost:
-        """Instantiate and start the full stack for a table-resident
-        endpoint (runs the simulator to drive STUN + registration)."""
-        host_id = self.table.lookup(name)
-        if host_id < 0:
-            raise KeyError(name)
-        return self.table.materialize(host_id)
-
-    def demote(self, name: str) -> None:
-        """Fold a materialized host back into its table row: capture its
-        control-plane state, tear down driver/NAT/links, and release the
-        lifecycle registrations. The directory row survives, so the
-        endpoint stays queryable and can re-materialize identically."""
-        host_id = self.table.lookup(name)
-        if host_id < 0:
-            raise KeyError(name)
-        self.table.demote(host_id)
-
-    def _materialize_host(self, name: str) -> WavnetHost:
-        wav = self.build_declared(name)
-        self.sim.run_coro(wav.driver.start())
-        return wav
-
-    def _dematerialize_host(self, name: str, wav: WavnetHost) -> None:
-        host_id = self.table.lookup(name)
-        state = wav.driver.export_endpoint_state()
-        self.table.public_ip[host_id] = IPv4Address(state["public_ip"]).value
-        self.table.public_port[host_id] = state["public_port"]
-        self.table.touch(host_id, self.sim.now)
-        wav.driver.stop()
-        self.cloud.detach(name)
-        registry = self.sim.components
-        doomed = {wav.driver.component_id}
-        doomed.update(cid for cid in registry
-                      if cid.startswith((f"link:{name}.", f"nat:{name}.")))
-        for cid in doomed:
-            registry.remove(cid)
-        del self.hosts[name]
 
     def set_site_rtt(self, a: str, b: str, rtt: float) -> None:
         """Pairwise RTT between two host sites over the cloud."""

@@ -122,12 +122,6 @@ class ComponentRegistry:
     def get(self, component_id: str) -> Optional[Component]:
         return self._components.get(component_id)
 
-    def remove(self, component_id: str) -> Optional[Component]:
-        """Forget a component entirely (host demotion tears the object
-        stack down; a later re-materialization registers fresh). Returns
-        the removed component, or None if the id is unknown."""
-        return self._components.pop(component_id, None)
-
     def __getitem__(self, component_id: str) -> Component:
         return self._components[component_id]
 

@@ -1,5 +1,15 @@
 """Site-partitioned parallel discrete-event simulation (PDES).
 
+**Status: experimental.** The plane supports packet-fidelity site
+meshes — one scenario, ``pdes_mesh`` — and is kept as the
+serial-vs-partitioned byte-identity oracle, not as a way to go faster:
+measured on 2 cores, 2 partitions run ``pdes_mesh`` at 0.74-0.94x of
+serial (each worker spends more than half its wall inside the
+coordinator exchange). Workers exchanging frames directly over pipes reached 1.15x
+in a prototype, under a 1.37x zero-wait ceiling set by pickling; DESIGN
+section 14 has the numbers. The coordinator protocol below is the
+measured one.
+
 One big scenario still runs on one core: ``repro.exp`` shards across
 *runs*, not inside a run. This module partitions a single simulation by
 WAN site — every :class:`~repro.net.wan.WanCloud` attachment point (and
@@ -71,6 +81,8 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import queue
+import traceback
 from time import perf_counter
 from typing import Any, Callable, Optional
 
@@ -265,8 +277,6 @@ def _partition_worker(spec_dict: dict, partition_id: int, partitions: int,
             "n_trace_records": len(sim.trace),
         }))
     except BaseException as exc:  # noqa: BLE001 - crosses process boundary
-        import traceback
-
         up.put(("error", partition_id,
                 f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"))
 
@@ -357,10 +367,17 @@ def run_partitioned(spec, partitions: Optional[int] = None) -> dict:
         while len(blobs) < n and failure is None:
             try:
                 msg = up.get(timeout=1.0)
-            except Exception:  # queue.Empty: check for dead workers
+            except queue.Empty:
                 dead = [p.name for p in procs if p.exitcode not in (0, None)]
                 if dead:
                     failure = f"partition worker(s) died: {dead}"
+                continue
+            except Exception as exc:  # noqa: BLE001 - unpickle ran worker code
+                # The message is consumed; its worker may exit 0, so
+                # waiting for a dead process would never end.
+                failure = (f"worker message failed to load: "
+                           f"{type(exc).__name__}: {exc}\n"
+                           f"{traceback.format_exc()}")
                 continue
             kind = msg[0]
             if kind == "hello":

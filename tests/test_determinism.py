@@ -132,62 +132,6 @@ def test_fault_schedule_run_twice_identical():
     assert "conn.repaired" in r1["trace"]
 
 
-def _run_materialize_cycle_once():
-    """A table-resident endpoint goes through the full lazy lifecycle —
-    registered -> materialized -> punched -> demoted -> re-materialized
-    -> re-punched — alongside an always-materialized anchor host."""
-    from repro.scenarios.wavnet_env import WavnetEnvironment
-
-    sim = Simulator(seed=31)
-    env = WavnetEnvironment(sim, n_rendezvous=2)
-    env.add_host("anchor", rendezvous_index=0)
-    env.up()
-    env.add_endpoint("lazy", rendezvous_index=1, nat_type="full-cone",
-                     attrs={"cpu_ghz": 2.0, "mem_mb": 4096.0})
-    first = env.materialize("lazy")
-    sim.run(until=sim.now + 5.0)
-    env.connect("anchor", "lazy")
-    state_before = first.driver.export_endpoint_state()
-    env.demote("lazy")
-    sim.run(until=sim.now + 5.0)
-    second = env.materialize("lazy")
-    sim.run(until=sim.now + 5.0)
-    conn = env.connect("anchor", "lazy")
-    state_after = second.driver.export_endpoint_state()
-    return {
-        "events": sim.events_dispatched,
-        "now": sim.now,
-        "state_before": json.dumps(state_before, sort_keys=True),
-        "state_after": json.dumps(state_after, sort_keys=True),
-        "relayed": conn.relayed,
-        "metrics": json.dumps(sim.metrics.snapshot(), sort_keys=True,
-                              default=str),
-        "trace": sim.trace.to_jsonl(),
-    }
-
-
-def test_materialize_demote_cycle_run_twice_identical():
-    """The lazy lifecycle must be byte-identical across runs AND across
-    materializations: the rebuilt stack exports the same endpoint state
-    (NAT mapping, virtual IP, attrs) the demoted one captured."""
-    r1 = _run_materialize_cycle_once()
-    r2 = _run_materialize_cycle_once()
-    assert r1["events"] == r2["events"]
-    assert r1["now"] == r2["now"]
-    assert r1["metrics"] == r2["metrics"]
-    assert r1["trace"] == r2["trace"]
-    assert r1["state_before"] == r2["state_before"]
-    # The re-materialized stack reproduces the captured control-plane
-    # state exactly (relay_peers excluded: connections are rebuilt).
-    before = json.loads(r1["state_before"])
-    after = json.loads(r1["state_after"])
-    for key in ("nat_type", "public_ip", "virtual_ip", "attrs"):
-        assert before[key] == after[key], key
-    assert not r1["relayed"]
-    assert "host.materialize" in r1["trace"]
-    assert "host.demote" in r1["trace"]
-
-
 def _run_hybrid_fluid_once():
     """Mixed fluid+packet traffic under a fault schedule: a fluid bulk
     flow and a packet ttcp transfer share one access link (hybrid
@@ -309,38 +253,15 @@ def test_migration_under_nat_reboot_run_twice_identical():
     assert payload["repunches"] == 0
 
 
-def _pdes_envelope(name, params, metrics=(), traces=(), seed=5):
-    from repro.exp.spec import ExperimentSpec, envelope_bytes
-    from repro.sim.pdes import run_partitioned
-
-    spec = ExperimentSpec(name, params=params, seed=seed,
-                          metrics=metrics, traces=traces)
-    return envelope_bytes(run_partitioned(spec))
-
-
 def test_pdes_mesh_partitioned_run_twice_identical():
     """The partitioned executor itself must replay exactly: window
     barriers, cross-partition frame injection order, and the shard merge
     are all deterministic across back-to-back runs."""
-    params = {"partitions": 2, "n_sites": 2, "duration": 2.0,
-              "horizon": 26.0}
-    assert _pdes_envelope("pdes_mesh", params) == \
-        _pdes_envelope("pdes_mesh", params)
+    from repro.exp.spec import ExperimentSpec, envelope_bytes
+    from repro.sim.pdes import run_partitioned
 
-
-def test_pdes_churn_partitioned_run_twice_identical():
-    """Fault-schedule churn split across partitions replays exactly,
-    including the cross-partition fault trace."""
-    params = {"partitions": 2}
-    metrics = ("faults.injected.*",)
-    traces = ("fault*",)
-    assert _pdes_envelope("pdes_churn", params, metrics, traces) == \
-        _pdes_envelope("pdes_churn", params, metrics, traces)
-
-
-def test_pdes_fluid_mix_partitioned_run_twice_identical():
-    """Mixed fluid+packet traffic with per-partition solvers replays
-    exactly."""
-    params = {"partitions": 2}
-    assert _pdes_envelope("pdes_fluid_mix", params, seed=3) == \
-        _pdes_envelope("pdes_fluid_mix", params, seed=3)
+    spec = ExperimentSpec("pdes_mesh", seed=5,
+                          params={"partitions": 2, "n_sites": 2,
+                                  "duration": 2.0, "horizon": 26.0})
+    assert envelope_bytes(run_partitioned(spec)) == \
+        envelope_bytes(run_partitioned(spec))

@@ -1,14 +1,12 @@
 """The million-endpoint control plane: HostTable, fleet, admission,
-batched registration, table-resident fault verbs, and the lazy
-materialize/demote lifecycle."""
+batched registration and table-resident fault verbs."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core.hoststate import (FLAG_MATERIALIZED, FLAG_REGISTERED,
-                                  HostTable)
+from repro.core.hoststate import FLAG_REGISTERED, HostTable
 from repro.faults import FaultInjector
 from repro.nat.types import NatType
 from repro.net.addresses import IPv4Address
@@ -39,8 +37,7 @@ def test_register_row_roundtrip():
     attrs = {"cpu_ghz": 3, "mem_mb": 2048.5}
     host_id = table.register("h0", _conn(), attrs, _reach(), now=1.5, owner=2)
     assert table.name_of(host_id) == "h0"
-    flags = int(table.flags[host_id])
-    assert flags & FLAG_REGISTERED and not flags & FLAG_MATERIALIZED
+    assert int(table.flags[host_id]) == FLAG_REGISTERED
     assert float(table.last_seen[host_id]) == 1.5
     # The table stamps the freshest observed mapping (the reach port)
     # into rebuilt ConnectionInfos for predicted-port punching.
@@ -111,18 +108,17 @@ def test_register_batch_vectorized():
     assert rec.conn.nat_type is NatType.PORT_RESTRICTED
 
 
-def test_expiry_exempts_materialized_and_release_owner():
+def test_expiry_and_release_owner():
     sim = Simulator(seed=1)
     table = HostTable(sim)
-    a = table.register("a", _conn(), {}, _reach(), now=0.0, owner=0)
+    table.register("a", _conn(), {}, _reach(), now=20.0, owner=0)
     b = table.register("b", _conn(), {}, _reach(), now=0.0, owner=0)
     table.register("c", _conn(), {}, _reach(), now=50.0, owner=1)
-    table.flags[a] |= FLAG_MATERIALIZED
-    assert table.expire(horizon=10.0) == ["b"]  # a exempt, c fresh
+    assert table.expire(horizon=10.0) == ["b"]  # a and c are fresh
     assert not (table.flags[b] & FLAG_REGISTERED)
     released = table.release_owner(1)
     assert released == ["c"]
-    assert table.registered_count == 1  # only the materialized row
+    assert table.registered_count == 1  # only "a"
 
 
 def test_zone_selection_vectorized():
@@ -223,39 +219,6 @@ def test_endpoint_fault_verbs_without_materialization():
     assert sorted(downed) == ["f0", "f1"]
     assert table.registered_count == 1
     assert sim.metrics.value("faults.injected.regional_outage") == 1
-
-
-# -- lazy materialization ----------------------------------------------
-
-def test_materialize_demote_rematerialize_cycle():
-    sim = Simulator(seed=4)
-    env = WavnetEnvironment(sim, n_rendezvous=1)
-    env.add_host("anchor")
-    env.up()
-    host_id = env.add_endpoint("lazy", nat_type="full-cone",
-                               attrs={"cpu_ghz": 2.0, "mem_mb": 4096.0})
-    assert "lazy" not in env.hosts  # row only, no stack
-    wav = env.materialize("lazy")
-    sim.run(until=sim.now + 2.0)
-    assert "lazy" in env.hosts
-    assert bool(env.table.flags[host_id] & FLAG_MATERIALIZED)
-    assert env.rendezvous[0].registered("lazy") >= 0
-    vip = wav.virtual_ip
-    conn = env.connect("anchor", "lazy")
-    assert conn is not None and not conn.relayed
-    env.demote("lazy")
-    assert "lazy" not in env.hosts
-    assert not (env.table.flags[host_id] & FLAG_MATERIALIZED)
-    assert f"driver:lazy" not in sim.components
-    # Directory row survives demotion with the captured NAT mapping.
-    conn = env.table.connection_info(host_id)
-    assert conn.public_ip.value == int(env.table.public_ip[host_id]) != 0
-    again = env.materialize("lazy")
-    sim.run(until=sim.now + 2.0)
-    assert again.virtual_ip == vip  # identical rebuild
-    assert env.rendezvous[0].registered("lazy") >= 0
-    conn2 = env.connect("anchor", "lazy")
-    assert conn2 is not None
 
 
 # -- the storm scenario -------------------------------------------------

@@ -1,16 +1,15 @@
 """Tests for the PDES plane: windowed execution, the cloud boundary,
-partition ownership, fleet-assigned rendezvous routing, registration
-guards, CAN zone re-merge, keepalive sweeps — and the headline property,
-serial-vs-partitioned byte-identical envelopes for every pdes scenario.
+partition ownership, fleet-assigned rendezvous routing, CAN zone
+re-merge, keepalive sweeps — and the headline property,
+serial-vs-partitioned byte-identical envelopes for ``pdes_mesh``.
 """
+
+import signal
 
 import pytest
 
-from repro.core.hoststate import HostTable
-from repro.exp.spec import ExperimentSpec, envelope_bytes, run_spec
-from repro.faults.plan import FaultPlan
+from repro.exp.spec import ExperimentSpec, envelope_bytes, run_spec, scenario
 from repro.net.addresses import BROADCAST_MAC, IPv4Address, mac_factory
-from repro.net.fluid import FluidLink, FluidNetwork, FluidPath
 from repro.net.packet import EthernetFrame, Payload, UdpDatagram, ipv4
 from repro.net.wan import WanCloud
 from repro.overlay.fleet import HashRing
@@ -130,7 +129,6 @@ class TestCloudBoundary:
     def test_remote_declaration(self):
         _, cloud = self._cloud()
         assert cloud.is_remote("far") and not cloud.is_remote("local")
-        assert cloud.remote_partitions() == [1]
         assert cloud.min_remote_latency() == 0.03
         with pytest.raises(ValueError, match="attached locally"):
             cloud.declare_remote_site("local", 1)
@@ -246,89 +244,6 @@ class TestFleetAssignment:
         assert bare.stun_primary_ip == full.stun_primary_ip
 
 
-# -- fault plan group routing -------------------------------------------
-
-
-class _SpyInjector:
-    def __init__(self):
-        self.calls = []
-
-    def crash(self, component_id):
-        self.calls.append(component_id)
-
-
-class TestFaultPlanGroups:
-    def _plan(self, sim):
-        plan = FaultPlan(sim, name="t", injector=_SpyInjector())
-        plan.at(5.0, "crash", group=0, component_id="a")
-        plan.at(6.0, "crash", group=1, component_id="b")
-        plan.at(7.0, "crash", group=2, component_id="c")
-        return plan
-
-    def test_partition_arms_only_owned_groups(self):
-        sim = Simulator(seed=0)
-        plan = self._plan(sim)
-        plan.arm(partition=PartitionContext(2, 0))
-        sim.run(until=10.0)
-        assert plan.injector.calls == ["a", "c"]  # groups 0, 2
-
-    def test_partition_union_is_the_serial_schedule(self):
-        serial_sim = Simulator(seed=0)
-        serial = self._plan(serial_sim)
-        serial.arm(partition=None)
-        serial_sim.run(until=10.0)
-        fired = []
-        for pid in range(2):
-            sim = Simulator(seed=0)
-            plan = self._plan(sim)
-            plan.arm(partition=PartitionContext(2, pid))
-            sim.run(until=10.0)
-            fired.extend(plan.injector.calls)
-        assert sorted(fired) == sorted(serial.injector.calls) == ["a", "b", "c"]
-
-
-# -- registration-state ownership guard ---------------------------------
-
-
-class TestHostTableClaim:
-    def test_non_owner_mutation_raises(self):
-        sim = Simulator(seed=0)
-        table = HostTable(sim)
-        table.claim_partition(0, PartitionContext(2, 1))  # group 0 -> p0
-        with pytest.raises(RuntimeError, match="placement bug"):
-            table.touch_names(["anyone"], 0.0)
-
-    def test_owner_mutation_allowed(self):
-        sim = Simulator(seed=0)
-        table = HostTable(sim)
-        table.claim_partition(0, PartitionContext(2, 0))
-        assert table.touch_names(["unknown"], 0.0) == 0
-
-    def test_serial_context_unrestricted(self):
-        sim = Simulator(seed=0)
-        table = HostTable(sim)
-        table.claim_partition(0, PartitionContext(2))
-        assert table.touch_names([], 0.0) == 0
-
-
-# -- fluid plane cross-partition guard ----------------------------------
-
-
-class TestFluidPartitionGuard:
-    def test_open_refuses_path_crossing_partition_boundary(self):
-        sim = Simulator(seed=0)
-        cloud = WanCloud(sim)
-        cloud.attach("here")
-        cloud.declare_remote_site("there", 1)
-        net = FluidNetwork(sim, refresh_interval=0.0)
-        link = FluidLink("here.access", 1e9)
-        path = FluidPath(links=((link, 1.0),), rtt=0.05,
-                         sites=("here", "there"), cloud=cloud)
-        net.add_route("src", "1.2.3.4", path)
-        with pytest.raises(RuntimeError, match="partition"):
-            net.open("src", "1.2.3.4", size_bytes=1000)
-
-
 # -- CAN zone re-merge under drain (satellite 2) ------------------------
 
 
@@ -381,23 +296,22 @@ class TestKeepaliveSweeps:
 
 # -- the headline property: byte-identical envelopes --------------------
 
+# The plain two-site pair; three partitions over four sites (uneven
+# ownership, the control partition also owns a site group); two hosts
+# per site.
 PDES_GOLDENS = [
-    ("pdes_mesh",
-     {"partitions": 2, "n_sites": 2, "duration": 2.0, "horizon": 26.0},
-     (), ()),
-    ("pdes_churn", {"partitions": 2},
-     ("faults.injected.*",), ("fault*",)),
-    ("pdes_storm", {"partitions": 2, "n_endpoints": 120, "horizon": 40.0},
-     (), ("fault*",)),
-    ("pdes_fluid_mix", {"partitions": 2}, (), ()),
+    pytest.param({"partitions": 2, "n_sites": 2, "duration": 2.0,
+                  "horizon": 26.0}, id="pdes_mesh"),
+    pytest.param({"partitions": 3, "n_sites": 4, "duration": 1.0,
+                  "horizon": 24.0}, id="pdes_mesh-3p-4sites"),
+    pytest.param({"partitions": 2, "n_sites": 3, "hosts_per_site": 2,
+                  "duration": 1.0, "horizon": 24.0}, id="pdes_mesh-2p-3x2"),
 ]
 
 
-@pytest.mark.parametrize("name,params,metrics,traces", PDES_GOLDENS,
-                         ids=[g[0] for g in PDES_GOLDENS])
-def test_partitioned_envelope_matches_serial(name, params, metrics, traces):
-    spec = ExperimentSpec(name, params=params, seed=5,
-                          metrics=metrics, traces=traces)
+@pytest.mark.parametrize("params", PDES_GOLDENS)
+def test_partitioned_envelope_matches_serial(params):
+    spec = ExperimentSpec("pdes_mesh", params=params, seed=5)
     serial = run_spec(spec)
     part = run_partitioned(spec)
     assert envelope_bytes(part) == envelope_bytes(serial)
@@ -405,22 +319,67 @@ def test_partitioned_envelope_matches_serial(name, params, metrics, traces):
     assert part["payload"]  # non-trivial result, not an empty dict
 
 
+_SMALL_MESH = {"n_sites": 2, "duration": 0.5, "horizon": 22.0}
+
+
 class TestExecuteSpec:
     def test_routes_partitioned_specs_through_pdes(self):
-        spec = ExperimentSpec("pdes_fluid_mix", params={"partitions": 2},
-                              seed=3)
+        spec = ExperimentSpec("pdes_mesh",
+                              params={"partitions": 2, **_SMALL_MESH}, seed=3)
         assert envelope_bytes(execute_spec(spec)) == \
             envelope_bytes(run_partitioned(spec))
 
     def test_partitions_one_runs_serial(self):
-        spec = ExperimentSpec("pdes_fluid_mix", params={"partitions": 1},
-                              seed=3)
+        spec = ExperimentSpec("pdes_mesh",
+                              params={"partitions": 1, **_SMALL_MESH}, seed=3)
         assert envelope_bytes(execute_spec(spec)) == \
             envelope_bytes(run_spec(spec))
 
     def test_worker_error_propagates(self):
-        spec = ExperimentSpec("pdes_fluid_mix",
+        spec = ExperimentSpec("pdes_mesh",
                               params={"partitions": 2, "bogus_param": 1},
                               seed=3)
         with pytest.raises(PdesError, match="bogus_param"):
             run_partitioned(spec)
+
+
+# -- a worker message the coordinator cannot load -----------------------
+
+
+def _explode():
+    raise RuntimeError("shard refuses to load")
+
+
+class _Unloadable:
+    def __reduce__(self):
+        return (_explode, ())
+
+
+def _unloadable_shards(seed=0, partitions=1, _partition=None):
+    ctx = _partition or PartitionContext(int(partitions))
+    return Simulator(seed=seed), {g: _Unloadable() for g in ctx.owned_groups(2)}
+
+
+class _Hung(BaseException):
+    """Raised by the test's alarm; not an ``Exception`` so that no
+    handler between here and the coordinator loop can swallow it."""
+
+
+def _raise_hung(signum, frame):
+    raise _Hung("run_partitioned did not return")
+
+
+def test_unloadable_worker_message_fails_instead_of_hanging():
+    # The shard pickles in the worker and raises while the coordinator
+    # unpickles it; the worker has exited 0 by then, so nothing is dead.
+    scenario("_test_pdes_unloadable")(_unloadable_shards)
+    pdes_merger("_test_pdes_unloadable")(dict)
+    spec = ExperimentSpec("_test_pdes_unloadable", params={"partitions": 2})
+    previous = signal.signal(signal.SIGALRM, _raise_hung)
+    signal.setitimer(signal.ITIMER_REAL, 30.0)
+    try:
+        with pytest.raises(PdesError, match="shard refuses to load"):
+            run_partitioned(spec)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
