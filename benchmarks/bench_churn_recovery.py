@@ -20,38 +20,24 @@ with nobody calling ``connect()`` after the mesh was first built.
 The per-seed runs go through the experiment plane: a ``seed`` axis over
 the registered ``churn_recovery`` scenario, executed by
 :class:`repro.exp.SweepRunner` (``force=True`` so the benchmark always
-measures real work). Results land in ``BENCH_churn.json`` at the repo
-root.
+measures real work).
 
-Run standalone (``python benchmarks/bench_churn_recovery.py``) or via
-pytest. ``--check`` exits non-zero if any seed fails to converge or no
-repairs/failovers were exercised.
+The ``churn`` case of ``benchmarks/gates.py`` (one size): fails if any
+seed ends unconverged or no repairs/failovers were exercised.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-
-from repro.exp import Sweep, SweepRunner, aggregate  # noqa: E402
-
-OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_churn.json"
+from repro.exp import Sweep, SweepRunner, aggregate
 
 SEEDS = (7, 11, 23, 42, 101)
 HORIZON = 220.0  # sim-seconds past the established mesh
 
 
-def churn_sweep(seeds=SEEDS) -> Sweep:
-    return (Sweep("churn", "churn_recovery",
-                  base_params={"horizon": HORIZON})
-            .add_axis("seed", list(seeds)))
-
-
-def run_all(workers: int = 1) -> dict:
-    result = SweepRunner(churn_sweep(), workers=workers, force=True).run()
+def run(quick: bool) -> dict:
+    sweep = (Sweep("churn", "churn_recovery", base_params={"horizon": HORIZON})
+             .add_axis("seed", list(SEEDS)))
+    result = SweepRunner(sweep, force=True).run()
     runs = result.payloads
     repair = aggregate.merge_samples(result, "repair_seconds")
     failover = aggregate.merge_samples(result, "failover_seconds")
@@ -71,10 +57,6 @@ def run_all(workers: int = 1) -> dict:
     }
 
 
-def write_json(results: dict) -> None:
-    OUT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-
-
 def render(results: dict) -> str:
     rep, fo = results["repair_seconds"], results["failover_seconds"]
     lines = ["Churn recovery (scripted rendezvous kill / host crash / "
@@ -92,44 +74,12 @@ def render(results: dict) -> str:
     return "\n".join(lines)
 
 
-def check(results: dict) -> bool:
-    ok = True
+def check(results: dict) -> list[str]:
+    failures = []
     if not results["all_converged"]:
-        print("FAIL: a seed ended without full mesh convergence")
-        ok = False
+        failures.append("a seed ended without full mesh convergence")
     if results["repairs_total"] == 0:
-        print("FAIL: no tunnel repairs were exercised")
-        ok = False
+        failures.append("no tunnel repairs were exercised")
     if results["failovers_total"] == 0:
-        print("FAIL: no rendezvous failovers were exercised")
-        ok = False
-    if ok:
-        print("ok: all seeds converged "
-              f"({results['repairs_total']} repairs, "
-              f"{results['failovers_total']} failovers)")
-    return ok
-
-
-def main(argv: list[str]) -> int:
-    workers = 1
-    if "--workers" in argv:
-        workers = int(argv[argv.index("--workers") + 1])
-    results = run_all(workers=workers)
-    write_json(results)
-    print(render(results))
-    if "--check" in argv:
-        return 0 if check(results) else 1
-    return 0
-
-
-def test_churn_recovery(run_once, emit):
-    """Benchmark-suite entry point: record recovery distributions and
-    enforce convergence."""
-    results = run_once(run_all)
-    write_json(results)
-    emit(render(results))
-    assert check(results)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+        failures.append("no rendezvous failovers were exercised")
+    return failures

@@ -22,23 +22,14 @@ and the elephants-vs-mice mix (short-flow completion times under bulk
 load). These characterize inter-algorithm aggression and queueing
 effects the max-min solver deliberately does not model.
 
-Results land in ``BENCH_fairness.json``. Run standalone
-(``python benchmarks/bench_fairness.py [--quick] [--check]``) or via
-pytest; ``--quick --check`` is the CI fairness-smoke gate.
+The ``fairness`` case of ``benchmarks/gates.py``; quick runs every cell
+for 30 sim-seconds instead of 40.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-
-from repro.scenarios.fairness import (fairness_bottleneck,  # noqa: E402
-                                      fairness_mix, fairness_parking_lot)
-
-OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_fairness.json"
+from repro.scenarios.fairness import (fairness_bottleneck, fairness_mix,
+                                      fairness_parking_lot)
 
 ALGORITHMS = ("reno", "cubic", "bbr")
 STACKS = ("wavnet", "ipop")
@@ -105,12 +96,11 @@ def extras(duration: float) -> dict:
     }
 
 
-def run_all(quick: bool = False) -> dict:
+def run(quick: bool) -> dict:
     duration = 30.0 if quick else 40.0
     cells = [bottleneck_cell(stack, cc, duration)
              for stack in STACKS for cc in ALGORITHMS]
     return {
-        "quick": quick,
         "duration": duration,
         "cells": cells,
         "extras": extras(duration),
@@ -145,46 +135,22 @@ def render(results: dict) -> str:
     return "\n".join(lines)
 
 
-def check(results: dict) -> bool:
-    ok = True
+def check(results: dict) -> list[str]:
+    failures = []
     for c in results["cells"]:
         where = f"{c['stack']}/{c['cc']}"
         if c["jain_packet"] < JAIN_FLOOR_PACKET:
-            print(f"FAIL {where}: packet Jain {c['jain_packet']:.4f} "
-                  f"< {JAIN_FLOOR_PACKET}")
-            ok = False
+            failures.append(f"{where}: packet Jain {c['jain_packet']:.4f} "
+                            f"< {JAIN_FLOOR_PACKET}")
         if c["jain_fluid"] < JAIN_FLOOR_FLUID:
-            print(f"FAIL {where}: fluid Jain {c['jain_fluid']:.4f} "
-                  f"< {JAIN_FLOOR_FLUID}")
-            ok = False
+            failures.append(f"{where}: fluid Jain {c['jain_fluid']:.4f} "
+                            f"< {JAIN_FLOOR_FLUID}")
         if c["max_flow_delta_pct"] > AGREEMENT_LIMIT_PCT:
-            print(f"FAIL {where}: per-flow fluid-vs-packet delta "
-                  f"{c['max_flow_delta_pct']:.2f}% > "
-                  f"{AGREEMENT_LIMIT_PCT:.0f}%")
-            ok = False
+            failures.append(f"{where}: per-flow fluid-vs-packet delta "
+                            f"{c['max_flow_delta_pct']:.2f}% > "
+                            f"{AGREEMENT_LIMIT_PCT:.0f}%")
         if c["utilization_packet"] < UTILIZATION_FLOOR:
-            print(f"FAIL {where}: utilization "
-                  f"{c['utilization_packet']:.3f} < {UTILIZATION_FLOOR}")
-            ok = False
-    return ok
-
-
-def main(argv: list[str]) -> int:
-    results = run_all(quick="--quick" in argv)
-    OUT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    print(render(results))
-    if "--check" in argv:
-        return 0 if check(results) else 1
-    return 0
-
-
-def test_fairness(run_once, emit):
-    """Benchmark-suite entry point: record cells and enforce the gates."""
-    results = run_once(run_all)
-    OUT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    emit(render(results))
-    assert check(results)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+            failures.append(f"{where}: utilization "
+                            f"{c['utilization_packet']:.3f} "
+                            f"< {UTILIZATION_FLOOR}")
+    return failures

@@ -10,48 +10,33 @@ grows — 63 keepalive pulses per 5 s round to ~200 B/s of overhead.
 cluster size to keep the packet-level simulation affordable — the
 keepalive load, which is the phenomenon under test, is fully present.)
 
-The per-size runs are a zip sweep (``n_hosts`` locked to its seed) over
-the registered ``netperf_cluster`` scenario.
+The per-size runs are the catalog's ``fig08`` sweep (``python -m
+repro.exp run fig08`` runs the same grid).
 """
 
 from repro.analysis.tables import ShapeCheck, render_series
-from repro.exp import Sweep, SweepRunner, aggregate
-
-CLUSTER_SIZES = [8, 16, 24, 32, 48, 64]
-WAN_BW = 100e6
-SAMPLE_PEERS = 6
-DURATION = 5.0
-MSS = 8192  # jumbo abstraction: same for every size; only WAVNet measured
-
-
-def fig08_sweep() -> Sweep:
-    return (Sweep("fig08", "netperf_cluster",
-                  base_params={"wan_bandwidth_bps": WAN_BW, "tcp_mss": MSS,
-                               "udp_timeout": 30.0,
-                               "sample_peers": SAMPLE_PEERS,
-                               "duration": DURATION})
-            .zip_axes(n_hosts=CLUSTER_SIZES,
-                      seed=[50 + n for n in CLUSTER_SIZES]))
+from repro.exp import SweepRunner, aggregate, get_sweep
 
 
 def run_experiment():
-    result = SweepRunner(fig08_sweep(), force=True).run()
-    return (aggregate.column(result, "avg_mbps"),
+    result = SweepRunner(get_sweep("fig08"), force=True).run()
+    sizes, avg_rates = aggregate.series(result, "n_hosts", "avg_mbps")
+    return (sizes, avg_rates,
             aggregate.column(result, "connections"),
             aggregate.column(result, "pulses_during_tests"))
 
 
 def test_fig08_scalability(run_once, emit):
-    avg_rates, conn_counts, pulse_counts = run_once(run_experiment)
+    sizes, avg_rates, conn_counts, pulse_counts = run_once(run_experiment)
     emit(render_series(
         "Figure 8 - netperf per-host bandwidth vs virtual cluster size (WAVNet)",
-        "hosts", CLUSTER_SIZES,
+        "hosts", sizes,
         {"avg Mbps": avg_rates, "connections": conn_counts,
          "pulses during tests": pulse_counts}))
     check = ShapeCheck("Fig 8")
     check.expect("full mesh established at every size",
                  all(c == n * (n - 1) // 2
-                     for c, n in zip(conn_counts, CLUSTER_SIZES)),
+                     for c, n in zip(conn_counts, sizes)),
                  f"{conn_counts}")
     baseline = avg_rates[0]
     check.expect("bandwidth at 64 hosts within 10% of 8-host baseline",

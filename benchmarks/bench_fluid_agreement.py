@@ -30,31 +30,20 @@ Cell protocols (why each looks the way it does — DESIGN.md §12):
   shaped queue, a packet-level queueing effect the fluid plane's
   round-latency model deliberately does not carry.
 
-Results merge into ``BENCH_fluid.json`` under ``"agreement"`` (the
-scalability half lives in ``bench_fluid_scale.py``). Run standalone
-(``python benchmarks/bench_fluid_agreement.py [--quick] [--check]``) or
-via pytest. ``--check`` exits non-zero when a cell exceeds +-5% or the
-event ratio drops below 100x — the CI perf-smoke gate (with --quick).
+The ``fluid_agreement`` case of ``benchmarks/gates.py`` (the
+scalability half is ``fluid_scale``, ``bench_fluid_scale.py``); quick
+runs one stack-diverse slice of each protocol.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-
-from repro.apps.ab import ApacheBench  # noqa: E402
-from repro.apps.httpd import HttpServer  # noqa: E402
-from repro.apps.netperf import netperf_stream, netserver  # noqa: E402
-from repro.apps.ttcp import ttcp_receiver, ttcp_transfer  # noqa: E402
-from repro.core.options import TransferOptions  # noqa: E402
-from repro.scenarios.fluid import fluidify  # noqa: E402
-from repro.scenarios.stacks import (ipop_pair, physical_pair,  # noqa: E402
-                                    wavnet_pair)
-
-OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_fluid.json"
+from repro.apps.ab import ApacheBench
+from repro.apps.httpd import HttpServer
+from repro.apps.netperf import netperf_stream, netserver
+from repro.apps.ttcp import ttcp_receiver, ttcp_transfer
+from repro.core.options import TransferOptions
+from repro.scenarios.fluid import fluidify
+from repro.scenarios.stacks import ipop_pair, physical_pair, wavnet_pair
 
 MB = 1024 * 1024
 DELTA_LIMIT_PCT = 5.0
@@ -173,7 +162,7 @@ def _cell_row(bench: str, stack: str, label: str, packet: float,
     }
 
 
-def run_all(quick: bool = False) -> dict:
+def run(quick: bool) -> dict:
     cells = []
     fig06_stacks = QUICK_FIG06 if quick else tuple(PAIRS)
     fig07_rates = QUICK_FIG07 if quick else FIG07_RATES
@@ -192,7 +181,6 @@ def run_all(quick: bool = False) -> dict:
     ev_p = sum(c["events_packet"] for c in cells)
     ev_f = sum(c["events_fluid"] for c in cells)
     return {
-        "quick": quick,
         "cells": cells,
         "max_abs_delta_pct": max(abs(c["delta_pct"]) for c in cells),
         "events_packet": ev_p,
@@ -201,14 +189,6 @@ def run_all(quick: bool = False) -> dict:
         "delta_limit_pct": DELTA_LIMIT_PCT,
         "events_ratio_floor": EVENTS_RATIO_FLOOR,
     }
-
-
-def merge_json(section: str, payload: dict) -> None:
-    data = {}
-    if OUT_PATH.exists():
-        data = json.loads(OUT_PATH.read_text())
-    data[section] = payload
-    OUT_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def render(results: dict) -> str:
@@ -225,37 +205,12 @@ def render(results: dict) -> str:
     return "\n".join(lines)
 
 
-def check(results: dict) -> bool:
-    ok = True
-    for c in results["cells"]:
-        if abs(c["delta_pct"]) > DELTA_LIMIT_PCT:
-            print(f"FAIL {c['bench']} {c['stack']} {c['cell']}: "
-                  f"delta {c['delta_pct']:+.2f}% exceeds "
-                  f"{DELTA_LIMIT_PCT:.0f}%")
-            ok = False
+def check(results: dict) -> list[str]:
+    failures = [f"{c['bench']} {c['stack']} {c['cell']}: delta "
+                f"{c['delta_pct']:+.2f}% exceeds {DELTA_LIMIT_PCT:.0f}%"
+                for c in results["cells"]
+                if abs(c["delta_pct"]) > DELTA_LIMIT_PCT]
     if results["events_ratio"] < EVENTS_RATIO_FLOOR:
-        print(f"FAIL events ratio {results['events_ratio']}x "
-              f"< floor {EVENTS_RATIO_FLOOR:.0f}x")
-        ok = False
-    return ok
-
-
-def main(argv: list[str]) -> int:
-    results = run_all(quick="--quick" in argv)
-    merge_json("agreement", results)
-    print(render(results))
-    if "--check" in argv:
-        return 0 if check(results) else 1
-    return 0
-
-
-def test_fluid_agreement(run_once, emit):
-    """Benchmark-suite entry point: record cells and enforce the gates."""
-    results = run_once(run_all)
-    merge_json("agreement", results)
-    emit(render(results))
-    assert check(results)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+        failures.append(f"events ratio {results['events_ratio']}x "
+                        f"< floor {EVENTS_RATIO_FLOOR:.0f}x")
+    return failures

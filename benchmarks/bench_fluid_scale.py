@@ -19,38 +19,24 @@ model intentionally idealizes. Cross-fidelity *agreement* is gated in
 ``bench_fluid_agreement.py`` on matched steady-state regimes; this
 bench measures what fidelity costs.
 
-Results merge into ``BENCH_fluid.json`` under ``"scale"``. Run
-standalone (``python benchmarks/bench_fluid_scale.py [--check]``) or
-via pytest; ``--check`` is the CI gate.
+The ``fluid_scale`` case of ``benchmarks/gates.py`` (one size).
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-
-from repro.exp.spec import ExperimentSpec  # noqa: E402
-
-OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_fluid.json"
+from repro.exp.spec import ExperimentSpec
 
 N_FLOWS = 10_000
 WALL_SPEEDUP_FLOOR = 10.0
 EVENTS_RATIO_FLOOR = 100.0
 
 
-def run_fanout(fidelity: str, n_flows: int = N_FLOWS) -> dict:
-    spec = ExperimentSpec(scenario="fluid_fanout", seed=7,
-                          params={"fidelity": fidelity, "n_flows": n_flows})
-    return spec.run()
-
-
-def run_all(n_flows: int = N_FLOWS) -> dict:
+def run(quick: bool) -> dict:
     rows = {}
     for fidelity in ("packet", "fluid"):
-        env = run_fanout(fidelity, n_flows)
+        env = ExperimentSpec(scenario="fluid_fanout", seed=7,
+                             params={"fidelity": fidelity,
+                                     "n_flows": N_FLOWS}).run()
         rows[fidelity] = {
             "completed": env["payload"]["completed"],
             "sim_seconds": round(env["payload"]["sim_seconds"], 3),
@@ -60,7 +46,7 @@ def run_all(n_flows: int = N_FLOWS) -> dict:
         }
     pkt, fld = rows["packet"], rows["fluid"]
     return {
-        "n_flows": n_flows,
+        "n_flows": N_FLOWS,
         "packet": pkt,
         "fluid": fld,
         "wall_speedup": round(pkt["wall_seconds"] /
@@ -73,14 +59,6 @@ def run_all(n_flows: int = N_FLOWS) -> dict:
         "wall_speedup_floor": WALL_SPEEDUP_FLOOR,
         "events_ratio_floor": EVENTS_RATIO_FLOOR,
     }
-
-
-def merge_json(section: str, payload: dict) -> None:
-    data = {}
-    if OUT_PATH.exists():
-        data = json.loads(OUT_PATH.read_text())
-    data[section] = payload
-    OUT_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def render(results: dict) -> str:
@@ -101,40 +79,15 @@ def render(results: dict) -> str:
     return "\n".join(lines)
 
 
-def check(results: dict) -> bool:
-    ok = True
-    for fidelity in ("packet", "fluid"):
-        if results[fidelity]["completed"] != results["n_flows"]:
-            print(f"FAIL {fidelity}: {results[fidelity]['completed']} of "
-                  f"{results['n_flows']} flows completed")
-            ok = False
+def check(results: dict) -> list[str]:
+    failures = [f"{fidelity}: {results[fidelity]['completed']} of "
+                f"{results['n_flows']} flows completed"
+                for fidelity in ("packet", "fluid")
+                if results[fidelity]["completed"] != results["n_flows"]]
     if results["wall_speedup"] < WALL_SPEEDUP_FLOOR:
-        print(f"FAIL wall speedup {results['wall_speedup']}x "
-              f"< floor {WALL_SPEEDUP_FLOOR:.0f}x")
-        ok = False
+        failures.append(f"wall speedup {results['wall_speedup']}x "
+                        f"< floor {WALL_SPEEDUP_FLOOR:.0f}x")
     if results["events_ratio"] < EVENTS_RATIO_FLOOR:
-        print(f"FAIL events ratio {results['events_ratio']}x "
-              f"< floor {EVENTS_RATIO_FLOOR:.0f}x")
-        ok = False
-    return ok
-
-
-def main(argv: list[str]) -> int:
-    results = run_all()
-    merge_json("scale", results)
-    print(render(results))
-    if "--check" in argv:
-        return 0 if check(results) else 1
-    return 0
-
-
-def test_fluid_scale(run_once, emit):
-    """Benchmark-suite entry point: record the runs, enforce the gates."""
-    results = run_once(run_all)
-    merge_json("scale", results)
-    emit(render(results))
-    assert check(results)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+        failures.append(f"events ratio {results['events_ratio']}x "
+                        f"< floor {EVENTS_RATIO_FLOOR:.0f}x")
+    return failures

@@ -4,48 +4,33 @@ simulation, with a byte-identity proof.
 Runs ``pdes_mesh`` — the fig08-style 4-site tunnel mesh, netperf streams
 crossing every partition boundary — twice: serially via ``run_spec`` and
 split over ``min(4, visible CPUs)`` partition processes via
-``run_partitioned``, and records both wall clocks in ``BENCH_pdes.json``.
+``run_partitioned``, and records both wall clocks.
 
 The merged partitioned envelope MUST be byte-identical to the serial
-one; that is the only thing ``--check`` enforces. The speed-up is
+one; that is the only thing the check enforces. The speed-up is
 reported next to ``cpus_visible`` and carries no floor: the plane is
 kept as the serial-vs-partitioned identity oracle, not as a way to go
 faster (0.74-0.94x with 2 partitions on 2 cores, see DESIGN section 14).
 
-Run standalone (``python benchmarks/bench_pdes_speedup.py [--check]``)
-or via pytest.
+The ``pdes`` case of ``benchmarks/gates.py`` (one size).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import pathlib
-import sys
 from time import perf_counter
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-
-from repro.exp.spec import ExperimentSpec, envelope_bytes, run_spec  # noqa: E402
-from repro.sim.pdes import run_partitioned  # noqa: E402
-
-OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_pdes.json"
+from repro.exp.spec import ExperimentSpec, envelope_bytes, run_spec
+from repro.sim.pdes import run_partitioned
 
 SCENARIO = "pdes_mesh"
 PARAMS = {"n_sites": 4, "hosts_per_site": 1, "duration": 6.0}
 SEED = 5
 
 
-def visible_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
-def run_all() -> dict:
-    cpus = visible_cpus()
+def run(quick: bool) -> dict:
+    cpus = len(os.sched_getaffinity(0))
     partitions = min(4, cpus)
     params = {"partitions": partitions, **PARAMS}
     spec = ExperimentSpec(SCENARIO, params=params, seed=SEED)
@@ -73,10 +58,6 @@ def run_all() -> dict:
     }
 
 
-def write_json(results: dict) -> None:
-    OUT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-
-
 def render(results: dict) -> str:
     return (f"PDES single-run partitioning, "
             f"{results['cpus_visible']} CPU(s) visible\n"
@@ -88,34 +69,8 @@ def render(results: dict) -> str:
             f"byte-identical: {results['byte_identical']}")
 
 
-def check(results: dict) -> bool:
+def check(results: dict) -> list[str]:
     if not results["byte_identical"]:
-        print(f"FAIL: {results['scenario']} partitioned envelope differs "
-              "from serial")
-        return False
-    print(f"ok: byte-identical; speedup {results['speedup']:.2f}x with "
-          f"{results['partitions']} partitions on "
-          f"{results['cpus_visible']} CPU(s) (reported, not gated)")
-    return True
-
-
-def main(argv: list[str]) -> int:
-    results = run_all()
-    write_json(results)
-    print(render(results))
-    if "--check" in argv:
-        return 0 if check(results) else 1
-    return 0
-
-
-def test_pdes_speedup(run_once, emit):
-    """Benchmark-suite entry point: serial vs partitioned wall clock
-    plus the byte-identity assertion."""
-    results = run_once(run_all)
-    write_json(results)
-    emit(render(results))
-    assert check(results)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+        return [f"{results['scenario']} partitioned envelope differs "
+                "from serial"]
+    return []

@@ -13,25 +13,18 @@ loaded brokering path) at one endpoint count and reports
 * ``bytes_per_endpoint`` — steady-state control-plane memory per idle
   endpoint (table columns + name index + CAN handle stores);
 * ``rss_per_endpoint`` — measured peak-RSS growth per endpoint (each
-  rung runs in its own subprocess so the deltas don't pollute each
-  other);
+  rung runs in its own fresh interpreter so the deltas don't pollute
+  each other);
 * admission shedding and CAN split counters.
 
-Results land in ``BENCH_scale.json`` at the repo root. ``--quick``
-runs only the 10^4 rung (the CI ``scale-smoke`` job); ``--check``
-enforces ops/sec floors and the <= 2 KB/endpoint steady-state ceiling.
+The ``scale`` case of ``benchmarks/gates.py``; quick runs only the 10^4
+rung. The check enforces the ops/sec floor and the <= 2 KB/endpoint
+steady-state ceiling on every rung run.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import subprocess
-import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-
-OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_scale.json"
+import multiprocessing
 
 RUNGS = (10_000, 100_000, 1_000_000)
 QUICK_RUNGS = (10_000,)
@@ -57,16 +50,21 @@ def storm_params(n: int) -> dict:
     }
 
 
+def _peak_rss() -> int:
+    """Peak resident bytes of this address space. Not ``ru_maxrss``: that
+    one survives exec, so a spawned rung would start at the runner's peak."""
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:")) * 1024
+
+
 def run_rung(n: int) -> dict:
     """Run one rung in-process and fold in peak-RSS accounting."""
-    import resource
-
     from repro.scenarios.storm import registration_storm
 
-    rss_scale = 1024  # ru_maxrss is KiB on Linux
-    rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * rss_scale
+    rss_before = _peak_rss()
     _sim, payload = registration_storm(**storm_params(n))
-    rss_peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * rss_scale
+    rss_peak = _peak_rss()
     lat = sorted(payload.pop("punch_latency_s"))
 
     def pct(p: float) -> float | None:
@@ -83,20 +81,15 @@ def run_rung(n: int) -> dict:
     return payload
 
 
-def run_all(rungs=RUNGS) -> dict:
-    """One subprocess per rung so each peak-RSS measurement starts from
-    a fresh interpreter."""
+def run(quick: bool) -> dict:
+    """One spawned process per rung so each peak-RSS measurement starts
+    from a fresh interpreter."""
+    spawn = multiprocessing.get_context("spawn")
     curve = []
-    for n in rungs:
-        proc = subprocess.run(
-            [sys.executable, __file__, "--rung", str(n)],
-            capture_output=True, text=True, check=True)
-        curve.append(json.loads(proc.stdout))
+    for n in QUICK_RUNGS if quick else RUNGS:
+        with spawn.Pool(1) as pool:
+            curve.append(pool.apply(run_rung, (n,)))
     return {"seed": SEED, "rungs": curve}
-
-
-def write_json(results: dict) -> None:
-    OUT_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
 
 def render(results: dict) -> str:
@@ -116,58 +109,20 @@ def render(results: dict) -> str:
     return "\n".join(lines)
 
 
-def check(results: dict) -> bool:
-    ok = True
+def check(results: dict) -> list[str]:
+    failures = []
     for r in results["rungs"]:
         n = r["n_endpoints"]
         if r["fill_ops_per_sec"] < MIN_FILL_OPS:
-            print(f"FAIL: {n} endpoints: fill {r['fill_ops_per_sec']:.0f} "
-                  f"ops/s below floor {MIN_FILL_OPS:.0f}")
-            ok = False
+            failures.append(f"{n} endpoints: fill {r['fill_ops_per_sec']:.0f} "
+                            f"ops/s below floor {MIN_FILL_OPS:.0f}")
         if r["bytes_per_endpoint"] > MAX_BYTES_PER_ENDPOINT:
-            print(f"FAIL: {n} endpoints: {r['bytes_per_endpoint']:.0f} "
-                  f"steady-state B/endpoint above ceiling "
-                  f"{MAX_BYTES_PER_ENDPOINT:.0f}")
-            ok = False
+            failures.append(f"{n} endpoints: {r['bytes_per_endpoint']:.0f} "
+                            f"steady-state B/endpoint above ceiling "
+                            f"{MAX_BYTES_PER_ENDPOINT:.0f}")
         if r["reconnected"] != r["outage_endpoints"]:
-            print(f"FAIL: {n} endpoints: reconnect storm recovered "
-                  f"{r['reconnected']}/{r['outage_endpoints']}")
-            ok = False
+            failures.append(f"{n} endpoints: reconnect storm recovered "
+                            f"{r['reconnected']}/{r['outage_endpoints']}")
         if r["punch_samples"] == 0:
-            print(f"FAIL: {n} endpoints: no punch-coordination samples")
-            ok = False
-    if ok:
-        top = results["rungs"][-1]
-        print(f"ok: {top['n_endpoints']:,} endpoints at "
-              f"{top['fill_ops_per_sec']:,.0f} registrations/s, "
-              f"{top['bytes_per_endpoint']:.0f} B/endpoint steady state")
-    return ok
-
-
-def main(argv: list[str]) -> int:
-    if "--rung" in argv:
-        n = int(argv[argv.index("--rung") + 1])
-        print(json.dumps(run_rung(n)))
-        return 0
-    quick = "--quick" in argv
-    results = run_all(QUICK_RUNGS if quick else RUNGS)
-    if not quick:
-        # Only the full curve lands in BENCH_scale.json; the smoke rung
-        # must not overwrite it.
-        write_json(results)
-    print(render(results))
-    if "--check" in argv:
-        return 0 if check(results) else 1
-    return 0
-
-
-def test_scale_endpoints(run_once, emit):
-    """Benchmark-suite entry point (quick rung only: the full curve is
-    a run_all.sh / standalone target)."""
-    results = run_once(run_all, QUICK_RUNGS)
-    emit(render(results))
-    assert check(results)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+            failures.append(f"{n} endpoints: no punch-coordination samples")
+    return failures

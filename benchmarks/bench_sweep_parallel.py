@@ -2,44 +2,30 @@
 churn sweep, with a byte-identity proof.
 
 Runs the catalog's ``churn8`` sweep twice — ``workers=1`` and
-``workers=min(4, visible CPUs)`` — and records both wall clocks in
-``BENCH_sweep.json`` along with the canonical envelope bytes' digests.
-The simulations are deterministic and independent, so the sharded
-result MUST be byte-identical to the serial one (always enforced).
-``--check`` also enforces a 1.2x speed-up floor whenever at least 2
-CPUs are visible: on 2 cores a cold first fork measured 1.19-1.26x and
-warm runs 1.69-1.90x (median 1.81x of six alternating pairs); a
-single-core container cannot speed anything up by forking.
+``workers=min(4, visible CPUs)`` — and records both wall clocks along
+with the canonical envelope bytes' digests. The simulations are
+deterministic and independent, so the sharded result MUST be
+byte-identical to the serial one (always enforced). A 1.2x speed-up
+floor is enforced whenever at least 2 CPUs are visible: on 2 cores a
+cold first fork measured 1.19-1.26x and warm runs 1.69-1.90x (median
+1.81x of six alternating pairs); a single-core container cannot speed
+anything up by forking.
 
-Run standalone (``python benchmarks/bench_sweep_parallel.py [--check]``)
-or via pytest.
+The ``sweep`` case of ``benchmarks/gates.py`` (one size).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pathlib
-import sys
 import tempfile
 from time import perf_counter
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-
-from repro.exp import SweepRunner, get_sweep  # noqa: E402
-
-OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
+from repro.exp import SweepRunner, get_sweep
 
 SPEEDUP_FLOOR = 1.2
 MIN_CPUS_FOR_FLOOR = 2
-
-
-def visible_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def _timed_run(workers: int, out_dir: pathlib.Path):
@@ -50,8 +36,8 @@ def _timed_run(workers: int, out_dir: pathlib.Path):
     return perf_counter() - t0, result
 
 
-def run_all() -> dict:
-    cpus = visible_cpus()
+def run(quick: bool) -> dict:
+    cpus = len(os.sched_getaffinity(0))
     workers = min(4, cpus)
     with tempfile.TemporaryDirectory(prefix="bench-sweep-") as td:
         tmp = pathlib.Path(td)
@@ -74,10 +60,6 @@ def run_all() -> dict:
     }
 
 
-def write_json(results: dict) -> None:
-    OUT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-
-
 def render(results: dict) -> str:
     return (f"Sweep runner: {results['sweep']} ({results['points']} points), "
             f"{results['cpus_visible']} CPU(s) visible\n"
@@ -88,42 +70,13 @@ def render(results: dict) -> str:
             f"  byte-identical envelopes: {results['byte_identical']}")
 
 
-def check(results: dict) -> bool:
-    ok = True
+def check(results: dict) -> list[str]:
+    failures = []
     if not results["byte_identical"]:
-        print("FAIL: sharded envelopes differ from serial")
-        ok = False
+        failures.append("sharded envelopes differ from serial")
     if (results["cpus_visible"] >= MIN_CPUS_FOR_FLOOR
             and results["speedup"] < SPEEDUP_FLOOR):
-        print(f"FAIL: speedup {results['speedup']:.2f}x below "
-              f"{SPEEDUP_FLOOR}x floor on {results['cpus_visible']} CPUs")
-        ok = False
-    if ok:
-        floor = (f"speedup floor enforced ({SPEEDUP_FLOOR}x)"
-                 if results["cpus_visible"] >= MIN_CPUS_FOR_FLOOR
-                 else f"speedup floor waived on "
-                      f"{results['cpus_visible']} CPU(s)")
-        print(f"ok: byte-identical, {results['speedup']:.2f}x; {floor}")
-    return ok
-
-
-def main(argv: list[str]) -> int:
-    results = run_all()
-    write_json(results)
-    print(render(results))
-    if "--check" in argv:
-        return 0 if check(results) else 1
-    return 0
-
-
-def test_sweep_parallel(run_once, emit):
-    """Benchmark-suite entry point: serial vs sharded wall clock plus
-    the byte-identity assertion."""
-    results = run_once(run_all)
-    write_json(results)
-    emit(render(results))
-    assert check(results)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+        failures.append(f"speedup {results['speedup']:.2f}x below "
+                        f"{SPEEDUP_FLOOR}x floor on "
+                        f"{results['cpus_visible']} CPUs")
+    return failures

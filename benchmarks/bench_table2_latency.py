@@ -12,32 +12,17 @@ of each other on WAN paths (packet-handling overhead amortized by
 propagation delay), with the virtual stacks adding a small positive
 overhead and IPOP >= WAVNet.
 
-The 3x3 grid (site pair x stack) is a two-group zip sweep over the
-registered ``stack_ping`` scenario: ``pair`` zipped to its RTT,
-crossed with ``stack`` zipped to its seed.
+The 3x3 grid (site pair x stack) is the catalog's ``table2`` sweep, a
+two-group zip sweep over the registered ``stack_ping`` scenario:
+``pair`` zipped to its RTT, crossed with ``stack`` zipped to its seed.
 """
 
 from repro.analysis.tables import ShapeCheck, render_table
-from repro.exp import Sweep, SweepRunner, aggregate
-from repro.scenarios.sites import pair_rtt_ms
-
-PAIRS = [("hku1", "siat"), ("hku1", "pu"), ("siat", "pu")]
-BANDWIDTH = 50e6
-PROBES = 12
-
-
-def table2_sweep() -> Sweep:
-    return (Sweep("table2", "stack_ping",
-                  base_params={"bandwidth_mbps": BANDWIDTH / 1e6,
-                               "probes": PROBES})
-            .zip_axes(pair=[f"{a.upper()}-{b.upper()}" for a, b in PAIRS],
-                      rtt_ms=[pair_rtt_ms(a, b) for a, b in PAIRS])
-            .zip_axes(stack=["physical", "wavnet", "ipop"],
-                      seed=[1, 2, 3]))
+from repro.exp import SweepRunner, aggregate, get_sweep
 
 
 def run_experiment():
-    result = SweepRunner(table2_sweep(), force=True).run()
+    result = SweepRunner(get_sweep("table2"), force=True).run()
     for p in result:
         assert p.payload["replies"] > 2, "ping produced no replies"
         assert p.payload["lost"] == 0, "probes lost on an idle path"

@@ -12,7 +12,7 @@ Two families, both through the experiment plane (DESIGN.md §16):
   or by the classic liveness-death → re-punch loop at identical
   detection/backoff knobs. Reports both repair-latency distributions.
 
-Gates (``--check``):
+Gates (the ``traversal`` case of ``benchmarks/gates.py``, one size):
 
 * every WAVNet matrix cell is usable and lands direct exactly where
   prediction says it should (``expected_direct``), across all seeds;
@@ -20,41 +20,29 @@ Gates (``--check``):
   symmetric cells);
 * migration repair p95 < 2 s (vs ~32 s p95 for the churn bench's
   re-punch path) and beats the matched re-punch baseline's p95.
-
-Results land in ``BENCH_traversal.json`` at the repo root. Run
-standalone (``python benchmarks/bench_traversal.py [--check]``) or via
-pytest.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-
-from repro.exp import Sweep, SweepRunner, aggregate  # noqa: E402
-from repro.scenarios.traversal import NAT_SPECS, expected_direct  # noqa: E402
-
-OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_traversal.json"
+from repro.exp import Sweep, SweepRunner, aggregate
+from repro.scenarios.traversal import NAT_SPECS, expected_direct
 
 MATRIX_SEEDS = (7, 42)
 MIGRATION_SEEDS = (7, 11, 23, 42, 101)
 MIGRATION_GATE_P95_S = 2.0
 
 
-def matrix_sweep(scenario: str, seeds=MATRIX_SEEDS) -> Sweep:
+def matrix_sweep(scenario: str) -> Sweep:
     return (Sweep(f"traversal-{scenario}", scenario)
             .add_axis("nat_a", list(NAT_SPECS))
             .add_axis("nat_b", list(NAT_SPECS))
-            .add_axis("seed", list(seeds)))
+            .add_axis("seed", list(MATRIX_SEEDS)))
 
 
-def migration_sweep(seeds=MIGRATION_SEEDS) -> Sweep:
+def migration_sweep() -> Sweep:
     return (Sweep("traversal-migration", "migration_repair")
             .add_axis("migration", [True, False])
-            .add_axis("seed", list(seeds)))
+            .add_axis("seed", list(MIGRATION_SEEDS)))
 
 
 def _cells(payloads) -> dict:
@@ -65,12 +53,10 @@ def _cells(payloads) -> dict:
     return cells
 
 
-def run_all(workers: int = 1) -> dict:
-    wav = SweepRunner(matrix_sweep("traversal_pair"),
-                      workers=workers, force=True).run()
-    ipop = SweepRunner(matrix_sweep("ipop_traversal"),
-                       workers=workers, force=True).run()
-    mig = SweepRunner(migration_sweep(), workers=workers, force=True).run()
+def run(quick: bool) -> dict:
+    wav = SweepRunner(matrix_sweep("traversal_pair"), force=True).run()
+    ipop = SweepRunner(matrix_sweep("ipop_traversal"), force=True).run()
+    mig = SweepRunner(migration_sweep(), force=True).run()
 
     matrix = []
     mismatches = unusable = 0
@@ -121,10 +107,6 @@ def run_all(workers: int = 1) -> dict:
     }
 
 
-def write_json(results: dict) -> None:
-    OUT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-
-
 def _grid(results: dict, key: str) -> list[str]:
     cells = {(c["nat_a"], c["nat_b"]): c for c in results["matrix"]}
     names = results["nat_specs"]
@@ -155,62 +137,26 @@ def render(results: dict) -> str:
     return "\n".join(lines)
 
 
-def check(results: dict) -> bool:
-    ok = True
+def check(results: dict) -> list[str]:
+    failures = []
     if results["matrix_unusable"]:
-        print(f"FAIL: {results['matrix_unusable']} matrix cells had no "
-              "usable connection")
-        ok = False
+        failures.append(f"{results['matrix_unusable']} matrix cells had no "
+                        "usable connection")
     if results["matrix_mismatches"]:
-        print(f"FAIL: {results['matrix_mismatches']} matrix cells "
-              "disagree with the prediction model")
-        ok = False
+        failures.append(f"{results['matrix_mismatches']} matrix cells "
+                        "disagree with the prediction model")
     if results["wavnet_direct_cells"] <= results["ipop_direct_cells"]:
-        print("FAIL: port prediction did not beat the IPOP baseline's "
-              "direct-connect rate")
-        ok = False
+        failures.append("port prediction did not beat the IPOP baseline's "
+                        "direct-connect rate")
     if not results["all_healed"] or not results["all_migrations_validated"]:
-        print("FAIL: a NAT-reboot run failed to heal (or healed without "
-              "path validation in the migration arm)")
-        ok = False
+        failures.append("a NAT-reboot run failed to heal (or healed without "
+                        "path validation in the migration arm)")
     mig_p95 = results["migration_repair_seconds"].get("p95_s", float("inf"))
     rep_p95 = results["repunch_repair_seconds"].get("p95_s", 0.0)
     if mig_p95 >= MIGRATION_GATE_P95_S:
-        print(f"FAIL: migration repair p95 {mig_p95}s >= "
-              f"{MIGRATION_GATE_P95_S}s gate")
-        ok = False
+        failures.append(f"migration repair p95 {mig_p95}s >= "
+                        f"{MIGRATION_GATE_P95_S}s gate")
     if mig_p95 >= rep_p95:
-        print(f"FAIL: migration p95 {mig_p95}s not faster than re-punch "
-              f"baseline p95 {rep_p95}s")
-        ok = False
-    if ok:
-        print(f"ok: {results['wavnet_direct_cells']}/"
-              f"{results['total_cells']} cells direct "
-              f"(ipop {results['ipop_direct_cells']}), migration p95 "
-              f"{mig_p95}s vs re-punch {rep_p95}s")
-    return ok
-
-
-def main(argv: list[str]) -> int:
-    workers = 1
-    if "--workers" in argv:
-        workers = int(argv[argv.index("--workers") + 1])
-    results = run_all(workers=workers)
-    write_json(results)
-    print(render(results))
-    if "--check" in argv:
-        return 0 if check(results) else 1
-    return 0
-
-
-def test_traversal(run_once, emit):
-    """Benchmark-suite entry point: record the traversal matrix and the
-    migration/repair latency split, and enforce the gates."""
-    results = run_once(run_all)
-    write_json(results)
-    emit(render(results))
-    assert check(results)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+        failures.append(f"migration p95 {mig_p95}s not faster than re-punch "
+                        f"baseline p95 {rep_p95}s")
+    return failures

@@ -1,15 +1,19 @@
 #!/bin/sh
-# Full verification: every test, then every table/figure benchmark.
-# Outputs land in test_output.txt / bench_output.txt and benchmarks/out/.
-set -x
-python -m pytest tests/ 2>&1 | tee /root/repo/test_output.txt
-python benchmarks/perf/run.py --selftest 2>&1 | tee /root/repo/bench_perf_selftest_output.txt
-python benchmarks/bench_churn_recovery.py --check 2>&1 | tee /root/repo/bench_churn_output.txt
-python benchmarks/bench_sweep_parallel.py --check 2>&1 | tee /root/repo/bench_sweep_output.txt
-python benchmarks/bench_fluid_agreement.py --check 2>&1 | tee /root/repo/bench_fluid_agreement_output.txt
-python benchmarks/bench_fluid_scale.py --check 2>&1 | tee /root/repo/bench_fluid_scale_output.txt
-python benchmarks/bench_scale_endpoints.py --check 2>&1 | tee /root/repo/bench_scale_output.txt
-python benchmarks/bench_fairness.py --check 2>&1 | tee /root/repo/bench_fairness_output.txt
-python benchmarks/bench_pdes_speedup.py --check 2>&1 | tee /root/repo/bench_pdes_output.txt
-python benchmarks/bench_traversal.py --check 2>&1 | tee /root/repo/bench_traversal_output.txt
-python -m pytest benchmarks/ --benchmark-only 2>&1 | tee /root/repo/bench_output.txt
+set -eu
+# Full verification: tier-1, every gate at full size (which re-records
+# the BENCH_<case>.json files), the perf selftest, then every
+# table/figure benchmark. Each step logs to <name>_output.txt beside
+# this script; the first step that fails ends the script with its status.
+cd "$(dirname "$0")"
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+step() {
+    log="$1_output.txt"; shift
+    echo "== $* > $log"
+    "$@" > "$log" 2>&1
+}
+
+step test python -m pytest tests/
+step gates python benchmarks/gates.py
+step bench_perf_selftest python benchmarks/perf/run.py --selftest
+step bench python -m pytest benchmarks/ --benchmark-only

@@ -228,7 +228,8 @@ class HostTable:
         self.reach_port[ids] = reach[1]
         self.last_seen[ids] = now
         self.owner[ids] = owner
-        self.region[ids] = region
+        if region >= 0:
+            self.region[ids] = region
         self.flags[ids] |= FLAG_REGISTERED
         self.generation[ids] += 1
         self._m_registered.add(len(ids))

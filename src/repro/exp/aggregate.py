@@ -2,10 +2,10 @@
 
 These helpers take a :class:`~repro.exp.runner.SweepResult` (or a bare
 list of :class:`~repro.exp.runner.PointResult`) and reshape it: one
-column of payload values, a (xs, ys) series along an axis, groups per
-axis value, concatenated per-point sample lists, or summary
-distributions — the forms ``render_table`` / ``render_series``
-(:mod:`repro.analysis.tables`) consume.
+column of payload values, a (xs, ys) series along an axis,
+concatenated per-point sample lists, or summary distributions — the
+forms ``render_table`` / ``render_series`` (:mod:`repro.analysis.tables`)
+consume.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["column", "distribution", "group_by", "merge_samples",
-           "metric_column", "series", "table_rows"]
+__all__ = ["column", "distribution", "merge_samples", "series", "table_rows"]
 
 
 def _points(result) -> Sequence:
@@ -27,26 +26,12 @@ def column(result, key: str, default: Any = None) -> list:
     return [p.payload.get(key, default) for p in _points(result)]
 
 
-def metric_column(result, path: str, field: str = "value") -> list:
-    """``envelope["metrics"][path][field]`` for every point (exported
-    metric selections rather than scenario payloads)."""
-    return [p.envelope["metrics"][path][field] for p in _points(result)]
-
-
 def series(result, axis: str, key: str) -> "tuple[list, list]":
     """(xs, ys) along one axis: coordinate vs payload value, sorted by
     the axis coordinate (stable for equal coordinates)."""
     pts = sorted(_points(result), key=lambda p: p.coords[axis])
     return ([p.coords[axis] for p in pts],
             [p.payload.get(key) for p in pts])
-
-
-def group_by(result, axis: str) -> dict:
-    """Axis value -> [points], insertion-ordered by first appearance."""
-    groups: dict[Any, list] = {}
-    for p in _points(result):
-        groups.setdefault(p.coords[axis], []).append(p)
-    return groups
 
 
 def merge_samples(result, key: str) -> list:

@@ -1,8 +1,9 @@
 """Named sweeps runnable from the CLI (``python -m repro.exp run <name>``).
 
-Each entry is a zero-argument factory returning a fresh :class:`Sweep`;
-benchmarks build theirs inline, but the canonical grids live here so
-``python -m repro.exp list`` shows what the repo can run.
+Each entry is a zero-argument factory returning a fresh :class:`Sweep`.
+The canonical grids live here, so ``python -m repro.exp list`` shows
+what the repo can run and the fig08 / table2 benches run the same grid
+the CLI does.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def sweep_names() -> list[str]:
 @register_sweep("smoke")
 def _smoke() -> Sweep:
     """4 cheap points: physical-stack ping over a small RTT axis (CI's
-    sweep-smoke job runs this with ``--workers 2``)."""
+    gates job runs this with ``--workers 2``, twice, to check resume)."""
     return (Sweep("smoke", "stack_ping",
                   base_params={"stack": "physical", "probes": 6},
                   seed=1)
@@ -52,7 +53,7 @@ def _smoke() -> Sweep:
 @register_sweep("churn8")
 def _churn8() -> Sweep:
     """The 8-seed churn-recovery sweep (full horizon) — the workload
-    ``bench_sweep_parallel`` times serial vs sharded."""
+    the ``sweep`` gate times serial vs sharded."""
     return (Sweep("churn8", "churn_recovery",
                   metrics=["*.driver.repair.seconds",
                            "*.driver.rvz.failover_seconds",
@@ -62,9 +63,14 @@ def _churn8() -> Sweep:
 
 @register_sweep("fig08")
 def _fig08() -> Sweep:
-    """Figure 8: netperf per-host bandwidth vs virtual cluster size."""
+    """Figure 8: netperf per-host bandwidth vs virtual cluster size
+    (``n_hosts`` locked to its seed; 6 sampled peers per size; the 8192 B
+    MSS is a jumbo abstraction, the same at every size)."""
     sizes = [8, 16, 24, 32, 48, 64]
-    return (Sweep("fig08", "netperf_cluster")
+    return (Sweep("fig08", "netperf_cluster",
+                  base_params={"wan_bandwidth_bps": 100e6, "tcp_mss": 8192,
+                               "udp_timeout": 30.0, "sample_peers": 6,
+                               "duration": 5.0})
             .zip_axes(n_hosts=sizes, seed=[50 + n for n in sizes]))
 
 
@@ -76,7 +82,7 @@ def _table2() -> Sweep:
     pairs = [("hku1", "siat"), ("hku1", "pu"), ("siat", "pu")]
     return (Sweep("table2", "stack_ping",
                   base_params={"bandwidth_mbps": 50.0, "probes": 12})
-            .zip_axes(pair=[f"{a}-{b}" for a, b in pairs],
+            .zip_axes(pair=[f"{a.upper()}-{b.upper()}" for a, b in pairs],
                       rtt_ms=[pair_rtt_ms(a, b) for a, b in pairs])
             .zip_axes(stack=["physical", "wavnet", "ipop"],
                       seed=[1, 2, 3]))

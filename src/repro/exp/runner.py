@@ -35,6 +35,7 @@ import multiprocessing
 import os
 import pathlib
 from dataclasses import dataclass
+from queue import Empty
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -166,15 +167,14 @@ class SweepRunner:
 
     * ``workers`` — 1 runs in-process; N > 1 forks N worker processes,
       each owning a round-robin shard of the pending points.
-    * ``resume``  — reuse completed artifacts whose spec hash matches
-      (default). ``force=True`` re-executes everything.
+    * ``force``   — re-execute everything; by default completed
+      artifacts whose spec hash matches are reused (resume).
     * ``out_dir`` — artifact store; default
       ``benchmarks/out/sweeps/<sweep.name>``.
     """
 
     def __init__(self, sweep: Sweep, workers: int = 1,
-                 out_dir: Optional[pathlib.Path] = None, resume: bool = True,
-                 force: bool = False,
+                 out_dir: Optional[pathlib.Path] = None, force: bool = False,
                  progress: Optional[Callable[["PointResult"], None]] = None,
                  ) -> None:
         if workers < 1:
@@ -183,7 +183,6 @@ class SweepRunner:
         self.workers = workers
         self.out_dir = pathlib.Path(out_dir) if out_dir is not None \
             else default_sweep_root() / sweep.name
-        self.resume = resume and not force
         self.force = force
         self._progress = progress or (lambda _result: None)
 
@@ -221,7 +220,7 @@ class SweepRunner:
         results: dict[int, PointResult] = {}
         pending: list[SweepPoint] = []
         for point in points:
-            cached = self._load_cached(point) if self.resume else None
+            cached = None if self.force else self._load_cached(point)
             if cached is not None:
                 result = PointResult(point.index, point.coords, cached,
                                      cached=True)
@@ -289,7 +288,7 @@ class SweepRunner:
             while received < len(pending):
                 try:
                     index, envelope, error = queue.get(timeout=1.0)
-                except Exception:  # queue.Empty: check for dead workers
+                except Empty:  # check for dead workers
                     if any(p.exitcode not in (0, None) for p in procs):
                         break  # a worker was killed mid-shard
                     continue

@@ -304,11 +304,13 @@ def _merge_metrics(per_partition: list[dict]) -> dict:
     """Union of the partitions' selected metric exports. Selected paths
     must be partition-disjoint (identical duplicates — e.g. from metrics
     created but untouched in several partitions — are tolerated)."""
+    from repro.exp.spec import _jsonify
+
     merged: dict[str, Any] = {}
     canon: dict[str, str] = {}
     for exports in per_partition:
         for path, export in exports.items():
-            blob = json.dumps(export, sort_keys=True, default=_fallback)
+            blob = json.dumps(export, sort_keys=True, default=_jsonify)
             if path in merged:
                 if canon[path] != blob:
                     raise PdesError(
@@ -321,14 +323,6 @@ def _merge_metrics(per_partition: list[dict]) -> dict:
     return merged
 
 
-def _fallback(obj: Any):
-    if hasattr(obj, "item"):
-        return obj.item()
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 # -- coordinator --------------------------------------------------------
 
 
@@ -339,7 +333,7 @@ def run_partitioned(spec, partitions: Optional[int] = None) -> dict:
     ``partitions`` defaults to ``spec.params["partitions"]``; a value of
     1 (or a missing param) just runs serially in-process.
     """
-    from repro.exp.spec import run_spec
+    from repro.exp.spec import _jsonify, run_spec
 
     n = int(partitions if partitions is not None
             else spec.params.get("partitions", 1) or 1)
@@ -443,7 +437,7 @@ def run_partitioned(spec, partitions: Optional[int] = None) -> dict:
     }
     # Same JSON round-trip run_spec applies, so the two are comparable
     # byte-for-byte via envelope_bytes().
-    return json.loads(json.dumps(envelope, default=_fallback))
+    return json.loads(json.dumps(envelope, default=_jsonify))
 
 
 def execute_spec(spec) -> dict:

@@ -82,13 +82,8 @@ def test_handles_of_an_id_array_match_handle_per_row():
     assert table.handles(np.zeros(0, dtype=np.int64)).tolist() == []
 
 
-def test_register_batch_vectorized():
-    sim = Simulator(seed=1)
-    table = HostTable(sim)
-    n = 300  # crosses the default-capacity growth boundary
-    names = tuple(f"e{i}" for i in range(n))
-    ids = table.register_batch(
-        names,
+def _batch_columns(n):
+    return dict(
         public_ip=np.arange(n, dtype=np.uint32) + 0x0B000000,
         public_port=np.full(n, 20000, dtype=np.uint16),
         private_ip=np.full(n, 0xC0A80002, dtype=np.uint32),
@@ -96,7 +91,16 @@ def test_register_batch_vectorized():
         nat_code=np.full(n, 3, dtype=np.uint8),
         attr_values=np.tile(np.array([4.0, 1024.0], dtype=np.float32), (n, 1)),
         rendezvous=(IPv4Address("9.1.0.1"), 4001),
-        reach=_reach(), now=2.0, owner=1, region=7)
+        reach=_reach())
+
+
+def test_register_batch_vectorized():
+    sim = Simulator(seed=1)
+    table = HostTable(sim)
+    n = 300  # crosses the default-capacity growth boundary
+    names = tuple(f"e{i}" for i in range(n))
+    ids = table.register_batch(names, **_batch_columns(n), now=2.0, owner=1,
+                               region=7)
     assert len(ids) == n and table.registered_count == n
     assert table.names_in_region(7) == list(names)
     handles = np.array([table.handle(int(i)) for i in ids])
@@ -106,6 +110,14 @@ def test_register_batch_vectorized():
     rec = table.record(int(ids[0]))
     assert rec.host_name == "e0"
     assert rec.conn.nat_type is NatType.PORT_RESTRICTED
+
+
+def test_register_batch_without_region_keeps_recorded_region():
+    table = HostTable(Simulator(seed=1))
+    names = ("e0", "e1", "e2")
+    table.register_batch(names, **_batch_columns(3), now=1.0, region=7)
+    table.register_batch(names, **_batch_columns(3), now=2.0)
+    assert table.names_in_region(7) == list(names)
 
 
 def test_expiry_and_release_owner():
