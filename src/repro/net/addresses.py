@@ -86,14 +86,14 @@ class IPv4Address:
         if isinstance(value, IPv4Address):
             value = value.value
         elif isinstance(value, str):
-            parts = value.split(".")
+            text, value = value, 0
+            parts = text.split(".")
             if len(parts) != 4:
-                raise ValueError(f"bad IPv4 {value!r}")
-            value = 0
+                raise ValueError(f"bad IPv4 {text!r}")
             for p in parts:
                 octet = int(p)
                 if not 0 <= octet <= 255:
-                    raise ValueError(f"bad IPv4 {value!r}")
+                    raise ValueError(f"bad IPv4 {text!r}")
                 value = (value << 8) | octet
         if not 0 <= value < (1 << 32):
             raise ValueError(f"IPv4 out of range: {value:#x}")

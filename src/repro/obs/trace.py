@@ -10,13 +10,20 @@ JSONL, one record per line::
     {"kind": "span", "name": "punch", "t0": 0.43, "t1": 0.61,
      "dur": 0.18, "attrs": {"host": "h0", "peer": "h1"}}
     {"kind": "event", "name": "garp", "t": 14.02, "attrs": {"vm": "vm"}}
+
+Those dicts are what readers get, not what is kept.  The log is one row
+table per record *shape* — ``("event", name, *attr keys)`` holding rows
+``(t, *values)``, ``("span", name)`` holding ``(t0, t1, attrs)`` — plus
+one table number per record in log order.  Readers pick tables by name
+and rebuild only those rows (DESIGN.md §8).
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Optional
+from array import array
+from typing import Any, Iterator, Optional
 
 __all__ = ["Span", "Tracer"]
 
@@ -51,10 +58,8 @@ class Span:
             return self
         self.t1 = self.tracer.sim.now
         self.attrs.update(attrs)
-        self.tracer._append({
-            "kind": "span", "name": self.name, "t0": self.t0, "t1": self.t1,
-            "dur": self.t1 - self.t0, "attrs": self.attrs,
-        })
+        self.tracer._file(("span", self.name),
+                          (self.t0, self.t1, self.attrs))
         return self
 
     def __enter__(self) -> "Span":
@@ -70,15 +75,31 @@ class Span:
         return f"Span({self.name}, t0={self.t0}, {state})"
 
 
+def _records(shape: tuple, rows: list) -> Iterator[dict]:
+    """The exported dicts of one table, in row order."""
+    kind, name, *keys = shape
+    if kind == "span":
+        return ({"kind": "span", "name": name, "t0": t0, "t1": t1,
+                 "dur": t1 - t0, "attrs": attrs} for t0, t1, attrs in rows)
+    return ({"kind": "event", "name": name, "t": row[0],
+             "attrs": dict(zip(keys, row[1:]))} for row in rows)
+
+
 class Tracer:
     """In-sim structured event log (``sim`` needs only ``.now``)."""
 
     def __init__(self, sim) -> None:
         self.sim = sim
-        self.records: list[dict] = []
+        #: shape -> (table number, rows), in first-record order
+        self._tables: dict[tuple, tuple[int, list]] = {}
+        self._order = array("I")   # table number of each record, log order
 
-    def _append(self, record: dict) -> None:
-        self.records.append(record)
+    def _file(self, shape: tuple, row: tuple) -> None:
+        table = self._tables.get(shape)
+        if table is None:
+            table = self._tables[shape] = (len(self._tables), [])
+        table[1].append(row)
+        self._order.append(table[0])
 
     # -- recording ------------------------------------------------------
     def begin(self, name: str, **attrs: Any) -> Span:
@@ -89,20 +110,31 @@ class Tracer:
         """Context-manager form: ``with trace.span("phase"): ...``."""
         return Span(self, name, attrs)
 
-    def event(self, name: str, **attrs: Any) -> dict:
-        record = {"kind": "event", "name": name, "t": self.sim.now,
-                  "attrs": attrs}
-        self._append(record)
-        return record
+    def event(self, name: str, **attrs: Any) -> None:
+        self._file(("event", name, *attrs), (self.sim.now, *attrs.values()))
 
     # -- querying -------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._order)
+
+    def _select(self, wanted=lambda name: True,
+                kind: Optional[str] = None) -> Iterator[dict]:
+        """Log-order records of the tables whose name ``wanted`` accepts;
+        the rows of every other table are left alone."""
+        streams = {number: _records(shape, rows)
+                   for shape, (number, rows) in self._tables.items()
+                   if kind in (None, shape[0]) and wanted(shape[1])}
+        if len(streams) == 1:
+            return streams.popitem()[1]
+        return (next(streams[n]) for n in self._order if n in streams)
+
+    @property
+    def records(self) -> list[dict]:
+        """The whole log, rebuilt on every read; prefer a read by name."""
+        return list(self._select())
 
     def find(self, name: Optional[str] = None, kind: Optional[str] = None) -> list[dict]:
-        return [r for r in self.records
-                if (name is None or r["name"] == name)
-                and (kind is None or r["kind"] == kind)]
+        return list(self._select(lambda n: name is None or n == name, kind))
 
     def spans(self, name: Optional[str] = None) -> list[dict]:
         return self.find(name, kind="span")
@@ -112,10 +144,7 @@ class Tracer:
 
     def names(self) -> list[str]:
         """Distinct record names in first-appearance order."""
-        seen: dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r["name"])
-        return list(seen)
+        return list(dict.fromkeys(shape[1] for shape in self._tables))
 
     # -- export ---------------------------------------------------------
     def export(self, patterns) -> list[dict]:
@@ -125,17 +154,21 @@ class Tracer:
         from repro.obs.metrics import path_matches
 
         pats = list(patterns)
-        return [r for r in self.records if path_matches(r["name"], pats)]
+        return list(self._select(lambda name: path_matches(name, pats)))
+
+    def _lines(self) -> Iterator[str]:
+        return (json.dumps(r, default=str) for r in self._select())
 
     def to_jsonl(self) -> str:
         """One JSON object per line; non-JSON attrs stringified."""
-        return "\n".join(json.dumps(r, default=str) for r in self.records)
+        return "\n".join(self._lines())
 
     def dump_jsonl(self, path) -> pathlib.Path:
         path = pathlib.Path(path)
-        text = self.to_jsonl()
-        path.write_text(text + "\n" if text else "")
+        with path.open("w") as out:
+            out.writelines(line + "\n" for line in self._lines())
         return path
 
     def clear(self) -> None:
-        self.records.clear()
+        self._tables.clear()
+        del self._order[:]

@@ -155,11 +155,10 @@ def migration_repair(seed: int = 0, migration: bool = True,
     plan.arm()
     sim.run(until=fault_at + horizon)
 
-    heal_names = ("conn.migrated", "conn.repaired")
-    heals = [r for r in sim.trace.records
-             if r["kind"] == "event" and r["name"] in heal_names
-             and r["t"] >= fault_at]
-    repair_seconds = [round(heals[0]["t"] - fault_at, 6)] if heals else []
+    heals = [r for name in ("conn.migrated", "conn.repaired")
+             for r in sim.trace.events(name) if r["t"] >= fault_at]
+    repair_seconds = ([round(min(r["t"] for r in heals) - fault_at, 6)]
+                      if heals else [])
     fwd = env.hosts["ma"].driver.connections.get("mb")
     rev = env.hosts["mb"].driver.connections.get("ma")
     usable = ((fwd is not None and fwd.usable)

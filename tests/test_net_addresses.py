@@ -56,6 +56,11 @@ class TestIPv4Address:
             with pytest.raises(ValueError):
                 IPv4Address(bad)
 
+    @pytest.mark.parametrize("bad", ["10.0.300.1", "10.0.0.-1"])
+    def test_bad_octet_error_quotes_the_input(self, bad):
+        with pytest.raises(ValueError, match=f"bad IPv4 '{bad}'"):
+            IPv4Address(bad)
+
 
 class TestIPv4Network:
     def test_contains(self):

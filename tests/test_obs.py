@@ -5,15 +5,19 @@ rendezvous relay, and live migration."""
 
 import json
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.addresses import IPv4Address
 from repro.net.icmp import Pinger
 from repro.net.packet import Payload
 from repro.obs import MetricsRegistry, PacketTap, Tracer, attach_tap
-from repro.obs.metrics import Counter, Gauge, Histogram, TimeSeries
+from repro.obs.metrics import Counter, Gauge, Histogram, TimeSeries, path_matches
 from repro.scenarios.builder import host_pair, make_lan
 from repro.scenarios.wavnet_env import WavnetEnvironment
 from repro.sim import Simulator
@@ -187,6 +191,145 @@ class TestTracer:
         records = [json.loads(line) for line in lines]
         assert [r["kind"] for r in records] == ["event", "span"]
         assert records[0]["attrs"] == {"n": 1}
+        assert path.read_text() == sim.trace.to_jsonl() + "\n"
+        sim.trace.clear()
+        assert sim.trace.dump_jsonl(path).read_text() == ""
+
+
+class ListOfDictsTracer:
+    """The storage ``Tracer`` had before its row tables — one dict per
+    record in one list, every reader a scan — kept as the reference the
+    tests below compare bytes and footprint against."""
+
+    def __init__(self, sim):
+        self.sim, self.records = sim, []
+
+    def event(self, name, **attrs):
+        self.records.append({"kind": "event", "name": name,
+                             "t": self.sim.now, "attrs": attrs})
+
+    def end_span(self, name, t0, attrs):
+        t1 = self.sim.now
+        self.records.append({"kind": "span", "name": name, "t0": t0, "t1": t1,
+                             "dur": t1 - t0, "attrs": attrs})
+
+    def find(self, name=None, kind=None):
+        return [r for r in self.records
+                if name in (None, r["name"]) and kind in (None, r["kind"])]
+
+    def names(self):
+        return list(dict.fromkeys(r["name"] for r in self.records))
+
+    def export(self, patterns):
+        return [r for r in self.records if path_matches(r["name"], patterns)]
+
+    def to_jsonl(self):
+        return "\n".join(json.dumps(r, default=str) for r in self.records)
+
+
+NAMES = ["a", "a.b", "a.b.c", "ab", "fluid.stall", "x"]
+PATTERNS = [[], ["*"], ["a"], ["a.b"], ["a*"], ["a.*"], ["?"],
+            ["fluid.stall", "x"], ["fluid"], ["nope"]]
+_attrs = st.dictionaries(
+    st.sampled_from(["flow", "n", "peer", "why"]),
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+              st.text(max_size=4), st.builds(IPv4Address, st.integers(0, 2**32 - 1))),
+    max_size=3)
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("event"), st.sampled_from(NAMES), _attrs),
+    st.tuples(st.just("begin"), st.sampled_from(NAMES), _attrs),
+    st.tuples(st.just("end"), st.integers(0, 7), _attrs),
+    st.tuples(st.just("span"), st.sampled_from(NAMES), _attrs),
+    st.tuples(st.just("tick"), st.floats(0.0, 10.0)),
+    st.tuples(st.just("clear")),
+), max_size=40)
+
+
+def fluid_complete_log(tracer, clock, n=20_000):
+    """``n`` events of the shape ``fluid_fanout`` logs per flow."""
+    for k in range(n):
+        clock.now = k * 1e-3
+        tracer.event("fluid.complete", flow=f"f{k}", bytes=65536 + k, seconds=clock.now)
+    return tracer
+
+
+class TestTracerStorage:
+    @given(ops=_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_reads_equal_the_list_of_dicts_reference(self, ops):
+        """Any interleaving of events, spans and a clear() reads back —
+        by record, by name, by kind, by pattern and as JSONL — exactly as
+        the one-list-of-dicts log did."""
+        clock = SimpleNamespace(now=0.0)
+        tracer, ref = Tracer(clock), ListOfDictsTracer(clock)
+        opened = []
+        for op, *args in ops:
+            if op == "event":
+                name, attrs = args
+                assert tracer.event(name, **attrs) is None
+                ref.event(name, **attrs)
+            elif op == "begin":
+                name, attrs = args
+                opened.append((tracer.begin(name, **attrs), dict(attrs)))
+            elif op == "end" and opened:
+                index, attrs = args
+                span, ref_attrs = opened.pop(index % len(opened))
+                span.end(**attrs)
+                ref_attrs.update(attrs)
+                ref.end_span(span.name, span.t0, ref_attrs)
+            elif op == "span":
+                name, attrs = args
+                with tracer.span(name, **attrs) as span:
+                    clock.now += 0.125
+                ref.end_span(name, span.t0, dict(attrs))
+            elif op == "tick":
+                clock.now += args[0]
+            elif op == "clear":
+                tracer.clear()
+                ref.records.clear()
+        assert tracer.records == ref.records
+        assert len(tracer) == len(ref.records)
+        assert tracer.names() == ref.names()
+        for name in [None, *NAMES]:
+            for kind in (None, "event", "span"):
+                assert tracer.find(name, kind) == ref.find(name, kind)
+            assert tracer.events(name) == ref.find(name, "event")
+            assert tracer.spans(name) == ref.find(name, "span")
+        for patterns in PATTERNS:
+            assert tracer.export(patterns) == ref.export(patterns)
+        assert tracer.to_jsonl() == ref.to_jsonl()
+
+    def test_record_costs_at_most_half_a_list_of_dicts_record(self):
+        def traced_bytes(make):
+            clock = SimpleNamespace(now=0.0)
+            tracemalloc.start()
+            try:
+                log = fluid_complete_log(make(clock), clock)
+                return tracemalloc.get_traced_memory()[0], log
+            finally:
+                tracemalloc.stop()
+
+        rows, log = traced_bytes(Tracer)
+        dicts, ref = traced_bytes(ListOfDictsTracer)
+        assert log.records == ref.records
+        assert rows <= 0.5 * dicts, (rows, dicts)
+
+    def test_reads_by_name_leave_other_tables_alone(self):
+        clock = SimpleNamespace(now=0.0)
+        tracer = fluid_complete_log(Tracer(clock), clock)
+        tracer.event("fault", kind="nat_reboot")
+        tracemalloc.start()
+        try:
+            assert len(tracer) == 20_001
+            assert [r["attrs"] for r in tracer.events("fault")] == [{"kind": "nat_reboot"}]
+            assert tracer.export(["fluid.stall"]) == []
+            assert tracer.spans() == []
+            assert tracer.names() == ["fluid.complete", "fault"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 20 000 rebuilt records would be ~9 MB
+        assert peak < 32 * 1024, peak
 
 
 class TestPacketTaps:
