@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.analysis.tables import ShapeCheck, render_series
 from repro.apps.netperf import netperf_stream, netserver
-from repro.baselines.ipop import IpopOverlay
+from repro.baselines.ipop import PHANTOM_GATEWAY, IpopOverlay
 from repro.net.addresses import IPv4Address
 from repro.net.l2 import Bridge, patch
 from repro.net.wan import WanCloud
@@ -100,9 +100,9 @@ def timeline_ipop():
     vm = VirtualMachine(sim, "vm", VM_MB, sites["src"].hosts[0].mac_mint,
                         dirty_model=HotColdDirtyModel(**DIRTY), tcp_mss=1460)
     vm.configure_network("10.128.0.100", "10.128.0.0/16",
-                         gateway=overlay.phantom_gateway)
-    vm.guest.stack.arp_cache[overlay.phantom_gateway] = (node_src._bridge_mac,
-                                                         float("inf"))
+                         gateway=PHANTOM_GATEWAY)
+    vm.guest.stack.arp_cache[PHANTOM_GATEWAY] = (node_src._bridge_mac,
+                                                 float("inf"))
     node_src.attach_vm_port(vm.vif.port, vm.ip, vm.mac, "vif-vm")
     vm.current_host = "src"
 

@@ -18,14 +18,17 @@ from typing import Optional
 
 import numpy as np
 
-from repro.apps.httpd import (HTTP_PORT, HttpRequest, HttpResponse,
-                              response_size_for)
+from repro.apps.httpd import (HTTP_PORT, SERVICE_TIME, HttpRequest,
+                              HttpResponse, response_size_for)
 from repro.core.options import TransferOptions, resolve_options
 from repro.net.addresses import IPv4Address
 from repro.net.stack import Host
 from repro.net.tcp import ConnectionReset
+from repro.sim.engine import Interrupt
 
 __all__ = ["AbReport", "ApacheBench"]
+
+CONNECT_TIMEOUT = 10.0  # seconds a handshake may take before the request fails
 
 
 @dataclass
@@ -69,10 +72,8 @@ class ApacheBench:
     """Closed-loop HTTP benchmark client."""
 
     def __init__(self, host: Host, server_ip: IPv4Address, path: str = "/file1k",
-                 concurrency: int = 1, port: int = HTTP_PORT,
-                 connect_timeout: float = 10.0,
-                 options: Optional[TransferOptions] = None,
-                 service_time: float = 50e-6, response_path=None) -> None:
+                 concurrency: int = 1,
+                 options: Optional[TransferOptions] = None) -> None:
         opts = resolve_options(options, TransferOptions, "ApacheBench")
         fidelity, cc = opts.fidelity, opts.cc
         if fidelity not in ("packet", "fluid"):
@@ -81,19 +82,14 @@ class ApacheBench:
         self.server_ip = server_ip
         self.path = path
         self.concurrency = concurrency
-        self.port = port
-        self.connect_timeout = connect_timeout
         # Fluid mode: no server process; each response is one cold-start
-        # fluid flow. ``response_path`` is the server->client FluidPath;
-        # when None the client->server route is used, which is exact on
-        # the symmetric-capacity topologies the benches build.
+        # fluid flow.
         self.fidelity = fidelity
-        self.service_time = service_time
-        self.response_path = response_path
         # cc=None: stack default (packet) / Reno's loss response (fluid).
         self.cc = cc
         self.report = AbReport()
         self._stop = False
+        self._remaining = float("inf")  # requests left to start
 
     def run_for(self, duration: float):
         """Process: run C workers for ``duration`` seconds; returns AbReport."""
@@ -110,30 +106,26 @@ class ApacheBench:
         return self.report
 
     def run_requests(self, count: int):
-        """Process: run until ``count`` requests complete (ab -n style)."""
+        """Process: issue exactly ``count`` requests over the C workers
+        (ab -n style) and return once every one has completed or failed."""
         sim = self.host.sim
         self.report.started_at = sim.now
-        self._target = count
-        workers = [sim.process(self._client(limit=True), name=f"ab:{self.host.name}:{i}")
+        self._remaining = count
+        workers = [sim.process(self._client(), name=f"ab:{self.host.name}:{i}")
                    for i in range(self.concurrency)]
         for w in workers:
             yield w
         self.report.finished_at = sim.now
         return self.report
 
-    def _done_enough(self) -> bool:
-        target = getattr(self, "_target", None)
-        return target is not None and (
-            self.report.requests_completed + self.report.requests_failed >= target)
-
-    def _client(self, limit: bool = False):
-        from repro.sim.engine import Interrupt
-
-        sim = self.host.sim
+    def _client(self):
         one = (self._one_request_fluid if self.fidelity == "fluid"
                else self._one_request)
         try:
-            while not self._stop and not (limit and self._done_enough()):
+            # Count requests as they start, not as they finish, so
+            # run_requests(n) issues exactly n whatever is in flight.
+            while not self._stop and self._remaining > 0:
+                self._remaining -= 1
                 yield from one()
         except Interrupt:
             return
@@ -158,15 +150,15 @@ class ApacheBench:
         if fluid is None:
             raise RuntimeError("fidelity='fluid' requires a FluidNetwork "
                                "attached to this simulator")
-        path = self.response_path
-        if path is None:
-            path = fluid.route(self.host.name, self.server_ip)
+        # The response rides the client->server route, which is exact on
+        # the symmetric-capacity topologies the benches build.
+        path = fluid.route(self.host.name, self.server_ip)
         size = response_size_for(self.path)
         t_start = sim.now
         yield sim.timeout(path.rtt)            # SYN / SYN-ACK
         self.report.connect_times.append(sim.now - t_start)
         yield sim.timeout(path.rtt / 2)        # request reaches the server
-        yield sim.timeout(self.service_time)
+        yield sim.timeout(SERVICE_TIME)
         window = min(self.host.tcp.send_buf, self.host.tcp.recv_buf)
         per_rtt = min(fluid.path_rate(path) * path.rtt / 8.0, window)
         rounds, sent = slow_start_rounds(size, path.mss, per_rtt)
@@ -190,8 +182,8 @@ class ApacheBench:
     def _one_request(self):
         sim = self.host.sim
         t_start = sim.now
-        conn = self.host.tcp.connect(self.server_ip, self.port, cc=self.cc)
-        deadline = sim.timeout(self.connect_timeout)
+        conn = self.host.tcp.connect(self.server_ip, HTTP_PORT, cc=self.cc)
+        deadline = sim.timeout(CONNECT_TIMEOUT)
         established = conn.wait_established()
         yield sim.any_of([established, deadline])
         if not established.processed or not established.ok:

@@ -18,20 +18,28 @@ __all__ = ["HttpRequest", "HttpResponse", "HttpServer", "response_size_for"]
 HTTP_PORT = 80
 REQUEST_BYTES = 200
 HEADER_BYTES = 250
+NOT_FOUND_BYTES = 128  # 404 body
+# Server time per request; ApacheBench's fluid mode charges the same.
+SERVICE_TIME = 50e-6
 
 
-def response_size_for(path: str, files: dict | None = None) -> int:
+def file_size(path: str) -> int:
+    """Body bytes of the synthetic file ``/file<N>k`` (N·1024), or -1
+    for a path that does not name one."""
+    if path.startswith("/file") and path.endswith("k"):
+        try:
+            return int(path[5:-1]) * 1024
+        except ValueError:
+            pass
+    return -1
+
+
+def response_size_for(path: str) -> int:
     """Wire size (headers + body) of the response :class:`HttpServer`
     would send for ``path`` — shared with ApacheBench's fluid mode,
     which sizes response flows without a server process."""
-    if files and path in files:
-        return HEADER_BYTES + files[path]
-    if path.startswith("/file") and path.endswith("k"):
-        try:
-            return HEADER_BYTES + int(path[5:-1]) * 1024
-        except ValueError:
-            pass
-    return HEADER_BYTES + 128  # 404 body
+    size = file_size(path)
+    return HEADER_BYTES + (size if size >= 0 else NOT_FOUND_BYTES)
 
 
 @dataclass(frozen=True)
@@ -55,27 +63,14 @@ class HttpResponse:
 
 
 class HttpServer:
-    """Serves synthetic files: ``/file<N>k`` yields N·1024 bytes."""
+    """Serves synthetic files on ``HTTP_PORT``: ``/file<N>k`` yields
+    N·1024 bytes."""
 
-    def __init__(self, host: Host, port: int = HTTP_PORT,
-                 files: dict | None = None, service_time: float = 50e-6) -> None:
+    def __init__(self, host: Host) -> None:
         self.host = host
-        self.port = port
-        self.files = dict(files or {})
-        self.service_time = service_time
         self.requests_served = 0
-        self.listener = host.tcp.listen(port, backlog=512)
+        self.listener = host.tcp.listen(HTTP_PORT, backlog=512)
         host.sim.process(self._accept_loop(), name=f"httpd:{host.name}")
-
-    def file_size(self, path: str) -> int:
-        if path in self.files:
-            return self.files[path]
-        if path.startswith("/file") and path.endswith("k"):
-            try:
-                return int(path[5:-1]) * 1024
-            except ValueError:
-                pass
-        return -1
 
     def _accept_loop(self):
         sim = self.host.sim
@@ -96,10 +91,10 @@ class HttpServer:
                 if isinstance(obj, HttpRequest):
                     request = obj
                     break
-        yield sim.timeout(self.service_time)
-        size = self.file_size(request.path)
+        yield sim.timeout(SERVICE_TIME)
+        size = file_size(request.path)
         if size < 0:
-            response = HttpResponse(request.path, 404, 128)
+            response = HttpResponse(request.path, 404, NOT_FOUND_BYTES)
         else:
             response = HttpResponse(request.path, 200, size)
         self.requests_served += 1

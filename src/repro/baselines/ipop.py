@@ -50,6 +50,8 @@ from repro.sim.queues import Serializer
 __all__ = ["IpopConfig", "IpopDirectory", "IpopNode", "IpopOverlay"]
 
 IPOP_PORT = 15151
+VIRTUAL_NETWORK = IPv4Network("10.128.0.0/16")  # the overlay's L3 subnet
+PHANTOM_GATEWAY = VIRTUAL_NETWORK.broadcast + (-1)  # .254: the tun's next hop
 
 
 @dataclass(frozen=True)
@@ -184,12 +186,11 @@ class IpopNode:
     def _make_tun(self) -> Interface:
         stack = self.host.stack
         tun = stack.add_interface("ipop0", self.host.mac_mint())
-        tun.configure(self.virtual_ip, self.overlay.virtual_network)
+        tun.configure(self.virtual_ip, VIRTUAL_NETWORK)
         # Route the whole virtual subnet into the tun via a phantom
         # gateway with a static ARP entry (tun devices have no L2).
-        gw = self.overlay.phantom_gateway
-        stack.add_route(self.overlay.virtual_network, tun, gateway=gw)
-        stack.arp_cache[gw] = (MacAddress(0x02_FF_FF_00_00_01), float("inf"))
+        stack.add_route(VIRTUAL_NETWORK, tun, gateway=PHANTOM_GATEWAY)
+        stack.arp_cache[PHANTOM_GATEWAY] = (MacAddress(0x02_FF_FF_00_00_01), float("inf"))
         tun.port.connect(self._on_tun_frame)
         return tun
 
@@ -415,12 +416,9 @@ class _RoutedHello:
 class IpopOverlay:
     """Coordinator: membership, ring construction, shared directory."""
 
-    def __init__(self, sim, virtual_network: str = "10.128.0.0/16",
-                 config: Optional[IpopConfig] = None) -> None:
+    def __init__(self, sim, config: Optional[IpopConfig] = None) -> None:
         self.sim = sim
         self.config = config or IpopConfig()
-        self.virtual_network = IPv4Network(virtual_network)
-        self.phantom_gateway = self.virtual_network.broadcast + (-1)  # .254
         self.directory = IpopDirectory()
         self.nodes: dict[str, IpopNode] = {}
 

@@ -92,14 +92,6 @@ class WavConnection:
         self._pulse_timer: Optional[Timer] = None
         self._pulse_cb = self._pulse_fire  # bind once, not per pulse
         self._punch_span = None
-        self.taps: Optional[list] = None
-
-    def add_tap(self, tap) -> None:
-        """Attach a :class:`~repro.obs.taps.PacketTap` capturing every
-        WAVNet payload this tunnel sends or receives."""
-        if self.taps is None:
-            self.taps = []
-        self.taps.append(tap)
 
     # -- properties -------------------------------------------------------
     @property
@@ -274,13 +266,9 @@ class WavConnection:
         self.relayed = True
         self._establish((self.driver.rendezvous_ip, RENDEZVOUS_PORT))
 
-    def on_pulse(self, src: tuple[IPv4Address, int]) -> None:
+    def on_pulse(self) -> None:
         self.pulses_received += 1
         self.driver._m_pulse_rx.add()
-        if self.taps is not None:
-            for tap in self.taps:
-                tap.datagram(f"{self.driver.name}->{self.peer_name}", "rx",
-                             2, src=f"{src[0]}:{src[1]}", info="WavPulse")
         self.last_heard = self.sim.now
 
     def on_data(self, size: int) -> None:
@@ -289,10 +277,6 @@ class WavConnection:
         driver = self.driver
         driver._m_frames_rx.add()
         driver._m_bytes_rx.add(size)
-        if self.taps is not None:
-            for tap in self.taps:
-                tap.datagram(f"{driver.name}->{self.peer_name}", "rx",
-                             size, info="WavData")
         self.last_heard = self.sim.now
 
     # -- outbound -------------------------------------------------------------
@@ -309,10 +293,6 @@ class WavConnection:
         else:
             driver._m_frames_tx.add()
             driver._m_bytes_tx.add(payload.size)
-        if self.taps is not None:
-            for tap in self.taps:
-                tap.datagram(f"{driver.name}->{self.peer_name}", "tx",
-                             payload.size, info=type(payload.data).__name__)
         if self.relayed:
             driver._send_relayed(self.peer_name, payload)
         else:

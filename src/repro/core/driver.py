@@ -178,8 +178,6 @@ class WavnetDriver(Component):
         self.alloc_stride = 0  # STUN-inferred symmetric allocation stride
         self.public_endpoint: Optional[tuple[IPv4Address, int]] = None
         self.started = Event(self.sim)
-        from repro.sim.queues import Store
-        self._stun_inbox = Store(self.sim)
         self._stun_client: Optional[StunClient] = None
         self._keepalive_proc = None
         self._upgrade_proc = None
@@ -198,8 +196,7 @@ class WavnetDriver(Component):
     def start(self):
         """Process: STUN discovery, rendezvous registration, keepalive."""
         if self.stun_server_ip is not None:
-            stun = StunClient(self.host.stack, self.sock, self.stun_server_ip,
-                              inbox=self._stun_inbox)
+            stun = StunClient(self.host.stack, self.sock, self.stun_server_ip)
             self._stun_client = stun
             probe = yield from stun.classify()
             self.nat_type = probe.nat_type
@@ -528,7 +525,7 @@ class WavnetDriver(Component):
         elif isinstance(body, WavPulse):
             conn = self._by_endpoint.get(src)
             if conn is not None:
-                conn.on_pulse(src)
+                conn.on_pulse()
         elif isinstance(body, WavPunch):
             conn = self._ensure_connection(body.sender, None)
             conn.on_punch(src, body.nonce)
@@ -543,7 +540,8 @@ class WavnetDriver(Component):
         elif isinstance(body, WavRelay):
             self._on_relayed(body, src)
         elif isinstance(body, StunResponse):
-            self._stun_inbox.try_put((payload, src_ip, src_port))
+            if self._stun_client is not None:
+                self._stun_client.on_datagram(payload, src_ip, src_port)
         else:
             self.rpc.handle_datagram(payload, src_ip, src_port)
 
@@ -567,7 +565,7 @@ class WavnetDriver(Component):
             self.switch.learn(inner.frame.src, conn)
             self.tap.inject(inner.frame)
         elif isinstance(inner, WavPulse):
-            conn.on_pulse(src)
+            conn.on_pulse()
 
     # -- connection table callbacks -------------------------------------------
     def _connection_established(self, conn: WavConnection) -> None:

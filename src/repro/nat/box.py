@@ -31,6 +31,11 @@ from repro.sim.lifecycle import Component
 
 __all__ = ["NatBox"]
 
+# Idle timeouts of TCP and ICMP bindings; the UDP one is the knob the
+# scenarios vary (keepalive experiments), so it stays a parameter.
+TCP_TIMEOUT = 3600.0
+ICMP_TIMEOUT = 30.0
+
 
 class NatBox(Router, Component):
     """NAT/firewall gateway between an inside LAN and the public Internet.
@@ -51,8 +56,6 @@ class NatBox(Router, Component):
         mac_mint: Callable[[], MacAddress],
         nat_type: NatType | str = NatType.PORT_RESTRICTED,
         udp_timeout: float = 60.0,
-        tcp_timeout: float = 3600.0,
-        icmp_timeout: float = 30.0,
         port_alloc: Optional[str] = None,
         port_stride: int = 1,
     ) -> None:
@@ -74,10 +77,10 @@ class NatBox(Router, Component):
         self.udp_mappings = MappingTable(self.nat_type, udp_timeout, port_rng=port_rng,
                                          metrics=metrics.scope("udp"),
                                          port_alloc=port_alloc, port_stride=port_stride)
-        self.tcp_mappings = MappingTable(self.nat_type, tcp_timeout, first_port=30000,
+        self.tcp_mappings = MappingTable(self.nat_type, TCP_TIMEOUT, first_port=30000,
                                          port_rng=port_rng, metrics=metrics.scope("tcp"),
                                          port_alloc=port_alloc, port_stride=port_stride)
-        self.icmp_mappings = MappingTable(self.nat_type, icmp_timeout, first_port=40000,
+        self.icmp_mappings = MappingTable(self.nat_type, ICMP_TIMEOUT, first_port=40000,
                                           port_rng=port_rng, metrics=metrics.scope("icmp"),
                                           port_alloc=port_alloc, port_stride=port_stride)
         self.port_alloc = self.udp_mappings.port_alloc

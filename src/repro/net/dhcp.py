@@ -96,7 +96,13 @@ class DhcpServer:
 
 
 class DhcpClient:
-    """Acquires a lease and configures the interface with it."""
+    """Acquires a lease and configures the interface with it.
+
+    Each step waits like ``RpcEndpoint.call``: the process yields
+    ``any_of([waiter, deadline])`` and the socket handler resolves
+    ``waiter`` with the reply the step expects; anything else reaching
+    UDP 68 is dropped.
+    """
 
     def __init__(self, stack: NetworkStack, iface: Interface, timeout: float = 5.0,
                  retries: int = 3) -> None:
@@ -105,28 +111,48 @@ class DhcpClient:
         self.timeout = timeout
         self.retries = retries
         self.lease: Optional[DhcpLease] = None
+        # Drawn from a stream named after the host, so the wire carries
+        # the same xid in every same-seed run.
+        self._xid = int(stack.sim.rng.stream(f"dhcp.xid.{stack.name}").integers(1 << 32))
+        self._want = ""
+        self._waiter = None
 
-    def _broadcast(self, msg: _DhcpMessage) -> None:
+    def _on_datagram(self, payload: Payload, _src_ip, _src_port) -> None:
+        msg = payload.data
+        waiter = self._waiter
+        if (waiter is not None and isinstance(msg, _DhcpMessage)
+                and msg.op == self._want and msg.xid == self._xid
+                and msg.client_mac == self.iface.mac):
+            self._waiter = None
+            waiter.succeed(msg)
+
+    def _exchange(self, msg: _DhcpMessage, want: str):
+        """Process: broadcast ``msg``, return the ``want`` reply or None."""
+        sim = self.stack.sim
+        self._want = want
+        self._waiter = waiter = sim.event()
         datagram = UdpDatagram(DHCP_CLIENT_PORT, DHCP_SERVER_PORT,
                                Payload(DHCP_MSG_SIZE, data=msg, kind="dhcp"))
         packet = IPv4Packet(ZERO_IP, BCAST_IP, 17, datagram)
         self.iface.send_frame(frame_for(packet, self.iface.mac, BROADCAST_MAC))
+        yield sim.any_of([waiter, sim.timeout(self.timeout)])
+        self._waiter = None
+        return waiter.value if waiter.triggered else None
 
     def acquire(self):
         """Process: run the 4-way exchange; returns a DhcpLease or None."""
-        sim = self.stack.sim
         sock = self.stack.udp.bind(DHCP_CLIENT_PORT)
-        xid = id(self) & 0xFFFF
+        sock.handler = self._on_datagram
+        mac, xid = self.iface.mac, self._xid
         try:
             for _attempt in range(self.retries):
-                self._broadcast(_DhcpMessage("discover", self.iface.mac, xid=xid))
-                offer = yield from self._await(sock, "offer", xid)
+                offer = yield from self._exchange(
+                    _DhcpMessage("discover", mac, xid=xid), "offer")
                 if offer is None:
                     continue
-                self._broadcast(_DhcpMessage("request", self.iface.mac,
-                                             your_ip=offer.your_ip,
-                                             server_ip=offer.server_ip, xid=xid))
-                ack = yield from self._await(sock, "ack", xid)
+                ack = yield from self._exchange(
+                    _DhcpMessage("request", mac, your_ip=offer.your_ip,
+                                 server_ip=offer.server_ip, xid=xid), "ack")
                 if ack is None:
                     continue
                 self.lease = DhcpLease(ack.your_ip, ack.network, ack.server_ip)
@@ -136,19 +162,3 @@ class DhcpClient:
         finally:
             sock.close()
         return None
-
-    def _await(self, sock, op: str, xid: int):
-        sim = self.stack.sim
-        deadline = sim.timeout(self.timeout)
-        pending = None
-        while True:
-            if pending is None:
-                pending = sock.recvfrom()
-            yield sim.any_of([pending, deadline])
-            if not pending.processed:
-                return None
-            payload, _ip, _port = pending.value
-            pending = None
-            msg = payload.data
-            if msg.op == op and msg.xid == xid and msg.client_mac == self.iface.mac:
-                return msg

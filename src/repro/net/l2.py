@@ -29,6 +29,8 @@ from repro.sim.queues import Serializer
 
 __all__ = ["Bridge", "Link", "Port", "Switch", "patch"]
 
+BRIDGE_FORWARD_DELAY = 15e-6  # per-frame cost of an in-host software bridge
+
 
 class FrameHandler(Protocol):  # pragma: no cover - typing helper
     def on_frame(self, frame: EthernetFrame, port: "Port") -> None: ...
@@ -37,14 +39,13 @@ class FrameHandler(Protocol):  # pragma: no cover - typing helper
 class Port:
     """Device attachment point. A port is connected to at most one medium."""
 
-    __slots__ = ("owner", "name", "_medium", "up", "_taps")
+    __slots__ = ("owner", "name", "_medium", "up")
 
     def __init__(self, owner: FrameHandler, name: str = "") -> None:
         self.owner = owner
         self.name = name
         self._medium: Optional[Callable[[EthernetFrame], None]] = None
         self.up = True
-        self._taps: Optional[list] = None  # lazily created; hot path stays a None check
 
     @property
     def connected(self) -> bool:
@@ -58,26 +59,14 @@ class Port:
     def disconnect(self) -> None:
         self._medium = None
 
-    def add_tap(self, tap) -> None:
-        """Attach a :class:`~repro.obs.taps.PacketTap` to both directions."""
-        if self._taps is None:
-            self._taps = []
-        self._taps.append(tap)
-
     def transmit(self, frame: EthernetFrame) -> None:
         """Push a frame out of the device into the medium (if any)."""
         if self._medium is not None and self.up:
-            if self._taps is not None:
-                for tap in self._taps:
-                    tap.frame(self.name, "tx", frame)
             self._medium(frame)
 
     def deliver(self, frame: EthernetFrame) -> None:
         """Hand an arriving frame to the owning device."""
         if self.up:
-            if self._taps is not None:
-                for tap in self._taps:
-                    tap.frame(self.name, "rx", frame)
             self.owner.on_frame(frame, self)
 
 
@@ -271,14 +260,6 @@ class Switch:
         self.mac_table: dict[MacAddress, tuple[Port, float]] = {}
         self.frames_forwarded = 0
         self.frames_flooded = 0
-        self._taps: Optional[list] = None
-
-    def add_tap(self, tap) -> None:
-        """Attach a :class:`~repro.obs.taps.PacketTap`: captures every
-        frame entering the switch, before the forwarding decision."""
-        if self._taps is None:
-            self._taps = []
-        self._taps.append(tap)
 
     def new_port(self, name: str = "") -> Port:
         port = Port(self, name or f"{self.name}.p{len(self.ports)}")
@@ -302,9 +283,6 @@ class Switch:
         return port
 
     def on_frame(self, frame: EthernetFrame, in_port: Port) -> None:
-        if self._taps is not None:
-            for tap in self._taps:
-                tap.frame(f"{self.name}<{in_port.name}", "fwd", frame)
         # Learn the sender's location (moves on migration are picked up
         # here: a gratuitous ARP from a new port rewrites the entry).
         self.mac_table[frame.src] = (in_port, self.sim.now)
@@ -329,9 +307,9 @@ class Switch:
 class Bridge(Switch):
     """In-host software bridge (the Xen/``brctl`` bridge of Fig 5).
 
-    Semantically a switch; the default per-frame cost is higher because
-    frames cross the host CPU.
+    Semantically a switch; the per-frame cost (``BRIDGE_FORWARD_DELAY``)
+    is higher because frames cross the host CPU.
     """
 
-    def __init__(self, sim: Simulator, name: str = "br0", forward_delay: float = 15e-6) -> None:
-        super().__init__(sim, name=name, forward_delay=forward_delay)
+    def __init__(self, sim: Simulator, name: str = "br0") -> None:
+        super().__init__(sim, name=name, forward_delay=BRIDGE_FORWARD_DELAY)

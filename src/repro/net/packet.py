@@ -222,16 +222,15 @@ class ArpPacket(WireFormat):
 
 
 class EthernetFrame(WireFormat):
-    _fields = ("src", "dst", "ethertype", "payload", "vlan")
+    _fields = ("src", "dst", "ethertype", "payload")
     __slots__ = _fields + ("size",)
 
     def __init__(self, src: MacAddress, dst: MacAddress, ethertype: int,
-                 payload: Any, vlan: Optional[int] = None) -> None:
+                 payload: Any) -> None:
         self.src = src
         self.dst = dst
         self.ethertype = ethertype
         self.payload = payload  # IPv4Packet | ArpPacket
-        self.vlan = vlan
         # Minimum Ethernet payload is 46 B (frames are padded on the wire).
         body = payload.size
         self.size = ETHERNET_HEADER + ETHERNET_FCS + (body if body > 46 else 46)

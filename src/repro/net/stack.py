@@ -120,15 +120,6 @@ class NetworkStack:
         self.packets_received = 0
         self.packets_forwarded = 0
         self.packets_dropped = 0
-        self._taps: Optional[list] = None
-
-    def add_tap(self, tap) -> None:
-        """Attach a :class:`~repro.obs.taps.PacketTap` at the IP layer:
-        captures locally-originated packets on send and locally-delivered
-        packets on receive (the tcpdump-on-the-host view)."""
-        if self._taps is None:
-            self._taps = []
-        self._taps.append(tap)
 
     # -- configuration ------------------------------------------------------
     def add_interface(self, name: str, mac: MacAddress) -> Interface:
@@ -177,9 +168,6 @@ class NetworkStack:
 
     # -- transmit path ---------------------------------------------------
     def send_ip(self, packet: IPv4Packet) -> None:
-        if self._taps is not None:
-            for tap in self._taps:
-                tap.packet(self.name, "tx", packet)
         route = self.lookup_route(packet.dst)
         if route is None:
             self.packets_dropped += 1
@@ -294,9 +282,6 @@ class NetworkStack:
         return False
 
     def deliver_local(self, packet: IPv4Packet) -> None:
-        if self._taps is not None:
-            for tap in self._taps:
-                tap.packet(self.name, "rx", packet)
         self.packets_received += 1
         if packet.proto == PROTO_UDP:
             self.udp.receive(packet)

@@ -27,10 +27,9 @@ __all__ = ["WanCloud"]
 class WanCloud:
     """Per-pair-latency frame fabric joining site gateways."""
 
-    def __init__(self, sim: Simulator, name: str = "internet",
-                 default_latency: float = 0.050) -> None:
+    def __init__(self, sim: Simulator, default_latency: float = 0.050) -> None:
         self.sim = sim
-        self.name = name
+        self.name = "internet"  # one cloud per run
         self.default_latency = default_latency
         self.ports: dict[str, Port] = {}
         self._port_names: dict[Port, str] = {}

@@ -20,6 +20,7 @@ from repro.overlay.fleet import HashRing
 from repro.overlay.rendezvous import RendezvousServer
 from repro.scenarios.builder import NattedSite, make_natted_site, make_public_host
 from repro.sim.engine import Simulator
+from repro.stun.server import PRIMARY_IP as STUN_PRIMARY_IP
 from repro.stun.server import StunServerPair
 
 __all__ = ["WavnetEnvironment", "WavnetHost", "wavnet_mesh"]
@@ -123,7 +124,7 @@ class WavnetEnvironment:
 
     @property
     def stun_primary_ip(self) -> IPv4Address:
-        return self.stun.primary_ip if self.stun else IPv4Address("9.9.9.1")
+        return STUN_PRIMARY_IP
 
     def assign_rendezvous(self, name: str) -> int:
         """Fleet consistent-hash assignment for an endpoint name (static

@@ -2,7 +2,7 @@
 
 :class:`Store` is for code that *waits*: an optionally capacity-bounded
 FIFO whose ``get()``/``put()`` return events a process can ``yield`` on
-(socket inboxes, application mailboxes).
+(TCP accept queues and receive buffers, application mailboxes).
 
 :class:`Serializer` is for code that *reacts*: a drop-tail waiting room in
 front of a single server that calls ``done(item)`` when each item's service

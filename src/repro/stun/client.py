@@ -54,57 +54,53 @@ class StunClient:
     """Runs STUN tests from one host through one UDP socket.
 
     The socket used for probing is the same one later used for hole
-    punching, so the discovered mapping is the one that matters.
+    punching, so the discovered mapping is the one that matters. The
+    client reads that socket through :meth:`on_datagram`: a standalone
+    client is wired with ``sock.handler = client.on_datagram``, an owner
+    that demultiplexes the socket (the WAVNet driver) hands it every
+    :class:`StunResponse`. A test waits like ``RpcEndpoint.call``: it
+    yields ``any_of([waiter, deadline])`` and the handler resolves
+    ``waiter`` with the reply to the current transaction.
     """
 
     def __init__(self, stack, sock: UdpSocket, server_ip: IPv4Address | str,
-                 timeout: float = 0.8, inbox=None) -> None:
-        """``inbox`` (a Store of ``(payload, ip, port)``) lets an owner
-        whose handler demultiplexes the socket (the WAVNet driver) feed
-        STUN responses in, instead of this client reading the socket —
-        ``recvfrom()`` sees nothing on a socket that has a handler."""
+                 timeout: float = 0.8) -> None:
         self.stack = stack
         self.sock = sock
         self.server_ip = IPv4Address(server_ip)
         self.timeout = timeout
-        self.inbox = inbox
         # Transaction ids start at a draw from a stream named after the
         # host: the same in every same-seed run, and a later client on
         # this host (driver restore) draws again, so it does not match a
         # stale reply to its predecessor.
         self._txid = int(stack.sim.rng.stream(
             f"stun.txid.{stack.name}").integers(1 << 32))
-        self._pending_get = None
+        self._waiter = None
 
-    def _recv(self):
-        if self.inbox is not None:
-            return self.inbox.get()
-        return self.sock.recvfrom()
-
-    def _next_txid(self) -> int:
-        self._txid += 1
-        return self._txid
+    def on_datagram(self, payload: Payload, _src_ip, _src_port) -> None:
+        """Socket handler: resolve the waiting test with the reply to its
+        transaction; stale replies and anything that is not a STUN
+        response are dropped."""
+        msg = payload.data
+        waiter = self._waiter
+        if (waiter is not None and isinstance(msg, StunResponse)
+                and msg.txid == self._txid):
+            self._waiter = None
+            waiter.succeed(msg)
 
     def _request(self, dst_ip: IPv4Address, dst_port: int,
                  change_ip: bool = False, change_port: bool = False):
         """Process: one test (with retries); returns StunResponse or None."""
         sim = self.stack.sim
         for _attempt in range(RETRIES):
-            txid = self._next_txid()
-            req = StunRequest(txid, change_ip=change_ip, change_port=change_port)
+            self._txid += 1
+            req = StunRequest(self._txid, change_ip=change_ip, change_port=change_port)
+            self._waiter = waiter = sim.event()
             self.sock.sendto(dst_ip, dst_port, Payload(req.size, data=req, kind="stun"))
-            deadline = sim.timeout(self.timeout)
-            while True:
-                if self._pending_get is None:
-                    self._pending_get = self._recv()
-                yield sim.any_of([self._pending_get, deadline])
-                if not self._pending_get.processed:
-                    break  # timed out; keep the getter armed for the retry
-                payload, _ip, _port = self._pending_get.value
-                self._pending_get = None
-                msg = payload.data
-                if isinstance(msg, StunResponse) and msg.txid == txid:
-                    return msg
+            yield sim.any_of([waiter, sim.timeout(self.timeout)])
+            if waiter.triggered:
+                return waiter.value
+        self._waiter = None
         return None
 
     def discover_endpoint(self):

@@ -20,41 +20,35 @@ from repro.scenarios.builder import named_mac_factory
 from repro.sim.engine import Simulator
 from repro.stun.messages import STUN_ALT_PORT, STUN_PORT, StunRequest, StunResponse
 
-__all__ = ["StunServerPair"]
+__all__ = ["PRIMARY_IP", "StunServerPair"]
+
+PRIMARY_IP = IPv4Address("9.9.9.1")  # the address every WAVNet driver probes
+ALTERNATE_IP = IPv4Address("9.9.9.2")
+PUBLIC_NETWORK = IPv4Network("9.9.9.0/24")
+ATTACH_LATENCY = 0.001  # one-way, each server host to the cloud
 
 
 class StunServerPair:
     """Two public hosts answering STUN binding requests."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cloud: WanCloud,
-        primary_ip: str = "9.9.9.1",
-        alternate_ip: str = "9.9.9.2",
-        public_network: str = "9.9.9.0/24",
-        attach_latency: float = 0.001,
-        name: str = "stun",
-    ) -> None:
+    def __init__(self, sim: Simulator, cloud: WanCloud) -> None:
         self.sim = sim
-        self.primary_ip = IPv4Address(primary_ip)
-        self.alternate_ip = IPv4Address(alternate_ip)
-        net = IPv4Network(public_network)
         self.hosts: dict[IPv4Address, Host] = {}
         self.requests_served = 0
-        for tag, ip in (("primary", self.primary_ip), ("alt", self.alternate_ip)):
-            host = Host(sim, f"{name}.{tag}", named_mac_factory(f"{name}.{tag}"))
-            iface = host.add_nic().configure(ip, net)
+        for tag, ip in (("primary", PRIMARY_IP), ("alt", ALTERNATE_IP)):
+            name = f"stun.{tag}"
+            host = Host(sim, name, named_mac_factory(name))
+            iface = host.add_nic().configure(ip, PUBLIC_NETWORK)
             host.stack.connected_route_for(iface)
             host.stack.add_route("0.0.0.0/0", iface)
-            Link(sim, iface.port, cloud.attach(f"{name}.{tag}"),
-                 latency=attach_latency, bandwidth_bps=1e9, name=f"{name}.{tag}.access")
+            Link(sim, iface.port, cloud.attach(name),
+                 latency=ATTACH_LATENCY, bandwidth_bps=1e9, name=f"{name}.access")
             self.hosts[ip] = host
             for port in (STUN_PORT, STUN_ALT_PORT):
                 host.udp.bind(port).handler = partial(self._on_datagram, ip, port)
 
     def _other_ip(self, ip: IPv4Address) -> IPv4Address:
-        return self.alternate_ip if ip == self.primary_ip else self.primary_ip
+        return ALTERNATE_IP if ip == PRIMARY_IP else PRIMARY_IP
 
     def _other_port(self, port: int) -> int:
         return STUN_ALT_PORT if port == STUN_PORT else STUN_PORT

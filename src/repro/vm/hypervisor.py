@@ -42,22 +42,20 @@ def bridge_attach(bridge):
 class Hypervisor:
     """Xen-like VMM on one physical host."""
 
-    def __init__(self, host: Host, attach, name: Optional[str] = None,
-                 migration_port: int = MIGRATION_PORT) -> None:
+    def __init__(self, host: Host, attach) -> None:
         """``attach`` is a callable ``attach(port, label)`` plugging a vif
         into the host's L2 domain — ``WavnetDriver.attach_port`` for
         WAVNet hosts, or a closure over ``Bridge.new_port`` + ``patch``
-        for plain LAN hosts."""
+        for plain LAN hosts. Migrations arrive on ``MIGRATION_PORT``."""
         self.host = host
         self.sim: Simulator = host.sim
-        self.name = name or f"vmm:{host.name}"
+        self.name = f"vmm:{host.name}"
         self.attach = attach
         self.vms: dict[str, VirtualMachine] = {}
-        self.migration_port = migration_port
         self.migrations_in = 0
         self.migrations_out = 0
         self.metrics = self.sim.metrics.scope(f"{host.name}.vmm")
-        self._listener = host.tcp.listen(migration_port)
+        self._listener = host.tcp.listen(MIGRATION_PORT)
         self.sim.process(self._migration_server(), name=f"migrated:{host.name}")
 
     # -- VM lifecycle -----------------------------------------------------
@@ -95,7 +93,7 @@ class Hypervisor:
         report = MigrationReport(vm_name=vm.name, started_at=sim.now)
         span = sim.trace.begin("migrate", vm=vm.name, src=self.name, dst=dest.name)
         sim.trace.event("migrate.start", vm=vm.name, src=self.name, dst=dest.name)
-        conn = self.host.tcp.connect(dest_ip, dest.migration_port)
+        conn = self.host.tcp.connect(dest_ip, MIGRATION_PORT)
         yield conn.wait_established()
         # Iterative pre-copy rounds while the guest keeps running.
         with sim.trace.span("migrate.precopy", vm=vm.name) as precopy:

@@ -74,6 +74,15 @@ class TestHttpAb:
         assert report.requests_failed == 0
         assert server.requests_served == 5
 
+    @pytest.mark.parametrize("n", [10, 30])
+    def test_run_requests_issues_exactly_n_concurrently(self, n):
+        """``ab -n N -c 4`` issues N requests, not N plus whatever the
+        workers had in flight when the N-th completed."""
+        sim, a, b, server = self.build()
+        ab = ApacheBench(a, B_IP, path="/file1k", concurrency=4)
+        report = sim.run_coro(ab.run_requests(n))
+        assert report.requests_completed == server.requests_served == n
+
     def test_connect_time_tracks_rtt(self):
         sim, a, b, server = self.build(latency=0.040)
         ab = ApacheBench(a, B_IP, concurrency=1)

@@ -106,11 +106,13 @@ class TestExtractionGoldens:
                          concurrency=4)
         p = sim.process(ab.run_requests(60))
         sim.run(until=p)
-        assert sim.events_dispatched == 27874  # PR 14: reader and station hops removed
-        assert sim.now == 8.27973915199994
-        assert p.value.requests_per_second == 40.59708595921439
+        # run_requests issues exactly n: the three requests the workers
+        # used to start past the 60th are gone (27874 events before).
+        assert sim.events_dispatched == 26489
+        assert sim.now == 8.186810351999949
+        assert p.value.requests_per_second == 41.12668697557433
         assert p.value.connect_ms() == (30.376319999998458,
-                                        32.303527619047564,
+                                        32.39988800000002,
                                         60.79824000000045)
 
     def test_lossy_cubic_golden(self):
@@ -175,9 +177,9 @@ class TestExtractionGoldens:
                          options=TransferOptions(fidelity="fluid"))
         p = sim.process(ab.run_requests(60))
         sim.run(until=p)
-        assert sim.events_dispatched == 484
-        assert sim.now == 1.5472288515068493
-        assert p.value.requests_per_second == 40.7179583929321
+        assert sim.events_dispatched == 461  # exactly n requests (484 before)
+        assert sim.now == 1.452110810958904
+        assert p.value.requests_per_second == 41.31916073290501
 
 
 class TestRegistry:

@@ -6,7 +6,8 @@ without any modification")."""
 from repro.net.addresses import IPv4Address, IPv4Network
 from repro.net.dhcp import DhcpClient, DhcpServer
 from repro.net.icmp import Pinger
-from repro.net.packet import Payload
+from repro.net.dhcp import BCAST_IP, DHCP_CLIENT_PORT
+from repro.net.packet import IPv4Packet, Payload, UdpDatagram, frame_for
 from repro.scenarios.builder import make_lan
 from repro.scenarios.wavnet_env import WavnetEnvironment
 from repro.sim import Simulator
@@ -68,6 +69,46 @@ class TestDhcpOnLan:
         sim.run()
         assert sim.run_coro(clients[1].acquire()) is not None
         assert server.offers_made == 2 and server.acks_sent == 2
+
+    def test_same_seed_clients_send_same_xid(self):
+        """The xid on the wire depends on the seed alone — not on where
+        the client object sits in memory."""
+        runs = []
+        for _ in range(2):  # both clients alive at once: distinct id()s
+            sim = Simulator(seed=9)
+            server, clients = self.build(sim, 1)
+            seen = []
+
+            def record(payload, ip, port, seen=seen, serve=server.sock.handler):
+                seen.append(payload.data.xid)
+                serve(payload, ip, port)
+
+            server.sock.handler = record
+            runs.append((sim, clients[0], seen))
+        for sim, client, _seen in runs:
+            assert sim.run_coro(client.acquire()) is not None
+        assert runs[0][2] and runs[0][2] == runs[1][2]
+
+    def test_client_ignores_non_dhcp_datagram(self):
+        """Junk reaching UDP 68 while the client waits for its offer is
+        dropped, not dereferenced, and the exchange still ends in a
+        lease."""
+        sim = Simulator()
+        server, clients = self.build(sim, 1)
+        client = clients[0]
+        iface = server.iface
+
+        def send_junk():
+            for data in ("junk", None):
+                datagram = UdpDatagram(5000, DHCP_CLIENT_PORT, Payload(10, data=data))
+                packet = IPv4Packet(iface.ip, BCAST_IP, 17, datagram)
+                iface.send_frame(frame_for(packet, iface.mac, client.iface.mac))
+
+        proc = sim.process(client.acquire())
+        sim.call_at(0.0, send_junk)  # after the DISCOVER, before the OFFER
+        sim.run(until=proc)
+        assert proc.value is not None and client.iface.ip == proc.value.ip
+        assert server.offers_made == 1 and server.acks_sent == 1
 
     def test_no_server_times_out(self):
         sim = Simulator()

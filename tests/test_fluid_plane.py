@@ -82,9 +82,7 @@ def test_ab_fluid_matches_packet_wavnet():
         proc = pair.sim.process(ab.run_requests(24))
         pair.sim.run(until=proc)
         report = proc.value
-        # Workers already in flight when the target is hit still finish,
-        # so the count can overshoot by up to concurrency-1 (ab -n style).
-        assert 24 <= report.requests_completed < 24 + 4
+        assert report.requests_completed == 24  # ab -n: exactly n issued
         assert report.requests_failed == 0
         rps[fidelity] = report.requests_per_second
         if fidelity == "fluid":

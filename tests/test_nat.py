@@ -117,21 +117,16 @@ class TestNatBoxDatapath:
 
         inside = site.hosts[0]
         seen = {}
+        srv_sock = server.udp.bind(7000)
 
-        def srv(sim):
-            sock = server.udp.bind(7000)
-            payload, src_ip, src_port = yield sock.recvfrom()
+        def on_server(_payload, src_ip, src_port):
             seen["from"] = (str(src_ip), src_port)
-            sock.sendto(src_ip, src_port, Payload(16, data="reply"))
+            srv_sock.sendto(src_ip, src_port, Payload(16, data="reply"))
 
-        def cli(sim):
-            sock = inside.udp.bind(5555)
-            sock.sendto(IPv4Address("8.0.0.100"), 7000, Payload(16, data="hi"))
-            payload, _ip, _port = yield sock.recvfrom()
-            seen["reply"] = payload.data
-
-        sim.process(srv(sim))
-        sim.process(cli(sim))
+        srv_sock.handler = on_server
+        cli_sock = inside.udp.bind(5555)
+        cli_sock.handler = lambda payload, _ip, _port: seen.setdefault("reply", payload.data)
+        cli_sock.sendto(IPv4Address("8.0.0.100"), 7000, Payload(16, data="hi"))
         sim.run(until=5)
         assert seen["from"][0] == "8.0.0.1"  # SNATed to the public IP
         assert seen["from"][1] != 5555  # port translated
@@ -206,22 +201,19 @@ class TestUdpHolePunchManual:
         ext_b = site_b.nat.external_endpoint_for(b.stack.ips[0], 6002, pub_a, 0)[1] \
             if nat_b != "symmetric" else None
 
+        sock_a.handler = lambda payload, _ip, _port: delivered.append(("a", payload.data))
+        sock_b.handler = lambda payload, _ip, _port: delivered.append(("b", payload.data))
+
         def side_a(sim):
             # Simultaneous outbound bursts open both NATs.
             for _ in range(3):
                 sock_a.sendto(pub_b, ext_b if ext_b else 20000, Payload(8, data="punch-a"))
                 yield sim.timeout(0.05)
-            while True:
-                payload, ip, port = yield sock_a.recvfrom()
-                delivered.append(("a", payload.data))
 
         def side_b(sim):
             for _ in range(3):
                 sock_b.sendto(pub_a, ext_a if ext_a else 20000, Payload(8, data="punch-b"))
                 yield sim.timeout(0.05)
-            while True:
-                payload, ip, port = yield sock_b.recvfrom()
-                delivered.append(("b", payload.data))
 
         sim.process(side_a(sim))
         sim.process(side_b(sim))
@@ -270,18 +262,16 @@ class TestUdpHolePunchManual:
                 sock.sendto(dst_ip, dst_port, Payload(64, data=f"data-{tag}"))
             return proc
 
-        def receiver(sock, tag):
-            def proc(sim):
-                while True:
-                    payload, _ip, _port = yield sock.recvfrom()
-                    if str(payload.data).startswith("data-"):
-                        late_delivery.append((tag, payload.data, sim.now))
-            return proc
+        def receiver(tag):
+            def on_datagram(payload, _ip, _port):
+                if str(payload.data).startswith("data-"):
+                    late_delivery.append((tag, payload.data, sim.now))
+            return on_datagram
 
+        sock_a.handler = receiver("a")
+        sock_b.handler = receiver("b")
         sim.process(puncher(sock_a, pub_b, ext_b, "a", 5.0)(sim))
         sim.process(puncher(sock_b, pub_a, ext_a, "b", 5.0)(sim))
-        sim.process(receiver(sock_a, "a")(sim))
-        sim.process(receiver(sock_b, "b")(sim))
         sim.run(until=120)
         tags = {t for t, _d, _w in late_delivery}
         assert tags == {"a", "b"}
@@ -303,14 +293,9 @@ class TestUdpHolePunchManual:
             yield sim.timeout(30.0)  # silence >> timeout
             sock_a.sendto(pub_b, ext_b, Payload(64, data="late"))
 
-        def side_b(sim):
-            sock_b.sendto(pub_a, ext_a, Payload(2, data="punch"))
-            while True:
-                payload, _ip, _port = yield sock_b.recvfrom()
-                received_b.append(payload.data)
-
+        sock_b.handler = lambda payload, _ip, _port: received_b.append(payload.data)
+        sock_b.sendto(pub_a, ext_a, Payload(2, data="punch"))
         sim.process(side_a(sim))
-        sim.process(side_b(sim))
         sim.run(until=60)
         assert "punch" in received_b
         assert "late" not in received_b

@@ -144,20 +144,10 @@ class TestUdpSockets:
     def test_sendto_recvfrom(self):
         sim = Simulator()
         a, b, _link = host_pair(sim, latency=0.002)
-        server = b.udp.bind(5000)
         got = []
-
-        def srv(sim):
-            payload, ip, port = yield server.recvfrom()
-            got.append((payload.data, str(ip), port))
-
-        def cli(sim):
-            sock = a.udp.bind()
-            sock.sendto(IPv4Address("10.0.0.2"), 5000, Payload(64, data="hello"))
-            yield sim.timeout(0)
-
-        sim.process(srv(sim))
-        sim.process(cli(sim))
+        b.udp.bind(5000).handler = lambda payload, ip, port: got.append(
+            (payload.data, str(ip), port))
+        a.udp.bind().sendto(IPv4Address("10.0.0.2"), 5000, Payload(64, data="hello"))
         sim.run()
         assert got == [("hello", "10.0.0.1", 32768)]
 
@@ -165,20 +155,12 @@ class TestUdpSockets:
         sim = Simulator()
         a, b, _link = host_pair(sim, latency=0.002)
         server = b.udp.bind(5000)
+        server.handler = lambda _payload, ip, port: server.sendto(
+            ip, port, Payload(32, data="pong"))
         answers = []
-
-        def srv(sim):
-            payload, ip, port = yield server.recvfrom()
-            server.sendto(ip, port, Payload(32, data="pong"))
-
-        def cli(sim):
-            sock = a.udp.bind(6000)
-            sock.sendto(IPv4Address("10.0.0.2"), 5000, Payload(32, data="ping"))
-            payload, ip, port = yield sock.recvfrom()
-            answers.append((payload.data, port))
-
-        sim.process(srv(sim))
-        sim.process(cli(sim))
+        sock = a.udp.bind(6000)
+        sock.handler = lambda payload, _ip, port: answers.append((payload.data, port))
+        sock.sendto(IPv4Address("10.0.0.2"), 5000, Payload(32, data="ping"))
         sim.run()
         assert answers == [("pong", 5000)]
 
@@ -213,16 +195,6 @@ class TestUdpSockets:
         # port is reusable after close
         a.udp.bind(1234)
 
-    def test_inbox_overflow_drops(self):
-        sim = Simulator()
-        a, b, _link = host_pair(sim)
-        server = b.udp.bind(5000, inbox_capacity=2)
-        sock = a.udp.bind()
-        for _ in range(5):
-            sock.sendto(IPv4Address("10.0.0.2"), 5000, Payload(10))
-        sim.run()
-        assert server.drops == 3
-
 
 class TestUdpHandlerSockets:
     """``sock.handler`` — the callback way to read a socket."""
@@ -241,7 +213,6 @@ class TestUdpHandlerSockets:
         (when, *rest), = got
         assert rest == ["hello", "10.0.0.1", 6000]
         assert when > 0.002  # called on arrival, inside the receive path
-        assert len(server.inbox) == 0 and server.drops == 0  # nothing queued
 
     def test_no_delivery_after_close(self):
         sim = Simulator()
@@ -259,8 +230,9 @@ class TestUdpHandlerSockets:
         assert b.udp.rx_unmatched == 2
 
     def test_handler_reattached_after_rebind(self):
-        """A re-bound port is a new socket: it delivers to nobody until
-        its owner attaches the handler again."""
+        """A re-bound port is a new socket: until its owner attaches the
+        handler again, datagrams to it are dropped like ones to an
+        unbound port."""
         sim = Simulator()
         a, b, _link = host_pair(sim)
         got = []
@@ -274,29 +246,10 @@ class TestUdpHandlerSockets:
         second = b.udp.bind(5000)
         assert second.handler is None
         sock = a.udp.bind()
-        sock.sendto(self.DST, 5000, Payload(10, data="queued"))
+        sock.sendto(self.DST, 5000, Payload(10, data="dropped"))
         sim.run()
-        assert got == [] and len(second.inbox) == 1
+        assert got == [] and b.udp.rx_unmatched == 1
         second.handler = handler
         sock.sendto(self.DST, 5000, Payload(10, data="handled"))
         sim.run()
-        assert got == ["handled"] and len(second.inbox) == 1
-
-    def test_recvfrom_untouched_without_handler(self):
-        """Datagrams that arrive before anyone waits are buffered, in
-        order, for a later ``recvfrom()``."""
-        sim = Simulator()
-        a, b, _link = host_pair(sim)
-        server = b.udp.bind(5000)
-        sock = a.udp.bind()
-        for word in ("one", "two"):
-            sock.sendto(self.DST, 5000, Payload(10, data=word))
-        sim.run()
-        assert len(server.inbox) == 2
-
-        def read_two():
-            first = yield server.recvfrom()
-            second = yield server.recvfrom()
-            return first[0].data, second[0].data
-
-        assert sim.run_coro(read_two()) == ("one", "two")
+        assert got == ["handled"] and b.udp.rx_unmatched == 1

@@ -1,7 +1,7 @@
 """Tests for the observability spine (``repro.obs``): the hierarchical
-metrics registry, trace spans/events with JSONL export, and packet taps
-— plus the instrumentation threaded through the WAVNet driver,
-rendezvous relay, and live migration."""
+metrics registry and trace spans/events with JSONL export — plus the
+instrumentation threaded through the WAVNet driver, rendezvous relay,
+and live migration."""
 
 import json
 import math
@@ -15,10 +15,8 @@ from hypothesis import strategies as st
 
 from repro.net.addresses import IPv4Address
 from repro.net.icmp import Pinger
-from repro.net.packet import Payload
-from repro.obs import MetricsRegistry, PacketTap, Tracer, attach_tap
+from repro.obs import MetricsRegistry, Tracer
 from repro.obs.metrics import Counter, Gauge, Histogram, TimeSeries, path_matches
-from repro.scenarios.builder import host_pair, make_lan
 from repro.scenarios.wavnet_env import WavnetEnvironment
 from repro.sim import Simulator
 
@@ -330,68 +328,6 @@ class TestTracerStorage:
             tracemalloc.stop()
         # 20 000 rebuilt records would be ~9 MB
         assert peak < 32 * 1024, peak
-
-
-class TestPacketTaps:
-    def test_port_and_switch_taps_see_ping(self):
-        sim = Simulator()
-        lan = make_lan(sim, 2)
-        a, b = lan.hosts
-        port_tap = attach_tap(a.stack.interfaces[0].port, PacketTap(sim, "a.eth0"))
-        sw_tap = attach_tap(lan.switch, PacketTap(sim, "sw"))
-        proc = sim.process(Pinger(a.stack, b.stack.interfaces[0].ip).run(2))
-        sim.run(until=proc)
-        assert port_tap.filter(direction="tx", kind="eth")
-        assert port_tap.filter(direction="rx", kind="eth")
-        assert sw_tap.filter(direction="fwd")
-        assert port_tap.total_bytes() > 0
-
-    def test_udp_socket_tap(self):
-        sim = Simulator()
-        a, b, _link = host_pair(sim, latency=0.002)
-        server = b.udp.bind(5000)
-        tap = attach_tap(server, PacketTap(sim, "srv"))
-        client_tap = PacketTap(sim, "cli")
-
-        def srv(sim):
-            yield server.recvfrom()
-
-        def cli(sim):
-            sock = a.udp.bind()
-            attach_tap(sock, client_tap)
-            sock.sendto(IPv4Address("10.0.0.2"), 5000, Payload(64, data="hello"))
-            yield sim.timeout(0)
-
-        sim.process(srv(sim))
-        sim.process(cli(sim))
-        sim.run()
-        assert [r.direction for r in client_tap.records] == ["tx"]
-        assert client_tap.records[0].dst == "10.0.0.2:5000"
-        assert client_tap.records[0].info == "str"
-        assert [r.direction for r in tap.records] == ["rx"]
-        assert tap.records[0].size == 64
-
-    def test_capacity_truncates(self):
-        sim = Simulator()
-        tap = PacketTap(sim, "small", capacity=2)
-        for _ in range(5):
-            tap.record("p", "tx", "eth", 10)
-        assert len(tap) == 2
-        assert tap.truncated == 3
-
-    def test_attach_tap_rejects_untappable(self):
-        with pytest.raises(TypeError):
-            attach_tap(object(), PacketTap(Simulator()))
-
-    def test_jsonl_export(self, tmp_path):
-        sim = Simulator()
-        tap = PacketTap(sim, "t")
-        tap.record("p0", "tx", "udp", 42, src="a", dst="b:1", info="WavPulse")
-        path = tap.dump_jsonl(tmp_path / "cap.jsonl")
-        rec = json.loads(path.read_text().splitlines()[0])
-        assert rec == {"t": 0.0, "point": "p0", "direction": "tx",
-                       "kind": "udp", "size": 42, "src": "a", "dst": "b:1",
-                       "info": "WavPulse"}
 
 
 class TestEngineAccounting:

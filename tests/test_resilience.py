@@ -89,7 +89,7 @@ class TestTeardown:
         driver.restore()
         sim.run(until=driver.started)  # the registered reply was received
         assert rvz.registered("h0") >= 0
-        assert driver.sock.handler is not None and len(driver.sock.inbox) == 0
+        assert driver.sock.handler is not None
 
 
 class TestRegistrationLifecycle:

@@ -5,13 +5,14 @@ import pytest
 from repro.nat.types import NatType
 from repro.net.addresses import IPv4Address
 from repro.net.l2 import Link
+from repro.net.packet import Payload, UdpDatagram, ipv4
 from repro.net.stack import Host
 from repro.net.wan import WanCloud
 from repro.scenarios.builder import make_natted_site, named_mac_factory
 from repro.scenarios.wavnet_env import WavnetEnvironment
 from repro.sim import Simulator
-from repro.stun.client import StunClient
-from repro.stun.messages import StunRequest
+from repro.stun.client import StunClient, StunProbeResult
+from repro.stun.messages import STUN_ALT_PORT, STUN_PORT, StunRequest, StunResponse
 from repro.stun.server import StunServerPair
 
 
@@ -32,11 +33,18 @@ def build(sim, nat_type=None):
     return cloud, stun, host, site
 
 
+def wired_client(host, port, server_ip="9.9.9.1", **kw):
+    """A standalone client: it reads its socket as the socket's handler."""
+    sock = host.udp.bind(port)
+    client = StunClient(host.stack, sock, server_ip, **kw)
+    sock.handler = client.on_datagram
+    return sock, client
+
+
 def classify(nat_type):
     sim = Simulator(seed=4)
     _cloud, stun, host, _site = build(sim, nat_type)
-    sock = host.udp.bind(7100)
-    client = StunClient(host.stack, sock, "9.9.9.1", timeout=0.5)
+    _sock, client = wired_client(host, 7100, timeout=0.5)
     proc = sim.process(client.classify())
     sim.run(until=30)
     return proc.value
@@ -71,8 +79,7 @@ class TestEndpointDiscovery:
     def test_discover_endpoint_matches_nat_table(self):
         sim = Simulator()
         _cloud, stun, host, site = build(sim, "port-restricted")
-        sock = host.udp.bind(7200)
-        client = StunClient(host.stack, sock, "9.9.9.1")
+        _sock, client = wired_client(host, 7200)
         proc = sim.process(client.discover_endpoint())
         sim.run(until=10)
         ip, port = proc.value
@@ -82,8 +89,7 @@ class TestEndpointDiscovery:
     def test_blocked_server_returns_none(self):
         sim = Simulator()
         _cloud, stun, host, _site = build(sim, "port-restricted")
-        sock = host.udp.bind(7200)
-        client = StunClient(host.stack, sock, "9.9.8.77", timeout=0.3)  # no such server
+        _sock, client = wired_client(host, 7200, "9.9.8.77", timeout=0.3)  # no such server
         proc = sim.process(client.discover_endpoint())
         sim.run(until=10)
         assert proc.value is None
@@ -91,8 +97,7 @@ class TestEndpointDiscovery:
     def test_blocked_classification_flags_blocked(self):
         sim = Simulator()
         _cloud, stun, host, _site = build(sim, "port-restricted")
-        sock = host.udp.bind(7200)
-        client = StunClient(host.stack, sock, "9.9.8.77", timeout=0.3)
+        _sock, client = wired_client(host, 7200, "9.9.8.77", timeout=0.3)
         proc = sim.process(client.classify())
         sim.run(until=10)
         assert proc.value.blocked
@@ -104,8 +109,7 @@ class TestEndpointDiscovery:
         so data sent from that socket appears from the same endpoint."""
         sim = Simulator()
         cloud, stun, host, site = build(sim, "full-cone")
-        sock = host.udp.bind(7300)
-        client = StunClient(host.stack, sock, "9.9.9.1")
+        _sock, client = wired_client(host, 7300)
         proc = sim.process(client.discover_endpoint())
         sim.run(until=10)
         _ip, port = proc.value
@@ -116,8 +120,7 @@ class TestEndpointDiscovery:
     def test_server_counts_requests(self):
         sim = Simulator()
         _cloud, stun, host, _site = build(sim, "full-cone")
-        sock = host.udp.bind(7400)
-        client = StunClient(host.stack, sock, "9.9.9.1")
+        _sock, client = wired_client(host, 7400)
         proc = sim.process(client.classify())
         sim.run(until=30)
         assert stun.requests_served >= 2
@@ -145,8 +148,7 @@ class TestTransactionIds:
         for _ in range(2):  # both clients alive at once: distinct id()s
             sim = Simulator(seed=4)
             _cloud, _stun, host, _site = build(sim, "symmetric")
-            sock = host.udp.bind(7100)
-            client = StunClient(host.stack, sock, "9.9.9.1")
+            sock, client = wired_client(host, 7100)
             runs.append((sim, client, record_txids(sock)))
         for sim, client, _sent in runs:
             sim.process(client.classify())
@@ -168,3 +170,50 @@ class TestTransactionIds:
         sim.run(until=sim.now + 30)
         assert first and second
         assert not set(first) & set(second)
+
+
+def inject_strays(host, port, client):
+    """Hand ``host``'s UDP ``port`` — past any NAT — a reply to the
+    transaction before the one ``client`` is waiting on, carrying a
+    bogus mapping, and a payload that is not STUN at all."""
+    assert client._waiter is not None, "no test in flight"
+    server = IPv4Address("9.9.9.1")
+    stale = StunResponse(client._txid - 1, IPv4Address("6.6.6.6"), 1,
+                         server, STUN_PORT, IPv4Address("9.9.9.2"), STUN_ALT_PORT)
+    for data in (stale, "junk"):
+        datagram = UdpDatagram(STUN_PORT, port, Payload(stale.size, data=data))
+        host.stack.deliver_local(ipv4(server, host.stack.ips[0], datagram))
+
+
+class TestStrayDatagrams:
+    """Strays arriving while test I is in flight are dropped, so the
+    probe ends exactly where a clean one does — whether the client reads
+    its own socket or the WAVNet driver's demultiplexer hands it every
+    STUN response."""
+
+    @staticmethod
+    def probe(mode, strays):
+        sim = Simulator(seed=4)
+        if mode == "standalone":
+            _cloud, _stun, host, _site = build(sim, "port-restricted")
+            sock, client = wired_client(host, 7100, timeout=0.5)
+            if strays:
+                sim.call_at(0.005, lambda: inject_strays(host, sock.port, client))
+            proc = sim.process(client.classify())
+            sim.run(until=30)
+            return proc.value
+        env = WavnetEnvironment(sim)
+        wav = env.add_host("h0")
+        driver = wav.driver
+        if strays:
+            sim.call_at(0.005, lambda: inject_strays(
+                wav.host, driver.sock.port, driver._stun_client))
+        env.up()
+        return StunProbeResult(driver.nat_type, *driver.public_endpoint,
+                               alloc_stride=driver.alloc_stride)
+
+    @pytest.mark.parametrize("mode", ["standalone", "driver"])
+    def test_stale_reply_and_junk_leave_the_probe_alone(self, mode):
+        clean = self.probe(mode, strays=False)
+        assert clean.nat_type is NatType.PORT_RESTRICTED and clean.mapped_port != 1
+        assert self.probe(mode, strays=True) == clean
