@@ -18,7 +18,7 @@ loaded brokering path) at one endpoint count and reports
 * admission shedding and CAN split counters.
 
 The ``scale`` case of ``benchmarks/gates.py``; quick runs only the 10^4
-rung. The check enforces the ops/sec floor and the <= 2 KB/endpoint
+rung. The check enforces the ops/sec floor and the <= 300 B/endpoint
 steady-state ceiling on every rung run.
 """
 
@@ -31,7 +31,7 @@ QUICK_RUNGS = (10_000,)
 SEED = 7
 
 MIN_FILL_OPS = 1500.0       # ops/sec floor at the quick rung
-MAX_BYTES_PER_ENDPOINT = 2048.0  # steady-state ceiling (ISSUE acceptance)
+MAX_BYTES_PER_ENDPOINT = 300.0  # steady-state ceiling, every rung
 
 
 def storm_params(n: int) -> dict:

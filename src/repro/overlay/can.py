@@ -58,7 +58,7 @@ from repro.overlay.rpc import RpcEndpoint, RpcError, RpcTimeout
 from repro.overlay.space import Point, Zone, zone_distances
 from repro.sim.lifecycle import Component
 
-__all__ = ["CanNode", "NeighborInfo"]
+__all__ = ["CanNode", "HandleStore", "NeighborInfo"]
 
 CAN_PORT = 4000
 MAX_HOPS = 64
@@ -119,6 +119,57 @@ class _RouteOp:
         return 24 + 8 * len(self.point) + (getattr(self.body, "size", 16) or 16)
 
 
+class HandleStore:
+    """The directory's handle store: a sorted, duplicate-free int64
+    array behind the few set operations the protocol uses. A batch is
+    merged with one ``searchsorted`` and one ``np.insert``, removed with
+    one ``searchsorted`` and one ``np.delete`` — never a whole-store
+    union or membership pass. Iteration yields Python ints in sorted
+    order. No ``size`` attribute: ``_RouteOp.size`` would read it."""
+
+    __slots__ = ("array",)
+
+    def __init__(self) -> None:
+        self.array = np.empty(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __iter__(self):
+        return iter(self.array.tolist())
+
+    def __contains__(self, handle) -> bool:
+        i = int(np.searchsorted(self.array, handle))
+        return i < len(self.array) and int(self.array[i]) == handle
+
+    def _present(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Slots of ``batch`` in the store, and which of them hold it."""
+        slots = np.searchsorted(self.array, batch)
+        hit = slots < len(self.array)
+        hit[hit] = self.array[slots[hit]] == batch[hit]
+        return slots, hit
+
+    def update(self, handles) -> None:
+        # Sort and drop repeats by hand: a bare ``np.unique`` (NumPy 2.4)
+        # imports ``numpy.ma`` on first use, 1.6 MB of RSS in runs that
+        # never needed it.
+        batch = np.sort(np.asarray(handles, dtype=np.int64))
+        first = np.ones(len(batch), dtype=bool)
+        first[1:] = batch[1:] != batch[:-1]
+        batch = batch[first]
+        slots, hit = self._present(batch)
+        if not hit.all():
+            self.array = np.insert(self.array, slots[~hit], batch[~hit])
+
+    def difference_update(self, handles) -> None:
+        slots, hit = self._present(np.asarray(handles, dtype=np.int64))
+        if hit.any():
+            self.array = np.delete(self.array, slots[hit])
+
+    def clear(self) -> None:
+        self.array = np.empty(0, dtype=np.int64)
+
+
 class CanNode(Component):
     """A CAN overlay node living on a public host.
 
@@ -148,7 +199,7 @@ class CanNode(Component):
         # The HostTable every overlay node shares: directory entries are
         # generation-checked *handles* to its rows.
         self.table = table
-        self.handles: set[int] = set()
+        self.handles = HandleStore()
         # None = replicate every stored handle to every neighbor (the
         # original small-overlay behavior); an int caps the copies.
         self.replication_factor = replication_factor
@@ -161,7 +212,7 @@ class CanNode(Component):
         self._split_mark = -1
         # Replicas of handles owned by other nodes, keyed by owner id —
         # promoted into ``handles`` if that owner dies ungracefully.
-        self.handle_replicas: dict[str, set[int]] = {}
+        self.handle_replicas: dict[str, HandleStore] = {}
         # Peer addresses learned over time; survives a crash the way an
         # on-disk peer cache would, so a restored node can rejoin.
         self._known_peers: dict[str, tuple[IPv4Address, int]] = {}
@@ -173,6 +224,7 @@ class CanNode(Component):
         self._m_merges = self.metrics.counter("merges")
         self._m_remerges = self.metrics.counter("remerges")
         self._m_handles = self.metrics.counter("handles.stored")
+        self._m_dropped = self.metrics.counter("handles.dropped")
         sock = host.udp.bind(CAN_PORT)
         self.rpc = RpcEndpoint(host.stack, sock, name=f"can:{self.node_id}")
         sock.handler = self.rpc.handle_datagram
@@ -262,7 +314,7 @@ class CanNode(Component):
             yield from self.rpc.call(
                 target.ip, target.port, "can.leave",
                 _LeavePayload(self._my_info(), tuple(self.zones),
-                              tuple(sorted(self.handles))), timeout=5.0)
+                              tuple(self.handles)), timeout=5.0)
         self.joined = False
         self.zones = []
         self.handles.clear()
@@ -329,11 +381,7 @@ class CanNode(Component):
         handle that is merely silent past ``record_ttl`` stays: its row
         is still registered, and a resumed keepalive revives it."""
         for store in [self.handles, *self.handle_replicas.values()]:
-            if not store:
-                continue
-            arr = np.fromiter(store, dtype=np.int64, count=len(store))
-            stale = arr[~self.table.valid_mask(arr)]
-            store.difference_update(int(h) for h in stale)
+            store.difference_update(store.array[~self.table.valid_mask(store.array)])
 
     def _check_neighbors(self) -> None:
         """Probe neighbors that have gone silent instead of silently
@@ -392,7 +440,7 @@ class CanNode(Component):
         for graceful ``can.leave``."""
         self._m_takeovers.add()
         self._absorb_zones(dead.zones)
-        promoted = self.handle_replicas.pop(dead.node_id, ())
+        promoted = self.handle_replicas.pop(dead.node_id, HandleStore()).array
         self._inherit(promoted)
         self._prune_handles()
         self.sim.trace.event("can.takeover", node=self.node_id, dead=dead.node_id,
@@ -500,8 +548,7 @@ class CanNode(Component):
         """Build ResourceRecords for the ``limit`` live table handles
         nearest ``point`` — the only rows a query forces out of columnar
         form. Distance ranking is vectorized over the coords column."""
-        arr = np.fromiter(self.handles, dtype=np.int64, count=len(self.handles))
-        ids = self._live_ids(arr)
+        ids = self._live_ids(self.handles.array)
         delta = self.table.coords[ids] - np.asarray(point, dtype=np.float64)
         d2 = (delta * delta).sum(axis=1)
         top = np.lexsort((ids, d2))[:limit]
@@ -527,10 +574,9 @@ class CanNode(Component):
             own |= self.table.in_zone(zone, ids)
         mine = arr[own]
         if len(mine):
-            mine = tuple(mine.tolist())
             self.handles.update(mine)
             self._m_handles.add(len(mine))
-            self._replicate(mine, self._replica_targets())
+            self._replicate(tuple(mine.tolist()), self._replica_targets())
             self._maybe_split(len(arr))
         rest = arr[~own]
         if not len(rest):
@@ -547,23 +593,27 @@ class CanNode(Component):
             # handle, handles in batch order. On the wire the batch is a
             # tuple of ints and the point a tuple of floats: an array has
             # a ``size`` of its own, which ``_RouteOp.size`` would read.
+            # A handle with no hop, or whose hop is gone or fails, is not
+            # stored: it is counted in ``handles.dropped``, not in the reply.
             hop_of, first = np.unique(hop, return_index=True)
             buckets = []
             for j, k in sorted(zip(first.tolist(), hop_of.tolist())):
                 if k < 0:
-                    continue  # unroutable while a neighbor is down: not
-                    # counted as stored, so the publisher sees the shortfall
+                    self._m_dropped.add(int(np.count_nonzero(hop < 0)))
+                    continue
                 buckets.append((node_ids[k], tuple(rest_pts[j].tolist()),
                                 tuple(rest[hop == k].tolist())))
             for node_id, point, batch in buckets:
                 info = self.neighbors.get(node_id)
                 if info is None:
+                    self._m_dropped.add(len(batch))
                     continue
                 fwd = _RouteOp(point, "put_ids", batch, hops=hops + 1)
                 try:
                     reply = yield from self.rpc.call(info.ip, info.port,
                                                      "can.route", fwd)
                 except (RpcTimeout, RpcError):
+                    self._m_dropped.add(len(batch))
                     continue
                 stored += int(reply[1])
             return ("stored", stored)
@@ -594,7 +644,7 @@ class CanNode(Component):
         fresh = [i for i in targets if i.node_id not in self._synced]
         self._synced = {i.node_id for i in targets}
         if fresh and self.handles:
-            self._replicate(tuple(sorted(self.handles)), fresh)
+            self._replicate(tuple(self.handles), fresh)
 
     def _replica_targets(self) -> list:
         if self.replication_factor is None:
@@ -607,15 +657,15 @@ class CanNode(Component):
         """Stored handles whose CAN coordinates fall inside ``zone`` —
         what a join grant, a split or a re-merge hands over, and what
         :meth:`zone_load` counts."""
-        arr = np.fromiter(self.handles, dtype=np.int64, count=len(self.handles))
+        arr = self.handles.array
         return arr[self.table.in_zone(zone, self.table.handle_ids(arr))]
 
     def _extract_handles(self, zone: Zone) -> tuple:
         """Remove and return the handles falling inside ``zone`` — the
         transferable half of a join, split or re-merge handoff."""
-        handles = tuple(int(h) for h in self._handles_in(zone))
+        handles = self._handles_in(zone)
         self.handles.difference_update(handles)
-        return handles
+        return tuple(handles.tolist())
 
     # -- hot-zone splitting -------------------------------------------------
     def zone_load(self, zone: Zone) -> int:
@@ -802,12 +852,13 @@ class CanNode(Component):
 
     def _on_replica_ids(self, payload: tuple, _src_ip, _src_port):
         owner_id, handles = payload
+        batch = np.asarray(handles, dtype=np.int64)
         # One copy per handle, filed under its latest owner: entries that
-        # moved (shed, re-merged, taken over) leave the old owner's set.
+        # moved (shed, re-merged, taken over) leave the old owner's store.
         for other, copies in self.handle_replicas.items():
             if other != owner_id:
-                copies.difference_update(handles)
-        self.handle_replicas.setdefault(owner_id, set()).update(handles)
+                copies.difference_update(batch)
+        self.handle_replicas.setdefault(owner_id, HandleStore()).update(batch)
         self._m_replicas.add(len(handles))
         return None
 

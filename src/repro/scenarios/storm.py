@@ -24,7 +24,8 @@ for fill and reconnect, punch latencies, admission accept/reject
 counts, per-server fleet load, CAN split/handle counters, and a
 steady-state bytes-per-endpoint accounting of everything the control
 plane keeps per idle endpoint (table columns, name index, CAN handle
-stores).
+stores). ``filled`` counts what the fleet acknowledged, including the
+``handles_dropped`` entries that no CAN node stored.
 """
 
 from __future__ import annotations
@@ -67,10 +68,13 @@ class StormLane:
         self.keepalive_sweeps = 0
         self.keepalives_acked = 0
         # Server assignment is the fleet's static consistent hash,
-        # computed through the env's ring.
-        self._groups: dict[int, list[int]] = {}
-        for k, name in enumerate(self.names):
-            self._groups.setdefault(env.assign_rendezvous(name), []).append(k)
+        # computed through the env's ring; one ascending index array of
+        # this lane's endpoints per server.
+        assigned = np.fromiter(map(env.assign_rendezvous, self.names),
+                               dtype=np.int64, count=count)
+        self._groups: dict[int, np.ndarray] = {
+            int(idx): np.flatnonzero(assigned == idx)
+            for idx in np.unique(assigned)}
         host = make_public_host(sim, env.cloud, f"lane{region}",
                                 f"7.1.{region // 250}.{(region % 250) + 1}",
                                 network="7.0.0.0/8")
@@ -110,7 +114,7 @@ class StormLane:
         registered = 0
         for idx in sorted(self._groups):
             server_ip = self.env.rendezvous_addr(idx)
-            ks = np.asarray(self._groups[idx], dtype=np.int64)
+            ks = self._groups[idx]
             for start in range(0, len(ks), batch_size):
                 chunk = ks[start:start + batch_size]
                 body = self._batch(chunk)
@@ -149,8 +153,8 @@ class StormLane:
                 server_ip = self.env.rendezvous_addr(idx)
                 ks = self._groups[idx]
                 for start in range(0, len(ks), batch_size):
-                    names = tuple(self.names[k]
-                                  for k in ks[start:start + batch_size])
+                    names = tuple(self.names[k] for k in
+                                  ks[start:start + batch_size].tolist())
                     try:
                         result = yield from self.rpc.call(
                             server_ip, RENDEZVOUS_PORT,
@@ -176,18 +180,20 @@ def build_storm_lanes(sim, env: WavnetEnvironment, n_endpoints: int,
 
 def steady_state_bytes(env: WavnetEnvironment) -> int:
     """Accounting of what the control plane keeps per *idle* endpoint:
-    the table's numpy columns, the name index, and the CAN handle
-    stores (primaries + replicas). Materialized-host object stacks are
-    deliberately excluded — they are the non-idle hosts."""
+    the table's numpy columns; the name index — its dict and list, the
+    name strings, and the row-id ints the dict holds as values (ints
+    above 256 are not interned); and the CAN handle stores, primaries
+    and replicas, each its int64 array's ``nbytes``. Built-host object
+    stacks are deliberately excluded — they are the non-idle hosts."""
     table = env.table
     total = table.nbytes
     total += sys.getsizeof(table._ids) + sys.getsizeof(table._names)
     total += sum(sys.getsizeof(n) for n in table._names if n is not None)
+    total += sum(sys.getsizeof(i) for i in table._ids.values() if i > 256)
     for server in env.rendezvous:
         can = server.can
-        total += sys.getsizeof(can.handles) + 28 * len(can.handles)
-        for reps in can.handle_replicas.values():
-            total += sys.getsizeof(reps) + 28 * len(reps)
+        total += can.handles.array.nbytes
+        total += sum(reps.array.nbytes for reps in can.handle_replicas.values())
     return int(total)
 
 
@@ -205,7 +211,8 @@ def control_counters(env: WavnetEnvironment) -> dict:
             "can_splits": total("can.splits"),
             "can_merges": total("can.merges"),
             "can_remerges": total("can.remerges"),
-            "handles_stored": total("can.handles.stored")}
+            "handles_stored": total("can.handles.stored"),
+            "handles_dropped": total("can.handles.dropped")}
 
 
 def _join(procs):

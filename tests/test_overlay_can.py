@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.hoststate import HostTable
 from repro.nat.types import NatType
 from repro.net.addresses import IPv4Address
 from repro.net.wan import WanCloud
-from repro.overlay.can import CanNode, NeighborInfo
+from repro.overlay.can import CanNode, HandleStore, NeighborInfo, _RouteOp
 from repro.overlay.resources import ConnectionInfo
 from repro.overlay.rpc import RpcEndpoint, RpcError, RpcTimeout
 from repro.overlay.space import Zone
@@ -341,8 +343,8 @@ class TestReplication:
         self.settle(sim, late, 2.0)
         # Each side holds the other's entries: whoever dies, none is lost.
         assert nodes[0].handles and late.handles
-        assert late.handle_replicas[nodes[0].node_id] == nodes[0].handles
-        assert nodes[0].handle_replicas[late.node_id] == late.handles
+        assert set(late.handle_replicas[nodes[0].node_id]) == set(nodes[0].handles)
+        assert set(nodes[0].handle_replicas[late.node_id]) == set(late.handles)
 
     def test_moved_entry_is_filed_under_its_new_owner_only(self):
         sim = Simulator(seed=13)
@@ -350,8 +352,8 @@ class TestReplication:
         watcher = nodes[2]
         watcher._on_replica_ids(("a", (7, 8, 9)), None, None)
         watcher._on_replica_ids(("b", (8,)), None, None)
-        assert watcher.handle_replicas["a"] == {7, 9}
-        assert watcher.handle_replicas["b"] == {8}
+        assert set(watcher.handle_replicas["a"]) == {7, 9}
+        assert set(watcher.handle_replicas["b"]) == {8}
 
     def test_silent_hosts_do_not_count_toward_zone_load(self):
         sim = Simulator(seed=14)
@@ -508,6 +510,44 @@ class TestBatchRouting:
             assert op.size == 24 + 8 * node.dims + 16
 
 
+_HANDLE = st.one_of(st.integers(0, 40), st.integers(2**32, 2**32 + 40),
+                    st.integers(0, 2**62))
+_BATCH = st.lists(_HANDLE, max_size=12)
+_STORE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("update"), _BATCH),
+    st.tuples(st.just("difference_update"), _BATCH),
+    st.tuples(st.just("clear"), st.just([]))), max_size=30)
+
+
+class TestHandleStore:
+    @given(ops=_STORE_OPS, probes=st.lists(_HANDLE, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_python_set(self, ops, probes):
+        """Random update / difference_update / clear sequences, with
+        duplicates inside a batch, empty batches, removals of absent
+        handles and handles of 2**32 and more: after every step the store
+        has the set's length, membership and sorted contents."""
+        store, oracle = HandleStore(), set()
+        for op, batch in ops:
+            if op == "clear":
+                store.clear()
+                oracle.clear()
+            else:
+                getattr(store, op)(batch)
+                getattr(oracle, op)(batch)
+            assert len(store) == len(oracle)
+            assert list(store) == sorted(oracle)
+            assert {type(h) for h in store} <= {int}
+            for h in [*batch, *probes]:
+                assert (h in store) == (h in oracle)
+
+    def test_has_no_size_for_route_op_to_read(self):
+        store = HandleStore()
+        store.update((2**40, 3))
+        assert not hasattr(store, "size")
+        assert _RouteOp((0.5, 0.5), "put_ids", tuple(store)).size == 24 + 16 + 16
+
+
 def test_quick_registration_storm_trajectory_is_pinned():
     """The perf benchmark's ``--quick`` storm, pinned exactly. Hot-zone
     shedding is chaotic — one routing decision, one sub-batch sent in
@@ -516,7 +556,7 @@ def test_quick_registration_storm_trajectory_is_pinned():
     behaviour-neutral is not. Re-pin only for a change that means to
     alter the directory protocol."""
     n = 12_500
-    _sim, payload = registration_storm(
+    sim, payload = registration_storm(
         seed=7, n_endpoints=n, n_rendezvous=4, n_regions=8, batch=512,
         admission_rate=n / 4, admission_burst=n / 8, hot_zone_limit=n // 32)
     assert payload["filled"] == n
@@ -527,3 +567,19 @@ def test_quick_registration_storm_trajectory_is_pinned():
     # n endpoints + the four punch-probe hosts, before and after the outage.
     assert sum(payload["fleet_load_filled"].values()) == 12504
     assert sum(payload["fleet_load_final"].values()) == 12504
+    # Stores that reached no owner are counted, and with the stored ones
+    # account for every handle published (no forward timed out here).
+    assert payload["handles_dropped"] == 958
+    assert payload["handles_stored"] + payload["handles_dropped"] == \
+        payload["admission_accepted"] == 14067
+    # Ownership: primaries are disjoint, each inside its owner's zones.
+    cans = list(sim.components.find("can").values())
+    assert len(cans) == 4
+    primaries = [set(can.handles) for can in cans]
+    assert sum(map(len, primaries)) == len(set().union(*primaries))
+    for can in cans:
+        ids = can.table.handle_ids(can.handles.array)
+        inside = np.zeros(len(ids), dtype=bool)
+        for zone in can.zones:
+            inside |= can.table.in_zone(zone, ids)
+        assert inside.all()
