@@ -8,7 +8,8 @@ models a bulk transfer as one :class:`FluidFlow` whose rate comes from a
 max-min fair-share solver (progressive filling) over the capacity graph.
 The simulator then schedules only *rate-change* events: flow arrival,
 flow departure, a slow-start ramp step, a capacity/fault change, and one
-completion timer per flow.
+completion entry per completion *instant* — flows whose ETA (or
+last-byte delivery) falls on the same instant share it.
 
 The plane is **hybrid**: the control plane (punching, pulses,
 keepalives, rendezvous RPC) and any flow opened with
@@ -178,8 +179,7 @@ class FluidFlow:
     __slots__ = ("net", "name", "path", "size_bytes", "delivered", "rate",
                  "window_bps", "mss", "state", "done", "opened_at",
                  "deliver_offset", "cc", "_rate_cap", "_last_t", "_cap_ramp",
-                 "_ramp_timer", "_done_timer", "_done_eta", "_stall_timer",
-                 "_new_rate")
+                 "_ramp_timer", "_done_eta", "_stall_timer", "_new_rate")
 
     def __init__(self, net: "FluidNetwork", name: str, path: FluidPath,
                  size_bytes: Optional[int], window_bps: float,
@@ -205,8 +205,7 @@ class FluidFlow:
         self.deliver_offset = deliver_offset
         self._last_t = sim.now
         self._ramp_timer = None
-        self._done_timer = None
-        self._done_eta = math.inf
+        self._done_eta = math.inf   # instant of the armed ETA cohort; inf = unarmed
         self._stall_timer = None
         self._new_rate = 0.0
         # Slow start: the initial window goes out as one burst (delivered
@@ -267,11 +266,16 @@ class FluidFlow:
         self.net._finish(self, aborted=True, reason=reason)
 
     def _cancel_timers(self) -> None:
-        for timer in (self._ramp_timer, self._done_timer, self._stall_timer):
+        for timer in (self._ramp_timer, self._stall_timer):
             if timer is not None:
                 timer.cancel()
-        self._ramp_timer = self._done_timer = self._stall_timer = None
-        self._done_eta = math.inf
+        self._ramp_timer = self._stall_timer = None
+        self.net._disarm_eta(self)
+
+    def _stall_expired(self) -> None:
+        self._stall_timer = None
+        if self.state == "stalled":
+            self.abort("stall_timeout")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FluidFlow({self.name}, {self.state}, "
@@ -307,6 +311,9 @@ class FluidNetwork:
         self._solve_scheduled = False
         self._refresh_timer = None
         self._flow_seq = 0
+        # Completion cohorts: the flows whose ETA (or delivery) is one instant.
+        self._etas: dict[float, _Cohort] = {}
+        self._deliveries: dict[float, _Cohort] = {}
         m = sim.metrics.scope("fluid")
         self._m_opened = m.counter("flows.opened")
         self._m_completed = m.counter("flows.completed")
@@ -441,21 +448,64 @@ class FluidNetwork:
             self.sim.trace.event("fluid.complete", flow=flow.name,
                                  delivered=round(flow.delivered),
                                  seconds=round(self.sim.now - flow.opened_at, 6))
-            if flow.deliver_offset > 0:
-                self.sim.call_in(flow.deliver_offset, _DoneSucceed(flow))
-            else:
-                flow.done.succeed(flow)
+            self._deliver(flow)
         self._schedule_solve()
 
     def _complete_now(self, flow: FluidFlow) -> None:
+        flow._cancel_timers()  # the slow-start ramp has nothing left to do
         flow.state = "done"
         self._m_completed.add()
         self._m_bytes.add(flow.delivered)
         self.sim.trace.event("fluid.complete", flow=flow.name,
                              delivered=round(flow.delivered), seconds=0.0)
+        self._deliver(flow)
+
+    def _join(self, cohorts: dict, delay: float, flow: FluidFlow,
+              fire) -> float:
+        """Add ``flow`` to the cohort ``delay`` from now and return that
+        instant; only the instant's first flow arms a timer."""
+        when = self.sim.now + delay   # the timer's own instant; now + (eta - now) may not be eta
+        cohort = cohorts.get(when)
+        if cohort is None:
+            cohort = cohorts[when] = _Cohort()
+            cohort.timer, cohort.armed = self.sim.timer(delay, fire), 0
+        cohort.append(flow)
+        cohort.armed += 1
+        return when
+
+    def _arm_eta(self, flow: FluidFlow, eta: float) -> None:
+        self._disarm_eta(flow)
+        flow._done_eta = self._join(self._etas, eta - self.sim.now, flow,
+                                    self._fire_etas)
+
+    def _disarm_eta(self, flow: FluidFlow) -> None:
+        """Lazy: the flow stays in its cohort for the fire to skip, but
+        the last armed flow out cancels the instant's timer."""
+        when = flow._done_eta
+        if when != math.inf:
+            flow._done_eta = math.inf
+            cohort = self._etas[when]
+            cohort.armed -= 1
+            if not cohort.armed:
+                cohort.timer.cancel()
+                del self._etas[when]
+
+    def _fire_etas(self) -> None:
+        now = self.sim.now
+        for flow in self._etas.pop(now):
+            if flow._done_eta == now:   # else re-armed, stalled or finished
+                self._eta_fire(flow)
+
+    def _deliver(self, flow: FluidFlow) -> None:
+        """Succeed ``flow.done`` once its last byte has propagated."""
         if flow.deliver_offset > 0:
-            self.sim.call_in(flow.deliver_offset, _DoneSucceed(flow))
+            self._join(self._deliveries, flow.deliver_offset, flow,
+                       self._fire_deliveries)
         else:
+            flow.done.succeed(flow)
+
+    def _fire_deliveries(self) -> None:
+        for flow in self._deliveries.pop(self.sim.now):
             flow.done.succeed(flow)
 
     # ------------------------------------------------------------------
@@ -493,18 +543,19 @@ class FluidNetwork:
     # ------------------------------------------------------------------
     def solve_now(self) -> None:
         """Settle progress, re-check path health, waterfill, re-arm
-        completion timers. Deterministic: iteration order is flow/link
+        completion ETAs. Deterministic: iteration order is flow/link
         registration order everywhere."""
         self._solve_scheduled = False
         now = self.sim.now
         self._m_solves.add()
+        # Settle, then stall / resume on path health (once per path).
+        active: list[FluidFlow] = []
+        blocked: dict[int, Optional[str]] = {}
         for flow in self.flows:
             flow._settle(now)
-
-        # Stall / resume on path health.
-        active: list[FluidFlow] = []
-        for flow in self.flows:
-            why = flow.path.blocked(self)
+            why = blocked.get(id(flow.path), False)
+            if why is False:
+                why = blocked[id(flow.path)] = flow.path.blocked(self)
             if why is not None:
                 if flow.state == "active":
                     flow.state = "stalled"
@@ -512,13 +563,10 @@ class FluidNetwork:
                     self._m_stalls.add()
                     self.sim.trace.event("fluid.stall", flow=flow.name,
                                          reason=why)
-                    if flow._done_timer is not None:
-                        flow._done_timer.cancel()
-                        flow._done_timer = None
-                        flow._done_eta = math.inf
+                    self._disarm_eta(flow)
                     if self.stall_timeout is not None and flow._stall_timer is None:
                         flow._stall_timer = self.sim.timer(
-                            self.stall_timeout, _StallAbort(flow))
+                            self.stall_timeout, flow._stall_expired)
             else:
                 if flow.state == "stalled":
                     flow.state = "active"
@@ -533,7 +581,7 @@ class FluidNetwork:
                 link.sample_packet_util(now)
             self._waterfill(active)
 
-        # Apply rates and (re)arm completion timers.
+        # Apply rates and (re)arm completion ETAs.
         for flow in active:
             new = flow._new_rate
             if abs(new - flow.rate) > max(1e-6, 1e-9 * new):
@@ -544,27 +592,19 @@ class FluidNetwork:
             eta = (now + flow.remaining() * 8.0 / flow.rate
                    if flow.rate > 0 else math.inf)
             # Re-arm only when the new ETA is *earlier* than the armed
-            # one (a later ETA just means the timer fires early, finds
-            # bytes remaining, and re-arms itself — see _flow_eta_fire).
+            # one (a later ETA just means the cohort fires early, finds
+            # bytes remaining, and re-solves — see _eta_fire).
             if eta < flow._done_eta - 1e-9:
-                if flow._done_timer is not None:
-                    flow._done_timer.cancel()
-                flow._done_eta = eta
-                flow._done_timer = self.sim.timer(eta - now,
-                                                  _EtaFire(flow))
-            elif flow._done_timer is None and eta < math.inf:
-                flow._done_eta = eta
-                flow._done_timer = self.sim.timer(eta - now, _EtaFire(flow))
+                self._arm_eta(flow, eta)
 
     def _eta_fire(self, flow: FluidFlow) -> None:
-        flow._done_timer = None
         flow._done_eta = math.inf
         flow._settle(self.sim.now)
         if flow.remaining() <= max(1.0, _EPS * (flow.size_bytes or 1)):
             flow.delivered = float(flow.size_bytes)
             self._finish(flow, aborted=False)
         else:
-            # Rate dropped since this timer was armed; re-estimate.
+            # Rate dropped since this ETA was armed; re-estimate.
             self._schedule_solve()
 
     def _waterfill(self, active: list[FluidFlow]) -> None:
@@ -576,14 +616,22 @@ class FluidNetwork:
         # Gather the links in deterministic (registration-ish) order.
         entries: list[list] = []   # per link: [rem, sat_eps, [(idx, factor)...]]
         link_index: dict[int, int] = {}
+        losses: dict[int, float] = {}   # id(path) -> path.loss(), once per path
         caps: list[float] = []
         rates: list[float] = []
         frozen: list[bool] = []
         for idx, flow in enumerate(active):
-            caps.append(flow.cap_bps())
+            path = flow.path
+            loss = losses.get(id(path))
+            if loss is None:
+                loss = losses[id(path)] = path.loss()
+            cap = min(flow.window_bps, flow._cap_ramp)   # as cap_bps()
+            if loss > 0.0:
+                cap = min(cap, flow._rate_cap(flow.mss, path.rtt, loss))
+            caps.append(cap)
             rates.append(0.0)
             frozen.append(False)
-            for link, factor in flow.path.links:
+            for link, factor in path.links:
                 li = link_index.get(id(link))
                 if li is None:
                     li = len(entries)
@@ -598,12 +646,15 @@ class FluidNetwork:
             guard += 1
             if guard > 2 * (len(active) + len(entries)) + 4:  # pragma: no cover
                 break  # numerical safety; freeze everything as-is
+            # Each link's unfrozen weight, once: `frozen` holds until `inc` is applied.
             inc = math.inf
+            weights: list[float] = []
             for rem, _sat_eps, users in entries:
                 weight = 0.0
                 for idx, factor in users:
                     if not frozen[idx]:
                         weight += factor
+                weights.append(weight)
                 if weight > 0.0:
                     share = rem / weight
                     if share < inc:
@@ -616,11 +667,7 @@ class FluidNetwork:
             if inc == math.inf:
                 break  # no finite constraint (all caps infinite, links unshaped)
             if inc > 0.0:
-                for entry in entries:
-                    weight = 0.0
-                    for idx, factor in entry[2]:
-                        if not frozen[idx]:
-                            weight += factor
+                for entry, weight in zip(entries, weights):
                     entry[0] -= inc * weight
                 for idx in range(len(active)):
                     if not frozen[idx]:
@@ -646,36 +693,8 @@ class FluidNetwork:
             flow._new_rate = rates[idx]
 
 
-class _DoneSucceed:
-    """Bound completion-event trigger (avoids closure churn)."""
+class _Cohort(list):
+    """One instant's flows in arm order, its timer, and how many of the
+    flows are still armed on it."""
 
-    __slots__ = ("flow",)
-
-    def __init__(self, flow: FluidFlow) -> None:
-        self.flow = flow
-
-    def __call__(self) -> None:
-        self.flow.done.succeed(self.flow)
-
-
-class _EtaFire:
-    __slots__ = ("flow",)
-
-    def __init__(self, flow: FluidFlow) -> None:
-        self.flow = flow
-
-    def __call__(self) -> None:
-        self.flow.net._eta_fire(self.flow)
-
-
-class _StallAbort:
-    __slots__ = ("flow",)
-
-    def __init__(self, flow: FluidFlow) -> None:
-        self.flow = flow
-
-    def __call__(self) -> None:
-        flow = self.flow
-        flow._stall_timer = None
-        if flow.state == "stalled":
-            flow.abort("stall_timeout")
+    __slots__ = ("timer", "armed")

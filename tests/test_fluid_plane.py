@@ -4,12 +4,15 @@
 graphs; this file checks the plane end-to-end over the real stack
 topologies — app fluid modes agree with the packet plane, fault verbs
 stall/resume/abort flows through the watcher hooks, and packet traffic
-steals capacity from fluid flows on shared links.
+steals capacity from fluid flows on shared links. The last section
+checks the completion cohorts against a per-flow-timer oracle.
 """
 
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.apps.ab import ApacheBench
 from repro.apps.httpd import HttpServer
@@ -17,9 +20,10 @@ from repro.apps.netperf import netperf_stream, netserver
 from repro.apps.ttcp import ttcp_receiver, ttcp_transfer
 from repro.core.options import TransferOptions
 from repro.faults.injector import FaultInjector
-from repro.net.fluid import FluidAborted
+from repro.net.fluid import FluidAborted, FluidLink, FluidNetwork, FluidPath
 from repro.scenarios.fluid import _find_link, fluidify
 from repro.scenarios.stacks import physical_pair, wavnet_pair
+from repro.sim.engine import Simulator
 
 MB = 1024 * 1024
 
@@ -230,3 +234,169 @@ def test_packet_traffic_steals_fluid_capacity():
     assert samples["contended"] < 0.5 * samples["alone"]
     assert samples["recovered"] > 0.8 * samples["alone"]
     flow.close()
+
+
+# ----------------------------------------------------------------------
+# Completion cohorts vs per-flow timers
+# ----------------------------------------------------------------------
+
+class PerFlowTimerNetwork(FluidNetwork):
+    """The scheduler the completion cohorts replaced, kept as their
+    oracle: one cancelable timer per armed ETA (its marker is the ETA
+    itself) and one calendar entry per last-byte delivery, so flows
+    finishing at one instant run in the kernel's seq order."""
+
+    def __init__(self, sim, **kw):
+        super().__init__(sim, **kw)
+        self._timers = {}
+
+    def _arm_eta(self, flow, eta):
+        self._disarm_eta(flow)
+        flow._done_eta = eta
+        self._timers[flow] = self.sim.timer(eta - self.sim.now,
+                                            lambda: self._timer_fire(flow))
+
+    def _disarm_eta(self, flow):
+        timer = self._timers.pop(flow, None)
+        if timer is not None:
+            timer.cancel()
+        flow._done_eta = math.inf
+
+    def _timer_fire(self, flow):
+        del self._timers[flow]
+        self._eta_fire(flow)
+
+    def _deliver(self, flow):
+        if flow.deliver_offset > 0:
+            self.sim.call_in(flow.deliver_offset,
+                             lambda: flow.done.succeed(flow))
+        else:
+            flow.done.succeed(flow)
+
+
+def _drive(net_cls, caps, path_links, flow_specs, actions, stall_timeout):
+    """Run one scripted mix to the end of the calendar; return the net,
+    the event count and everything a flow's owner can observe."""
+    sim = Simulator(seed=1)
+    net = net_cls(sim, refresh_interval=0.0, stall_timeout=stall_timeout)
+    links = [FluidLink(f"l{i}", capacity_bps=c) for i, c in enumerate(caps)]
+    paths = [FluidPath(links=tuple((links[i], 1.04) for i in
+                                   dict.fromkeys(j % len(links) for j in idxs)),
+                       rtt=0.02 * (1 + n))
+             for n, idxs in enumerate(path_links)]
+    flows, done_log = {}, []
+
+    def opener(k, path_i, size, ramp, offset):
+        def go():
+            flow = net.open(path=paths[path_i % len(paths)], size_bytes=size,
+                            ramp=ramp, deliver_offset=offset, name=f"f{k}",
+                            send_buf=1 << 18, recv_buf=1 << 18)
+            flows[k] = flow
+            flow.done.add_callback(
+                lambda ev: done_log.append((flow.name, sim.now, ev.ok)))
+        return go
+
+    def flap(link):
+        link.up = False
+        net._on_link_change(link)
+
+        def heal():
+            link.up = True
+            net._on_link_change(link)
+        sim.call_in(0.1, heal)
+
+    def set_loss(link):
+        link.loss = 0.01 if link.loss == 0.0 else 0.0
+        net._on_link_change(link)
+
+    def act(kind, arg):
+        def go():
+            flow = flows.get(arg % len(flow_specs))
+            if kind == "flap":
+                flap(links[arg % len(links)])
+            elif kind == "loss":
+                set_loss(links[arg % len(links)])
+            elif flow is not None and kind == "close":
+                flow.close()
+            elif flow is not None:
+                flow.abort("scripted")
+        return go
+
+    for k, (t, *spec) in enumerate(flow_specs):
+        sim.call_at(t, opener(k, *spec))
+    for t, kind, arg in actions:
+        sim.call_at(t, act(kind, arg))
+    sim.run()
+    outcome = {f.name: (f.state, f.delivered) for f in flows.values()}
+    return net, sim.events_dispatched, (outcome, done_log, sim.now)
+
+
+_flow_specs = st.lists(st.tuples(
+    st.sampled_from([0.0, 0.0, 0.0, 0.05, 0.1, 0.3]),          # open time
+    st.integers(0, 2),                                          # path
+    st.sampled_from([None, 4_000, 60_000, 60_000, 250_000]),   # bytes
+    st.booleans(),                                              # ramp
+    st.sampled_from([None, 0.0]),                               # deliver_offset
+), min_size=1, max_size=12)
+_actions = st.lists(st.tuples(
+    st.sampled_from([0.02, 0.1, 0.2, 0.45, 0.9]),
+    st.sampled_from(["close", "abort", "flap", "loss"]),
+    st.integers(0, 11),
+), max_size=5)
+
+
+@given(caps=st.lists(st.sampled_from([2e6, 8e6, 20e6]), min_size=1, max_size=3),
+       path_links=st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3),
+                           min_size=1, max_size=3),
+       flow_specs=_flow_specs, actions=_actions,
+       stall_timeout=st.sampled_from([None, 0.15]))
+@settings(max_examples=80, deadline=None)
+# f0 and f1 share an ETA on separate paths; closing f2 re-arms f0 earlier,
+# so the shared instant fires with f0 finished but still in its list.
+@example(caps=[8e6, 8e6], path_links=[[0], [1]],
+         flow_specs=[(0.0, 0, 60_000, False, None),
+                     (0.0, 1, 60_000, False, None),
+                     (0.0, 0, 250_000, False, None),
+                     (0.0, 1, 250_000, False, None)],
+         actions=[(0.02, "close", 2)], stall_timeout=None)
+def test_cohorts_match_per_flow_timers(caps, path_links, flow_specs, actions,
+                                       stall_timeout):
+    """Same done instants, done order, delivered bytes, final states and
+    end of run as one timer per flow, in no more calendar events."""
+    args = (caps, path_links, flow_specs, actions, stall_timeout)
+    net, events, seen = _drive(FluidNetwork, *args)
+    _oracle, oracle_events, expected = _drive(PerFlowTimerNetwork, *args)
+    assert seen == expected
+    assert events <= oracle_events
+    assert not net._etas and not net._deliveries
+
+
+def test_identical_flows_share_completion_entries():
+    """1,000 flows finishing together: one solve, one ETA cohort, one
+    re-solve, one delivery cohort, and each flow's own ``done``."""
+    sim = Simulator(seed=1)
+    net = FluidNetwork(sim, refresh_interval=0.0)
+    path = FluidPath(links=((FluidLink("l0", capacity_bps=100e6), 1.0),),
+                     rtt=0.02)
+    flows = [net.open(path=path, size_bytes=64 * 1024, ramp=False)
+             for _ in range(1000)]
+    sim.run()
+    assert all(f.done.processed and f.state == "done" for f in flows)
+    assert sim.events_dispatched <= len(flows) + 4
+
+
+def test_flow_within_initial_window_leaves_no_timer():
+    """A flow that fits in its initial window completes at open; its
+    slow-start ramp timer must not outlive it (no timer left once
+    everything is done)."""
+    sim = Simulator(seed=1)
+    net = FluidNetwork(sim)
+    path = FluidPath(links=((FluidLink("l0", capacity_bps=100e6), 1.0),),
+                     rtt=0.05)
+    flow = net.open(path=path, size_bytes=1000, send_buf=1 << 20,
+                    recv_buf=1 << 20)
+    sim.run()
+    assert flow.done.processed and flow.state == "done"
+    assert sim.now == flow.deliver_offset == 0.025
+    assert sim.peek() == math.inf
+    assert sim.events_dispatched == 2   # the delivery cohort, then done
