@@ -9,19 +9,26 @@ cloud, matching how the paper's sites were actually constrained.
 
 The cloud behaves like a giant learning switch (so ARP between public
 addresses works), but with per-pair delays instead of a uniform fabric
-delay.
+delay. Like the real core, it carries no RFC 1918 destination (RFC 1918
+§3; Ford et al. reach a private endpoint only over a shared private
+network): an ARP request for a private address is counted in
+``frames_unroutable`` and dropped, so a private candidate reaches a peer
+only over a shared LAN.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from repro.net.addresses import MacAddress
+from repro.net.addresses import IPv4Network, MacAddress
 from repro.net.l2 import Port
-from repro.net.packet import EthernetFrame
+from repro.net.packet import ETHERTYPE_ARP, EthernetFrame
 from repro.sim.engine import Simulator
 
 __all__ = ["WanCloud"]
+
+PRIVATE_NETWORKS = (IPv4Network("10.0.0.0/8"), IPv4Network("172.16.0.0/12"),
+                    IPv4Network("192.168.0.0/16"))
 
 
 class WanCloud:
@@ -39,6 +46,7 @@ class WanCloud:
         # Inter-site partitions: ordered pairs whose frames are dropped.
         self._partitioned: set[tuple[str, str]] = set()
         self.frames_partitioned = 0
+        self.frames_unroutable = 0  # ARP requests for RFC 1918 targets
         self._watchers: list = []
         # PDES boundary: sites that exist in this topology but are owned
         # by another partition's process. Frames addressed to them are
@@ -210,7 +218,13 @@ class WanCloud:
                 else:
                     self._deliver(src_site, dst_site, frame)
                 return
-        # Broadcast / unknown destination: flood (ARP resolution path).
+        # Broadcast / unknown destination: flood (ARP resolution path),
+        # except an ARP request for a private address: the core routes none.
+        if frame.ethertype == ETHERTYPE_ARP and frame.payload.op == "request":
+            target = frame.payload.target_ip
+            if any(target in net for net in PRIVATE_NETWORKS):
+                self.frames_unroutable += 1
+                return
         for site in list(self.ports):
             if site != src_site:
                 self._deliver(src_site, site, frame)

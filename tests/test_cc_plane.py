@@ -62,7 +62,9 @@ class TestExtractionGoldens:
         tx = sim.process(ttcp_transfer(pair.host_a, pair.ip_b,
                                        2 * 1024 * 1024, buf_size=16384))
         sim.run(until=tx)
-        assert sim.events_dispatched == 61118  # PR 14: reader and station hops removed
+        # 48 fewer than while the WAN cloud flooded private-candidate
+        # ARP requests: 16 flooded copies, 3 events each.
+        assert sim.events_dispatched == 61070
         assert sim.now == 8.321956171784915
         assert tx.value.rate_kbps == 1439.4374177960692
 
@@ -108,7 +110,9 @@ class TestExtractionGoldens:
         sim.run(until=p)
         # run_requests issues exactly n: the three requests the workers
         # used to start past the 60th are gone (27874 events before).
-        assert sim.events_dispatched == 26489
+        # 48 fewer than while the WAN cloud flooded private-candidate
+        # ARP requests: 16 flooded copies, 3 events each.
+        assert sim.events_dispatched == 26441
         assert sim.now == 8.186810351999949
         assert p.value.requests_per_second == 41.12668697557433
         assert p.value.connect_ms() == (30.376319999998458,
@@ -160,7 +164,9 @@ class TestExtractionGoldens:
                                        options=TransferOptions(
                                            fidelity="fluid")))
         sim.run(until=tx)
-        assert sim.events_dispatched == 682  # PR 14: reader and station hops removed
+        # 48 fewer than while the WAN cloud flooded private-candidate
+        # ARP requests: 16 flooded copies, 3 events each.
+        assert sim.events_dispatched == 634
         assert sim.now == 8.074181891091174
         assert tx.value.rate_kbps == 1591.3560850714712
 

@@ -4,8 +4,10 @@ import pytest
 
 from repro.net.addresses import BROADCAST_MAC, IPv4Address, MacAddress
 from repro.net.l2 import Port
-from repro.net.packet import EthernetFrame, Payload, UdpDatagram, ipv4
+from repro.net.packet import (ArpPacket, EthernetFrame, Payload,
+                               UdpDatagram, frame_for, ipv4)
 from repro.net.wan import WanCloud
+from repro.scenarios.wavnet_env import wavnet_mesh
 from repro.sim import Simulator
 
 
@@ -23,6 +25,13 @@ def frame(src, dst):
     pkt = ipv4(IPv4Address("8.0.0.1"), IPv4Address("8.0.0.2"),
                UdpDatagram(1, 2, Payload(50)))
     return EthernetFrame(MacAddress(src), MacAddress(dst), 0x0800, pkt)
+
+
+def arp(op, target, sender="8.0.0.1", src=1):
+    packet = ArpPacket(op, MacAddress(src), IPv4Address(sender),
+                       BROADCAST_MAC if op == "reply" else None,
+                       IPv4Address(target))
+    return frame_for(packet, MacAddress(src), BROADCAST_MAC)
 
 
 def build(sim, names=("a", "b", "c"), default=0.010):
@@ -113,3 +122,70 @@ class TestWanCloud:
         sinks["a"].port.transmit(frame(1, 99))
         sim.run()
         assert cloud.frames_carried == 1
+
+
+class TestPrivateArp:
+    """The core carries no RFC 1918 destination (RFC 1918 §3): an ARP
+    request for a private address is dropped, not flooded."""
+
+    @pytest.mark.parametrize("target", ["10.0.0.1", "10.255.255.255",
+                                        "172.16.0.1", "172.31.255.255",
+                                        "192.168.0.1"])
+    def test_private_target_request_is_dropped(self, target):
+        sim = Simulator()
+        cloud, sinks = build(sim)
+        sinks["a"].port.transmit(arp("request", target))
+        sim.run()
+        assert all(s.received == [] for s in sinks.values())
+        assert cloud.frames_unroutable == 1
+
+    @pytest.mark.parametrize("target", ["9.255.255.255", "11.0.0.1",
+                                        "172.15.255.255", "172.32.0.0",
+                                        "192.167.255.255", "192.169.0.1"])
+    def test_public_target_request_floods(self, target):
+        sim = Simulator()
+        cloud, sinks = build(sim)
+        sinks["a"].port.transmit(arp("request", target))
+        sim.run()
+        assert len(sinks["b"].received) == 1
+        assert len(sinks["c"].received) == 1
+        assert cloud.frames_unroutable == 0
+
+    def test_gratuitous_arp_floods(self):
+        sim = Simulator()
+        cloud, sinks = build(sim)
+        sinks["a"].port.transmit(arp("reply", "192.168.0.1",
+                                     sender="192.168.0.1"))
+        sim.run()
+        assert len(sinks["b"].received) == 1
+        assert len(sinks["c"].received) == 1
+        assert cloud.frames_unroutable == 0
+
+    def test_dropped_request_still_teaches_the_mac_table(self):
+        sim = Simulator()
+        cloud, sinks = build(sim)
+        sinks["b"].port.transmit(arp("request", "10.0.0.1", src=7))
+        sim.run()
+        assert cloud.mac_table[MacAddress(7)] == "b"
+
+    def test_dropped_request_is_not_captured_for_a_remote_site(self):
+        sim = Simulator()
+        cloud, sinks = build(sim)
+        cloud.declare_remote_site("z", 1)
+        sinks["a"].port.transmit(arp("request", "192.168.0.1"))
+        sim.run()
+        assert cloud.drain_outbox() == []
+        sinks["a"].port.transmit(arp("request", "8.0.0.2"))
+        assert len(cloud.drain_outbox()) == 1
+
+
+def test_mesh_punch_floods_no_private_candidate_arp():
+    sim, payload = wavnet_mesh(seed=7, n_hosts=8, settle=20.0)
+    cloud = sim.components["link:m0.access"].ab.dst.owner
+    assert payload["connections"] == 28 and payload["relayed"] == 0
+    # Each NAT ARPs for each peer's private candidate, three tries apiece.
+    assert cloud.frames_unroutable == 3 * 8 * 7
+    assert sim.now == 51.818670239999534
+    # 15944 while the cloud flooded those 168 requests to the 10 other
+    # sites (8 NATs, 2 STUN, 1 rendezvous): 1680 copies, 3 events each.
+    assert sim.events_dispatched == 10904
