@@ -8,8 +8,8 @@ deterministic and independent, so the sharded result MUST be
 byte-identical to the serial one (always enforced). A 1.2x speed-up
 floor is enforced whenever at least 2 CPUs are visible: on 2 cores a
 cold first fork measured 1.19-1.26x and warm runs 1.69-1.90x (median
-1.81x of six alternating pairs); a single-core container cannot speed
-anything up by forking.
+1.81x of six alternating pairs), so one untimed sharded run warms the
+box first; a single-core container cannot speed anything up by forking.
 
 The ``sweep`` case of ``benchmarks/gates.py`` (one size).
 """
@@ -41,6 +41,9 @@ def run(quick: bool) -> dict:
     workers = min(4, cpus)
     with tempfile.TemporaryDirectory(prefix="bench-sweep-") as td:
         tmp = pathlib.Path(td)
+        # Untimed: the first multi-process work after a single-core
+        # stretch pays ~0.5 s of wake-up, a third of the sharded run.
+        _timed_run(workers, tmp / "warm")
         serial_wall, serial = _timed_run(1, tmp / "serial")
         parallel_wall, parallel = _timed_run(workers, tmp / "parallel")
     serial_bytes = serial.result_bytes()

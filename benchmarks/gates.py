@@ -27,13 +27,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from perf.run import context  # noqa: E402
 
-# In run order. pdes goes before sweep because on a 2-vCPU box the first
-# multi-process work after a single-core stretch pays ~0.5 s of wake-up:
-# nothing to pdes (no floor), a third of sweep's 1 s sharded run (1.17x
-# measured cold, 1.9x right after pdes, against its 1.2x floor).
+# In run order.
 CASES = {
     "churn": "bench_churn_recovery",
-    "pdes": "bench_pdes_speedup",
     "sweep": "bench_sweep_parallel",
     "fluid_agreement": "bench_fluid_agreement",
     "fluid_scale": "bench_fluid_scale",

@@ -53,8 +53,8 @@ class HostTable:
 
     One row per endpoint name; rows persist across registration loss
     (crash, expiry) so the *directory* state (virtual IP, last known NAT
-    mapping, site configuration) survives while the *registration*
-    state (``FLAG_REGISTERED`` + ``owner``) carries the volatile
+    mapping) survives while the *registration* state
+    (``FLAG_REGISTERED`` + ``owner``) carries the volatile
     admitted-by-a-server relationship. Re-registration bumps the row's
     ``generation``, invalidating any handle minted for the previous
     incarnation.
@@ -68,8 +68,6 @@ class HostTable:
         self._ids: dict[str, int] = {}
         self._names: list[Optional[str]] = []
         self._alloc(self._capacity)
-        # Sparse side table (empty for storm-scale synthetic endpoints).
-        self._site_cfg: dict[int, dict] = {}
         m = sim.metrics.scope("hosttable")
         self._m_registered = m.counter("registered")
         self._m_expired = m.counter("expired")
@@ -376,14 +374,6 @@ class HostTable:
             attrs=self.attrs_of(host_id),
             conn=self.connection_info(host_id),
         )
-
-    # -- site construction state (add_endpoint -> build_declared) ------
-    def set_site_config(self, host_id: int, **cfg) -> None:
-        if cfg:
-            self._site_cfg[host_id] = cfg
-
-    def site_config(self, host_id: int) -> dict:
-        return dict(self._site_cfg.get(host_id, ()))
 
     def __repr__(self) -> str:
         return (f"HostTable(rows={self._n}, "

@@ -20,12 +20,6 @@ moment it completes (so a crashed sweep resumes from what finished),
 and streams the envelope back to the parent over a queue. Simulations
 are deterministic and independent, so the sharded result is
 byte-identical to the serial one (``envelope_bytes``).
-
-A spec carrying ``partitions > 1`` (for a scenario with a registered
-pdes merger) is executed through :func:`repro.sim.pdes.run_partitioned`
-instead — the point itself fans out into one process per site
-partition. That composes with sweep sharding: the per-point process
-pool is spun up inside whichever worker runs the point.
 """
 
 from __future__ import annotations
@@ -39,7 +33,7 @@ from queue import Empty
 from time import perf_counter
 from typing import Callable, Optional
 
-from repro.exp.spec import ExperimentSpec, envelope_bytes
+from repro.exp.spec import ExperimentSpec, envelope_bytes, run_spec
 from repro.exp.sweep import Sweep, SweepPoint
 
 __all__ = ["PointResult", "SweepError", "SweepResult", "SweepRunner",
@@ -135,11 +129,9 @@ def _shard_worker(shard: list, out_dir: str, queue) -> None:
     """Worker-process entry point: run each (index, spec) of the shard,
     persist the envelope, stream it back. Errors are reported per point
     so one bad spec does not sink the shard."""
-    from repro.sim.pdes import execute_spec
-
     for index, spec in shard:
         try:
-            envelope = execute_spec(spec)
+            envelope = run_spec(spec)
             _write_artifact(pathlib.Path(out_dir), _point_key(index, spec),
                             envelope)
             queue.put((index, envelope, None))
@@ -242,12 +234,10 @@ class SweepRunner:
 
     def _run_serial(self, pending: list[SweepPoint],
                     results: dict[int, PointResult]) -> None:
-        from repro.sim.pdes import execute_spec
-
         failures: dict[int, str] = {}
         for point in pending:
             try:
-                envelope = execute_spec(point.spec)
+                envelope = run_spec(point.spec)
             except Exception as exc:  # noqa: BLE001
                 import traceback
                 failures[point.index] = f"{exc}\n{traceback.format_exc()}"

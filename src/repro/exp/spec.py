@@ -57,7 +57,6 @@ _SCENARIO_MODULES = (
     "repro.scenarios.stacks",
     "repro.scenarios.fluid",
     "repro.scenarios.storm",
-    "repro.scenarios.pdes_sites",
     "repro.scenarios.fairness",
     "repro.scenarios.traversal",
 )

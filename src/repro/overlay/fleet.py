@@ -28,11 +28,8 @@ VNODES = 64
 
 
 class HashRing:
-    """The consistent-hash ring, built from server *names* only: it
-    needs no live server objects, so endpoint code and PDES partitions
-    that own no rendezvous server compute the same primary/backup
-    ordering as the partition that built the servers.
-    """
+    """The consistent-hash ring, built from server *names* only, so
+    the primary/backup ordering needs no live server objects."""
 
     def __init__(self, names: list[str]) -> None:
         if not names:

@@ -25,7 +25,7 @@ from repro.stun.server import StunServerPair
 
 __all__ = ["WavnetEnvironment", "WavnetHost", "wavnet_mesh"]
 
-# What add_host/add_endpoint accept about the site itself, with the
+# What add_host accepts about the site itself, with the
 # defaults; any other keyword goes to the WavnetDriver constructor.
 SITE_DEFAULTS = dict(
     nat_type="port-restricted", access_bandwidth_bps=100e6,
@@ -59,9 +59,7 @@ class WavnetEnvironment:
                  admission_rate: Optional[float] = None,
                  admission_burst: Optional[float] = None,
                  replication_factor: Optional[int] = None,
-                 hot_zone_limit: Optional[int] = None,
-                 build_control: bool = True,
-                 control_partition: int = 0) -> None:
+                 hot_zone_limit: Optional[int] = None) -> None:
         self.sim = sim
         self.cloud = WanCloud(sim, default_latency=default_latency)
         self.n_rendezvous = n_rendezvous
@@ -69,23 +67,11 @@ class WavnetEnvironment:
         self.hosts: dict[str, WavnetHost] = {}
         self._next_vip = 1
         self._next_pub = 1
-        # The fleet assignment: pure name hashing, identical with or
-        # without live server objects.
+        # The fleet assignment: pure name hashing over the server names.
         self.ring = HashRing([f"rvz{i}" for i in range(n_rendezvous)])
         # Single source of truth for every registered endpoint; the
         # rendezvous servers all own slices of it (fleet sharding).
         self.table = HostTable(sim)
-        if not build_control:
-            # PDES: the control plane (STUN pair + rendezvous servers +
-            # the authoritative table mutations) lives in another
-            # partition's process; here those sites are boundary
-            # declarations and their addresses are derived, not built.
-            self.stun = None
-            for site in ("stun.primary", "stun.alt"):
-                self.cloud.declare_remote_site(site, control_partition)
-            for i in range(n_rendezvous):
-                self.cloud.declare_remote_site(f"rvz{i}", control_partition)
-            return
         self.stun = StunServerPair(sim, self.cloud)
         for i in range(n_rendezvous):
             rhost = make_public_host(sim, self.cloud, f"rvz{i}", f"9.1.0.{i + 1}",
@@ -111,24 +97,15 @@ class WavnetEnvironment:
         self._next_vip += 1
         return vip
 
-    # -- fleet addressing (works with or without server objects) -------
+    # -- fleet addressing ----------------------------------------------
     def rendezvous_addr(self, index: int) -> IPv4Address:
-        """IP of rendezvous server ``index``; derived from the fixed
-        addressing plan, so control-less PDES partitions agree with the
-        partition that actually built the server."""
+        """IP of rendezvous server ``index``."""
         if not 0 <= index < self.n_rendezvous:
             raise IndexError(f"rendezvous index {index} out of range")
-        if self.rendezvous:
-            return self.rendezvous[index].ip
-        return IPv4Address(f"9.1.0.{index + 1}")
-
-    @property
-    def stun_primary_ip(self) -> IPv4Address:
-        return STUN_PRIMARY_IP
+        return self.rendezvous[index].ip
 
     def assign_rendezvous(self, name: str) -> int:
-        """Fleet consistent-hash assignment for an endpoint name (static
-        ring, available without server objects)."""
+        """Fleet consistent-hash assignment for an endpoint name."""
         return self.ring.index(name)
 
     def fleet_load(self) -> dict:
@@ -148,44 +125,30 @@ class WavnetEnvironment:
                              min_load=min(loads.values(), default=0))
         return loads
 
-    # -- pdes boundary -------------------------------------------------
-    def declare_remote_host(self, name: str, partition: int) -> None:
-        """Mark an endpoint whose object stack lives in another PDES
-        partition: its cloud site becomes a boundary declaration. The
-        endpoint's table row should still be declared locally (via
-        :meth:`add_endpoint`) so address allocation stays in lock-step
-        across partitions."""
-        self.cloud.declare_remote_site(name, partition)
-
-    def add_host(self, name: str, **site_config) -> WavnetHost:
+    def add_host(self, name: str, rendezvous_index: Optional[int] = None,
+                 **site_config) -> WavnetHost:
         """Add one desktop host (behind its own NAT unless ``public``):
-        reserve its directory row (:meth:`add_endpoint` documents the
-        keywords), then build the full object stack."""
-        self.add_endpoint(name, **site_config)
-        return self.build_declared(name)
+        reserve its directory row, stable virtual IP and public-address
+        slot, then construct (without starting) its full
+        host/NAT/driver stack.
 
-    def add_endpoint(self, name: str, region: int = -1, **site_config) -> int:
-        """Reserve a table row for an endpoint *without* building any
-        object stack: allocates its stable virtual IP and public-address
-        slot and records the site configuration, so a later
-        :meth:`build_declared` (or :meth:`add_host`, which calls both)
-        constructs an identical host every time. Returns the row id.
+        ``site_config`` takes the :data:`SITE_DEFAULTS` keys; anything
+        else is a ``WavnetDriver`` keyword. ``nat_type`` accepts combined
+        specs like ``"symmetric-sequential"`` naming the NAT's
+        port-allocation policy; ``port_alloc=`` / ``port_stride=``
+        override it explicitly.
 
-        ``site_config`` takes the :data:`SITE_DEFAULTS` keys plus
-        ``rendezvous_index``; anything else is a ``WavnetDriver``
-        keyword. ``nat_type`` accepts combined specs like
-        ``"symmetric-sequential"`` naming the NAT's port-allocation
-        policy; ``port_alloc=`` / ``port_stride=`` override it
-        explicitly."""
+        ``rendezvous_index=None`` hashes the host onto the fleet ring
+        (:attr:`ring`); an integer pins it to that server. The churn and
+        storm scenarios pin round-robin on purpose: the ring puts both
+        of ``registration_storm``'s punch hosts ``p0``/``p1`` on
+        ``rvz1`` (so no cross-server brokering would run) and three of
+        ``churn_recovery``'s default four hosts on one server, while
+        failover needs every server to hold at least one host.
+        """
         if name in self.hosts:
             raise ValueError(f"duplicate host {name!r}")
         host_id = self.table.ensure_row(name)
-        if self.table.site_config(host_id):
-            raise ValueError(f"endpoint {name!r} already declared")
-        # Fleet-aware server selection: a ``None`` (or absent) index
-        # means "hash me onto the ring". An explicit integer pins the
-        # server (round-robin layouts in the churn and storm scenarios).
-        rendezvous_index = site_config.pop("rendezvous_index", None)
         fleet_assigned = rendezvous_index is None
         if fleet_assigned:
             rendezvous_index = self.ring.index(name)
@@ -195,31 +158,9 @@ class WavnetEnvironment:
         self._next_pub += 1
         vip = self._alloc_vip()
         self.table.virtual_ip[host_id] = vip.value
-        if region >= 0:
-            self.table.region[host_id] = region
         cfg = dict(SITE_DEFAULTS)
         driver_kwargs = {k: v for k, v in site_config.items() if k not in cfg}
         cfg.update({k: v for k, v in site_config.items() if k in cfg})
-        cfg["rendezvous_index"] = rendezvous_index
-        cfg["fleet_assigned"] = fleet_assigned
-        cfg["pub_index"] = pub_index
-        cfg["driver_kwargs"] = driver_kwargs
-        self.table.set_site_config(host_id, **cfg)
-        return host_id
-
-    def build_declared(self, name: str) -> WavnetHost:
-        """Construct (without starting) the full host/NAT/driver stack
-        for an endpoint declared via :meth:`add_endpoint`, from its
-        table row — used by :meth:`add_host` and by PDES partitions
-        (every partition declares every endpoint for lock-step address
-        allocation, then builds only the ones it owns), so both produce
-        identical stacks."""
-        host_id = self.table.lookup(name)
-        cfg = self.table.site_config(host_id)
-        if not cfg:
-            raise KeyError(f"endpoint {name!r} was never declared")
-        pub_index = cfg["pub_index"]
-        rendezvous_index = cfg["rendezvous_index"]
         rendezvous_ip = self.rendezvous_addr(rendezvous_index)
         stack_kwargs = dict(tcp_mss=cfg["tcp_mss"],
                             tcp_send_buf=cfg["tcp_send_buf"],
@@ -251,8 +192,7 @@ class WavnetEnvironment:
         # target: fleet-assigned endpoints fail over in ring-successor
         # order (the server that inherits their ring arc), pinned ones
         # in index order.
-        driver_kwargs = dict(cfg["driver_kwargs"])
-        if cfg["fleet_assigned"]:
+        if fleet_assigned:
             backups = [self.rendezvous_addr(j)
                        for j in self.ring.order(name)[1:]]
         else:
@@ -262,9 +202,9 @@ class WavnetEnvironment:
         driver_kwargs.setdefault("backup_rendezvous_ips", backups)
         driver = WavnetDriver(
             host,
-            virtual_ip=IPv4Address(int(self.table.virtual_ip[host_id])),
+            virtual_ip=vip,
             rendezvous_ip=rendezvous_ip,
-            stun_server_ip=self.stun_primary_ip,
+            stun_server_ip=STUN_PRIMARY_IP,
             attrs=cfg["attrs"],
             name=name,
             pulse_interval=cfg["pulse_interval"],

@@ -14,9 +14,9 @@ Processes resume in deterministic order: the calendar is keyed by
 ``(time, seq)`` where ``seq`` increases monotonically with every schedule
 operation.
 
-``run``, ``run_window`` and ``step`` share one dispatch loop
-(:meth:`Simulator._dispatch`) that pops and unpacks each calendar entry
-once. Two calendar fast paths keep the per-frame hot loops cheap:
+``run`` and ``step`` share one dispatch loop (:meth:`Simulator._dispatch`)
+that pops and unpacks each calendar entry once. Two calendar fast paths
+keep the per-frame hot loops cheap:
 
 * :meth:`Simulator.call_in` / :meth:`Simulator.call_at` push a bare
   callable onto the calendar — no :class:`Event`, no callback list, no
@@ -534,10 +534,10 @@ class Simulator:
 
     def _dispatch(self, limit: float, strict: bool, stop: Event | None,
                   once: bool = False) -> None:
-        """The one dispatch loop behind :meth:`run`, :meth:`run_window`
-        and :meth:`step`: run live entries in ``(time, seq)`` order while
-        their time is at most ``limit`` (below it when ``strict``), until
-        ``stop`` triggers, or — ``once`` — until one has run.
+        """The one dispatch loop behind :meth:`run` and :meth:`step`: run
+        live entries in ``(time, seq)`` order while their time is at most
+        ``limit`` (below it when ``strict``), until ``stop`` triggers, or
+        — ``once`` — until one has run.
 
         Each entry is popped and unpacked once. ``now`` and
         ``events_dispatched`` are written before the callback runs, so
@@ -605,20 +605,3 @@ class Simulator:
         if horizon != _INF:
             self.now = horizon
         return None
-
-    def run_window(self, end: float) -> None:
-        """Dispatch every live entry with time strictly below ``end``,
-        then set ``now = end`` — the half-open window [now, end) used by
-        conservative PDES synchronization.
-
-        Unlike :meth:`run`, entries at exactly ``end`` are *not*
-        dispatched: they belong to the next window (or to the final
-        inclusive ``run(until=horizon)`` pass), so a partitioned run
-        windows its way to the horizon without double- or
-        never-dispatching boundary events.
-        """
-        end = float(end)
-        if end < self.now:
-            raise SimulationError(f"run_window({end}) is in the past (now={self.now})")
-        self._dispatch(end, True, None)
-        self.now = end

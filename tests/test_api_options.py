@@ -21,7 +21,7 @@ def test_top_level_api_surface():
 
     for name in ("WavnetEnvironment", "WavnetDriver", "ExperimentSpec",
                  "Sweep", "SweepRunner", "FaultPlan", "FaultInjector",
-                 "run_partitioned", "run_sweep", "ConnectOptions",
+                 "run_sweep", "ConnectOptions",
                  "TransferOptions", "Simulator", "NatType"):
         assert name in repro.__all__
         assert getattr(repro, name) is not None

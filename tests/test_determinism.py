@@ -251,17 +251,3 @@ def test_migration_under_nat_reboot_run_twice_identical():
     payload = json.loads(r1["payload"])
     assert payload["healed_by_migration"] is True
     assert payload["repunches"] == 0
-
-
-def test_pdes_mesh_partitioned_run_twice_identical():
-    """The partitioned executor itself must replay exactly: window
-    barriers, cross-partition frame injection order, and the shard merge
-    are all deterministic across back-to-back runs."""
-    from repro.exp.spec import ExperimentSpec, envelope_bytes
-    from repro.sim.pdes import run_partitioned
-
-    spec = ExperimentSpec("pdes_mesh", seed=5,
-                          params={"partitions": 2, "n_sites": 2,
-                                  "duration": 2.0, "horizon": 26.0})
-    assert envelope_bytes(run_partitioned(spec)) == \
-        envelope_bytes(run_partitioned(spec))

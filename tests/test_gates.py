@@ -39,10 +39,10 @@ def no_host_calibration(monkeypatch):
         "commit": "c0ffee", "nproc": 2, "host_score": 1.0})
 
 
-def test_list_names_the_eight_cases(capsys):
+def test_list_names_the_seven_cases(capsys):
     assert gates.main(["--list"]) == 0
     assert capsys.readouterr().out.split() == [
-        "churn", "pdes", "sweep", "fluid_agreement", "fluid_scale", "scale",
+        "churn", "sweep", "fluid_agreement", "fluid_scale", "scale",
         "fairness", "traversal"]
     for module in gates.CASES.values():
         case = importlib.import_module(module)

@@ -1,4 +1,5 @@
-"""Tests for the CAN overlay: join, routing, put/get, leave, RPC layer."""
+"""Tests for the CAN overlay: join, routing, put/get, leave, RPC layer,
+zone re-merge under drain and batched keepalive sweeps."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hoststate import HostTable
+from repro.exp.spec import ExperimentSpec, run_spec
 from repro.nat.types import NatType
 from repro.net.addresses import IPv4Address
 from repro.net.wan import WanCloud
@@ -14,7 +16,8 @@ from repro.overlay.resources import ConnectionInfo
 from repro.overlay.rpc import RpcEndpoint, RpcError, RpcTimeout
 from repro.overlay.space import Zone
 from repro.scenarios.builder import make_public_host
-from repro.scenarios.storm import registration_storm
+from repro.scenarios.storm import StormLane, registration_storm
+from repro.scenarios.wavnet_env import WavnetEnvironment
 from repro.sim import Simulator
 
 
@@ -583,3 +586,47 @@ def test_quick_registration_storm_trajectory_is_pinned():
         for zone in can.zones:
             inside |= can.table.in_zone(zone, ids)
         assert inside.all()
+
+
+class TestCanRemerge:
+    def test_zones_remerge_when_load_drains(self):
+        sim = Simulator(seed=13)
+        env = WavnetEnvironment(sim, n_rendezvous=2, replication_factor=1,
+                                hot_zone_limit=4)
+        env.up()
+        lane = StormLane(sim, env, region=0, count=48, base_index=0)
+        sim.run_coro(lane.register(batch_size=16))
+
+        def can_stats(name):
+            return sum(int(sim.metrics.value(f"{s.can.node_id}.can.{name}"))
+                       for s in env.rendezvous)
+
+        zones_before = sum(len(s.can.zones) for s in env.rendezvous)
+        assert can_stats("splits") >= 1
+        assert zones_before > len(env.rendezvous)
+
+        # Drain: drop every stored handle, then let the ping loops run a
+        # few maintenance rounds.
+        for s in env.rendezvous:
+            s.can.handles.clear()
+            s.can.handle_replicas.clear()
+        sim.run(until=sim.now + 80.0)
+
+        zones_after = sum(len(s.can.zones) for s in env.rendezvous)
+        assert can_stats("remerges") >= 1
+        assert zones_after < zones_before
+
+
+class TestKeepaliveSweeps:
+    def test_storm_lane_sweeps_batch_keepalives(self):
+        spec = ExperimentSpec(
+            "registration_storm",
+            params={"n_endpoints": 60, "n_rendezvous": 2, "n_regions": 2,
+                    "batch": 16, "punch_pairs": 1, "settle": 30.0,
+                    "keepalive_interval": 5.0},
+            seed=7)
+        payload = run_spec(spec)["payload"]
+        assert payload["keepalive_sweeps"] > 0
+        assert payload["keepalives_acked"] > 0
+        # Sweeps are batched: far fewer RPCs than endpoint-keepalives.
+        assert payload["keepalive_sweeps"] < payload["keepalives_acked"]

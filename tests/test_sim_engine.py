@@ -575,12 +575,12 @@ def test_compaction_mid_run_until_event_keeps_every_live_entry():
     assert sim.peek() == float("inf")
 
 
-def test_compaction_mid_run_window_keeps_every_live_entry():
+def test_compaction_mid_run_until_time_keeps_every_live_entry():
     sim = Simulator()
     log = []
     _cancel_storm(sim, log)
-    sim.run_window(50.0)  # strictly before 50: the t=50 entry waits
-    assert sim.now == 50.0
+    sim.run(until=49.5)  # the t=50 entry waits
+    assert sim.now == 49.5
     assert log == [(float(i), i if i <= 10 else i + 1) for i in range(1, 50)]
     assert sim.events_dispatched == 50
     assert sim.peek() == 50.0

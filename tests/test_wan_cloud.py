@@ -168,16 +168,6 @@ class TestPrivateArp:
         sim.run()
         assert cloud.mac_table[MacAddress(7)] == "b"
 
-    def test_dropped_request_is_not_captured_for_a_remote_site(self):
-        sim = Simulator()
-        cloud, sinks = build(sim)
-        cloud.declare_remote_site("z", 1)
-        sinks["a"].port.transmit(arp("request", "192.168.0.1"))
-        sim.run()
-        assert cloud.drain_outbox() == []
-        sinks["a"].port.transmit(arp("request", "8.0.0.2"))
-        assert len(cloud.drain_outbox()) == 1
-
 
 def test_mesh_punch_floods_no_private_candidate_arp():
     sim, payload = wavnet_mesh(seed=7, n_hosts=8, settle=20.0)
