@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.apps.httpd import (HTTP_PORT, SERVICE_TIME, HttpRequest,
                               HttpResponse, response_size_for)
-from repro.core.options import TransferOptions, resolve_options
+from repro.core.options import TransferOptions, fluid_network, resolve_options
 from repro.net.addresses import IPv4Address
 from repro.net.stack import Host
 from repro.net.tcp import ConnectionReset
@@ -76,8 +76,6 @@ class ApacheBench:
                  options: Optional[TransferOptions] = None) -> None:
         opts = resolve_options(options, TransferOptions, "ApacheBench")
         fidelity, cc = opts.fidelity, opts.cc
-        if fidelity not in ("packet", "fluid"):
-            raise ValueError(f"unknown fidelity {fidelity!r}")
         self.host = host
         self.server_ip = server_ip
         self.path = path
@@ -146,10 +144,7 @@ class ApacheBench:
         from repro.net.fluid import FluidAborted
 
         sim = self.host.sim
-        fluid = getattr(sim, "fluid", None)
-        if fluid is None:
-            raise RuntimeError("fidelity='fluid' requires a FluidNetwork "
-                               "attached to this simulator")
+        fluid = fluid_network(sim)
         # The response rides the client->server route, which is exact on
         # the symmetric-capacity topologies the benches build.
         path = fluid.route(self.host.name, self.server_ip)

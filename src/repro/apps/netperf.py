@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.options import TransferOptions, resolve_options
+from repro.core.options import TransferOptions, fluid_network, resolve_options
 from repro.net.addresses import IPv4Address
 from repro.net.stack import Host
 from repro.net.tcp import ConnectionReset
@@ -72,10 +72,7 @@ def netperf_stream(host: Host, dst_ip: IPv4Address,
     fidelity, cc, cc_trace = opts.fidelity, opts.cc, opts.cc_trace
     sim = host.sim
     if fidelity == "fluid":
-        fluid = getattr(sim, "fluid", None)
-        if fluid is None:
-            raise RuntimeError("fidelity='fluid' requires a FluidNetwork "
-                               "attached to this simulator")
+        fluid = fluid_network(sim)
         path = fluid.route(host.name, dst_ip)
         yield sim.timeout(path.rtt)  # connection establishment
         result = NetperfResult(duration, 0)
@@ -98,8 +95,6 @@ def netperf_stream(host: Host, dst_ip: IPv4Address,
         flow.close()
         result.bytes_received = int(flow.delivered)
         return result
-    if fidelity != "packet":
-        raise ValueError(f"unknown fidelity {fidelity!r}")
     conn = host.tcp.connect(dst_ip, port, cc=cc)
     if cc_trace is not None:
         conn.enable_cc_trace(cc_trace)

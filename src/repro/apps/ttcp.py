@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.options import TransferOptions, resolve_options
+from repro.core.options import TransferOptions, fluid_network, resolve_options
 from repro.net.addresses import IPv4Address
 from repro.net.stack import Host
 from repro.net.tcp import drain_bytes, stream_bytes
@@ -67,10 +67,7 @@ def ttcp_transfer(host: Host, dst_ip: IPv4Address, total_bytes: int,
     fidelity, cc = opts.fidelity, opts.cc
     sim = host.sim
     if fidelity == "fluid":
-        fluid = getattr(sim, "fluid", None)
-        if fluid is None:
-            raise RuntimeError("fidelity='fluid' requires a FluidNetwork "
-                               "attached to this simulator")
+        fluid = fluid_network(sim)
         path = fluid.route(host.name, dst_ip)
         yield sim.timeout(path.rtt)  # SYN / SYN-ACK handshake
         t0 = sim.now
@@ -84,8 +81,6 @@ def ttcp_transfer(host: Host, dst_ip: IPv4Address, total_bytes: int,
         # ACK to come back — another half RTT.
         elapsed = sim.now - t0 + path.rtt / 2
         return TtcpResult(total_bytes, elapsed)
-    if fidelity != "packet":
-        raise ValueError(f"unknown fidelity {fidelity!r}")
     conn = host.tcp.connect(dst_ip, port, cc=cc)
     yield conn.wait_established()
     t0 = sim.now

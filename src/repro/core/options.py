@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["ConnectOptions", "TransferOptions", "resolve_options"]
+__all__ = ["ConnectOptions", "TransferOptions", "check_fidelity", "fluid_network",
+           "resolve_options"]
 
 
 def resolve_options(options, cls, api: str):
@@ -23,6 +24,21 @@ def resolve_options(options, cls, api: str):
         raise TypeError(f"{api}: options= expects {cls.__name__}, "
                         f"got {type(options).__name__}")
     return options
+
+
+def check_fidelity(fidelity: str) -> None:
+    """The one fidelity check: ``"packet"`` or ``"fluid"``."""
+    if fidelity not in ("packet", "fluid"):
+        raise ValueError(f"unknown fidelity {fidelity!r}")
+
+
+def fluid_network(sim):
+    """The FluidNetwork a ``fidelity="fluid"`` run rides."""
+    fluid = getattr(sim, "fluid", None)
+    if fluid is None:
+        raise RuntimeError("fidelity='fluid' requires a FluidNetwork "
+                           "attached to this simulator")
+    return fluid
 
 
 @dataclass(frozen=True)
@@ -53,3 +69,6 @@ class TransferOptions:
     fidelity: str = "packet"
     cc: Optional[str] = None
     cc_trace: Optional[object] = None
+
+    def __post_init__(self) -> None:
+        check_fidelity(self.fidelity)

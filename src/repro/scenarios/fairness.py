@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 
 from repro.apps.netperf import netperf_stream, netserver
-from repro.core.options import TransferOptions
+from repro.core.options import TransferOptions, check_fidelity
 from repro.exp.spec import scenario
 from repro.net.cc import cc_class
 from repro.scenarios.fluid import fluidify, wire_overhead_for
@@ -99,8 +99,7 @@ def fairness_bottleneck(seed: int = 0, stack: str = "wavnet",
     list assigned round-robin ("reno,cubic,bbr" races the three).
     Flow starts are staggered ``stagger`` seconds apart to break
     slow-start synchronization; each flow runs ``duration`` seconds."""
-    if fidelity not in ("packet", "fluid"):
-        raise ValueError(f"unknown fidelity {fidelity!r}")
+    check_fidelity(fidelity)
     ccs = _cc_list(cc, n_flows)
     pair = stack_pair(stack, rtt_ms / 1000.0, bandwidth_mbps * 1e6,
                       seed=seed, mss=mss, send_buf=send_buf,
@@ -171,8 +170,7 @@ def fairness_parking_lot(seed: int = 0, cc: str = "cubic", n_hops: int = 3,
     from repro.scenarios.builder import named_mac_factory
     from repro.sim.engine import Simulator
 
-    if fidelity not in ("packet", "fluid"):
-        raise ValueError(f"unknown fidelity {fidelity!r}")
+    check_fidelity(fidelity)
     n_flows = n_hops + 1
     ccs = _cc_list(cc, n_flows)
     sim = Simulator(seed=seed)
@@ -256,8 +254,7 @@ def fairness_mix(seed: int = 0, stack: str = "wavnet", cc: str = "cubic",
     every ``mice_interval`` seconds. Reports elephant shares (Jain over
     elephants) and mice flow-completion times — the latency cost
     background bulk traffic imposes on short flows."""
-    if fidelity not in ("packet", "fluid"):
-        raise ValueError(f"unknown fidelity {fidelity!r}")
+    check_fidelity(fidelity)
     from repro.apps.ttcp import TTCP_PORT, ttcp_transfer
 
     e_ccs = _cc_list(cc, n_elephants)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.options import check_fidelity
 from repro.exp.spec import scenario
 from repro.net.fluid import FluidLink, FluidNetwork, FluidPath
 from repro.net.tcp import WIRE_OVERHEAD_TCP
@@ -225,8 +226,7 @@ def fluid_fanout(seed: int = 0, fidelity: str = "fluid",
     from repro.scenarios.builder import make_public_host
     from repro.sim.engine import Simulator
 
-    if fidelity not in ("packet", "fluid"):
-        raise ValueError(f"unknown fidelity {fidelity!r}")
+    check_fidelity(fidelity)
     sim = Simulator(seed=seed)
     cloud = WanCloud(sim, default_latency=rtt_ms / 2000.0)
     flow_bytes = flow_kb * 1024

@@ -1,7 +1,7 @@
 """ConnectOptions/TransferOptions bundles.
 
 Every connect/transfer entry point (driver.connect, connect_by_name,
-open_transfer, ttcp_transfer, netperf_stream, ApacheBench) takes its
+ttcp_transfer, netperf_stream, ApacheBench) takes its
 knobs through one typed ``options=`` bundle.
 """
 

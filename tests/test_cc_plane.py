@@ -137,8 +137,8 @@ class TestExtractionGoldens:
             yield from stream_bytes(conn, 2_000_000)
             conn.close()
             res["rtx"] = conn.retransmits
-            res["cwnd"] = conn.cwnd
-            res["ssthresh"] = conn.ssthresh
+            res["cwnd"] = conn.cc_algo.cwnd
+            res["ssthresh"] = conn.cc_algo.ssthresh
 
         sim.process(srv(sim))
         sim.process(cli(sim))

@@ -380,7 +380,7 @@ class TestCongestionControl:
 
             def probe(sim):
                 while conn.state == "ESTABLISHED":
-                    cwnd_log.append(conn.cwnd)
+                    cwnd_log.append(conn.cc_algo.cwnd)
                     yield sim.timeout(0.040)
 
             sim.process(probe(sim))
@@ -408,7 +408,7 @@ class TestCongestionControl:
             yield conn.wait_established()
             yield from stream_bytes(conn, 3_000_000)
             stats["retransmits"] = conn.retransmits
-            stats["final_ssthresh"] = conn.ssthresh
+            stats["final_ssthresh"] = conn.cc_algo.ssthresh
             conn.close()
 
         sim.process(server(sim))
@@ -484,7 +484,7 @@ class TestSenderDrain:
         sim, conn, sent = self.idle_connection()
         mss = conn.mss
         conn.srtt = 0.1
-        conn.cwnd = 64 * mss
+        conn.cc_algo.cwnd = 64 * mss
         assert conn.cc_algo.pacing_rate() is None  # two windows per RTT
         gap = 10 * mss / (2.0 * 64 * mss / conn.srtt)
         t0 = sim.now

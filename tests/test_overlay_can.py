@@ -11,7 +11,8 @@ from repro.exp.spec import ExperimentSpec, run_spec
 from repro.nat.types import NatType
 from repro.net.addresses import IPv4Address
 from repro.net.wan import WanCloud
-from repro.overlay.can import CanNode, HandleStore, NeighborInfo, _RouteOp
+from repro.overlay.can import CanNode, HandleStore, NeighborInfo
+from repro.overlay.can.routing import RouteOp, next_hops
 from repro.overlay.resources import ConnectionInfo
 from repro.overlay.rpc import RpcEndpoint, RpcError, RpcTimeout
 from repro.overlay.space import Zone
@@ -395,7 +396,7 @@ class TestHotZoneSplit:
 
 
 def reference_next_hop(node, point) -> int:
-    """The scalar greedy rule that ``CanNode._next_hops`` replaced, kept
+    """The scalar greedy rule that :func:`next_hops` replaced, kept
     here as the oracle: start from our own distance, walk the neighbors in
     insertion order, take one only when it is closer by more than 1e-15.
     Returns the neighbor's position in ``node.neighbors``, -1 for none."""
@@ -408,6 +409,11 @@ def reference_next_hop(node, point) -> int:
         if d < best_d - 1e-15:
             best_d, best = d, k
     return best
+
+
+def node_hops(node, pts):
+    """:func:`next_hops` from ``node``: indexes into ``node.neighbors``."""
+    return next_hops(node.zones, [i.zones for i in node.neighbors.values()], pts)
 
 
 def lone_node():
@@ -446,7 +452,7 @@ class TestBatchRouting:
 
         pts = rng.random((400, node.dims)).astype(np.float32).astype(np.float64)
         pts = np.vstack([pts, *(z.center() for z in node.zones)])
-        hops = node._next_hops(pts)
+        hops = node_hops(node, pts)
         expected = [reference_next_hop(node, tuple(p)) for p in pts.tolist()]
         assert hops.tolist() == expected
         assert len(neighbor_zones) - 1 not in expected  # the twin never wins a tie
@@ -462,25 +468,25 @@ class TestBatchRouting:
         far = Zone((0.5, 0.0), (0.75, 1.0))
         set_neighbors(node, [[Zone((0.25, 0.0), (0.5, 1.0))], [far], [far]])
         pts = np.array([[0.6, 0.5], [0.3, 0.5], [0.1, 0.5]])
-        assert node._next_hops(pts).tolist() == [1, 0, -1]
+        assert node_hops(node, pts).tolist() == [1, 0, -1]
         node.neighbors["n1"] = node.neighbors.pop("n1")  # now after n2
-        assert node._next_hops(pts).tolist() == [1, 0, -1]
+        assert node_hops(node, pts).tolist() == [1, 0, -1]
         assert node._next_hop((0.6, 0.5)).node_id == "n2"
 
     def test_no_neighbors_means_no_hop(self):
         node = lone_node()
         node.zones = [Zone((0.0, 0.0), (0.5, 1.0))]
-        assert node._next_hops(np.array([[0.7, 0.5], [0.2, 0.5]])).tolist() == [-1, -1]
+        assert node_hops(node, np.array([[0.7, 0.5], [0.2, 0.5]])).tolist() == [-1, -1]
         assert node._next_hop((0.7, 0.5)) is None
         node.zones = []  # not joined: infinitely far, any zone is closer
         set_neighbors(node, [[], [Zone.whole(2)]])
-        assert node._next_hops(np.array([[0.7, 0.5]])).tolist() == [1]
+        assert node_hops(node, np.array([[0.7, 0.5]])).tolist() == [1]
 
     def test_forwarded_sub_batches_are_plain_tuples_in_first_handle_order(self):
         """A batch is split per next hop, hops ordered by their first
         handle and handles in batch order; each sub-batch travels as a
         tuple of ints behind the first point as a tuple of floats — an
-        array body would change ``_RouteOp.size`` (ndarray has ``.size``)."""
+        array body would change ``RouteOp.size`` (ndarray has ``.size``)."""
         sim = Simulator(seed=21)
         _cloud, nodes = build_overlay(sim, 6)
         node, table = nodes[0], nodes[0].table
@@ -548,7 +554,7 @@ class TestHandleStore:
         store = HandleStore()
         store.update((2**40, 3))
         assert not hasattr(store, "size")
-        assert _RouteOp((0.5, 0.5), "put_ids", tuple(store)).size == 24 + 16 + 16
+        assert RouteOp((0.5, 0.5), "put_ids", tuple(store)).size == 24 + 16 + 16
 
 
 def test_quick_registration_storm_trajectory_is_pinned():
