@@ -288,6 +288,9 @@ class TcpConnection(Receiver, LossRecovery, RetransmitTimer):
 
         if self.state not in ("ESTABLISHED", "CLOSE_WAIT", "FIN_WAIT"):
             return
+        if seg.flags & SYN:  # a resent SYN-ACK: our handshake ACK was lost
+            self._send_ack()
+            return
 
         if seg.ack_flag:
             self._process_ack(seg)

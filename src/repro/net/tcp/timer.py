@@ -77,8 +77,8 @@ class RetransmitTimer:
 
     def _on_rto(self) -> None:
         self.timeouts += 1
-        if self.state == "SYN_SENT":
-            self._send_handshake()
+        if self.state in ("SYN_SENT", "SYN_RCVD"):
+            self._send_handshake()  # no data in flight: no congestion response
         else:
             flight = self.snd_nxt - self.snd_una
             self.cc_algo.on_rto(flight)

@@ -4,6 +4,7 @@ control, loss recovery, flow control, markers, teardown."""
 import pytest
 
 from repro.net.addresses import IPv4Address
+from repro.net.cc import INITIAL_CWND_SEGMENTS
 from repro.net.tcp import ConnectionReset, drain_bytes, stream_bytes
 from repro.scenarios.builder import host_pair
 from repro.sim import Simulator
@@ -76,6 +77,44 @@ class TestHandshake:
         sim.process(client(sim))
         sim.run(until=10)
         assert outcome == ["reset"]
+
+    def test_lost_handshake_ack_resends_the_syn_ack(self):
+        """The client's handshake ACK is lost. The server's SYN_RCVD timer
+        resends the SYN-ACK instead of running the data-path RTO, the
+        client answers it with an ACK, and the server establishes with
+        its initial window and no retransmit counted."""
+        sim = Simulator()
+        a, b, _link = host_pair(sim, latency=0.01, bandwidth_bps=None)
+        listener = b.tcp.listen(5001)
+        client = a.tcp.connect(B_IP, 5001)
+        emit, lost = client._emit, []
+
+        def drop_handshake_ack(seg):
+            if not lost and not seg.syn and seg.payload_size == 0:
+                lost.append(seg)
+            else:
+                emit(seg)
+
+        client._emit = drop_handshake_ack
+        accepted = listener.accept()
+        sim.run(until=0.5)
+        server = accepted.value
+        assert lost and client.state == "ESTABLISHED" and server.state == "SYN_RCVD"
+        server_emit, handshakes = server._emit, []
+
+        def record(seg):
+            if seg.syn:
+                handshakes.append((sim.now, seg.ack_flag))
+            server_emit(seg)
+
+        server._emit = record
+        sim.run(until=1.5)
+        assert len(handshakes) == 1 and handshakes[0][1]  # one SYN-ACK ...
+        assert 1.0 < handshakes[0][0] < 1.1  # ... when the 1 s timer fires
+        assert server.state == "ESTABLISHED"
+        assert server.cc_algo.cwnd == INITIAL_CWND_SEGMENTS * server.mss
+        assert (server.retransmits, server.timeouts) == (0, 1)
+        assert server.snd_nxt == 1 and client.dupacks == 0
 
     def test_syn_retransmission_survives_loss(self):
         # 30% loss: handshake must still complete via SYN retransmit.
