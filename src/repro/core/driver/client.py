@@ -190,10 +190,10 @@ class RendezvousClient:
         return result
 
     def connect_by_name(self, peer_name: str,
-                        options: Optional[ConnectOptions] = None, **attrs):
+                        options: Optional[ConnectOptions] = None):
         """Process: query then connect to the named peer."""
         opts = resolve_options(options, ConnectOptions, "connect_by_name")
-        records = yield from self.query_resources(limit=64, **attrs)
+        records = yield from self.query_resources(limit=64)
         for record in records:
             if record.host_name == peer_name:
                 conn = yield from self.connect(record, options=opts)

@@ -86,12 +86,12 @@ class Routing:
                             np.asarray([point], dtype=np.float64))[0])
         return None if hop < 0 else infos[hop]
 
-    def route(self, op: str, point: Point, body: Any, timeout: float = 5.0):
+    def route(self, op: str, point: Point, body: Any):
         """Process: execute ``op`` at the owner of ``point``; returns result."""
         request = RouteOp(point, op, body)
         if self.owns(point):
             return self._execute(request)
-        result = yield from self._forward(request, timeout)
+        result = yield from self._forward(request, 5.0)
         return result
 
     def _forward(self, op: RouteOp, timeout: float = 2.0):
