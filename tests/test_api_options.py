@@ -14,6 +14,7 @@ from repro.apps.ab import ApacheBench
 from repro.apps.ttcp import ttcp_transfer
 from repro.net.addresses import IPv4Address
 from repro.scenarios.builder import host_pair
+from repro.scenarios.fluid import fluid_fanout
 
 
 def test_top_level_api_surface():
@@ -46,6 +47,22 @@ def test_wrong_options_type_raises():
                         options=ConnectOptions())
     with pytest.raises(TypeError, match="ttcp_transfer.*TransferOptions"):
         next(gen)  # generator body (and the check) runs on first advance
+
+
+def test_fidelity_is_checked_in_one_place():
+    """An unknown fidelity is one ValueError, from the options bundle or a
+    fidelity-taking scenario; a fluid run without a fluid network is one
+    RuntimeError."""
+    with pytest.raises(ValueError, match="unknown fidelity 'quantum'"):
+        TransferOptions(fidelity="quantum")
+    with pytest.raises(ValueError, match="unknown fidelity 'quantum'"):
+        fluid_fanout(fidelity="quantum")
+    sim = Simulator(seed=1)
+    a, _b, _link = host_pair(sim)
+    gen = ttcp_transfer(a, IPv4Address("10.0.0.2"), 1000,
+                        options=TransferOptions(fidelity="fluid"))
+    with pytest.raises(RuntimeError, match="requires a FluidNetwork"):
+        next(gen)
 
 
 def test_driver_connect_options_bundle():
