@@ -18,6 +18,7 @@ The medium model:
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
 from typing import Callable, Optional, Protocol
 
@@ -25,7 +26,6 @@ from repro.net.addresses import MacAddress
 from repro.net.packet import EthernetFrame
 from repro.sim.engine import Simulator
 from repro.sim.lifecycle import Component
-from repro.sim.queues import Serializer
 
 __all__ = ["Bridge", "Link", "Port", "Switch", "patch"]
 
@@ -77,70 +77,103 @@ def patch(a: Port, b: Port) -> None:
 
 
 class _Pipe:
-    """One direction of a link: queue -> serializer -> propagation.
+    """One direction of a link: drop-tail FIFO -> transmitter -> propagation.
 
-    The queue and serializer are one :class:`~repro.sim.queues.Serializer`
-    station whose service time is the frame's transmission time at the
-    current bandwidth; the pipe adds admin state in front of it and
-    accounting, loss and propagation behind it:
+    ``busy_until`` is when the transmitter finishes the last frame it
+    started; a frame offered before then waits in ``queue`` (``capacity``
+    waiting plus the one in service, beyond that dropped and counted in
+    ``drops``). Calendar entries per frame:
 
-    * **Unshaped** — with ``bandwidth_bps`` unset the station holds
-      nothing: one calendar entry per frame (the delivery), zero Events.
-    * **Shaped** — an idle station starts the frame at once; completion
-      pulls the next frame off the drop-tail queue. Two entries per frame.
+    * **Idle and lossless** — arrival scheduled at once for ``start + tx +
+      latency``: one entry. Unshaped (``tx = 0``), loss is drawn at once.
+    * **Queued** — a completion entry armed at ``busy_until`` starts it,
+      so a reshape re-times only the frames still waiting: two entries.
+    * **Lossy** — a frame started while ``loss > 0`` keeps a completion
+      entry, which draws its loss when serialization ends: two entries.
 
-    Frames serialize strictly in order, loss is drawn after
-    serialization, and reshaping mid-frame lets the in-service frame
-    finish at the old rate.
+    A frame takes the latency and loss in force when it starts serializing
+    (DESIGN §9, idle-link bypass legality). ``bytes_sent``/``frames_sent``
+    count the frame in service once its transmission time has passed.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        dst: Port,
-        latency: float,
-        bandwidth_bps: Optional[float],
-        queue_capacity: int,
-        loss: float,
-        loss_rng,
-        name: str,
-    ) -> None:
+    def __init__(self, sim: Simulator, dst: Port, latency: float,
+                 bandwidth_bps: Optional[float], queue_capacity: int, loss: float,
+                 loss_rng, name: str) -> None:
         self.sim = sim
         self.dst = dst
         self.latency = latency
         self.bandwidth_bps = bandwidth_bps
+        self.capacity = queue_capacity
         self.loss = loss
         self._loss_rng = loss_rng
         self.name = name
-        self.queue = Serializer(sim, queue_capacity, self._tx_time, self._emit)
+        self.queue: deque[EthernetFrame] = deque()
+        self.busy_until = 0.0
         self.up = True  # admin state, mirrored from the owning Link
-        self.bytes_sent = 0
-        self.frames_sent = 0
+        self.drops = 0
         self.frames_lost = 0
         self.frames_dropped_down = 0  # offered while admin-down
+        self._bytes = self._frames = 0  # every started frame, in service included
+        self._last_size = 0
+        self._armed = False  # a completion entry is on the calendar
+        self._lossy = None  # (frame, arrival, loss) awaiting its draw
+        self._complete_cb = self._complete  # bind once, not per frame
+
+    @property
+    def bytes_sent(self) -> int:
+        return self._bytes - (self._last_size if self.sim.now < self.busy_until else 0)
+
+    @property
+    def frames_sent(self) -> int:
+        return self._frames - (self.sim.now < self.busy_until)
 
     def send(self, frame: EthernetFrame) -> None:
         if not self.up:
             self.frames_dropped_down += 1
-            return
-        self.queue.offer(frame)  # drop-tail on overflow (counted by the station)
+        elif not self._armed and self.sim.now >= self.busy_until:
+            self._start(frame)
+        elif len(self.queue) < self.capacity:
+            self.queue.append(frame)
+            if not self._armed:
+                self._arm()
+        else:
+            self.drops += 1
 
-    @property
-    def drops(self) -> int:
-        return self.queue.drops
+    def _arm(self) -> None:
+        self._armed = True
+        self.sim.call_at(self.busy_until, self._complete_cb)
 
-    def _tx_time(self, frame: EthernetFrame) -> Optional[float]:
+    def _start(self, frame: EthernetFrame) -> None:
+        now = self.sim.now
+        size = self._last_size = frame.size
+        self._bytes += size
+        self._frames += 1
         bw = self.bandwidth_bps
-        return bw and frame.size * 8.0 / bw
-
-    def _emit(self, frame: EthernetFrame) -> None:
-        """Post-serialization half: accounting, loss, propagation."""
-        self.bytes_sent += frame.size
-        self.frames_sent += 1
-        if self.loss > 0.0 and self._loss_rng.random() < self.loss:
-            self.frames_lost += 1
+        end = self.busy_until = now + size * 8.0 / bw if bw else now
+        if end > now and self.loss > 0.0:
+            self._lossy = (frame, end + self.latency, self.loss)
+            self._arm()
             return
-        self.sim.call_in(self.latency, partial(self.dst.deliver, frame))
+        self._land(frame, end + self.latency, self.loss)
+        if end > now and self.queue:
+            self._arm()
+
+    def _land(self, frame: EthernetFrame, arrival: float, loss: float) -> None:
+        if loss > 0.0 and self._loss_rng.random() < loss:
+            self.frames_lost += 1
+        else:
+            self.sim.call_at(arrival, partial(self.dst.deliver, frame))
+
+    def _complete(self) -> None:
+        """``busy_until`` has come: draw a lossy frame's loss, start the next."""
+        self._armed = False
+        if self._lossy is not None:
+            lossy, self._lossy = self._lossy, None
+            self._land(*lossy)
+        # A loop in case the pipe was unshaped while frames waited.
+        queue = self.queue
+        while queue and not self._armed:
+            self._start(queue.popleft())
 
 
 class Link(Component):

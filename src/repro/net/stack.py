@@ -1,9 +1,9 @@
 """Per-host network stack: interfaces, ARP, routing, forwarding.
 
 A :class:`NetworkStack` owns one or more :class:`Interface` objects, an
-ARP cache, a longest-prefix-match routing table, and the three transport
-layers. :class:`Host` is a stack with forwarding disabled;
-:class:`Router` forwards.
+ARP cache, a longest-prefix-match routing table answered from a
+per-destination cache, and the three transport layers. :class:`Host` is
+a stack with forwarding disabled; :class:`Router` forwards.
 
 The stack is deliberately interface-agnostic about what its ports attach
 to — a wired :class:`~repro.net.l2.Link`, a software bridge port, or a
@@ -39,6 +39,7 @@ __all__ = ["Host", "Interface", "NetworkStack", "Route", "Router"]
 ARP_TIMEOUT = 1.0
 ARP_RETRIES = 3
 ARP_CACHE_TTL = 600.0
+_UNCACHED = object()  # lookup_route's miss marker: None is a cached answer
 
 
 class Interface:
@@ -56,15 +57,19 @@ class Interface:
         self.tx_frames = 0
 
     def configure(self, ip: IPv4Address | str, network: IPv4Network | str) -> "Interface":
-        self.ip = IPv4Address(ip)
-        self.network = IPv4Network(network) if isinstance(network, str) else network
-        if self.ip not in self.network:
-            raise ValueError(f"{self.ip} not in {self.network}")
+        ip = IPv4Address(ip)
+        network = IPv4Network(network) if isinstance(network, str) else network
+        if ip not in network:
+            raise ValueError(f"{ip} not in {network}")
+        self.ip = ip
+        self.network = network
+        self.stack._flush_caches()
         return self
 
     def deconfigure(self) -> None:
         self.ip = None
         self.network = None
+        self.stack._flush_caches()
 
     # Port owner protocol -------------------------------------------------
     def on_frame(self, frame: EthernetFrame, port: Port) -> None:
@@ -120,6 +125,7 @@ class NetworkStack:
         self.packets_received = 0
         self.packets_forwarded = 0
         self.packets_dropped = 0
+        self._flush_caches()
 
     # -- configuration ------------------------------------------------------
     def add_interface(self, name: str, mac: MacAddress) -> Interface:
@@ -139,6 +145,16 @@ class NetworkStack:
         gw = IPv4Address(gateway) if isinstance(gateway, str) else gateway
         self.routes.append(Route(net, iface, gw, metric))
         self.routes.sort(key=lambda r: (-r.network.prefix_len, r.metric))
+        self._flush_caches()
+
+    def _flush_caches(self) -> None:
+        """Rebuild what is derived from the routes and interface addresses:
+        ``lookup_route``'s per-destination answers, and ``_own``, the
+        addresses delivered locally (each address and its subnet
+        broadcast). Every writer of either calls this after its change."""
+        self._route_for: dict[IPv4Address, Optional[Route]] = {}
+        self._own = {a for i in self.interfaces if i.ip is not None
+                     for a in (i.ip, i.network.broadcast)}
 
     def connected_route_for(self, iface: Interface) -> None:
         """Add the directly-connected route implied by the iface config."""
@@ -147,10 +163,11 @@ class NetworkStack:
         self.add_route(iface.network, iface)
 
     def lookup_route(self, dst: IPv4Address) -> Optional[Route]:
-        for route in self.routes:
-            if dst in route.network:
-                return route
-        return None
+        route = self._route_for.get(dst, _UNCACHED)
+        if route is _UNCACHED:
+            route = self._route_for[dst] = next(
+                (r for r in self.routes if dst in r.network), None)
+        return route
 
     def source_ip_for(self, dst: IPv4Address) -> IPv4Address:
         """Source address selection: the out-interface's address."""
@@ -262,24 +279,12 @@ class NetworkStack:
                 self.packets_dropped += 1
                 return
             packet = maybe
-        if self._is_local(packet.dst) or packet.dst.is_broadcast or self._is_subnet_broadcast(packet.dst):
+        if packet.dst.is_broadcast or packet.dst in self._own:
             self.deliver_local(packet)
         elif self.forwarding:
             self.forward(packet)
         else:
             self.packets_dropped += 1
-
-    def _is_local(self, ip: IPv4Address) -> bool:
-        for iface in self.interfaces:
-            if iface.ip == ip:
-                return True
-        return False
-
-    def _is_subnet_broadcast(self, ip: IPv4Address) -> bool:
-        for iface in self.interfaces:
-            if iface.network is not None and ip == iface.network.broadcast:
-                return True
-        return False
 
     def deliver_local(self, packet: IPv4Packet) -> None:
         self.packets_received += 1

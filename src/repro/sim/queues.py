@@ -6,9 +6,10 @@ FIFO whose ``get()``/``put()`` return events a process can ``yield`` on
 
 :class:`Serializer` is for code that *reacts*: a drop-tail waiting room in
 front of a single server that calls ``done(item)`` when each item's service
-time has elapsed — a link's transmitter, a tap's ``read()`` loop, a
-user-level stack's CPU. It runs on the kernel fast lane: no process, one
-calendar entry per served item.
+time has elapsed — a tap's ``read()`` loop, a user-level stack's CPU. It
+runs on the kernel fast lane: no process, one calendar entry per served
+item. A link does not sit behind one: its ``done`` would only schedule
+the arrival, so ``net.l2._Pipe`` schedules that directly.
 """
 
 from __future__ import annotations

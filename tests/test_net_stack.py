@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.net.addresses import IPv4Address, IPv4Network, mac_factory
+from repro.net.addresses import IPv4Address, IPv4Network, MacAddress, mac_factory
 from repro.net.icmp import Pinger
 from repro.net.l2 import Link
-from repro.net.packet import Payload
+from repro.net.packet import ETHERTYPE_IPV4, EthernetFrame, Payload, UdpDatagram, ipv4
 from repro.net.stack import Host, Router
 from repro.scenarios.builder import host_pair, make_lan
 from repro.sim import Simulator
@@ -253,3 +253,77 @@ class TestUdpHandlerSockets:
         sock.sendto(self.DST, 5000, Payload(10, data="handled"))
         sim.run()
         assert got == ["handled"] and b.udp.rx_unmatched == 1
+
+
+class TestStackCaches:
+    """``lookup_route`` and the "is this address mine?" test answer from
+    caches; every route or address change must reach the next packet."""
+
+    def build(self, sim):
+        """A host with eth0 (10.0.0.1/24) and eth1 (10.1.0.1/24), each port
+        recording what it transmits, and ARP answers for both gateways."""
+        host = Host(sim, "h", mac_factory())
+        wires = {}
+        for name, ip, net in (("eth0", "10.0.0.1", "10.0.0.0/24"),
+                              ("eth1", "10.1.0.1", "10.1.0.0/24")):
+            iface = host.add_nic(name).configure(ip, net)
+            host.stack.connected_route_for(iface)
+            wires[name] = []
+            iface.port.connect(wires[name].append)
+        for gw in ("10.0.0.254", "10.1.0.254"):
+            host.stack.arp_cache[IPv4Address(gw)] = (MacAddress(0xFE), 0.0)
+        host.stack.add_route("0.0.0.0/0", host.stack.interface("eth0"),
+                             gateway="10.0.0.254")
+        return host, wires
+
+    def send(self, host, dst):
+        pkt = ipv4(host.stack.ips[0], IPv4Address(dst), UdpDatagram(1, 2, Payload(10)))
+        host.stack.send_ip(pkt)
+
+    def receive(self, host, dst):
+        """Hand eth0 a UDP packet for ``dst``; True if the stack kept it."""
+        iface = host.stack.interface("eth0")
+        pkt = ipv4(IPv4Address("10.0.0.9"), IPv4Address(dst), UdpDatagram(1, 2, Payload(10)))
+        before = host.stack.packets_received
+        host.stack.receive_frame(iface, EthernetFrame(MacAddress(9), iface.mac,
+                                                      ETHERTYPE_IPV4, pkt))
+        return host.stack.packets_received == before + 1
+
+    def test_route_added_after_traffic_steers_the_next_packet(self):
+        sim = Simulator()
+        host, wires = self.build(sim)
+        self.send(host, "8.8.8.8")
+        assert (len(wires["eth0"]), len(wires["eth1"])) == (1, 0)
+        host.stack.add_route("8.8.8.0/24", host.stack.interface("eth1"),
+                             gateway="10.1.0.254")
+        self.send(host, "8.8.8.8")
+        assert (len(wires["eth0"]), len(wires["eth1"])) == (1, 1)
+
+    def test_readdressed_interface_owns_only_its_new_address(self):
+        """The DHCP / migration path: configure() over a live address."""
+        sim = Simulator()
+        host, _wires = self.build(sim)
+        assert self.receive(host, "10.0.0.1") and self.receive(host, "10.0.0.255")
+        host.stack.interface("eth0").configure("10.0.5.7", "10.0.5.0/24")
+        assert not self.receive(host, "10.0.0.1")
+        assert not self.receive(host, "10.0.0.255")
+        assert self.receive(host, "10.0.5.7") and self.receive(host, "10.0.5.255")
+
+    def test_deconfigured_interface_owns_nothing(self):
+        sim = Simulator()
+        host, _wires = self.build(sim)
+        assert self.receive(host, "10.0.0.1")
+        host.stack.interface("eth0").deconfigure()
+        assert not self.receive(host, "10.0.0.1")
+        assert self.receive(host, "10.1.0.1")
+
+    def test_rejected_configure_keeps_the_previous_address(self):
+        sim = Simulator()
+        host, _wires = self.build(sim)
+        iface = host.stack.interface("eth0")
+        with pytest.raises(ValueError):
+            iface.configure("10.9.9.9", "10.0.0.0/24")
+        assert iface.ip == IPv4Address("10.0.0.1")
+        assert iface.network == IPv4Network("10.0.0.0/24")
+        assert not self.receive(host, "10.9.9.9")
+        assert self.receive(host, "10.0.0.1")
