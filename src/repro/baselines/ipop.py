@@ -255,10 +255,6 @@ class IpopNode:
     # ------------------------------------------------------------------
     # user-level packet processing
     # ------------------------------------------------------------------
-    @property
-    def cpu_drops(self) -> int:
-        return self._cpu.drops
-
     def _process(self, step, item, cost: float) -> None:
         """Run ``step(item)`` once the CPU has spent ``cost`` seconds
         (plus jitter, drawn as the work enters service) on it."""

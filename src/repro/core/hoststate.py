@@ -46,6 +46,7 @@ _NAT_TYPES = list(NatType)
 _GEN_SHIFT = 32
 _ID_MASK = (1 << _GEN_SHIFT) - 1
 _INITIAL_CAPACITY = 256  # rows; columns double from here
+_BELOW_ONE = np.nextafter(np.float32(1.0), np.float32(0.0))
 
 
 class HostTable:
@@ -66,7 +67,7 @@ class HostTable:
         self._capacity = _INITIAL_CAPACITY
         self._n = 0
         self._ids: dict[str, int] = {}
-        self._names: list[Optional[str]] = []
+        self._names: list[str] = []
         self._alloc(self._capacity)
         m = sim.metrics.scope("hosttable")
         self._m_registered = m.counter("registered")
@@ -128,10 +129,7 @@ class HostTable:
         return self._ids.get(name, -1)
 
     def name_of(self, host_id: int) -> str:
-        name = self._names[host_id]
-        if name is None:
-            raise KeyError(f"host_id {host_id} is unnamed")
-        return name
+        return self._names[host_id]
 
     # -- handles (generation-checked cross-layer references) -----------
     def handle(self, host_id: int) -> int:
@@ -172,6 +170,23 @@ class HostTable:
             self._g_rows.set(self._n)
         return host_id
 
+    def ensure_rows(self, names) -> np.ndarray:
+        """:meth:`ensure_row` for a batch of names, as int64 row ids.
+        ``_names`` grows one ``append`` at a time, as row by row: the
+        storm's ``steady_state_bytes`` counts its over-allocation."""
+        new = [n for n in dict.fromkeys(names) if n not in self._ids]
+        if new:
+            n = self._n + len(new)
+            if n > self._capacity:
+                self._grow(n)
+            self._ids.update(zip(new, range(self._n, n)))
+            self._n = n
+            for name in new:
+                self._names.append(name)
+            self._g_rows.set(self._n)
+        return np.fromiter(map(self._ids.__getitem__, names),
+                           dtype=np.int64, count=len(names))
+
     def register(self, name: str, conn: ConnectionInfo, attrs: dict,
                  reach: tuple, now: float, owner: int = -1,
                  region: int = -1) -> int:
@@ -211,8 +226,7 @@ class HostTable:
         parallel per-endpoint columns; ``rendezvous``/``reach`` are
         shared (IPv4Address, port) endpoints. Returns the row ids.
         """
-        ids = np.fromiter((self.ensure_row(n) for n in names),
-                          dtype=np.int64, count=len(names))
+        ids = self.ensure_rows(names)
         self.public_ip[ids] = public_ip
         self.public_port[ids] = public_port
         self.private_ip[ids] = private_ip
@@ -241,7 +255,8 @@ class HostTable:
         highs = np.array([hi for _n, _lo, hi in self.spec.attributes],
                          dtype=np.float32)
         x = (np.asarray(attr_values, dtype=np.float32) - lows) / (highs - lows)
-        return np.clip(x, 0.0, 1.0 - 1e-9)
+        # Below 1.0 in float32 (1.0 - 1e-9 rounds up to it): no zone [lo, hi) holds 1.0.
+        return np.clip(x, 0.0, _BELOW_ONE)
 
     def set_attrs(self, host_id: int, attrs: dict) -> None:
         """Single-row attribute update: project the named attributes
@@ -308,15 +323,11 @@ class HostTable:
         """Fault verb support: endpoints went dark. Their registrations
         drop immediately (the storm re-registers them later); row data
         survives so reconnection needs no side channel."""
-        count = 0
-        for name in names:
-            host_id = self._ids.get(name)
-            if host_id is None:
-                continue
-            if self.flags[host_id] & FLAG_REGISTERED:
-                self.unregister(host_id)
-                count += 1
-        return count
+        ids = np.fromiter({self._ids[n] for n in names if n in self._ids}, dtype=np.int64)
+        live = ids[(self.flags[ids] & FLAG_REGISTERED) != 0]
+        self.flags[live] &= np.uint8(~FLAG_REGISTERED & 0xFF)
+        self.owner[live] = -1
+        return len(live)
 
     # -- selection (vectorized) ----------------------------------------
     def registered_ids(self, owner: Optional[int] = None) -> np.ndarray:
@@ -337,14 +348,17 @@ class HostTable:
             mask &= (self.flags[:n] & FLAG_REGISTERED) != 0
         return [self._names[i] for i in np.nonzero(mask)[0]]
 
-    def in_zone(self, zone, ids: np.ndarray) -> np.ndarray:
-        """Boolean mask over ``ids``: rows whose CAN coordinates fall
-        inside ``zone`` — the one vectorized containment test behind
-        per-zone load, zone handoffs and batch self-partitioning."""
-        pts = self.coords[ids]
-        mask = np.ones(len(ids), dtype=bool)
+    def in_zones(self, zones, ids: np.ndarray) -> np.ndarray:
+        """``[j, i]``: row ``ids[i]``'s CAN coordinates fall in
+        ``zones[j]`` — the one containment test, one gather per call.
+        Float32 bounds: what a float32 point compares a float against."""
+        pts = np.ascontiguousarray(self.coords[ids].T)
+        lows = np.array([z.lows for z in zones], dtype=np.float32).reshape(-1, self._dims)
+        highs = np.array([z.highs for z in zones], dtype=np.float32).reshape(-1, self._dims)
+        mask = np.ones((len(zones), len(ids)), dtype=bool)
         for d in range(self._dims):
-            mask &= (pts[:, d] >= zone.lows[d]) & (pts[:, d] < zone.highs[d])
+            mask &= pts[d] >= lows[:, d, None]
+            mask &= pts[d] < highs[:, d, None]
         return mask
 
     # -- record / connection-info reconstruction -----------------------

@@ -75,10 +75,6 @@ class PingResult:
     def received(self) -> int:
         return self.sent - self.lost
 
-    @property
-    def loss_rate(self) -> float:
-        return self.lost / self.sent if self.sent else 0.0
-
     def mean_rtt(self) -> float:
         return sum(self.rtts) / len(self.rtts) if self.rtts else float("nan")
 

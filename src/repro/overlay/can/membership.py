@@ -288,13 +288,19 @@ class Membership:
                 < max(1, self.hot_zone_limit // 4)):
             return
         self._split_mark = len(self.handles)
-        for zone in list(self.zones):
-            load = self.zone_load(zone)
+        # Every zone's load from one gather; a shed half leaves ``inside``.
+        zones = list(self.zones)
+        ids, inside = self._live_in(zones)
+        for zone, in_zone in zip(zones, inside):
+            rows = in_zone.nonzero()[0]
+            load = len(rows)
             if load <= self.hot_zone_limit:
                 continue
             keep, shed = zone.split()
-            if self.zone_load(shed) < self.zone_load(keep):
+            halves = self.table.in_zones([keep, shed], ids[rows])
+            if halves[1].sum() < halves[0].sum():
                 keep, shed = shed, keep
+                halves = halves[::-1]
             abutting = sorted(self._abutting([shed]))
             if not abutting:
                 continue
@@ -302,6 +308,7 @@ class Membership:
             self.zones.remove(zone)
             self.zones.append(keep)
             shed_handles = self._extract_handles(shed)
+            inside[:, rows[halves[1]]] = False
             self._m_splits.add()
             self.sim.trace.event("can.split", node=self.node_id,
                                  load=load, target=target.node_id,
@@ -358,8 +365,9 @@ class Membership:
                 or not self.joined or len(self.zones) <= 1):
             return
         low_water = max(1, self.hot_zone_limit // 4)
-        for zone in list(self.zones):
-            if self.zone_load(zone) > low_water:
+        zones = list(self.zones)
+        for zone, in_zone in zip(zones, self._live_in(zones)[1]):
+            if in_zone.sum() > low_water:
                 continue
             candidates = sorted(self._abutting([zone], Zone.can_merge))
             if not candidates:

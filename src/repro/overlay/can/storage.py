@@ -27,55 +27,76 @@ from repro.overlay.space import Point, Zone
 HOST_TTL = 60.0  # the one liveness horizon: directory answers and expiry
 
 
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _present(arr: np.ndarray, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slots of ``batch`` in the sorted ``arr``, and which of them hold it."""
+    slots = np.searchsorted(arr, batch)
+    if not len(arr):
+        return slots, np.zeros(len(batch), dtype=bool)
+    return slots, arr.take(slots, mode="clip") == batch
+
+
 class HandleStore:
     """The directory's handle store: a sorted, duplicate-free int64
-    array behind the few set operations the protocol uses. A batch is
-    merged with one ``searchsorted`` and one ``np.insert``, removed with
-    one ``searchsorted`` and one ``np.delete`` — never a whole-store
-    union or membership pass. Iteration yields Python ints in sorted
-    order. No ``size`` attribute: ``RouteOp.size`` would read it."""
+    ``.array`` behind the few set operations the protocol uses. Writes
+    do not copy the store: it is a sorted base plus a small sorted delta
+    disjoint from it, merged when the delta outgrows a sixteenth of the
+    base or ``.array`` is read; a merge is a stable sort of the two
+    runs' concatenation, which timsort does in one linear pass. ``len``,
+    ``in`` and sorted iteration (Python ints) are exact between writes.
+    No ``size`` attribute: ``RouteOp.size`` would read it."""
 
-    __slots__ = ("array",)
+    __slots__ = ("_base", "_delta")
 
     def __init__(self) -> None:
-        self.array = np.empty(0, dtype=np.int64)
+        self._base = self._delta = _EMPTY
+
+    @property
+    def array(self) -> np.ndarray:
+        self._merge()
+        return self._base
+
+    def _merge(self) -> None:
+        if len(self._delta):
+            self._base = np.sort(np.concatenate((self._base, self._delta)), kind="stable")
+            self._delta = _EMPTY
 
     def __len__(self) -> int:
-        return len(self.array)
+        return len(self._base) + len(self._delta)
 
     def __iter__(self):
         return iter(self.array.tolist())
 
     def __contains__(self, handle) -> bool:
-        i = int(np.searchsorted(self.array, handle))
-        return i < len(self.array) and int(self.array[i]) == handle
-
-    def _present(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Slots of ``batch`` in the store, and which of them hold it."""
-        slots = np.searchsorted(self.array, batch)
-        hit = slots < len(self.array)
-        hit[hit] = self.array[slots[hit]] == batch[hit]
-        return slots, hit
+        batch = np.array([handle], dtype=np.int64)
+        return bool(_present(self._base, batch)[1][0] or _present(self._delta, batch)[1][0])
 
     def update(self, handles) -> None:
         # Sort and drop repeats by hand: a bare ``np.unique`` (NumPy 2.4)
         # imports ``numpy.ma`` on first use, 1.6 MB of RSS in runs that
         # never needed it.
         batch = np.sort(np.asarray(handles, dtype=np.int64))
-        first = np.ones(len(batch), dtype=bool)
-        first[1:] = batch[1:] != batch[:-1]
-        batch = batch[first]
-        slots, hit = self._present(batch)
-        if not hit.all():
-            self.array = np.insert(self.array, slots[~hit], batch[~hit])
+        new = np.ones(len(batch), dtype=bool)
+        new[1:] = batch[1:] != batch[:-1]
+        new &= ~_present(self._base, batch)[1]
+        new &= ~_present(self._delta, batch)[1]
+        if new.any():
+            self._delta = np.sort(np.concatenate((self._delta, batch[new])), kind="stable")
+            if 16 * len(self._delta) > len(self._base):
+                self._merge()
 
     def difference_update(self, handles) -> None:
-        slots, hit = self._present(np.asarray(handles, dtype=np.int64))
-        if hit.any():
-            self.array = np.delete(self.array, slots[hit])
+        batch = np.asarray(handles, dtype=np.int64)
+        for half in ("_base", "_delta"):
+            arr = getattr(self, half)
+            slots, hit = _present(arr, batch)
+            if hit.any():
+                setattr(self, half, np.delete(arr, slots[hit]))
 
     def clear(self) -> None:
-        self.array = np.empty(0, dtype=np.int64)
+        self._base = self._delta = _EMPTY
 
 
 class Storage:
@@ -107,9 +128,7 @@ class Storage:
         """Store what we own: (how many, a process forwarding the rest or None)."""
         arr = np.asarray(handles, dtype=np.int64)
         ids = self.table.handle_ids(arr)
-        own = np.zeros(len(arr), dtype=bool)
-        for zone in self.zones:
-            own |= self.table.in_zone(zone, ids)
+        own = self.table.in_zones(self.zones, ids).any(axis=0)
         mine = arr[own]
         if len(mine):
             self.handles.update(mine)
@@ -191,7 +210,7 @@ class Storage:
 
     def _on_replica_ids(self, payload: tuple, _src_ip, _src_port):
         owner_id, handles = payload
-        batch = np.asarray(handles, dtype=np.int64)
+        batch = np.sort(np.asarray(handles, dtype=np.int64))  # sorted keys search faster
         # One copy per handle, filed under its latest owner: entries that
         # moved (shed, re-merged, taken over) leave the old owner's store.
         for other, copies in self.handle_replicas.items():
@@ -220,6 +239,11 @@ class Storage:
         ids = self.table.handle_ids(handles[self.table.valid_mask(handles)])
         return ids[self.table.last_seen[ids] > self.sim.now - self.record_ttl]
 
+    def _live_in(self, zones) -> tuple[np.ndarray, np.ndarray]:
+        """Live entries' table ids, and which of ``zones`` holds each: one gather."""
+        ids = self._live_ids(self.handles.array)
+        return ids, self.table.in_zones(zones, ids)
+
     def _handle_records(self, point: Point, limit: int) -> tuple:
         """Build ResourceRecords for the ``limit`` live table handles
         nearest ``point`` — the only rows a query forces out of columnar
@@ -230,20 +254,15 @@ class Storage:
         top = np.lexsort((ids, d2))[:limit]
         return tuple(self.table.record(int(ids[k])) for k in top)
 
-    def _handles_in(self, zone: Zone) -> np.ndarray:
-        """Stored handles whose CAN coordinates fall inside ``zone`` —
-        what a join grant, a split or a re-merge hands over, and what
-        :meth:`zone_load` counts."""
-        arr = self.handles.array
-        return arr[self.table.in_zone(zone, self.table.handle_ids(arr))]
-
     def _extract_handles(self, zone: Zone) -> tuple:
-        """Remove and return the handles falling inside ``zone`` — the
-        transferable half of a join, split or re-merge handoff."""
-        handles = self._handles_in(zone)
+        """Remove and return the stored handles whose CAN coordinates
+        fall inside ``zone`` — what a join grant, a split or a re-merge
+        hands over."""
+        arr = self.handles.array
+        handles = arr[self.table.in_zones([zone], self.table.handle_ids(arr))[0]]
         self.handles.difference_update(handles)
         return tuple(handles.tolist())
 
     def zone_load(self, zone: Zone) -> int:
         """Live directory entries in one zone."""
-        return len(self._live_ids(self._handles_in(zone)))
+        return int(self._live_in([zone])[1].sum())

@@ -22,6 +22,8 @@ from __future__ import annotations
 import bisect
 from zlib import crc32
 
+import numpy as np
+
 __all__ = ["HashRing"]
 
 VNODES = 64
@@ -41,6 +43,7 @@ class HashRing:
                 self._ring.append((crc32(f"{name}#{v}".encode()), idx))
         self._ring.sort()
         self._keys = [h for h, _ in self._ring]
+        self._key_array, self._owner_array = np.array(self._ring, dtype=np.int64).T
 
     def index(self, name: str) -> int:
         """Primary server index for ``name``: the first ring vnode
@@ -48,6 +51,13 @@ class HashRing:
         h = crc32(name.encode())
         return self._ring[bisect.bisect_right(self._keys, h)
                           % len(self._ring)][1]
+
+    def indices(self, names) -> np.ndarray:
+        """:meth:`index` of each name, one ``searchsorted`` for all."""
+        hashes = np.fromiter(map(crc32, map(str.encode, names)),
+                             dtype=np.int64, count=len(names))
+        slots = np.searchsorted(self._key_array, hashes, side="right")
+        return self._owner_array[slots % len(self._ring)]
 
     def order(self, name: str) -> list[int]:
         """All server indices in ring-successor order from ``name``'s

@@ -70,8 +70,7 @@ class StormLane:
         # Server assignment is the fleet's static consistent hash,
         # computed through the env's ring; one ascending index array of
         # this lane's endpoints per server.
-        assigned = np.fromiter(map(env.assign_rendezvous, self.names),
-                               dtype=np.int64, count=count)
+        assigned = env.ring.indices(self.names)
         self._groups: dict[int, np.ndarray] = {
             int(idx): np.flatnonzero(assigned == idx)
             for idx in np.unique(assigned)}
@@ -96,7 +95,7 @@ class StormLane:
 
     def _batch(self, ks: np.ndarray) -> _RegisterBatch:
         return _RegisterBatch(
-            names=tuple(self.names[k] for k in ks),
+            names=tuple(map(self.names.__getitem__, ks.tolist())),
             public_ip=self.public_ip[ks],
             public_port=self.public_port[ks],
             private_ip=self.private_ip[ks],
@@ -184,12 +183,17 @@ def steady_state_bytes(env: WavnetEnvironment) -> int:
     name strings, and the row-id ints the dict holds as values (ints
     above 256 are not interned); and the CAN handle stores, primaries
     and replicas, each its int64 array's ``nbytes``. Built-host object
-    stacks are deliberately excluded — they are the non-idle hosts."""
+    stacks are deliberately excluded — they are the non-idle hosts.
+
+    ``sys.getsizeof`` of the dict and list counts their over-allocation,
+    so the total (and the storm's payload) depends on how they grew:
+    row admission must grow ``_names`` one ``append`` at a time, never
+    with ``extend``."""
     table = env.table
     total = table.nbytes
     total += sys.getsizeof(table._ids) + sys.getsizeof(table._names)
-    total += sum(sys.getsizeof(n) for n in table._names if n is not None)
-    total += sum(sys.getsizeof(i) for i in table._ids.values() if i > 256)
+    total += sum(map(sys.getsizeof, table._names))
+    total += sum(map(sys.getsizeof, filter((256).__lt__, table._ids.values())))
     for server in env.rendezvous:
         can = server.can
         total += can.handles.array.nbytes

@@ -1,7 +1,11 @@
 """Tests for the rendezvous fleet: the consistent-hash ring and how
 ``WavnetEnvironment.add_host`` assigns hosts to servers."""
 
+from zlib import crc32
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.overlay.fleet import HashRing
 from repro.scenarios.wavnet_env import WavnetEnvironment
@@ -21,6 +25,21 @@ class TestHashRing:
             order = ring.order(endpoint)
             assert sorted(order) == [0, 1, 2, 3]
             assert order[0] == ring.index(endpoint)
+
+    @given(names=st.lists(st.text(st.characters(blacklist_categories=("Cs",)),
+                                  max_size=12), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_batched_assignment_matches_index(self, names):
+        """``indices`` is ``index`` per name: on random names, on names
+        whose hash equals a vnode key (``bisect_right`` puts them on the
+        next vnode) and on one hashing past the last key (wraps)."""
+        ring = HashRing([f"rvz{i}" for i in range(4)])
+        ties = ["rvz1#5", "rvz3#63"]
+        assert all(crc32(n.encode()) in ring._keys for n in ties)
+        past = next(f"w{j}" for j in range(100_000)
+                    if crc32(f"w{j}".encode()) > ring._keys[-1])
+        names = [*names, *ties, past]
+        assert ring.indices(names).tolist() == [ring.index(n) for n in names]
 
     def test_endpoints_spread_over_all_servers(self):
         ring = HashRing([f"rvz{i}" for i in range(4)])

@@ -1,10 +1,13 @@
 """The million-endpoint control plane: HostTable, fleet, admission,
 batched registration and table-resident fault verbs."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.hoststate import FLAG_REGISTERED, HostTable
 from repro.faults import FaultInjector
@@ -133,6 +136,59 @@ def test_expiry_and_release_owner():
     assert table.registered_count == 1  # only "a"
 
 
+@given(batches=st.lists(st.lists(st.sampled_from([f"h{i}" for i in range(300)]),
+                                 max_size=60), max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_ensure_rows_matches_row_by_row(batches):
+    """Bulk admission, duplicates inside a batch and names seen before
+    included, leaves the table as ``ensure_row`` one name at a time does
+    — down to the containers' allocated sizes, which
+    ``steady_state_bytes`` counts — and crosses a column doubling."""
+    sim_bulk, sim_single = Simulator(seed=1), Simulator(seed=1)
+    bulk, single = HostTable(sim_bulk), HostTable(sim_single)
+    for names in batches:
+        ids = bulk.ensure_rows(tuple(names))
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [single.ensure_row(n) for n in names]
+        assert bulk._names == single._names
+        assert list(bulk._ids.items()) == list(single._ids.items())
+        assert sys.getsizeof(bulk._names) == sys.getsizeof(single._names)
+        assert sys.getsizeof(bulk._ids) == sys.getsizeof(single._ids)
+        assert bulk.nbytes == single.nbytes
+        assert (sim_bulk.metrics.value("hosttable.rows")
+                == sim_single.metrics.value("hosttable.rows"))
+
+
+def test_in_zones_matches_per_zone_tests_on_the_bounds():
+    """The stacked containment test equals one test per zone against the
+    zone's Python-float bounds, for float32 points on each bound and one
+    float32 step either side — including bounds float32 cannot hold
+    (0.7 rounds down to a float32 below it, 0.3 up to one above it)."""
+    sim = Simulator(seed=1)
+    table = HostTable(sim)
+    left, right = Zone.whole(2).split()
+    zones = [*left.split(), right, Zone((0.3, 0.1), (0.7, 0.9)),
+             Zone((0.7, 0.0), (1.0, 0.3))]
+    bounds = {b for z in zones for b in (*z.lows, *z.highs)}
+    axis = sorted({float(x) for b in bounds for x in (
+        np.float32(b), *np.nextafter(np.float32(b), np.float32([0.0, 1.0])))
+        if x < 1.0})
+    grid = np.array([(x, y) for x in axis for y in axis], dtype=np.float32)
+    ids = table.ensure_rows(tuple(f"p{i}" for i in range(len(grid))))
+    table.coords[ids] = grid
+    inside = table.in_zones(zones, ids)
+    assert inside.shape == (len(zones), len(ids))
+    for zone, row in zip(zones, inside):
+        per_zone = np.ones(len(ids), dtype=bool)
+        for d in range(2):
+            per_zone &= ((table.coords[ids, d] >= zone.lows[d])
+                         & (table.coords[ids, d] < zone.highs[d]))
+        assert (row == per_zone).all()
+    # float32(0.7) is below 0.7: a float64 comparison would leave it out.
+    on_bound = (grid[:, 0] == np.float32(0.7)) & (grid[:, 1] == 0.0)
+    assert inside[4, on_bound].all() and float(np.float32(0.7)) < 0.7
+
+
 def test_zone_selection_vectorized():
     sim = Simulator(seed=1)
     table = HostTable(sim)
@@ -142,8 +198,25 @@ def test_zone_selection_vectorized():
                         _reach(), now=0.0)
     lower, upper = Zone.whole(2).split()
     ids = np.array([lo, hi])
-    assert list(ids[table.in_zone(lower, ids)]) == [lo]
-    assert list(ids[table.in_zone(upper, ids)]) == [hi]
+    inside = table.in_zones([lower, upper], ids)
+    assert list(ids[inside[0]]) == [lo]
+    assert list(ids[inside[1]]) == [hi]
+
+
+@pytest.mark.parametrize("top", [{"cpu_ghz": 16.0, "mem_mb": 4096.0},
+                                 {"cpu_ghz": 4.0, "mem_mb": 65536.0}])
+def test_host_at_the_top_of_an_attribute_range_registers(top):
+    """An attribute at or above its range's top maps just below 1.0 in
+    CAN space: a point at 1.0 lies in no zone [lo, hi), not even the
+    whole space, so the host could not register and no query found it."""
+    sim = Simulator(seed=1)
+    env = WavnetEnvironment(sim, n_rendezvous=1)
+    a = env.add_host("a", attrs={"cpu_ghz": 4.0, "mem_mb": 4096.0})
+    env.add_host("b", attrs=top)
+    env.up()
+    assert (env.table.coords[env.table.lookup("b")] < 1.0).all()
+    found = sim.run_coro(a.driver.query_resources(limit=8))
+    assert [r.host_name for r in found] == ["b"]
 
 
 # -- admission ---------------------------------------------------------

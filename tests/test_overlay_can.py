@@ -522,6 +522,7 @@ class TestBatchRouting:
 _HANDLE = st.one_of(st.integers(0, 40), st.integers(2**32, 2**32 + 40),
                     st.integers(0, 2**62))
 _BATCH = st.lists(_HANDLE, max_size=12)
+_NEAR = st.integers(0, 1600)  # the range a drawn base of multiples of 4 fills
 _STORE_OPS = st.lists(st.one_of(
     st.tuples(st.just("update"), _BATCH),
     st.tuples(st.just("difference_update"), _BATCH),
@@ -549,6 +550,62 @@ class TestHandleStore:
             assert {type(h) for h in store} <= {int}
             for h in [*batch, *probes]:
                 assert (h in store) == (h in oracle)
+
+    @given(base=st.integers(0, 400), rounds=st.lists(st.tuples(
+        st.lists(_NEAR, max_size=12), st.lists(st.booleans(), max_size=12),
+        st.lists(_NEAR, max_size=4), _NEAR, st.integers(30, 150),
+        st.sampled_from(["len", "array", "iter", "bulk", "clear"])), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_reads_between_writes_match_a_python_set(self, base, rounds):
+        """Over a store of up to 400 handles, each round writes a small
+        batch (its new handles wait in the delta, up to a sixteenth of
+        the store), removes a drawn part of it plus a few others, then
+        reads or writes once more: ``len`` and ``in`` only, a merging
+        ``.array`` or iteration, a batch big enough to cross the merge
+        rule, or ``clear``. After every step the store reads as the set."""
+        store, oracle = HandleStore(), set(range(0, 4 * base, 4))
+        store.update(list(oracle))
+
+        def same(*probes):
+            assert len(store) == len(oracle)
+            for h in probes:
+                assert (h in store) == (h in oracle)
+
+        for added, again, others, start, count, then in rounds:
+            bulk = list(range(start, start + 3 * count, 3)) if then == "bulk" else []
+            store.update(added)
+            oracle.update(added)
+            same(*added)
+            removed = [h for h, yes in zip(added, again) if yes] + others
+            store.difference_update(removed)
+            oracle.difference_update(removed)
+            same(*added, *others)
+            if then == "array":
+                assert store.array.dtype == np.int64
+                assert store.array.tolist() == sorted(oracle)
+            elif then == "iter":
+                assert list(store) == sorted(oracle)
+            elif then == "bulk":
+                store.update(bulk)
+                oracle.update(bulk)
+            elif then == "clear":
+                store.clear()
+                oracle.clear()
+            same(*bulk)
+        assert list(store) == sorted(oracle)
+
+    @given(batches=st.lists(st.lists(_HANDLE, max_size=40), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_small_batches_equal_one_batch(self, batches):
+        """A store built one batch at a time equals one built from their
+        concatenation in a single batch, in length before any merging
+        read and in its array after."""
+        small, whole = HandleStore(), HandleStore()
+        for batch in batches:
+            small.update(batch)
+        whole.update([h for batch in batches for h in batch])
+        assert len(small) == len(whole)
+        assert small.array.tolist() == whole.array.tolist()
 
     def test_has_no_size_for_route_op_to_read(self):
         store = HandleStore()
@@ -588,10 +645,7 @@ def test_quick_registration_storm_trajectory_is_pinned():
     assert sum(map(len, primaries)) == len(set().union(*primaries))
     for can in cans:
         ids = can.table.handle_ids(can.handles.array)
-        inside = np.zeros(len(ids), dtype=bool)
-        for zone in can.zones:
-            inside |= can.table.in_zone(zone, ids)
-        assert inside.all()
+        assert can.table.in_zones(can.zones, ids).any(axis=0).all()
 
 
 class TestCanRemerge:
