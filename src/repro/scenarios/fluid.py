@@ -34,8 +34,7 @@ from repro.exp.spec import scenario
 from repro.net.fluid import FluidLink, FluidNetwork, FluidPath
 from repro.net.tcp import WIRE_OVERHEAD_TCP
 
-__all__ = ["IPOP_STEADY_CPU_BPS", "fluidify",
-           "ipop_cpu_seconds_per_mss", "wire_overhead_for"]
+__all__ = ["IPOP_STEADY_CPU_BPS", "fluidify", "wire_overhead_for"]
 
 # Per-packet encapsulation on top of the native frame (58 B):
 # WAVNet: WavData header 4 + UDP 8 + IP 20 + outer Ethernet+FCS 18.
@@ -80,17 +79,6 @@ def wire_overhead_for(stack: str, mss: int, ipop_config=None) -> int:
         frags = max(1, -(-(mss + 40) // cfg.p2p_mtu))
         return 40 + frags * cfg.header_bytes + 8 + 20 + 18
     raise ValueError(f"unknown stack {stack!r}")
-
-
-def ipop_cpu_seconds_per_mss(mss: int, ipop_config=None) -> float:
-    """Serialized user-level stack time one endpoint spends per MSS of
-    goodput: data service (one endpoint_cost per fragment) + the
-    matching ACK service (one fragment) + jitter on each."""
-    from repro.baselines.ipop import IpopConfig
-
-    cfg = ipop_config or IpopConfig()
-    frags = max(1, -(-(mss + 40) // cfg.p2p_mtu))
-    return (frags + 1) * cfg.endpoint_cost + 2 * cfg.cpu_jitter_mean
 
 
 def _find_link(sim, name: str):

@@ -1,170 +1,23 @@
-"""Fluid (flow-level) data plane: max-min bandwidth sharing for bulk traffic.
+"""The object-per-flow fluid plane, kept as the columnar plane's oracle.
 
-The packet plane simulates every frame of every flow; a 32 MB ttcp run
-is ~10^5 calendar events. For the paper's bulk-transfer experiments
-(fig06/fig07 ttcp, table4 HTTP, fig08 scale-out) the *steady-state
-throughput* is fully determined by bottleneck sharing, so this module
-models a bulk transfer as one :class:`FluidFlow` whose rate comes from a
-max-min fair-share solver (progressive filling) over the capacity graph.
-The simulator then schedules only *rate-change* events: flow arrival,
-flow departure, a slow-start ramp step, a capacity/fault change, and one
-completion entry per completion *instant* — flows whose ETA (or
-last-byte delivery) falls on the same instant share it.
-
-The plane is **hybrid**: the control plane (punching, pulses,
-keepalives, rendezvous RPC) and any flow opened with
-``fidelity="packet"`` stay on the packet path. Fluid and packet traffic
-coexist on shared links by the capacity-sharing rule: the fluid-visible
-capacity of a link is its configured bandwidth minus the packet path's
-*measured* utilization (sampled from ``_Pipe.bytes_sent`` at every
-re-solve and on a periodic refresh tick while flows are active).
-
-Model elements
---------------
-
-* :class:`FluidLink` — one direction of capacity. Usually bound to a
-  packet-plane ``_Pipe`` (so reshaping, ``admin_down`` and loss changes
-  flow straight through); unbound links model non-wire resources such as
-  the IPOP user-level stack CPU (capacity 1.0 cpu-second/second).
-* :class:`FluidPath` — the ordered ``(link, factor)`` list one flow
-  direction consumes, plus the path RTT, the WAN-cloud site pair (for
-  partition checks) and the WAV tunnel conduits it rides. ``factor`` is
-  resource units consumed per goodput bit/s — wire links use
-  ``wire_bytes_per_mss / mss`` (header + encapsulation overhead), CPU
-  links use ``cpu_seconds_per_mss / (mss * 8)``.
-* :class:`FluidFlow` — one bulk transfer. Its instantaneous cap is
-  ``min(window/RTT, cc.rate_cap(loss), ramp)`` where the loss response
-  comes from the congestion-control plane (:mod:`repro.net.cc`;
-  ``cc=None`` means Reno, the Mathis curve); the ramp models
-  TCP slow
-  start (initial window delivered at once, then the rate cap doubles
-  each RTT until it clears the window cap), which is what makes short
-  and mid-size transfers agree with the packet plane, not just t→∞.
-* :class:`FluidNetwork` — per-simulator registry + solver. Re-solves are
-  dirty-flagged and batched per timestamp, so 10^4 flow arrivals at one
-  instant cost one waterfill pass.
-
-Faults: ``link_flap``/``admin_down`` zero the link's capacity,
-``loss_burst`` engages the Mathis cap, and WAN partitions stall every
-flow whose site pair is cut — all through the same watcher hooks the
-fault injector already drives. Stalled flows hold their delivered byte
-count and resume when the path heals; ``stall_timeout`` aborts them
-instead (``flow.done`` fails with :class:`FluidAborted`).
+This is :mod:`repro.net.fluid` as it was before flow state moved into
+per-network columns: every flow an object with its own fields and an
+eager ``done`` event, solves and completion cohorts walked one flow at
+a time. ``tests/test_fluid_plane.py`` drives both over the same random
+mixes and requires the same outcome, bit for bit. Links, paths and the
+abort exception are the shared ones from :mod:`repro.net.fluid`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.cc import INITIAL_CWND_SEGMENTS, cc_class, window_rate_bps
+from repro.net.fluid import FluidAborted, FluidLink, FluidPath
 from repro.sim.engine import Event, Simulator
 
-__all__ = ["FluidAborted", "FluidFlow", "FluidLink", "FluidNetwork",
-           "FluidPath"]
-
 _EPS = 1e-9
-
-
-class FluidAborted(Exception):
-    """A fluid flow was aborted (fault, stall timeout, or explicit)."""
-
-
-class FluidLink:
-    """One direction of capacity in the fluid graph.
-
-    ``pipe`` binds the link to a packet-plane ``_Pipe``: capacity,
-    admin state and loss are read from the pipe at every solve, and the
-    pipe's ``bytes_sent`` counter feeds the hybrid utilization
-    subtraction. Unbound links (``pipe=None``) carry their own fields —
-    used by solver unit tests and by non-wire resources (CPU)."""
-
-    __slots__ = ("name", "kind", "capacity_bps", "pipe", "up", "loss",
-                 "_pkt_bytes", "_pkt_at", "pkt_util_bps")
-
-    def __init__(self, name: str, capacity_bps: Optional[float] = None,
-                 pipe=None, kind: str = "wire") -> None:
-        self.name = name
-        self.kind = kind
-        self.capacity_bps = capacity_bps
-        self.pipe = pipe
-        self.up = True
-        self.loss = 0.0
-        self._pkt_bytes = 0 if pipe is None else pipe.bytes_sent
-        self._pkt_at = 0.0
-        self.pkt_util_bps = 0.0
-
-    def capacity(self) -> float:
-        """Raw capacity in resource units/s (bits/s for wire links)."""
-        if self.pipe is not None:
-            if not self.pipe.up:
-                return 0.0
-            bw = self.pipe.bandwidth_bps
-            return math.inf if bw is None else float(bw)
-        if not self.up:
-            return 0.0
-        return math.inf if self.capacity_bps is None else float(self.capacity_bps)
-
-    def current_loss(self) -> float:
-        return float(self.pipe.loss) if self.pipe is not None else self.loss
-
-    def sample_packet_util(self, now: float, min_window: float = 1e-3) -> None:
-        """Refresh the measured packet-path utilization (windowed mean
-        over the interval since the previous sample)."""
-        if self.pipe is None:
-            return
-        dt = now - self._pkt_at
-        if dt < min_window:
-            return
-        sent = self.pipe.bytes_sent
-        self.pkt_util_bps = (sent - self._pkt_bytes) * 8.0 / dt
-        self._pkt_bytes = sent
-        self._pkt_at = now
-
-    def available(self, util_floor: float) -> float:
-        """Fluid-visible capacity: raw capacity minus measured packet
-        utilization, floored at ``util_floor`` of raw capacity so fluid
-        flows are never fully starved by packet bursts."""
-        cap = self.capacity()
-        if cap == 0.0 or not math.isfinite(cap):
-            return cap
-        return max(cap - self.pkt_util_bps, cap * util_floor)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FluidLink({self.name}, cap={self.capacity():.3g})"
-
-
-@dataclass(frozen=True)
-class FluidPath:
-    """One direction of a route through the fluid capacity graph."""
-
-    links: tuple  # of (FluidLink, factor) pairs
-    rtt: float
-    mss: int = 1460
-    sites: Optional[tuple] = None     # (src_site, dst_site) on `cloud`
-    cloud: object = None              # WanCloud carrying `sites`
-    conduits: tuple = ()              # WAV tunnel keys gating the path
-
-    def blocked(self, net: "FluidNetwork") -> Optional[str]:
-        """Why this path cannot carry traffic right now (None if it can)."""
-        for link, _factor in self.links:
-            if link.capacity() == 0.0:
-                return f"link_down:{link.name}"
-        if self.cloud is not None and self.sites is not None:
-            if self.cloud.partitioned(*self.sites):
-                return "partitioned"
-        for key in self.conduits:
-            if not net.conduit_up(key):
-                return f"tunnel_down:{key[0]}-{key[1]}"
-        return None
-
-    def loss(self) -> float:
-        """Combined i.i.d. frame loss probability along the path."""
-        keep = 1.0
-        for link, _factor in self.links:
-            keep *= 1.0 - link.current_loss()
-        return 1.0 - keep
 
 
 class FluidFlow:

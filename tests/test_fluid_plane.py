@@ -5,7 +5,8 @@ graphs; this file checks the plane end-to-end over the real stack
 topologies — app fluid modes agree with the packet plane, fault verbs
 stall/resume/abort flows through the watcher hooks, and packet traffic
 steals capacity from fluid flows on shared links. The last section
-checks the completion cohorts against a per-flow-timer oracle.
+checks the columnar plane against the object-per-flow plane it
+replaced (``tests/fluid_oracle.py``) and against one timer per flow.
 """
 
 import math
@@ -20,10 +21,15 @@ from repro.apps.netperf import netperf_stream, netserver
 from repro.apps.ttcp import ttcp_receiver, ttcp_transfer
 from repro.core.options import TransferOptions
 from repro.faults.injector import FaultInjector
+from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.fluid import FluidAborted, FluidLink, FluidNetwork, FluidPath
+from repro.net.l2 import Link, Port
+from repro.net.packet import EthernetFrame, Payload, UdpDatagram, ipv4
+from repro.net.wan import WanCloud
 from repro.scenarios.fluid import _find_link, fluidify
 from repro.scenarios.stacks import physical_pair, wavnet_pair
 from repro.sim.engine import Simulator
+from tests.fluid_oracle import FluidNetwork as OracleNetwork
 
 MB = 1024 * 1024
 
@@ -236,11 +242,50 @@ def test_packet_traffic_steals_fluid_capacity():
     flow.close()
 
 
+class _Sink:
+    def __init__(self):
+        self.port = Port(self, "sink")
+
+    def on_frame(self, frame, port):
+        pass
+
+
+def test_late_bound_link_measures_packet_use_from_its_bind():
+    """A fluid link bound after t = 0 (as every wavnet ``fluidify`` is)
+    averages the packet bytes sent since the bind over the time since the
+    bind: 1,250,000 B in the second after t = 5 s is 10 Mbit/s."""
+    sim = Simulator(seed=1)
+    tx = _Sink()
+    link = Link(sim, tx.port, _Sink().port, latency=0.001, bandwidth_bps=100e6,
+                queue_capacity=1024, name="l")
+    net = FluidNetwork(sim)
+
+    def frame_of(payload_bytes):
+        return EthernetFrame(MacAddress(1), MacAddress(2), 0x0800, ipv4(
+            IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"),
+            UdpDatagram(1000, 2000, Payload(payload_bytes))))
+
+    frame = frame_of(1350 - frame_of(100).size)
+    assert frame.size == 1250
+    bound = {}
+    sim.call_at(5.0, lambda: bound.update(flink=net.link_for(link, "ab"),
+                                          base=link.ab.bytes_sent))
+    for k in range(100):   # packet traffic before the bind
+        sim.call_at(1.0 + k * 0.009, lambda: tx.port.transmit(frame))
+    for k in range(1000):
+        sim.call_at(5.0 + k * 0.0009, lambda: tx.port.transmit(frame))
+    sim.run(until=6.0)
+    assert bound["base"] == 125_000
+    assert link.ab.bytes_sent - bound["base"] == 1_250_000
+    bound["flink"].sample_packet_util(6.0)
+    assert bound["flink"].pkt_util_bps == pytest.approx(10e6)
+
+
 # ----------------------------------------------------------------------
-# Completion cohorts vs per-flow timers
+# The columnar plane vs the object-per-flow oracle and per-flow timers
 # ----------------------------------------------------------------------
 
-class PerFlowTimerNetwork(FluidNetwork):
+class PerFlowTimerNetwork(OracleNetwork):
     """The scheduler the completion cohorts replaced, kept as their
     oracle: one cancelable timer per armed ETA (its marker is the ETA
     itself) and one calendar entry per last-byte delivery, so flows
@@ -274,36 +319,59 @@ class PerFlowTimerNetwork(FluidNetwork):
             flow.done.succeed(flow)
 
 
-def _drive(net_cls, caps, path_links, flow_specs, actions, stall_timeout):
+def _drive(net_cls, caps, paths, flow_specs, actions, stall_timeout):
     """Run one scripted mix to the end of the calendar; return the net,
-    the event count and everything a flow's owner can observe."""
+    the event count and everything a flow's owner can observe.
+
+    ``paths``: (link indices, factor, behind a cut-able site pair, behind
+    a conduit). ``flow_specs``: (open time, path, bytes, ramp,
+    deliver_offset, cc, waiter), the waiter attached at ``"open"``, after
+    the run (``"late"``, by then resolved) or never. ``actions``: (time,
+    verb, target, deferred) — a deferred action runs one calendar hop
+    later in its instant, after a solve the same instant's opens asked
+    for."""
     sim = Simulator(seed=1)
     net = net_cls(sim, refresh_interval=0.0, stall_timeout=stall_timeout)
+    cloud = WanCloud(sim, default_latency=0.01)
+    net.watch_cloud(cloud)
     links = [FluidLink(f"l{i}", capacity_bps=c) for i, c in enumerate(caps)]
-    paths = [FluidPath(links=tuple((links[i], 1.04) for i in
-                                   dict.fromkeys(j % len(links) for j in idxs)),
-                       rtt=0.02 * (1 + n))
-             for n, idxs in enumerate(path_links)]
-    flows, done_log = {}, []
+    fpaths = [FluidPath(links=tuple((links[i], factor) for i in
+                                    dict.fromkeys(j % len(links) for j in idxs)),
+                        rtt=0.02 * (1 + n),
+                        sites=(f"s{n}", "hub") if cut else None,
+                        cloud=cloud if cut else None,
+                        conduits=((f"s{n}", "hub"),) if conduit else ())
+              for n, (idxs, factor, cut, conduit) in enumerate(paths)]
+    flows, done_log, instant_log, probes = {}, [], [], []
+    solves = sim.metrics.counter("fluid.solves")
 
-    def opener(k, path_i, size, ramp, offset):
+    def opener(k, path_i, size, ramp, offset, cc, waiter):
         def go():
-            flow = net.open(path=paths[path_i % len(paths)], size_bytes=size,
+            flow = net.open(path=fpaths[path_i % len(fpaths)], size_bytes=size,
                             ramp=ramp, deliver_offset=offset, name=f"f{k}",
-                            send_buf=1 << 18, recv_buf=1 << 18)
-            flows[k] = flow
-            flow.done.add_callback(
-                lambda ev: done_log.append((flow.name, sim.now, ev.ok)))
+                            send_buf=1 << 18, recv_buf=1 << 18, cc=cc)
+            flows[k] = (flow, waiter)
+            if waiter != "open":
+                return
+            if flow.state == "done" and offset == 0.0:
+                # Resolved inside open(): a read in the instant of
+                # resolution, whose waiter runs at once on the columnar
+                # plane (test_done_read_in_the_instant_of_resolution_...).
+                flow.done.add_callback(lambda ev: instant_log.append(
+                    (flow.name, sim.now, ev.ok)))
+            else:
+                flow.done.add_callback(lambda ev: done_log.append(
+                    (flow.name, sim.now, ev.ok, solves.value)))
         return go
 
-    def flap(link):
+    def flap(link, down_for):
         link.up = False
         net._on_link_change(link)
 
         def heal():
             link.up = True
             net._on_link_change(link)
-        sim.call_in(0.1, heal)
+        sim.call_in(down_for, heal)
 
     def set_loss(link):
         link.loss = 0.01 if link.loss == 0.0 else 0.0
@@ -311,11 +379,22 @@ def _drive(net_cls, caps, path_links, flow_specs, actions, stall_timeout):
 
     def act(kind, arg):
         def go():
-            flow = flows.get(arg % len(flow_specs))
+            probes.append([(f.name, f.state, f.rate, f.progress())
+                           for f, _ in flows.values()])
+            flow, _ = flows.get(arg % len(flow_specs), (None, None))
+            site = f"s{arg % len(fpaths)}"
             if kind == "flap":
-                flap(links[arg % len(links)])
+                flap(links[arg % len(links)], 0.1)
+            elif kind == "blink":   # down and back up inside one instant
+                flap(links[arg % len(links)], 0.0)
             elif kind == "loss":
                 set_loss(links[arg % len(links)])
+            elif kind == "partition":
+                cloud.partition([site], ["hub"])
+            elif kind == "heal":
+                cloud.heal([site], ["hub"])
+            elif kind in ("tunnel_down", "tunnel_up"):
+                net.set_conduit((site, "hub"), kind == "tunnel_up")
             elif flow is not None and kind == "close":
                 flow.close()
             elif flow is not None:
@@ -324,65 +403,157 @@ def _drive(net_cls, caps, path_links, flow_specs, actions, stall_timeout):
 
     for k, (t, *spec) in enumerate(flow_specs):
         sim.call_at(t, opener(k, *spec))
-    for t, kind, arg in actions:
-        sim.call_at(t, act(kind, arg))
+    for t, kind, arg, deferred in actions:
+        go = act(kind, arg)
+        sim.call_at(t, (lambda go=go: sim.call_in(0.0, go)) if deferred else go)
     sim.run()
-    outcome = {f.name: (f.state, f.delivered) for f in flows.values()}
-    return net, sim.events_dispatched, (outcome, done_log, sim.now)
+    late_log = []
+    for flow, waiter in flows.values():
+        if waiter == "late":
+            flow.done.add_callback(lambda ev, name=flow.name: late_log.append(
+                (name, ev.ok, ev.ok and ev.value.name)))
+    outcome = {f.name: (f.state, f.delivered, f.rate) for f, _ in flows.values()}
+    metrics = {path: sim.metrics.value(path)
+               for path in sim.metrics.select(["fluid"])}
+    seen = (outcome, done_log, sorted(instant_log), late_log, probes, sim.now, metrics,
+            sim.trace.export(["fluid"]))
+    return net, sim.events_dispatched, seen
 
 
+_paths = st.lists(st.tuples(
+    st.lists(st.integers(0, 2), min_size=1, max_size=3),        # links
+    st.sampled_from([1.04, 1.04, 1.0, 1.2]),                     # factor
+    st.booleans(),                                               # site pair
+    st.booleans(),                                               # conduit
+), min_size=1, max_size=3)
 _flow_specs = st.lists(st.tuples(
     st.sampled_from([0.0, 0.0, 0.0, 0.05, 0.1, 0.3]),          # open time
     st.integers(0, 2),                                          # path
     st.sampled_from([None, 4_000, 60_000, 60_000, 250_000]),   # bytes
     st.booleans(),                                              # ramp
     st.sampled_from([None, 0.0]),                               # deliver_offset
-), min_size=1, max_size=12)
+    st.sampled_from([None, None, "cubic", "bbr"]),              # cc
+    st.sampled_from(["open", "open", "late", "none"]),          # waiter
+), min_size=1, max_size=40)
 _actions = st.lists(st.tuples(
-    st.sampled_from([0.02, 0.1, 0.2, 0.45, 0.9]),
-    st.sampled_from(["close", "abort", "flap", "loss"]),
-    st.integers(0, 11),
-), max_size=5)
+    st.sampled_from([0.0, 0.02, 0.1, 0.2, 0.45, 0.9]),
+    st.sampled_from(["close", "abort", "flap", "blink", "loss", "partition",
+                     "heal", "tunnel_down", "tunnel_up"]),
+    st.integers(0, 39),
+    st.booleans(),                                              # deferred
+), max_size=8)
+_caps = st.lists(st.sampled_from([2e6, 8e6, 20e6]), min_size=1, max_size=3)
 
-
-@given(caps=st.lists(st.sampled_from([2e6, 8e6, 20e6]), min_size=1, max_size=3),
-       path_links=st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3),
-                           min_size=1, max_size=3),
-       flow_specs=_flow_specs, actions=_actions,
-       stall_timeout=st.sampled_from([None, 0.15]))
-@settings(max_examples=80, deadline=None)
 # f0 and f1 share an ETA on separate paths; closing f2 re-arms f0 earlier,
 # so the shared instant fires with f0 finished but still in its list.
-@example(caps=[8e6, 8e6], path_links=[[0], [1]],
-         flow_specs=[(0.0, 0, 60_000, False, None),
-                     (0.0, 1, 60_000, False, None),
-                     (0.0, 0, 250_000, False, None),
-                     (0.0, 1, 250_000, False, None)],
-         actions=[(0.02, "close", 2)], stall_timeout=None)
-def test_cohorts_match_per_flow_timers(caps, path_links, flow_specs, actions,
-                                       stall_timeout):
-    """Same done instants, done order, delivered bytes, final states and
-    end of run as one timer per flow, in no more calendar events."""
-    args = (caps, path_links, flow_specs, actions, stall_timeout)
+_SHARED_INSTANT = dict(
+    caps=[8e6, 8e6], paths=[([0], 1.04, False, False), ([1], 1.04, False, False)],
+    flow_specs=[(0.0, 0, 60_000, False, None, None, "open"),
+                (0.0, 1, 60_000, False, None, None, "open"),
+                (0.0, 0, 250_000, False, None, None, "open"),
+                (0.0, 1, 250_000, False, None, None, "open")],
+    actions=[(0.02, "close", 2, False)], stall_timeout=None)
+# f0 and f1 share an ETA; f0's link blinks after that solve, in the same
+# instant: f0 stalls (left lazily on the cohort), resumes at the same rate
+# and rejoins the same instant, so the cohort lists it twice. Zero
+# deliver offsets put each done right beside the cohort's re-solve.
+_TWICE_LISTED = dict(
+    caps=[8e6, 8e6, 8e6],
+    paths=[([0], 1.04, False, False), ([1], 1.04, False, False),
+           ([2], 1.04, False, False)],
+    flow_specs=[(0.0, 0, 60_000, False, 0.0, None, "open"),
+                (0.0, 1, 60_000, False, 0.0, None, "late"),
+                (0.0, 2, 250_000, False, None, None, "none")],
+    actions=[(0.0, "blink", 0, True)], stall_timeout=None)
+
+
+@given(caps=_caps, paths=_paths, flow_specs=_flow_specs, actions=_actions,
+       stall_timeout=st.sampled_from([None, 0.15]))
+@settings(max_examples=200, deadline=None)
+@example(**_SHARED_INSTANT)
+@example(**_TWICE_LISTED)
+def test_columns_match_object_oracle(caps, paths, flow_specs, actions,
+                                     stall_timeout):
+    """Bit for bit the object-per-flow plane's run: done order and
+    instants, late waiters, every flow's state, bytes and rate (at every
+    action and at the end), the clock, every ``fluid.*`` metric and
+    trace record — in no more calendar events."""
+    args = (caps, paths, flow_specs, actions, stall_timeout)
     net, events, seen = _drive(FluidNetwork, *args)
-    _oracle, oracle_events, expected = _drive(PerFlowTimerNetwork, *args)
+    _oracle, oracle_events, expected = _drive(OracleNetwork, *args)
     assert seen == expected
     assert events <= oracle_events
     assert not net._etas and not net._deliveries
 
 
-def test_identical_flows_share_completion_entries():
-    """1,000 flows finishing together: one solve, one ETA cohort, one
-    re-solve, one delivery cohort, and each flow's own ``done``."""
+@given(caps=_caps, paths=_paths, flow_specs=_flow_specs, actions=_actions,
+       stall_timeout=st.sampled_from([None, 0.15]))
+@settings(max_examples=40, deadline=None)
+@example(**_SHARED_INSTANT)
+def test_cohorts_match_per_flow_timers(caps, paths, flow_specs, actions,
+                                       stall_timeout):
+    """Same observable run as one timer per flow, in no more calendar
+    events."""
+    args = (caps, paths, flow_specs, actions, stall_timeout)
+    _net, events, seen = _drive(FluidNetwork, *args)
+    _oracle, oracle_events, expected = _drive(PerFlowTimerNetwork, *args)
+    assert seen == expected
+    assert events <= oracle_events
+
+
+def _identical_flows(net_cls, n, factor):
     sim = Simulator(seed=1)
-    net = FluidNetwork(sim, refresh_interval=0.0)
-    path = FluidPath(links=((FluidLink("l0", capacity_bps=100e6), 1.0),),
+    net = net_cls(sim, refresh_interval=0.0)
+    path = FluidPath(links=((FluidLink("l0", capacity_bps=100e6), factor),),
                      rtt=0.02)
     flows = [net.open(path=path, size_bytes=64 * 1024, ramp=False)
-             for _ in range(1000)]
+             for _ in range(n)]
     sim.run()
-    assert all(f.done.processed and f.state == "done" for f in flows)
-    assert sim.events_dispatched <= len(flows) + 4
+    return sim, flows
+
+
+def test_identical_flows_share_completion_entries():
+    """1,000 flows finishing together: one solve, one ETA cohort, one
+    re-solve and one delivery cohort; no flow's ``done`` is read, so none
+    has an entry of its own."""
+    sim, flows = _identical_flows(FluidNetwork, 1000, 1.0)
+    assert all(f.state == "done" for f in flows)
+    assert sim.events_dispatched == 4
+    assert all(f.done.processed and f.done.value is f for f in flows)
+
+
+def test_ten_thousand_identical_flows_match_oracle():
+    """A link weight summed over 10^4 flows: its last bit moves the rate,
+    the ETA and the clock unless it is summed in flow order."""
+    sim, flows = _identical_flows(FluidNetwork, 10_000, 1.04)
+    osim, oflows = _identical_flows(OracleNetwork, 10_000, 1.04)
+    assert sim.now == osim.now
+    assert [(f.state, f.delivered, f.rate) for f in flows] == \
+        [(f.state, f.delivered, f.rate) for f in oflows]
+    assert ({p: sim.metrics.value(p) for p in sim.metrics.select(["fluid"])}
+            == {p: osim.metrics.value(p) for p in osim.metrics.select(["fluid"])})
+    assert sim.trace.export(["fluid"]) == osim.trace.export(["fluid"])
+
+
+def test_done_read_in_the_instant_of_resolution_runs_at_once():
+    """``done`` read in the instant its flow resolved, before the event
+    the object-per-flow plane would have dispatched: the waiter runs at
+    once (the one ordering the lazy ``done`` changes)."""
+    order = []
+    for net_cls in (FluidNetwork, OracleNetwork):
+        sim = Simulator(seed=1)
+        net = net_cls(sim)
+        path = FluidPath(links=((FluidLink("l0", capacity_bps=100e6), 1.0),),
+                         rtt=0.05)
+
+        def go(net=net, path=path, sim=sim, log=[]):
+            flow = net.open(path=path, size_bytes=1000, deliver_offset=0.0)
+            flow.done.add_callback(lambda ev: log.append("done"))
+            log.append("after read")
+            order.append(log)
+        sim.call_in(1.0, go)
+        sim.run()
+    assert order == [["done", "after read"], ["after read", "done"]]
 
 
 def test_flow_within_initial_window_leaves_no_timer():
@@ -399,4 +570,5 @@ def test_flow_within_initial_window_leaves_no_timer():
     assert flow.done.processed and flow.state == "done"
     assert sim.now == flow.deliver_offset == 0.025
     assert sim.peek() == math.inf
-    assert sim.events_dispatched == 2   # the delivery cohort, then done
+    # Only the delivery cohort: nobody read `done` before it resolved.
+    assert sim.events_dispatched == 1
