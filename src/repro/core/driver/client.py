@@ -5,10 +5,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.hoststate import Registration
 from repro.core.options import ConnectOptions, resolve_options
 from repro.nat.types import NatType
 from repro.net.addresses import IPv4Address
-from repro.overlay.rendezvous import RENDEZVOUS_PORT, _ConnectBody, _PunchNotice, _RegisterBody
+from repro.overlay.rendezvous import RENDEZVOUS_PORT, _ConnectBody, _Keepalive, _PunchNotice
 from repro.overlay.resources import ConnectionInfo, ResourceRecord
 from repro.overlay.rpc import RpcError, RpcTimeout
 from repro.sim.engine import Interrupt
@@ -43,19 +44,23 @@ class RendezvousClient:
         return self
 
     def _register_somewhere(self, candidates=None, retries: int = 3):
-        """Process: ``rvz.register`` with the first answering rendezvous
-        candidate (by default primary first, then backups). If none
-        answers, ``rendezvous_ip`` is put back and the last error raised."""
+        """Process: ``rvz.register`` with the first rendezvous candidate
+        (by default primary first, then backups) that answers and stores
+        the host's directory entry. If none does, ``rendezvous_ip`` is
+        put back and the last error raised."""
         home = self.rendezvous_ip
         for ip in candidates or self.rendezvous_candidates:
-            # connection_info() embeds rendezvous_ip: set it first.
             self.rendezvous_ip = ip
             try:
-                yield from self.rpc.call(
+                _, stored = yield from self.rpc.call(
                     ip, RENDEZVOUS_PORT, "rvz.register",
-                    _RegisterBody(self.name, self.connection_info(), dict(self.attrs)),
+                    Registration.of(self.name, self.connection_info(), self.attrs),
                     timeout=5.0, retries=retries)
-                return
+                if stored:
+                    return
+                # The point's owner crashed and is not yet taken over: a
+                # host no query can find is not registered; try the next.
+                raise RpcError(f"{self.name!r}: directory owner unreachable")
             except (RpcTimeout, RpcError) as exc:
                 last_exc = exc
         self.rendezvous_ip = home
@@ -80,11 +85,14 @@ class RendezvousClient:
             while True:
                 yield self.sim.timeout(self.keepalive_interval)
                 try:
-                    yield from self.rpc.call(
+                    _, alive = yield from self.rpc.call(
                         self.rendezvous_ip, RENDEZVOUS_PORT, "rvz.keepalive",
-                        self.name, timeout=5.0, retries=2)
-                    failures = 0
+                        _Keepalive((self.name,)), timeout=5.0, retries=2)
                 except (RpcTimeout, RpcError):
+                    alive = 0  # silent, or an error reply
+                if alive:
+                    failures = 0
+                else:  # ... or the server no longer holds the registration
                     failures += 1
                     if failures >= 2 and len(self.rendezvous_candidates) > 1:
                         ok = yield from self._failover()

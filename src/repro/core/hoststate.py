@@ -28,6 +28,7 @@ endpoint load with one vectorized containment test.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,9 +37,16 @@ from repro.nat.types import NatType
 from repro.net.addresses import IPv4Address
 from repro.overlay.resources import ConnectionInfo, ResourceRecord, ResourceSpec
 
-__all__ = ["HostTable", "FLAG_REGISTERED"]
+__all__ = ["FLAG_REGISTERED", "HostTable", "Registration", "SPEC"]
 
 FLAG_REGISTERED = 1  # row currently admitted by a rendezvous server
+_UNREGISTERED = np.uint8(~FLAG_REGISTERED & 0xFF)
+
+# The resource attributes every row carries, in column order: the one
+# place that order is decided.
+SPEC = ResourceSpec()
+_LOWS = np.array([lo for _n, lo, _hi in SPEC.attributes], dtype=np.float32)
+_HIGHS = np.array([hi for _n, _lo, hi in SPEC.attributes], dtype=np.float32)
 
 _NAT_CODES = {t: i for i, t in enumerate(NatType)}
 _NAT_TYPES = list(NatType)
@@ -47,6 +55,56 @@ _GEN_SHIFT = 32
 _ID_MASK = (1 << _GEN_SHIFT) - 1
 _INITIAL_CAPACITY = 256  # rows; columns double from here
 _BELOW_ONE = np.nextafter(np.float32(1.0), np.float32(0.0))
+
+
+def _to_coords(attr_values: np.ndarray) -> np.ndarray:
+    """Normalize raw attribute values into CAN space (vectorized
+    :meth:`ResourceSpec.to_point`)."""
+    x = (np.asarray(attr_values, dtype=np.float32) - _LOWS) / (_HIGHS - _LOWS)
+    # Below 1.0 in float32 (1.0 - 1e-9 rounds up to it): no zone [lo, hi) holds 1.0.
+    return np.clip(x, 0.0, _BELOW_ONE)
+
+
+@dataclass(frozen=True)
+class Registration:
+    """The one ``rvz.register`` body: parallel per-endpoint columns in
+    one envelope, ``attr_values`` rows in :data:`SPEC`'s order. A built
+    host registers as a batch of one (:meth:`of`); a storm lane sends
+    hundreds of its region's endpoints at once. The server stamps its
+    own address as every row's rendezvous and the datagram's source as
+    every row's reach endpoint — what a concentrator re-registering a
+    site after an outage looks like."""
+
+    names: tuple
+    public_ip: np.ndarray
+    public_port: np.ndarray
+    private_ip: np.ndarray
+    private_port: np.ndarray
+    nat_code: np.ndarray
+    alloc_stride: np.ndarray
+    attr_values: np.ndarray
+    region: int = -1  # -1: keep the rows' recorded region
+
+    @classmethod
+    def of(cls, name: str, conn: ConnectionInfo, attrs: dict) -> "Registration":
+        """One host's registration; an attribute ``attrs`` lacks reads 0."""
+        return cls(
+            names=(name,),
+            public_ip=np.array([conn.public_ip.value], dtype=np.uint32),
+            public_port=np.array([conn.public_port], dtype=np.uint16),
+            private_ip=np.array([conn.private_ip.value], dtype=np.uint32),
+            private_port=np.array([conn.private_port], dtype=np.uint16),
+            nat_code=np.array([_NAT_CODES[conn.nat_type]], dtype=np.uint8),
+            alloc_stride=np.array([conn.alloc_stride], dtype=np.uint16),
+            attr_values=np.array([[float(attrs.get(n, 0.0)) for n in SPEC.names()]],
+                                 dtype=np.float32))
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    @property
+    def size(self) -> int:
+        return 24 + 40 * len(self.names)
 
 
 class HostTable:
@@ -61,9 +119,7 @@ class HostTable:
     incarnation.
     """
 
-    def __init__(self, sim, spec: Optional[ResourceSpec] = None) -> None:
-        self.spec = spec or ResourceSpec()
-        self._dims = self.spec.dims
+    def __init__(self, sim) -> None:
         self._capacity = _INITIAL_CAPACITY
         self._n = 0
         self._ids: dict[str, int] = {}
@@ -92,8 +148,8 @@ class HostTable:
         self.region = np.full(capacity, -1, dtype=np.int16)
         self.generation = np.zeros(capacity, dtype=np.uint32)
         self.last_seen = np.full(capacity, -np.inf, dtype=np.float64)
-        self.coords = np.zeros((capacity, self._dims), dtype=np.float32)
-        self.attr_values = np.zeros((capacity, self._dims), dtype=np.float32)
+        self.coords = np.zeros((capacity, SPEC.dims), dtype=np.float32)
+        self.attr_values = np.zeros((capacity, SPEC.dims), dtype=np.float32)
 
     _COLUMNS = ("public_ip", "public_port", "private_ip", "private_port",
                 "reach_ip", "reach_port", "rendezvous_ip", "rendezvous_port",
@@ -156,23 +212,10 @@ class HostTable:
         return ok
 
     # -- registration --------------------------------------------------
-    def ensure_row(self, name: str) -> int:
-        """Create (or find) the directory row for ``name`` without
-        registering it — scenario setup reserves rows this way."""
-        host_id = self._ids.get(name)
-        if host_id is None:
-            host_id = self._n
-            if host_id >= self._capacity:
-                self._grow(host_id + 1)
-            self._ids[name] = host_id
-            self._names.append(name)
-            self._n += 1
-            self._g_rows.set(self._n)
-        return host_id
-
     def ensure_rows(self, names) -> np.ndarray:
-        """:meth:`ensure_row` for a batch of names, as int64 row ids.
-        ``_names`` grows one ``append`` at a time, as row by row: the
+        """Create (or find) the directory rows for ``names`` without
+        registering them, as int64 row ids — scenario setup reserves
+        rows this way. ``_names`` grows one ``append`` at a time: the
         storm's ``steady_state_bytes`` counts its over-allocation."""
         new = [n for n in dict.fromkeys(names) if n not in self._ids]
         if new:
@@ -187,112 +230,58 @@ class HostTable:
         return np.fromiter(map(self._ids.__getitem__, names),
                            dtype=np.int64, count=len(names))
 
-    def register(self, name: str, conn: ConnectionInfo, attrs: dict,
-                 reach: tuple, now: float, owner: int = -1,
-                 region: int = -1) -> int:
-        """Admit (or re-admit) ``name``; returns its row id. Bumps the
-        generation so handles minted for the previous registration go
-        stale."""
-        i = self.ensure_row(name)
-        self.public_ip[i] = conn.public_ip.value
-        self.public_port[i] = conn.public_port
-        self.private_ip[i] = conn.private_ip.value
-        self.private_port[i] = conn.private_port
-        self.rendezvous_ip[i] = conn.rendezvous_ip.value
-        self.rendezvous_port[i] = conn.rendezvous_port
-        self.reach_ip[i] = reach[0].value
-        self.reach_port[i] = reach[1]
-        self.nat_code[i] = _NAT_CODES[conn.nat_type]
-        self.alloc_stride[i] = conn.alloc_stride
-        self.set_attrs(i, attrs)
-        self.last_seen[i] = now
-        self.owner[i] = owner
-        if region >= 0:
-            self.region[i] = region
-        self.flags[i] |= FLAG_REGISTERED
-        self.generation[i] += 1
-        self._m_registered.add()
-        return i
-
-    def register_batch(self, names: tuple, public_ip: np.ndarray,
-                       public_port: np.ndarray, private_ip: np.ndarray,
-                       private_port: np.ndarray, nat_code: np.ndarray,
-                       attr_values: np.ndarray, rendezvous: tuple,
-                       reach: tuple, now: float, owner: int = -1,
-                       region: int = -1) -> np.ndarray:
-        """Vectorized bulk admission (the registration-storm fast path).
-
-        ``names`` is a tuple of endpoint names; the array arguments are
-        parallel per-endpoint columns; ``rendezvous``/``reach`` are
-        shared (IPv4Address, port) endpoints. Returns the row ids.
-        """
-        ids = self.ensure_rows(names)
-        self.public_ip[ids] = public_ip
-        self.public_port[ids] = public_port
-        self.private_ip[ids] = private_ip
-        self.private_port[ids] = private_port
-        self.nat_code[ids] = nat_code
-        self.attr_values[ids] = attr_values
-        self.coords[ids] = self._to_coords(attr_values)
+    def register(self, reg: Registration, rendezvous: tuple, reach: tuple,
+                 now: float, owner: int = -1) -> np.ndarray:
+        """Admit (or re-admit) every endpoint of ``reg``, one vectorized
+        write per column; returns the row ids. ``rendezvous`` and
+        ``reach`` are (IPv4Address, port) endpoints the batch shares.
+        Bumps each row's generation so handles minted for its previous
+        registration go stale."""
+        ids = self.ensure_rows(reg.names)
+        self.public_ip[ids] = reg.public_ip
+        self.public_port[ids] = reg.public_port
+        self.private_ip[ids] = reg.private_ip
+        self.private_port[ids] = reg.private_port
+        self.nat_code[ids] = reg.nat_code
+        self.alloc_stride[ids] = reg.alloc_stride
+        self.attr_values[ids] = reg.attr_values
+        self.coords[ids] = _to_coords(reg.attr_values)
         self.rendezvous_ip[ids] = rendezvous[0].value
         self.rendezvous_port[ids] = rendezvous[1]
         self.reach_ip[ids] = reach[0].value
         self.reach_port[ids] = reach[1]
         self.last_seen[ids] = now
         self.owner[ids] = owner
-        if region >= 0:
-            self.region[ids] = region
+        if reg.region >= 0:
+            self.region[ids] = reg.region
         self.flags[ids] |= FLAG_REGISTERED
         self.generation[ids] += 1
         self._m_registered.add(len(ids))
         return ids
 
-    def _to_coords(self, attr_values: np.ndarray) -> np.ndarray:
-        """Normalize raw attribute values into CAN space (vectorized
-        :meth:`ResourceSpec.to_point`)."""
-        lows = np.array([lo for _n, lo, _hi in self.spec.attributes],
-                        dtype=np.float32)
-        highs = np.array([hi for _n, _lo, hi in self.spec.attributes],
-                         dtype=np.float32)
-        x = (np.asarray(attr_values, dtype=np.float32) - lows) / (highs - lows)
-        # Below 1.0 in float32 (1.0 - 1e-9 rounds up to it): no zone [lo, hi) holds 1.0.
-        return np.clip(x, 0.0, _BELOW_ONE)
-
-    def set_attrs(self, host_id: int, attrs: dict) -> None:
-        """Single-row attribute update: project the named attributes
-        into the float32 column and re-derive the CAN coordinates."""
-        for k, (name, _lo, _hi) in enumerate(self.spec.attributes):
-            if name in attrs:
-                self.attr_values[host_id, k] = float(attrs[name])
-        self.coords[host_id] = self._to_coords(self.attr_values[host_id])
-
     def attrs_of(self, host_id: int) -> dict:
         return {name: float(self.attr_values[host_id, k])
-                for k, (name, _lo, _hi) in enumerate(self.spec.attributes)}
+                for k, name in enumerate(SPEC.names())}
 
-    def touch(self, host_id: int, now: float,
-              reach: Optional[tuple] = None) -> None:
-        self.last_seen[host_id] = now
-        if reach is not None:
-            self.reach_ip[host_id] = reach[0].value
-            self.reach_port[host_id] = reach[1]
-
-    def touch_names(self, names, now: float) -> int:
-        """Batched keepalive: bump liveness epochs for every known name;
-        returns how many were still-registered rows."""
-        ids = [self._ids[n] for n in names if n in self._ids]
-        if not ids:
-            return 0
-        arr = np.asarray(ids, dtype=np.int64)
-        live = arr[(self.flags[arr] & FLAG_REGISTERED) != 0]
+    def touch(self, names, now: float, reach: tuple, owner: int) -> int:
+        """Keepalive: every named row ``owner`` holds a live registration
+        for gets its liveness epoch bumped and its reach endpoint set to
+        ``reach``, the NAT mapping the keepalive rode. Returns how many
+        rows that was."""
+        ids = np.fromiter((self._ids[n] for n in names if n in self._ids),
+                          dtype=np.int64)
+        live = ids[((self.flags[ids] & FLAG_REGISTERED) != 0)
+                   & (self.owner[ids] == owner)]
         self.last_seen[live] = now
-        return int(len(live))
+        self.reach_ip[live] = reach[0].value
+        self.reach_port[live] = reach[1]
+        return len(live)
 
     # -- registration loss ---------------------------------------------
-    def unregister(self, host_id: int) -> None:
-        """Drop the registration; directory state stays in the row."""
-        self.flags[host_id] &= np.uint8(~FLAG_REGISTERED & 0xFF)
-        self.owner[host_id] = -1
+    def _unregister(self, ids: np.ndarray) -> None:
+        """Drop the registrations; directory state stays in the rows."""
+        self.flags[ids] &= _UNREGISTERED
+        self.owner[ids] = -1
 
     def release_owner(self, owner: int) -> list[str]:
         """A server lost its volatile registry (crash/stop): every row it
@@ -300,8 +289,7 @@ class HostTable:
         mask = (self.owner[: self._n] == owner) & \
             ((self.flags[: self._n] & FLAG_REGISTERED) != 0)
         ids = np.nonzero(mask)[0]
-        self.flags[ids] &= np.uint8(~FLAG_REGISTERED & 0xFF)
-        self.owner[ids] = -1
+        self._unregister(ids)
         return [self._names[i] for i in ids]
 
     def expire(self, horizon: float, owner: Optional[int] = None) -> list[str]:
@@ -314,8 +302,7 @@ class HostTable:
             mask &= self.owner[:n] == owner
         ids = np.nonzero(mask)[0]
         if len(ids):
-            self.flags[ids] &= np.uint8(~FLAG_REGISTERED & 0xFF)
-            self.owner[ids] = -1
+            self._unregister(ids)
             self._m_expired.add(len(ids))
         return [self._names[i] for i in ids]
 
@@ -325,8 +312,7 @@ class HostTable:
         survives so reconnection needs no side channel."""
         ids = np.fromiter({self._ids[n] for n in names if n in self._ids}, dtype=np.int64)
         live = ids[(self.flags[ids] & FLAG_REGISTERED) != 0]
-        self.flags[live] &= np.uint8(~FLAG_REGISTERED & 0xFF)
-        self.owner[live] = -1
+        self._unregister(live)
         return len(live)
 
     # -- selection (vectorized) ----------------------------------------
@@ -353,10 +339,10 @@ class HostTable:
         ``zones[j]`` — the one containment test, one gather per call.
         Float32 bounds: what a float32 point compares a float against."""
         pts = np.ascontiguousarray(self.coords[ids].T)
-        lows = np.array([z.lows for z in zones], dtype=np.float32).reshape(-1, self._dims)
-        highs = np.array([z.highs for z in zones], dtype=np.float32).reshape(-1, self._dims)
+        lows = np.array([z.lows for z in zones], dtype=np.float32).reshape(-1, SPEC.dims)
+        highs = np.array([z.highs for z in zones], dtype=np.float32).reshape(-1, SPEC.dims)
         mask = np.ones((len(zones), len(ids)), dtype=bool)
-        for d in range(self._dims):
+        for d in range(SPEC.dims):
             mask &= pts[d] >= lows[:, d, None]
             mask &= pts[d] < highs[:, d, None]
         return mask

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.hoststate import SPEC
 from repro.net.addresses import IPv4Address
 from repro.overlay.can.membership import Membership
 from repro.overlay.can.routing import CAN_PORT, NeighborInfo, Routing
@@ -33,7 +34,7 @@ class CanNode(Membership, Storage, Routing, Component):
         self.sim = host.sim
         self.node_id = host.name
         Component.__init__(self, host.sim, "can", self.node_id)
-        self.dims = table.spec.dims
+        self.dims = SPEC.dims
         self.ip: IPv4Address = host.stack.ips[0]
         # The HostTable every overlay node shares: directory entries are
         # generation-checked *handles* to its rows.

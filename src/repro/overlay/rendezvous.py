@@ -18,11 +18,14 @@ Beyond the paper, the registry is backed by the struct-of-arrays
 a server's registrations are the rows tagged with its index in the
 ``owner`` column (:meth:`RendezvousServer.registered`), so a million
 registered-but-idle endpoints cost table rows, not Python object
-stacks. Registration supports *batching* (``rvz.register_batch``
-carries column arrays for hundreds of endpoints in one envelope) and
-*admission control* (a token bucket sheds load during registration
-storms with an explicit retry-after error instead of silent queue
-collapse).
+stacks. There is one registration path: ``rvz.register`` carries a
+:class:`~repro.core.hoststate.Registration`, column arrays for one
+built host or for hundreds of storm endpoints in one envelope, and
+replies with how many handles the CAN stored; ``rvz.keepalive`` carries
+a tuple of names and replies with how many of them this server still
+holds. A token bucket adds *admission control*: it sheds load during
+registration storms with an explicit retry-after error instead of
+silent queue collapse.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.hoststate import FLAG_REGISTERED, HostTable
+from repro.core.hoststate import FLAG_REGISTERED, SPEC, HostTable, Registration
 from repro.net.addresses import IPv4Address
 from repro.core.assembler import WavRelay
 from repro.net.packet import Payload
@@ -75,50 +78,13 @@ class _TokenBucket:
 
 
 @dataclass(frozen=True)
-class _RegisterBody:
-    name: str
-    conn: ConnectionInfo
-    attrs: dict
-
-    @property
-    def size(self) -> int:
-        return 48 + 8 * len(self.attrs)
-
-
-@dataclass(frozen=True)
-class _RegisterBatch:
-    """Column-packed bulk registration: parallel arrays, one envelope.
-
-    ``attr_values`` rows follow the server's ResourceSpec attribute
-    order. The batch shares one reachability endpoint (the lane socket
-    that sent it) — exactly what a concentrator/proxy re-registering a
-    site's endpoints after an outage looks like.
-    """
-
-    names: tuple
-    public_ip: np.ndarray
-    public_port: np.ndarray
-    private_ip: np.ndarray
-    private_port: np.ndarray
-    nat_code: np.ndarray
-    attr_values: np.ndarray
-    region: int = -1
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    @property
-    def size(self) -> int:
-        return 24 + 40 * len(self.names)
-
-
-@dataclass(frozen=True)
-class _KeepaliveBatch:
+class _Keepalive:
     names: tuple
 
     @property
     def size(self) -> int:
-        return 16 + 8 * len(self.names)
+        # One name bills the 64 B of a small control body.
+        return 56 + 8 * len(self.names)
 
 
 @dataclass(frozen=True)
@@ -187,7 +153,6 @@ class RendezvousServer(Component):
                           if admission_rate else None)
         self.metrics = self.sim.metrics.scope(f"{host.name}.rvz")
         self._m_registered = self.metrics.counter("hosts.registered")
-        self._m_batched = self.metrics.counter("hosts.batch_registered")
         self._m_keepalives = self.metrics.counter("keepalives")
         self._m_queries = self.metrics.counter("queries")
         self._m_brokered = self.metrics.counter("connects.brokered")
@@ -200,9 +165,7 @@ class RendezvousServer(Component):
         self._sock.handler = self._on_datagram
         self.rpc = RpcEndpoint(host.stack, self._sock, name=f"rvz:{host.name}")
         self.rpc.register("rvz.register", self._on_register)
-        self.rpc.register("rvz.register_batch", self._on_register_batch)
         self.rpc.register("rvz.keepalive", self._on_keepalive)
-        self.rpc.register("rvz.keepalive_batch", self._on_keepalive_batch)
         self.rpc.register("rvz.query", self._on_query)
         self.rpc.register("rvz.connect", self._on_connect)
         self.rpc.register("rvz.relay_connect", self._on_relay_connect)
@@ -276,61 +239,33 @@ class RendezvousServer(Component):
         raise AdmissionReject(f"admission: retry after {retry:.3f}")
 
     # -- host admission --------------------------------------------------------
-    def _on_register(self, body: _RegisterBody, src_ip: IPv4Address, src_port: int):
-        self._admit(1)
-        self._m_registered.add()
-        host_id = self.table.register(body.name, body.conn, dict(body.attrs),
-                                      (src_ip, src_port), self.sim.now,
-                                      owner=self.server_index)
+    def _on_register(self, reg: Registration, src_ip: IPv4Address, src_port: int):
+        """Admission: one token-bucket draw and one vectorized table
+        write for the whole batch, then handle publication into the CAN
+        grouped by owner — no per-endpoint RPC amplification. Replies
+        ``("registered", stored)``: a host whose point's owner crashed
+        and is not yet taken over is in the table but in no directory
+        answer, and ``stored`` says so."""
+        self._admit(len(reg))
+        self._m_registered.add(len(reg))
+        ids = self.table.register(reg, (self.ip, self.port), (src_ip, src_port),
+                                  self.sim.now, owner=self.server_index)
 
         def publish():
-            _stored, n = yield from self.can.put_ids([host_id])
-            if not n:
-                # The point's owner crashed and is not yet taken over: fail,
-                # so the driver retries or tries its next candidate, rather
-                # than answer "registered" for a host no query can find.
-                raise RpcError(f"{body.name!r}: directory owner unreachable")
-            return ("registered", self.host.name)
+            _stored, n = yield from self.can.put_ids(ids)
+            return ("registered", n)
 
         return publish()
 
-    def _on_register_batch(self, batch: _RegisterBatch,
-                           src_ip: IPv4Address, src_port: int):
-        """Bulk admission: one token-bucket draw, one vectorized table
-        insert, and handle-based CAN publication grouped by owner — no
-        per-endpoint RPC amplification."""
-        self._admit(len(batch))
-        self._m_batched.add(len(batch))
-        ids = self.table.register_batch(
-            batch.names, batch.public_ip, batch.public_port,
-            batch.private_ip, batch.private_port, batch.nat_code,
-            batch.attr_values, rendezvous=(self.ip, self.port),
-            reach=(src_ip, src_port), now=self.sim.now,
-            owner=self.server_index, region=batch.region)
-
-        def publish():
-            stored = yield from self.can.put_ids(ids)
-            return ("registered_batch", len(batch), stored)
-
-        return publish()
-
-    def _on_keepalive(self, name: str, src_ip: IPv4Address, src_port: int):
-        """Liveness-epoch bump (and reach-endpoint refresh: the NAT
-        mapping this very datagram rode is where notifications go). No
-        CAN refresh: directory answers read liveness from the table."""
-        self._m_keepalives.add()
-        i = self.registered(name)
-        if i < 0:
-            raise RpcError(f"{name!r} not registered")
-        self.table.touch(i, self.sim.now, reach=(src_ip, src_port))
-        return ("ok", self.host.name)
-
-    def _on_keepalive_batch(self, batch: _KeepaliveBatch,
-                            src_ip: IPv4Address, src_port: int):
-        """Batched liveness-epoch bump for idle table-resident
-        endpoints."""
-        self._m_keepalives.add(len(batch.names))
-        alive = self.table.touch_names(batch.names, self.sim.now)
+    def _on_keepalive(self, body: _Keepalive, src_ip: IPv4Address, src_port: int):
+        """Liveness-epoch bump and reach-endpoint refresh (the NAT
+        mapping this very datagram rode is where notifications go) for
+        the names this server holds. Replies ``("ok", alive)``; a name
+        it does not hold is not counted. No CAN refresh: directory
+        answers read liveness from the table."""
+        self._m_keepalives.add(len(body.names))
+        alive = self.table.touch(body.names, self.sim.now, (src_ip, src_port),
+                                 self.server_index)
         return ("ok", alive)
 
     # -- resource discovery -----------------------------------------------------
@@ -340,7 +275,7 @@ class RendezvousServer(Component):
         attrs, limit = body
 
         def run():
-            point = self.table.spec.to_point(**attrs)
+            point = SPEC.to_point(**attrs)
             records = yield from self.can.route("get", point, int(limit))
             return records
 

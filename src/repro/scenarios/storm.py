@@ -2,9 +2,11 @@
 
 The scale scenario for the struct-of-arrays control plane. Synthetic
 endpoints never get an object stack — per region, one public "lane"
-host (a concentrator/proxy) batch-registers them with the rendezvous
-fleet over ``rvz.register_batch``, so 10^4-10^6 endpoints cost table
-rows plus RPC envelopes, not drivers and NAT boxes. The storm itself:
+host (a concentrator/proxy) registers them with the rendezvous fleet in
+batches of hundreds, on the same ``rvz.register`` / ``rvz.keepalive``
+RPCs and :class:`~repro.core.hoststate.Registration` body a built host
+sends as a batch of one, so 10^4-10^6 endpoints cost table rows plus
+RPC envelopes, not drivers and NAT boxes. The storm itself:
 
 1. **Fill** — every lane registers its region's endpoints, batched and
    spread across the fleet by consistent hashing.
@@ -34,11 +36,11 @@ import sys
 
 import numpy as np
 
+from repro.core.hoststate import SPEC, Registration
 from repro.exp.spec import scenario
 from repro.faults import FaultInjector
 from repro.nat.types import NatType
-from repro.overlay.rendezvous import (RENDEZVOUS_PORT, _KeepaliveBatch,
-                                      _RegisterBatch)
+from repro.overlay.rendezvous import RENDEZVOUS_PORT, _Keepalive
 from repro.overlay.rpc import RpcEndpoint, RpcError, RpcTimeout
 from repro.scenarios.builder import make_public_host
 from repro.scenarios.wavnet_env import WavnetEnvironment
@@ -88,19 +90,20 @@ class StormLane:
         self.private_ip = np.full(count, 0xC0A80002, dtype=np.uint32)
         self.private_port = np.full(count, 4242, dtype=np.uint16)
         self.nat_code = np.full(count, _NAT_CODE, dtype=np.uint8)
-        attrs = env.table.spec.attributes
+        attrs = SPEC.attributes
         self.attr_values = np.empty((count, len(attrs)), dtype=np.float32)
         for k, (_name, lo, hi) in enumerate(attrs):
             self.attr_values[:, k] = self.rng.uniform(lo, hi, size=count)
 
-    def _batch(self, ks: np.ndarray) -> _RegisterBatch:
-        return _RegisterBatch(
+    def _batch(self, ks: np.ndarray) -> Registration:
+        return Registration(
             names=tuple(map(self.names.__getitem__, ks.tolist())),
             public_ip=self.public_ip[ks],
             public_port=self.public_port[ks],
             private_ip=self.private_ip[ks],
             private_port=self.private_port[ks],
             nat_code=self.nat_code[ks],
+            alloc_stride=np.zeros(len(ks), dtype=np.uint16),
             attr_values=self.attr_values[ks],
             region=self.region,
         )
@@ -120,7 +123,7 @@ class StormLane:
                 for attempt in range(max_attempts):
                     try:
                         yield from self.rpc.call(
-                            server_ip, RENDEZVOUS_PORT, "rvz.register_batch",
+                            server_ip, RENDEZVOUS_PORT, "rvz.register",
                             body, timeout=10.0, retries=2)
                     except RpcError as exc:
                         if "AdmissionReject" not in str(exc):
@@ -142,7 +145,7 @@ class StormLane:
 
     def keepalive_loop(self, interval: float = 20.0, batch_size: int = 4096):
         """Process: batched keepalive sweeps for every endpoint of this
-        lane. One calendar timer and a handful of ``rvz.keepalive_batch``
+        lane. One calendar timer and a handful of ``rvz.keepalive``
         RPCs per interval replace 10^5-10^6 per-host keepalive timers —
         the per-lane scheduler that keeps calendar pressure flat as the
         table grows."""
@@ -157,7 +160,7 @@ class StormLane:
                     try:
                         result = yield from self.rpc.call(
                             server_ip, RENDEZVOUS_PORT,
-                            "rvz.keepalive_batch", _KeepaliveBatch(names),
+                            "rvz.keepalive", _Keepalive(names),
                             timeout=10.0, retries=2)
                     except (RpcError, RpcTimeout):
                         continue

@@ -148,7 +148,7 @@ class WavnetEnvironment:
         """
         if name in self.hosts:
             raise ValueError(f"duplicate host {name!r}")
-        host_id = self.table.ensure_row(name)
+        host_id = int(self.table.ensure_rows((name,))[0])
         fleet_assigned = rendezvous_index is None
         if fleet_assigned:
             rendezvous_index = self.ring.index(name)

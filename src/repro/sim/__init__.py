@@ -13,7 +13,6 @@ sequence number breaks ties), so a fixed seed reproduces a run exactly.
 
 from repro.obs.metrics import Counter, TimeSeries
 from repro.sim.engine import (
-    AllOf,
     AnyOf,
     Event,
     Interrupt,
@@ -28,7 +27,6 @@ from repro.sim.queues import QueueFull, Serializer, Store
 from repro.sim.rng import RngRegistry
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Component",
     "ComponentRegistry",

@@ -6,7 +6,7 @@ The design mirrors SimPy's proven semantics but is intentionally smaller:
 * :class:`Timeout` — event that fires after a fixed delay.
 * :class:`Process` — wraps a generator; each ``yield`` must produce an
   :class:`Event` (or a :class:`Process`, which waits for termination).
-* :class:`AnyOf` / :class:`AllOf` — composite waits.
+* :class:`AnyOf` — wait for the first of several events.
 * :class:`Interrupt` — exception thrown into a waiting process by
   :meth:`Process.interrupt`.
 
@@ -38,7 +38,6 @@ from heapq import heapify, heappop, heappush
 from typing import Any
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Event",
     "Interrupt",
@@ -220,15 +219,14 @@ class Timer:
             self.sim._note_cancel()
 
 
-class _Condition(Event):
-    """Base for AnyOf/AllOf composite events."""
+class AnyOf(Event):
+    """Fires when the first child event succeeds (or any fails)."""
 
-    __slots__ = ("events", "_n_done")
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
         self.events = tuple(events)
-        self._n_done = 0
         if not self.events:
             self.succeed({})
             return
@@ -245,12 +243,10 @@ class _Condition(Event):
         if ev._exc is not None:
             ev.defuse()
             self.fail(ev._exc)
-            self._cancel_pending_timeouts()
-            return
-        self._n_done += 1
-        if self._satisfied():
-            self.succeed(self._collect())
-            self._cancel_pending_timeouts()
+        else:
+            self.succeed({e: e._value for e in self.events
+                          if e.processed and e._exc is None})
+        self._cancel_pending_timeouts()
 
     def _cancel_pending_timeouts(self) -> None:
         """Once the condition is decided, losing Timeout children whose
@@ -261,30 +257,6 @@ class _Condition(Event):
             if (ev.__class__ is Timeout and ev._state == _TRIGGERED
                     and ev.callbacks is not None and len(ev.callbacks) == 1):
                 ev.cancel()
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _collect(self) -> dict[Event, Any]:
-        return {ev: ev._value for ev in self.events if ev.processed and ev._exc is None}
-
-
-class AnyOf(_Condition):
-    """Fires when the first child event succeeds (or any fails)."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._n_done >= 1
-
-
-class AllOf(_Condition):
-    """Fires when every child event has succeeded (or any fails)."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._n_done == len(self.events)
 
 
 class Process(Event):
@@ -437,9 +409,6 @@ class Simulator:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
         """Fast lane: run ``fn()`` at absolute time ``when`` (>= now).

@@ -9,8 +9,7 @@ import pytest
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.l2 import Link, Port
 from repro.net.wan import WanCloud
-from repro.overlay.rendezvous import _RegisterBody
-from repro.overlay.rpc import RpcError
+from repro.core.hoststate import SPEC, Registration
 from repro.scenarios.churn import (
     build_churn_env,
     mesh_converged,
@@ -396,7 +395,7 @@ class TestCanTakeover:
         # One host per server; default hosts share one CAN point.
         hosts = [env.add_host(f"h{i}", rendezvous_index=i) for i in range(3)]
         sim.run_coro(env.start_all())
-        point = env.table.spec.to_point(**hosts[0].driver.attrs)
+        point = SPEC.to_point(**hosts[0].driver.attrs)
         x = next(i for i, s in enumerate(env.rendezvous) if s.can.owns(point))
         wav, probe = hosts[x], hosts[(x + 1) % 3]
         dead = env.rendezvous[x]
@@ -414,19 +413,17 @@ class TestCanTakeover:
         other = env.rendezvous[(x + 1) % 3]
 
         def register_elsewhere():
-            try:
-                yield from wav.driver.rpc.call(
-                    other.ip, other.port, "rvz.register",
-                    _RegisterBody(wav.driver.name,
-                                  wav.driver.connection_info(),
-                                  dict(wav.driver.attrs)),
-                    timeout=20.0, retries=1)
-            except RpcError as exc:
-                return str(exc)
-            return "registered"
+            reply = yield from wav.driver.rpc.call(
+                other.ip, other.port, "rvz.register",
+                Registration.of(wav.driver.name, wav.driver.connection_info(),
+                                wav.driver.attrs),
+                timeout=20.0, retries=1)
+            return reply
 
-        assert "directory owner unreachable" in sim.run_coro(
-            register_elsewhere())
+        # The row is written, but no directory node stored its handle:
+        # the driver takes ``stored == 0`` as "directory owner
+        # unreachable" and tries its next candidate.
+        assert sim.run_coro(register_elsewhere()) == ("registered", 0)
         assert all(dead.can.node_id in c.neighbors for c in survivors)
         # The keepalive loop fails over for real once a survivor owns
         # the point; the other hosts' entries come back by replica

@@ -1,5 +1,5 @@
 """The million-endpoint control plane: HostTable, fleet, admission,
-batched registration and table-resident fault verbs."""
+the one (batched) registration path and table-resident fault verbs."""
 
 import sys
 from dataclasses import replace
@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hoststate import FLAG_REGISTERED, HostTable
+from repro.core.hoststate import FLAG_REGISTERED, HostTable, Registration
 from repro.faults import FaultInjector
 from repro.nat.types import NatType
 from repro.net.addresses import IPv4Address
-from repro.overlay.rendezvous import _RegisterBatch, _TokenBucket
+from repro.overlay.rendezvous import _TokenBucket
 from repro.overlay.resources import ConnectionInfo
 from repro.overlay.space import Zone
 from repro.scenarios.wavnet_env import WavnetEnvironment
 from repro.sim import Simulator
+from tests.hoststate_oracle import ScalarHostTable
 
 
 def _conn(public_port=31000):
@@ -32,13 +33,21 @@ def _reach():
     return (IPv4Address("7.0.0.1"), 4700)
 
 
+def _register(table, name, conn, attrs, reach, now, owner=-1, region=-1) -> int:
+    """One host's registration, as a rendezvous server writes it."""
+    reg = replace(Registration.of(name, conn, attrs), region=region)
+    (host_id,) = table.register(reg, (conn.rendezvous_ip, conn.rendezvous_port),
+                                reach, now, owner)
+    return int(host_id)
+
+
 # -- table basics ------------------------------------------------------
 
 def test_register_row_roundtrip():
     sim = Simulator(seed=1)
     table = HostTable(sim)
     attrs = {"cpu_ghz": 3, "mem_mb": 2048.5}
-    host_id = table.register("h0", _conn(), attrs, _reach(), now=1.5, owner=2)
+    host_id = _register(table, "h0", _conn(), attrs, _reach(), now=1.5, owner=2)
     assert table.name_of(host_id) == "h0"
     assert int(table.flags[host_id]) == FLAG_REGISTERED
     assert float(table.last_seen[host_id]) == 1.5
@@ -56,14 +65,14 @@ def test_register_row_roundtrip():
 def test_handles_go_stale_on_reregistration():
     sim = Simulator(seed=1)
     table = HostTable(sim)
-    i = table.register("h0", _conn(), {}, _reach(), now=0.0)
+    i = _register(table, "h0", _conn(), {}, _reach(), now=0.0)
     handle = table.handle(i)
     assert table.valid_mask(np.array([handle])).all()
-    table.register("h0", _conn(public_port=32000), {}, _reach(), now=1.0)
+    _register(table, "h0", _conn(public_port=32000), {}, _reach(), now=1.0)
     assert not table.valid_mask(np.array([handle])).any()  # generation bump
     fresh = table.handle(i)
     assert table.valid_mask(np.array([fresh])).all()
-    table.unregister(i)
+    assert table.mark_down(["h0"]) == 1
     assert not table.valid_mask(np.array([fresh])).any()
 
 
@@ -71,10 +80,10 @@ def test_handles_of_an_id_array_match_handle_per_row():
     sim = Simulator(seed=1)
     table = HostTable(sim)
     for k in range(6):
-        table.register(f"h{k}", _conn(), {}, _reach(), now=0.0)
+        _register(table, f"h{k}", _conn(), {}, _reach(), now=0.0)
     for k, times in [(1, 1), (4, 3)]:  # re-registrations bump generations
         for _ in range(times):
-            table.register(f"h{k}", _conn(public_port=32000), {}, _reach(), now=1.0)
+            _register(table, f"h{k}", _conn(public_port=32000), {}, _reach(), now=1.0)
     picked = np.array([4, 0, 1, 1, 5], dtype=np.int64)
     handles = table.handles(picked)
     assert handles.dtype == np.int64
@@ -85,16 +94,21 @@ def test_handles_of_an_id_array_match_handle_per_row():
     assert table.handles(np.zeros(0, dtype=np.int64)).tolist() == []
 
 
-def _batch_columns(n):
-    return dict(
+def _batch(names, region=-1, port=20000, attrs=(4.0, 1024.0)):
+    n = len(names)
+    return Registration(
+        names=tuple(names),
         public_ip=np.arange(n, dtype=np.uint32) + 0x0B000000,
-        public_port=np.full(n, 20000, dtype=np.uint16),
+        public_port=np.full(n, port, dtype=np.uint16),
         private_ip=np.full(n, 0xC0A80002, dtype=np.uint32),
         private_port=np.full(n, 4242, dtype=np.uint16),
         nat_code=np.full(n, 3, dtype=np.uint8),
-        attr_values=np.tile(np.array([4.0, 1024.0], dtype=np.float32), (n, 1)),
-        rendezvous=(IPv4Address("9.1.0.1"), 4001),
-        reach=_reach())
+        alloc_stride=np.zeros(n, dtype=np.uint16),
+        attr_values=np.tile(np.array(attrs, dtype=np.float32), (n, 1)),
+        region=region)
+
+
+_RVZ = (IPv4Address("9.1.0.1"), 4001)
 
 
 def test_register_batch_vectorized():
@@ -102,8 +116,8 @@ def test_register_batch_vectorized():
     table = HostTable(sim)
     n = 300  # crosses the default-capacity growth boundary
     names = tuple(f"e{i}" for i in range(n))
-    ids = table.register_batch(names, **_batch_columns(n), now=2.0, owner=1,
-                               region=7)
+    ids = table.register(_batch(names, region=7), _RVZ, _reach(), now=2.0,
+                         owner=1)
     assert len(ids) == n and table.registered_count == n
     assert table.names_in_region(7) == list(names)
     handles = np.array([table.handle(int(i)) for i in ids])
@@ -118,17 +132,17 @@ def test_register_batch_vectorized():
 def test_register_batch_without_region_keeps_recorded_region():
     table = HostTable(Simulator(seed=1))
     names = ("e0", "e1", "e2")
-    table.register_batch(names, **_batch_columns(3), now=1.0, region=7)
-    table.register_batch(names, **_batch_columns(3), now=2.0)
+    table.register(_batch(names, region=7), _RVZ, _reach(), now=1.0)
+    table.register(_batch(names), _RVZ, _reach(), now=2.0)
     assert table.names_in_region(7) == list(names)
 
 
 def test_expiry_and_release_owner():
     sim = Simulator(seed=1)
     table = HostTable(sim)
-    table.register("a", _conn(), {}, _reach(), now=20.0, owner=0)
-    b = table.register("b", _conn(), {}, _reach(), now=0.0, owner=0)
-    table.register("c", _conn(), {}, _reach(), now=50.0, owner=1)
+    _register(table, "a", _conn(), {}, _reach(), now=20.0, owner=0)
+    b = _register(table, "b", _conn(), {}, _reach(), now=0.0, owner=0)
+    _register(table, "c", _conn(), {}, _reach(), now=50.0, owner=1)
     assert table.expire(horizon=10.0) == ["b"]  # a and c are fresh
     assert not (table.flags[b] & FLAG_REGISTERED)
     released = table.release_owner(1)
@@ -136,16 +150,34 @@ def test_expiry_and_release_owner():
     assert table.registered_count == 1  # only "a"
 
 
+def test_touch_bumps_only_rows_the_owner_holds_live():
+    """A keepalive refreshes liveness and reach for the names its server
+    holds; a row another server owns, an unregistered row and an
+    unknown name are left alone and not counted."""
+    table = HostTable(Simulator(seed=1))
+    for name, owner in [("a", 0), ("b", 1), ("c", 0)]:
+        _register(table, name, _conn(), {}, _reach(), now=0.0, owner=owner)
+    table.mark_down(["c"])
+    moved = (IPv4Address("7.0.0.9"), 4999)
+    assert table.touch(("a", "b", "c", "nobody"), 5.0, moved, 0) == 1
+    a, b, c = (table.lookup(n) for n in "abc")
+    assert float(table.last_seen[a]) == 5.0
+    assert (int(table.reach_ip[a]), int(table.reach_port[a])) == (moved[0].value, 4999)
+    for i in (b, c):
+        assert float(table.last_seen[i]) == 0.0
+        assert int(table.reach_port[i]) == _reach()[1]
+
+
 @given(batches=st.lists(st.lists(st.sampled_from([f"h{i}" for i in range(300)]),
                                  max_size=60), max_size=12))
 @settings(max_examples=100, deadline=None)
 def test_ensure_rows_matches_row_by_row(batches):
     """Bulk admission, duplicates inside a batch and names seen before
-    included, leaves the table as ``ensure_row`` one name at a time does
+    included, leaves the table as admitting one name at a time does
     — down to the containers' allocated sizes, which
     ``steady_state_bytes`` counts — and crosses a column doubling."""
     sim_bulk, sim_single = Simulator(seed=1), Simulator(seed=1)
-    bulk, single = HostTable(sim_bulk), HostTable(sim_single)
+    bulk, single = HostTable(sim_bulk), ScalarHostTable(sim_single)
     for names in batches:
         ids = bulk.ensure_rows(tuple(names))
         assert ids.dtype == np.int64
@@ -192,10 +224,10 @@ def test_in_zones_matches_per_zone_tests_on_the_bounds():
 def test_zone_selection_vectorized():
     sim = Simulator(seed=1)
     table = HostTable(sim)
-    lo = table.register("lo", _conn(), {"cpu_ghz": 2.0, "mem_mb": 1000.0},
-                        _reach(), now=0.0)
-    hi = table.register("hi", _conn(), {"cpu_ghz": 14.0, "mem_mb": 30000.0},
-                        _reach(), now=0.0)
+    lo = _register(table, "lo", _conn(), {"cpu_ghz": 2.0, "mem_mb": 1000.0},
+                   _reach(), now=0.0)
+    hi = _register(table, "hi", _conn(), {"cpu_ghz": 14.0, "mem_mb": 30000.0},
+                   _reach(), now=0.0)
     lower, upper = Zone.whole(2).split()
     ids = np.array([lo, hi])
     inside = table.in_zones([lower, upper], ids)
@@ -235,18 +267,11 @@ def test_rendezvous_batch_registration_and_query():
     env = WavnetEnvironment(sim, n_rendezvous=1)
     server = env.rendezvous[0]
     n = 40
-    batch = _RegisterBatch(
-        names=tuple(f"b{i}" for i in range(n)),
-        public_ip=np.arange(n, dtype=np.uint32) + 0x0B000000,
-        public_port=np.full(n, 21000, dtype=np.uint16),
-        private_ip=np.full(n, 0xC0A80002, dtype=np.uint32),
-        private_port=np.full(n, 4242, dtype=np.uint16),
-        nat_code=np.full(n, 3, dtype=np.uint8),
-        attr_values=np.tile(np.array([8.0, 16384.0], dtype=np.float32),
-                            (n, 1)),
-        region=2)
-    result = server._on_register_batch(batch, *_reach())
-    assert sim.run_coro(result)[1] == n
+    batch = _batch([f"b{i}" for i in range(n)], region=2, port=21000,
+                   attrs=(8.0, 16384.0))
+    result = server._on_register(batch, *_reach())
+    assert sim.run_coro(result) == ("registered", n)  # n handles stored
+    assert sim.metrics.value(f"{server.host.name}.rvz.hosts.registered") == n
     assert len(server.host_names()) == n
     assert server.registered("b7") == env.table.lookup("b7") >= 0
     assert server.registered("nobody") == -1
@@ -292,8 +317,8 @@ def test_endpoint_fault_verbs_without_materialization():
     sim = Simulator(seed=2)
     table = HostTable(sim)
     for i, region in enumerate([0, 0, 1]):
-        table.register(f"f{i}", _conn(), {}, _reach(), now=0.0, owner=0,
-                       region=region)
+        _register(table, f"f{i}", _conn(), {}, _reach(), now=0.0, owner=0,
+                  region=region)
     injector = FaultInjector(sim)
     assert injector.endpoint_down(table, "f2") == 1
     f2 = table.lookup("f2")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hoststate import HostTable
+from repro.core.hoststate import SPEC, HostTable, Registration
 from repro.exp.spec import ExperimentSpec, run_spec
 from repro.nat.types import NatType
 from repro.net.addresses import IPv4Address
@@ -20,6 +20,9 @@ from repro.scenarios.builder import make_public_host
 from repro.scenarios.storm import StormLane, registration_storm
 from repro.scenarios.wavnet_env import WavnetEnvironment
 from repro.sim import Simulator
+
+
+REACH = (IPv4Address("8.0.0.1"), 20001)
 
 
 def make_conn_info(ip="8.0.0.1", port=20001):
@@ -49,11 +52,12 @@ def build_overlay(sim, n_nodes, cloud_latency=0.005):
 def register_row(node, name, point) -> int:
     """Write the table row for ``name``. ``point`` is in CAN space; the
     spec's attribute ranges scale it back."""
-    table = node.table
     attrs = {attr: lo + x * (hi - lo)
-             for (attr, lo, hi), x in zip(table.spec.attributes, point)}
-    return table.register(name, make_conn_info(), attrs,
-                          (IPv4Address("8.0.0.1"), 20001), node.sim.now)
+             for (attr, lo, hi), x in zip(SPEC.attributes, point)}
+    (host_id,) = node.table.register(
+        Registration.of(name, make_conn_info(), attrs),
+        (IPv4Address("9.0.0.1"), 4001), REACH, node.sim.now)
+    return int(host_id)
 
 
 def put(node, name, point):
@@ -333,7 +337,7 @@ class TestReplication:
             self.settle(sim, nodes[0])  # detection + takeover
         (last,) = [n for n in nodes if n.joined]
         assert handle in last.handles
-        last.table.touch(last.table.lookup("twice"), sim.now)  # a keepalive
+        last.table.touch(("twice",), sim.now, REACH, -1)  # a keepalive
         assert [r.host_name for r in last._handle_records(point, 4)] == ["twice"]
 
     def test_late_joiner_receives_a_copy_of_older_entries(self):
@@ -368,7 +372,7 @@ class TestReplication:
         sim.run(until=sim.now + node.record_ttl + 1.0)
         assert node.zone_load(zone) == 0
         assert len(node.handles) == 1  # still registered: a keepalive revives it
-        node.table.touch(node.table.lookup("quiet"), sim.now)
+        node.table.touch(("quiet",), sim.now, REACH, -1)
         assert node.zone_load(zone) == 1
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
     AnyOf,
     Interrupt,
     SimulationError,
@@ -244,33 +243,6 @@ def test_any_of_fires_on_first():
     # The losing sibling timeout is canceled when the condition fires,
     # so the run ends at the winner's time, not the loser's.
     assert sim.now == 1
-
-
-def test_all_of_waits_for_all():
-    sim = Simulator()
-
-    def proc(sim):
-        t1 = sim.timeout(1, value="a")
-        t2 = sim.timeout(4, value="b")
-        result = yield AllOf(sim, [t1, t2])
-        return sorted(result.values())
-
-    p = sim.process(proc(sim))
-    sim.run()
-    assert p.value == ["a", "b"]
-    assert sim.now == 4
-
-
-def test_all_of_empty_fires_immediately():
-    sim = Simulator()
-
-    def proc(sim):
-        result = yield AllOf(sim, [])
-        return result
-
-    p = sim.process(proc(sim))
-    sim.run()
-    assert p.value == {}
 
 
 def test_run_until_time_stops_clock_exactly():
