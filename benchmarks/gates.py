@@ -5,7 +5,8 @@
 A case is a module with three functions: ``run(quick) -> payload``,
 ``check(payload) -> list of failure strings`` and ``render(payload) ->
 str``. Every run is written as one record ``{case, commit, nproc,
-host_score, quick, wall_s, payload}``: a full-size run to
+host_score, quick, wall_s, payload}`` (``commit`` ends in ``+dirty``
+when tracked files differ from it): a full-size run to
 ``BENCH_<case>.json`` at the repo root, a ``--quick`` run to the
 git-ignored ``benchmarks/out/gates/``, never over a committed record.
 The exit status is non-zero when any case's check reports a failure or
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import subprocess
 import sys
 import traceback
 from pathlib import Path
@@ -39,6 +41,18 @@ CASES = {
 }
 
 
+def stamp(commit: str, root: Path) -> str:
+    """``commit``, marked ``+dirty`` when a tracked file under ``root``
+    differs from it: a record made before committing is not the commit's."""
+    try:
+        status = subprocess.run(["git", "-C", str(root), "status", "--porcelain",
+                                 "--untracked-files=no"],
+                                capture_output=True, text=True).stdout
+    except OSError:
+        status = ""
+    return f"{commit}+dirty" if status.strip() else commit
+
+
 def main(argv=None, cases=CASES, root: Path = ROOT) -> int:
     """``cases`` maps a name to a case or to the module that holds it."""
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -56,6 +70,7 @@ def main(argv=None, cases=CASES, root: Path = ROOT) -> int:
         ap.error(f"unknown case(s) {unknown}; known: {list(cases)}")
 
     ctx = context()
+    commit = stamp(ctx["commit"], root)
     out_dir = root / "benchmarks" / "out" / "gates" if args.quick else root
     out_dir.mkdir(parents=True, exist_ok=True)
     failed = []
@@ -67,7 +82,7 @@ def main(argv=None, cases=CASES, root: Path = ROOT) -> int:
             if isinstance(case, str):
                 case = importlib.import_module(case)
             payload = case.run(args.quick)
-            record = {"case": name, "commit": ctx["commit"],
+            record = {"case": name, "commit": commit,
                       "nproc": ctx["nproc"], "host_score": ctx["host_score"],
                       "quick": args.quick,
                       "wall_s": round(perf_counter() - t0, 3),

@@ -51,14 +51,17 @@ from __future__ import annotations
 import math
 from array import array
 from functools import partial
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from repro.net.cc import INITIAL_CWND_SEGMENTS, cc_class, window_rate_bps
+from repro.net.fluid.flow import (_ABORTED, _ACTIVE, _DELIVERED, _DONE, _STALLED,
+                                  FluidFlow, _resolved)
 from repro.net.fluid.waterfill import (FluidLink, FluidPath, PathTable,
                                       by_instant, first_occurrences, waterfill)
-from repro.sim.engine import _PROCESSED, Event, Simulator
+from repro.sim.engine import Simulator
 
 __all__ = ["FluidAborted", "FluidFlow", "FluidLink", "FluidNetwork",
            "FluidPath"]
@@ -66,134 +69,9 @@ __all__ = ["FluidAborted", "FluidFlow", "FluidLink", "FluidNetwork",
 _EPS = 1e-9
 _INF = math.inf
 
-# A flow's state column: _DONE has completed but its last byte is still
-# in flight; _DELIVERED has resolved ``done``.
-_ACTIVE, _STALLED, _DONE, _DELIVERED, _ABORTED = range(5)
-_STATE_NAMES = ("active", "stalled", "done", "done", "aborted")
-
 
 class FluidAborted(Exception):
     """A fluid flow was aborted (fault, stall timeout, or explicit)."""
-
-
-def _resolved(sim: Simulator, value=None, exc: Optional[BaseException] = None) -> Event:
-    """An event already processed: a waiter added now runs at once."""
-    ev = Event(sim)
-    ev._state = _PROCESSED
-    ev.callbacks = None
-    ev._value = value
-    ev._exc = exc
-    ev._defused = True
-    return ev
-
-
-class FluidFlow:
-    """One bulk transfer on the fluid plane: a handle onto entry ``_i``
-    (the open order) of its network's flow columns, which hold its
-    delivered bytes, rate, settle time, size, cap, armed ETA, state and
-    path; the properties read them.
-
-    ``size_bytes=None`` makes a duration-mode flow (netperf style): it
-    runs until :meth:`close` and reports ``delivered``. Otherwise the
-    flow completes when ``delivered`` reaches ``size_bytes`` and
-    ``done`` succeeds ``deliver_offset`` seconds later (last-byte
-    propagation to the receiver). ``done`` is made on first read: read
-    before the flow resolves, it is the pending event resolution
-    triggers; read after, it is already processed with the same outcome
-    (``done.value is flow``, or a defused :class:`FluidAborted`), so a
-    flow nobody waits on costs no calendar entry. Read in the very
-    instant of resolution, its waiters run at once, not later in it."""
-
-    __slots__ = ("net", "name", "window_bps", "cc", "opened_at",
-                 "deliver_offset", "_i", "_done")
-
-    def __init__(self, net: "FluidNetwork", i: int, name: str,
-                 window_bps: float, cc: Optional[str],
-                 deliver_offset: float) -> None:
-        self.net = net
-        self._i = i
-        self.name = name
-        self.window_bps = window_bps
-        self.cc = cc   # None: Reno's Mathis curve, the gates' calibrated default
-        self.opened_at = net.sim.now
-        self.deliver_offset = deliver_offset
-        self._done: Optional[Event] = None
-
-    @property
-    def path(self) -> FluidPath:
-        return self.net._graph.paths[self.net._pidx[self._i]]
-
-    @property
-    def mss(self) -> int:
-        return self.path.mss
-
-    @property
-    def size_bytes(self) -> Optional[int]:
-        size = self.net._size[self._i]
-        return None if size == _INF else int(size)
-
-    @property
-    def delivered(self) -> float:
-        return self.net._delivered[self._i]
-
-    @property
-    def rate(self) -> float:
-        """Allocated goodput, bits/s."""
-        return self.net._rate[self._i]
-
-    @property
-    def state(self) -> str:
-        return _STATE_NAMES[self.net._state[self._i]]
-
-    @property
-    def done(self) -> Event:
-        ev = self._done
-        if ev is None:
-            net = self.net
-            if net._state[self._i] == _DELIVERED:
-                ev = _resolved(net.sim, value=self)
-            else:
-                ev = Event(net.sim)
-                net._waiting[self._i] = self
-            self._done = ev
-        return ev
-
-    def cap_bps(self) -> float:
-        cap = self.net._cap[self._i]   # min(window, slow-start ramp)
-        path = self.path
-        loss = path.loss()
-        if loss > 0.0:
-            cap = min(cap, self.net._rate_caps[self.cc](path.mss, path.rtt, loss))
-        return cap
-
-    # -- progress -------------------------------------------------------
-    def progress(self) -> float:
-        """Delivered bytes as of now (read-only; does not settle)."""
-        net, i = self.net, self._i
-        if net._state[i] != _ACTIVE:
-            return net._delivered[i]
-        return net._delivered[i] + net._rate[i] * (net.sim.now - net._last[i]) / 8.0
-
-    def remaining(self) -> float:
-        size = self.net._size[self._i]
-        if size == _INF:
-            return _INF
-        return max(size - self.net._delivered[self._i], 0.0)
-
-    # -- lifecycle ------------------------------------------------------
-    def close(self) -> None:
-        """Finish a duration-mode flow (or cut a sized flow short)."""
-        if self.net._state[self._i] < _DONE:
-            self.net._close(self)
-
-    def abort(self, reason: str = "aborted") -> None:
-        if self.net._state[self._i] < _DONE:
-            self.net._abort(self, reason)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"FluidFlow({self.name}, {self.state}, "
-                f"rate={self.rate / 1e6:.2f}Mbps, "
-                f"delivered={self.delivered:.0f}B)")
 
 
 class _Cohort:
@@ -334,13 +212,10 @@ class FluidNetwork:
 
     # -- flow lifecycle -------------------------------------------------
     def open(self, src: Optional[str] = None, dst_ip=None, *,
-             path: Optional[FluidPath] = None,
-             size_bytes: Optional[int] = None,
-             send_buf: int = 262144, recv_buf: int = 262144,
-             ramp: bool = True, name: Optional[str] = None,
-             deliver_offset: Optional[float] = None,
-             cc: Optional[str] = None) -> FluidFlow:
-        """Open a fluid bulk transfer and (re)solve the share allocation.
+             path: Optional[FluidPath] = None, name: Optional[str] = None,
+             **options) -> FluidFlow:
+        """Open one fluid bulk transfer on ``path`` (or the route from
+        ``src`` to ``dst_ip``): a cohort of one (:meth:`open_many`).
 
         Returns the :class:`FluidFlow`; wait on ``flow.done`` for
         completion (sized flows) or :meth:`FluidFlow.close` it
@@ -349,47 +224,104 @@ class FluidNetwork:
             path = self.route(src, dst_ip)
         if name is None:
             name = f"flow{self._flow_seq}"
-        self._flow_seq += 1
+        return self.open_many([path], [name], **options)[0]
+
+    def open_many(self, paths: list, names: list, *,
+                  size_bytes: Optional[int] = None,
+                  send_buf: int = 262144, recv_buf: int = 262144,
+                  ramp: bool = True, deliver_offset: Optional[float] = None,
+                  cc: Optional[str] = None) -> list[FluidFlow]:
+        """Open one flow per ``(paths[k], names[k])``, in that order,
+        sharing the keyword options, and (re)solve the share allocation
+        once. Columns, trace rows and calendar entries come out as ``len(
+        paths)`` calls of :meth:`open` would leave them; per-path work is
+        done once per distinct path."""
+        sim = self.sim
+        now, first, n = sim.now, len(self._state), len(paths)
+        if len(names) != n:
+            raise ValueError(f"open_many: {n} paths but {len(names)} names")
+        if not n:
+            return []
+        self._flow_seq += n
         if cc not in self._rate_caps:
             self._rate_caps[cc] = cc_class(cc or "reno").rate_cap
-        rtt = path.rtt
-        window = window_rate_bps(send_buf, recv_buf, rtt)
-        offset = rtt / 2.0 if deliver_offset is None else deliver_offset
-        sim = self.sim
-        i = len(self._state)
-        flow = FluidFlow(self, i, name, window, cc, offset)
-        # Slow start: the initial window goes out as one burst (delivered
-        # "instantly" on the fluid clock; propagation is deliver_offset),
-        # then the rate cap doubles each RTT starting from 2*IW/RTT.
-        iw = INITIAL_CWND_SEGMENTS * path.mss
-        delivered, cap = 0.0, window
-        if ramp and window > 2 * iw * 8.0 / rtt:
-            delivered = float(min(iw, size_bytes)) if size_bytes is not None else float(iw)
-            cap = 2 * iw * 8.0 / rtt
-            self._ramp_timers[i] = sim.timer(rtt, partial(self._ramp_step, i))
-        self._delivered.append(delivered)
-        self._rate.append(0.0)
-        self._last.append(sim.now)
-        self._size.append(_INF if size_bytes is None else size_bytes)
-        self._cap.append(cap)
-        self._eta.append(_INF)
-        self._state.append(_ACTIVE)
-        self._pidx.append(self._graph.index(path))
-        self._handles.append(flow)
-        self._m_opened.add()
-        sim.trace.event("fluid.open", flow=name,
-                        size=size_bytes if size_bytes is not None else -1)
-        if size_bytes is not None and delivered >= size_bytes:
-            # Fits in the initial window: delivered in one burst.
-            self._complete(np.array([i]), live=False)
-            return flow
-        self.flows[flow] = None
-        self._m_active.set(len(self.flows))
+        # Per distinct path: index, window, delivery offset and slow start.
+        # The initial window goes out as one burst (delivered "instantly" on
+        # the fluid clock; propagation is deliver_offset), then the rate cap
+        # doubles each RTT starting from 2*IW/RTT.
+        keys = list(map(id, paths))
+        per = {}
+        for key, path in dict(zip(keys, paths)).items():
+            rtt, iw = path.rtt, INITIAL_CWND_SEGMENTS * path.mss
+            win = window_rate_bps(send_buf, recv_buf, rtt)
+            burst, ceiling, ramps = 0.0, win, ramp and win > 2 * iw * 8.0 / rtt
+            if ramps:
+                burst = float(iw if size_bytes is None else min(iw, size_bytes))
+                ceiling = 2 * iw * 8.0 / rtt
+            per[key] = (self._graph.index(path), win,
+                        rtt / 2.0 if deliver_offset is None else deliver_offset,
+                        burst, ceiling, ramps,
+                        size_bytes is not None and burst >= size_bytes)   # fits in the IW
+        # The same, as one key -> value dict per column.
+        pidx, window, offset, delivered, cap, ramped, fits = (
+            dict(zip(per, column)) for column in zip(*per.values()))
+        handles = [FluidFlow(self, i, name, window[key], cc, offset[key])
+                   for i, name, key in zip(range(first, first + n), names, keys)]
+        self._delivered.extend(array("d", map(delivered.__getitem__, keys)))
+        self._rate.extend(array("d", (0.0,)) * n)
+        self._last.extend(array("d", (now,)) * n)
+        self._size.extend(array("d", (_INF if size_bytes is None else size_bytes,)) * n)
+        self._cap.extend(array("d", map(cap.__getitem__, keys)))
+        self._eta.extend(array("d", (_INF,)) * n)
+        self._state.extend(array("b", (_ACTIVE,)) * n)
+        self._pidx.extend(array("i", map(pidx.__getitem__, keys)))
+        self._handles.extend(handles)
+        self._m_opened.add(n)
+        rows = list(zip(repeat(now), names,
+                        repeat(-1 if size_bytes is None else size_bytes)))
+        live = handles
+        if any(ramped.values()) or any(fits.values()):
+            live = self._open_calendar(handles, keys, ramped, fits, rows)
+        else:
+            sim.trace.event_rows("fluid.open", ("flow", "size"), rows)
+            self._arm_cohort()
+        if live:
+            self.flows.update(dict.fromkeys(live))
+            self._m_active.set(len(self.flows))
+        return handles
+
+    def _open_calendar(self, handles: list, keys: list, ramped: dict,
+                       fits: dict, rows: list) -> list:
+        """The opening cohort's per-flow calendar work, in the order one
+        open at a time pushes it: a ramp timer per ramped flow, a flow that
+        fits in its initial window completed in place (its ``fluid.complete``
+        row right after its ``fluid.open`` row), and the re-solve and the
+        refresh timer after the first flow that stays. Returns the flows
+        that stay, in open order."""
+        live, filed = [], 0
+        for k, (flow, key) in enumerate(zip(handles, keys)):
+            i = flow._i
+            if fits[key]:
+                self.sim.trace.event_rows("fluid.open", ("flow", "size"), rows[filed:k + 1])
+                filed = k + 1
+                self._complete(np.array([i]), live=False)
+                continue
+            if ramped[key]:
+                self._ramp_timers[i] = self.sim.timer(
+                    self._graph.paths[self._pidx[i]].rtt, partial(self._ramp_step, i))
+            if not live:
+                self._arm_cohort()
+            live.append(flow)
+        self.sim.trace.event_rows("fluid.open", ("flow", "size"), rows[filed:])
+        return live
+
+    def _arm_cohort(self) -> None:
+        """A cohort with flows that stay asks for one re-solve and keeps
+        the refresh timer running."""
         self._schedule_solve()
         if self._refresh_timer is None and self.refresh_interval:
-            self._refresh_timer = sim.timer(self.refresh_interval,
-                                            self._refresh_tick)
-        return flow
+            self._refresh_timer = self.sim.timer(self.refresh_interval,
+                                                 self._refresh_tick)
 
     def _ramp_step(self, i: int) -> None:
         cap = self._cap[i] * 2.0
@@ -456,8 +388,9 @@ class FluidNetwork:
 
     def _complete(self, slots: np.ndarray, live: bool) -> None:
         """Complete ``slots`` (settled, in order): one pass over the columns,
-        one loop for the trace rows and deliveries. A live flow leaves
-        ``flows``; the re-solve goes right after the first one's delivery."""
+        one loop for the handles and deliveries, the trace rows filed
+        together. A live flow leaves ``flows``; the re-solve goes right
+        after the first one's delivery."""
         sim = self.sim
         now = sim.now
         self._cancel_timers(slots)
@@ -468,7 +401,7 @@ class FluidNetwork:
         for amount in amounts:   # in flow order: a float sum's last bit depends on it
             total += amount
         self._m_bytes.value = total
-        handles, flows, event = self._handles, self.flows, sim.trace.event
+        handles, flows, rows = self._handles, self.flows, []
         cohorts, fresh = self._deliveries, {}
         when = members = None
         first = live
@@ -477,8 +410,7 @@ class FluidNetwork:
             handles[i] = None
             if live:
                 del flows[flow]
-            event("fluid.complete", flow=flow.name, delivered=round(amount),
-                  seconds=round(now - flow.opened_at, 6))
+            rows.append((now, flow.name, round(amount), round(now - flow.opened_at, 6)))
             offset = flow.deliver_offset
             if offset > 0:
                 if now + offset != when:
@@ -494,6 +426,7 @@ class FluidNetwork:
             if first:
                 first = False
                 self._schedule_solve()
+        sim.trace.event_rows("fluid.complete", ("flow", "delivered", "seconds"), rows)
         for when, members in fresh.items():
             cohorts[when].chunks.append(np.array(members, dtype=np.int64))
         if live:

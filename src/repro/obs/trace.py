@@ -94,12 +94,16 @@ class Tracer:
         self._tables: dict[tuple, tuple[int, list]] = {}
         self._order = array("I")   # table number of each record, log order
 
-    def _file(self, shape: tuple, row: tuple) -> None:
+    def _table(self, shape: tuple) -> tuple[int, list]:
         table = self._tables.get(shape)
         if table is None:
             table = self._tables[shape] = (len(self._tables), [])
-        table[1].append(row)
-        self._order.append(table[0])
+        return table
+
+    def _file(self, shape: tuple, row: tuple) -> None:
+        number, rows = self._table(shape)
+        rows.append(row)
+        self._order.append(number)
 
     # -- recording ------------------------------------------------------
     def begin(self, name: str, **attrs: Any) -> Span:
@@ -112,6 +116,15 @@ class Tracer:
 
     def event(self, name: str, **attrs: Any) -> None:
         self._file(("event", name, *attrs), (self.sim.now, *attrs.values()))
+
+    def event_rows(self, name: str, keys: tuple, rows: list) -> None:
+        """File ``rows`` — ``(t, *values)`` tuples, one value per key — as
+        ``len(rows)`` calls of :meth:`event` with keyword ``keys`` would:
+        one extend of the table and one of the log order."""
+        if rows:
+            number, table = self._table(("event", name, *keys))
+            table.extend(rows)
+            self._order.extend(array("I", (number,)) * len(rows))
 
     # -- querying -------------------------------------------------------
     def __len__(self) -> int:

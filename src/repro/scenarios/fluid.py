@@ -240,8 +240,7 @@ def fluid_fanout(seed: int = 0, fidelity: str = "fluid",
     if fidelity == "fluid":
         net = FluidNetwork(sim, refresh_interval=0.0)
         factor = (mss + WIRE_OVERHEAD_TCP) / mss
-        dst_keys = [str(ip) for ip in dst_ips]   # once, not once per flow
-        flows = []
+        routes = []
         for i in range(n_pairs):
             tx_access = _find_link(sim, f"tx{i}.access")
             rx_access = _find_link(sim, f"rx{i}.access")
@@ -249,15 +248,16 @@ def fluid_fanout(seed: int = 0, fidelity: str = "fluid",
                                     (net.link_for(rx_access, "ba"), factor)),
                              rtt=rtt, mss=mss,
                              sites=(f"tx{i}", f"rx{i}"), cloud=cloud)
-            net.add_route(f"tx{i}", dst_keys[i], path)
-        for k in range(n_flows):
-            i = k % n_pairs
-            # ramp=False: at 10^3 flows per pair the fair share sits far
-            # below slow-start territory; modeling the ramp would only
-            # add per-flow timer events without moving the answer.
-            flows.append(net.open(f"tx{i}", dst_keys[i],
-                                  size_bytes=flow_bytes, ramp=False,
-                                  name=f"f{k}"))
+            net.add_route(f"tx{i}", dst_ips[i], path)
+            routes.append(path)
+        # One arrival cohort, in round-robin pair order (grouping by pair
+        # would reorder the solve's float sums). ramp=False: at 10^3 flows
+        # per pair the fair share sits far below slow-start territory;
+        # modeling the ramp would only add per-flow timer events without
+        # moving the answer.
+        flows = net.open_many([routes[k % n_pairs] for k in range(n_flows)],
+                              [f"f{k}" for k in range(n_flows)],
+                              size_bytes=flow_bytes, ramp=False)
         sim.run()
         completed = sum(1 for f in flows if f.state == "done")
         payload = {

@@ -319,19 +319,23 @@ class PerFlowTimerNetwork(OracleNetwork):
             flow.done.succeed(flow)
 
 
-def _drive(net_cls, caps, paths, flow_specs, actions, stall_timeout):
-    """Run one scripted mix to the end of the calendar; return the net,
-    the event count and everything a flow's owner can observe.
+def _drive(net_cls, caps, paths, flow_specs, actions, stall_timeout,
+           refresh_interval=0.0):
+    """Run one scripted mix to the end of the calendar (with a refresh
+    interval, to t = 1 s); return the net, the event count and everything
+    a flow's owner can observe.
 
     ``paths``: (link indices, factor, behind a cut-able site pair, behind
     a conduit). ``flow_specs``: (open time, path, bytes, ramp,
     deliver_offset, cc, waiter), the waiter attached at ``"open"``, after
-    the run (``"late"``, by then resolved) or never. ``actions``: (time,
-    verb, target, deferred) — a deferred action runs one calendar hop
-    later in its instant, after a solve the same instant's opens asked
-    for."""
+    the run (``"late"``, by then resolved) or never. The oracles open one
+    flow per calendar entry; the columnar plane opens each run of specs
+    that share an instant and every option (an arrival cohort) in one
+    ``open_many`` call. ``actions``: (time, verb, target, deferred) — a
+    deferred action runs one calendar hop later in its instant, after a
+    solve the same instant's opens asked for."""
     sim = Simulator(seed=1)
-    net = net_cls(sim, refresh_interval=0.0, stall_timeout=stall_timeout)
+    net = net_cls(sim, refresh_interval=refresh_interval, stall_timeout=stall_timeout)
     cloud = WanCloud(sim, default_latency=0.01)
     net.watch_cloud(cloud)
     links = [FluidLink(f"l{i}", capacity_bps=c) for i, c in enumerate(caps)]
@@ -345,23 +349,37 @@ def _drive(net_cls, caps, paths, flow_specs, actions, stall_timeout):
     flows, done_log, instant_log, probes = {}, [], [], []
     solves = sim.metrics.counter("fluid.solves")
 
+    def options(size, ramp, offset, cc):
+        return dict(size_bytes=size, ramp=ramp, deliver_offset=offset,
+                    send_buf=1 << 18, recv_buf=1 << 18, cc=cc)
+
+    def opened(k, flow, offset, waiter):
+        flows[k] = (flow, waiter)
+        if waiter != "open":
+            return
+        if flow.state == "done" and offset == 0.0:
+            # Resolved inside open(): a read in the instant of
+            # resolution, whose waiter runs at once on the columnar
+            # plane (test_done_read_in_the_instant_of_resolution_...).
+            flow.done.add_callback(lambda ev: instant_log.append(
+                (flow.name, sim.now, ev.ok)))
+        else:
+            flow.done.add_callback(lambda ev: done_log.append(
+                (flow.name, sim.now, ev.ok, solves.value)))
+
     def opener(k, path_i, size, ramp, offset, cc, waiter):
         def go():
-            flow = net.open(path=fpaths[path_i % len(fpaths)], size_bytes=size,
-                            ramp=ramp, deliver_offset=offset, name=f"f{k}",
-                            send_buf=1 << 18, recv_buf=1 << 18, cc=cc)
-            flows[k] = (flow, waiter)
-            if waiter != "open":
-                return
-            if flow.state == "done" and offset == 0.0:
-                # Resolved inside open(): a read in the instant of
-                # resolution, whose waiter runs at once on the columnar
-                # plane (test_done_read_in_the_instant_of_resolution_...).
-                flow.done.add_callback(lambda ev: instant_log.append(
-                    (flow.name, sim.now, ev.ok)))
-            else:
-                flow.done.add_callback(lambda ev: done_log.append(
-                    (flow.name, sim.now, ev.ok, solves.value)))
+            opened(k, net.open(path=fpaths[path_i % len(fpaths)], name=f"f{k}",
+                               **options(size, ramp, offset, cc)), offset, waiter)
+        return go
+
+    def cohort_opener(cohort):
+        def go():
+            _k, _path_i, *shared, _waiter = cohort[0]
+            handles = net.open_many([fpaths[spec[1] % len(fpaths)] for spec in cohort],
+                                    [f"f{spec[0]}" for spec in cohort], **options(*shared))
+            for (k, *_, waiter), flow in zip(cohort, handles):
+                opened(k, flow, shared[2], waiter)
         return go
 
     def flap(link, down_for):
@@ -401,12 +419,25 @@ def _drive(net_cls, caps, paths, flow_specs, actions, stall_timeout):
                 flow.abort("scripted")
         return go
 
-    for k, (t, *spec) in enumerate(flow_specs):
-        sim.call_at(t, opener(k, *spec))
+    if net_cls is FluidNetwork:
+        cohorts = {}   # open time -> runs of specs sharing every option
+        for k, (t, *spec) in enumerate(flow_specs):
+            runs = cohorts.setdefault(t, [])
+            if runs and runs[-1][-1][2:6] == tuple(spec[1:5]):
+                runs[-1].append((k, *spec))
+            else:
+                runs.append([(k, *spec)])
+        for t, runs in cohorts.items():
+            for cohort in runs:
+                sim.call_at(t, cohort_opener(cohort))
+    else:
+        for k, (t, *spec) in enumerate(flow_specs):
+            sim.call_at(t, opener(k, *spec))
     for t, kind, arg, deferred in actions:
         go = act(kind, arg)
         sim.call_at(t, (lambda go=go: sim.call_in(0.0, go)) if deferred else go)
-    sim.run()
+    # A refresh tick recurs while any flow is open: stop at a horizon.
+    sim.run(until=1.0 if refresh_interval else None)
     late_log = []
     for flow, waiter in flows.values():
         if waiter == "late":
@@ -426,15 +457,30 @@ _paths = st.lists(st.tuples(
     st.booleans(),                                               # site pair
     st.booleans(),                                               # conduit
 ), min_size=1, max_size=3)
+_sizes = st.sampled_from([None, 4_000, 60_000, 60_000, 250_000])
+_offsets = st.sampled_from([None, 0.0])
+_ccs = st.sampled_from([None, None, "cubic", "bbr"])
+_waiters = st.sampled_from(["open", "open", "late", "none"])
 _flow_specs = st.lists(st.tuples(
     st.sampled_from([0.0, 0.0, 0.0, 0.05, 0.1, 0.3]),          # open time
     st.integers(0, 2),                                          # path
-    st.sampled_from([None, 4_000, 60_000, 60_000, 250_000]),   # bytes
-    st.booleans(),                                              # ramp
-    st.sampled_from([None, 0.0]),                               # deliver_offset
-    st.sampled_from([None, None, "cubic", "bbr"]),              # cc
-    st.sampled_from(["open", "open", "late", "none"]),          # waiter
+    _sizes, st.booleans(), _offsets, _ccs,                      # bytes, ramp,
+    _waiters,                                                   # offset, cc, waiter
 ), min_size=1, max_size=40)
+
+
+@st.composite
+def _cohort_specs(draw):
+    """Flow specs whose (bytes, ramp, deliver_offset, cc) come from at most
+    three draws, so arrival cohorts are long and mix paths; a cohort's
+    flows all ramp, all fit their initial window or neither."""
+    choices = draw(st.lists(st.tuples(_sizes, st.booleans(), _offsets, _ccs),
+                            min_size=1, max_size=3))
+    specs = draw(st.lists(st.tuples(st.sampled_from([0.0, 0.0, 0.1]),
+                                    st.integers(0, 2), st.sampled_from(choices),
+                                    _waiters), min_size=1, max_size=40))
+    return [(t, path, *shared, waiter) for t, path, shared, waiter in specs]
+
 _actions = st.lists(st.tuples(
     st.sampled_from([0.0, 0.02, 0.1, 0.2, 0.45, 0.9]),
     st.sampled_from(["close", "abort", "flap", "blink", "loss", "partition",
@@ -484,6 +530,25 @@ def test_columns_match_object_oracle(caps, paths, flow_specs, actions,
     assert seen == expected
     assert events <= oracle_events
     assert not net._etas and not net._deliveries
+
+
+@given(caps=_caps, paths=_paths, flow_specs=_cohort_specs(), actions=_actions,
+       stall_timeout=st.sampled_from([None, 0.15]),
+       refresh_interval=st.sampled_from([0.0, 0.02, 0.04]))
+@settings(max_examples=200, deadline=None)
+def test_arrival_cohorts_match_object_oracle(caps, paths, flow_specs, actions,
+                                             stall_timeout, refresh_interval):
+    """Long arrival cohorts, each opened in one ``open_many`` call: bit for
+    bit the object-per-flow plane's run with one open per calendar entry,
+    in fewer calendar events. A refresh tick at a path's RTT or delivery
+    offset shares its instant with ramp steps and deliveries, so the
+    cohort's push order shows."""
+    args = (caps, paths, flow_specs, actions, stall_timeout, refresh_interval)
+    net, events, seen = _drive(FluidNetwork, *args)
+    _oracle, oracle_events, expected = _drive(OracleNetwork, *args)
+    assert seen == expected
+    assert events <= oracle_events
+    assert refresh_interval or not (net._etas or net._deliveries)
 
 
 @given(caps=_caps, paths=_paths, flow_specs=_flow_specs, actions=_actions,
@@ -554,6 +619,16 @@ def test_done_read_in_the_instant_of_resolution_runs_at_once():
         sim.call_in(1.0, go)
         sim.run()
     assert order == [["done", "after read"], ["after read", "done"]]
+
+
+def test_open_many_wants_one_name_per_path():
+    sim = Simulator(seed=1)
+    net = FluidNetwork(sim)
+    path = FluidPath(links=((FluidLink("l0", capacity_bps=100e6), 1.0),), rtt=0.05)
+    with pytest.raises(ValueError, match="2 paths but 1 names"):
+        net.open_many([path, path], ["f0"], size_bytes=1000)
+    assert net.open_many([], []) == [] and not net._handles
+    assert sim.peek() == math.inf   # an empty cohort asks for no solve
 
 
 def test_flow_within_initial_window_leaves_no_timer():

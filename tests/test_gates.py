@@ -3,6 +3,7 @@ no simulation runs here."""
 
 import importlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -87,3 +88,24 @@ def test_quick_run_never_touches_a_committed_record(tmp_path):
     record = json.loads(written[0].read_text())
     assert set(record) == RECORD_KEYS
     assert record["quick"] is True and record["payload"] == {"sized_down": True}
+
+
+def test_record_names_a_dirty_tree_as_such(tmp_path):
+    """A record made with tracked files changed since HEAD is stamped
+    ``<sha>+dirty``; untracked files, such as the records, leave it clean."""
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                        "-c", "user.email=t@t", *args], check=True,
+                       capture_output=True)
+
+    def recorded_commit():
+        assert gates.main(["a"], {"a": StubCase()}, tmp_path) == 0
+        return json.loads((tmp_path / "BENCH_a.json").read_text())["commit"]
+
+    git("init", "-q")
+    (tmp_path / "tracked.py").write_text("x = 1\n")
+    git("add", "tracked.py")
+    git("commit", "-q", "-m", "seed")
+    assert recorded_commit() == "c0ffee"
+    (tmp_path / "tracked.py").write_text("x = 2\n")
+    assert recorded_commit() == "c0ffee+dirty"

@@ -228,13 +228,24 @@ class ListOfDictsTracer:
 NAMES = ["a", "a.b", "a.b.c", "ab", "fluid.stall", "x"]
 PATTERNS = [[], ["*"], ["a"], ["a.b"], ["a*"], ["a.*"], ["?"],
             ["fluid.stall", "x"], ["fluid"], ["nope"]]
-_attrs = st.dictionaries(
-    st.sampled_from(["flow", "n", "peer", "why"]),
-    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
-              st.text(max_size=4), st.builds(IPv4Address, st.integers(0, 2**32 - 1))),
-    max_size=3)
+_value = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+                  st.text(max_size=4), st.builds(IPv4Address, st.integers(0, 2**32 - 1)))
+_attrs = st.dictionaries(st.sampled_from(["flow", "n", "peer", "why"]), _value,
+                         max_size=3)
+
+
+@st.composite
+def _event_rows(draw):
+    """An ``event_rows`` op: one name, one key tuple, rows of values."""
+    keys = tuple(draw(st.lists(st.sampled_from(["flow", "n", "peer", "why"]),
+                               unique=True, max_size=3)))
+    values = draw(st.lists(st.tuples(*[_value] * len(keys)), max_size=5))
+    return "event_rows", draw(st.sampled_from(NAMES)), keys, values
+
+
 _ops = st.lists(st.one_of(
     st.tuples(st.just("event"), st.sampled_from(NAMES), _attrs),
+    _event_rows(),
     st.tuples(st.just("begin"), st.sampled_from(NAMES), _attrs),
     st.tuples(st.just("end"), st.integers(0, 7), _attrs),
     st.tuples(st.just("span"), st.sampled_from(NAMES), _attrs),
@@ -251,13 +262,25 @@ def fluid_complete_log(tracer, clock, n=20_000):
     return tracer
 
 
+def fluid_complete_rows(tracer, n=20_000):
+    """The same log (``t`` and ``seconds`` one float, as there) filed in
+    one :meth:`Tracer.event_rows` call."""
+    rows = []
+    for k in range(n):
+        t = k * 1e-3
+        rows.append((t, f"f{k}", 65536 + k, t))
+    tracer.event_rows("fluid.complete", ("flow", "bytes", "seconds"), rows)
+    return tracer
+
+
 class TestTracerStorage:
     @given(ops=_ops)
     @settings(max_examples=60, deadline=None)
     def test_reads_equal_the_list_of_dicts_reference(self, ops):
-        """Any interleaving of events, spans and a clear() reads back —
-        by record, by name, by kind, by pattern and as JSONL — exactly as
-        the one-list-of-dicts log did."""
+        """Any interleaving of events, bulk rows, spans and a clear() reads
+        back — by record, by name, by kind, by pattern and as JSONL —
+        exactly as the one-list-of-dicts log did; ``event_rows`` as one
+        ``event`` call per row."""
         clock = SimpleNamespace(now=0.0)
         tracer, ref = Tracer(clock), ListOfDictsTracer(clock)
         opened = []
@@ -266,6 +289,12 @@ class TestTracerStorage:
                 name, attrs = args
                 assert tracer.event(name, **attrs) is None
                 ref.event(name, **attrs)
+            elif op == "event_rows":
+                name, keys, values = args
+                assert tracer.event_rows(
+                    name, keys, [(clock.now, *row) for row in values]) is None
+                for row in values:
+                    ref.event(name, **dict(zip(keys, row)))
             elif op == "begin":
                 name, attrs = args
                 opened.append((tracer.begin(name, **attrs), dict(attrs)))
@@ -311,6 +340,21 @@ class TestTracerStorage:
         dicts, ref = traced_bytes(ListOfDictsTracer)
         assert log.records == ref.records
         assert rows <= 0.5 * dicts, (rows, dicts)
+
+    def test_bulk_rows_cost_no_more_than_one_event_per_row(self):
+        def traced_bytes(fill):
+            clock = SimpleNamespace(now=0.0)
+            tracemalloc.start()
+            try:
+                log = fill(Tracer(clock), clock)
+                return tracemalloc.get_traced_memory()[0], log
+            finally:
+                tracemalloc.stop()
+
+        bulk, log = traced_bytes(lambda tracer, _clock: fluid_complete_rows(tracer))
+        single, ref = traced_bytes(fluid_complete_log)
+        assert log.records == ref.records
+        assert bulk <= single, (bulk, single)
 
     def test_reads_by_name_leave_other_tables_alone(self):
         clock = SimpleNamespace(now=0.0)
