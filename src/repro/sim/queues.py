@@ -158,9 +158,10 @@ class Serializer:
         self.done(item)
         # Pull waiting items; a loop, not recursion, in case the station
         # was reshaped to a zero service time while they waited. Anything
-        # ``done`` offers meanwhile joins the back of the room.
+        # ``done`` offers meanwhile joins the back of the room, and an
+        # offer to the idle, empty station has already started service.
         items = self.items
-        while items:
+        while items and self._serving is _IDLE:
             item = items.popleft()
             delay = self.service_time(item)
             if delay:

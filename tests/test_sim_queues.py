@@ -1,8 +1,13 @@
 """Unit tests for the Store FIFO and the Serializer station."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from repro.sim import QueueFull, Serializer, SimulationError, Simulator, Store
+from repro.sim.queues import _IDLE
 
 
 def test_put_then_get_immediate():
@@ -225,3 +230,106 @@ def test_serializer_reshaped_while_items_wait():
     sim.run()
     assert served == [(1.0, "a"), (1.25, "b"), (1.5, "c"), (1.5, "d")]
     assert st.offer("e") and served[-1] == (1.5, "e")  # idle and unshaped
+
+
+def test_serializer_done_offering_twice_keeps_both():
+    """``done`` offering two items to an idle, empty station: the first
+    starts service inside ``offer``, the second waits behind it."""
+    sim = Simulator()
+    served = []
+
+    def done(item):
+        served.append((sim.now, item))
+        if item == "a":
+            st.offer("b")
+            st.offer("c")
+
+    st = Serializer(sim, 8, lambda _item: 1.0, done)
+    st.offer("a")
+    sim.run()
+    assert served == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
+
+
+class FifoModel:
+    """The reference: one server, a deque and a clock. An arrival at the
+    instant the server frees is admitted first (it was on the calendar
+    before the completion); the k-th completion offers ``spawn[k]`` new
+    items before the next waiting item enters service."""
+
+    def __init__(self, capacity, service, spawn):
+        self.capacity, self.service, self.spawn = capacity, service, spawn
+        self.queue = deque()
+        self.busy = None  # (finish time, item)
+        self.served, self.dropped = [], []
+        self.next_item = 1000
+
+    def offer(self, now, item):
+        if self.busy is None and not self.queue:
+            self.busy = (now + self.service(item), item)
+        elif len(self.queue) < self.capacity:
+            self.queue.append(item)
+        else:
+            self.dropped.append(item)
+
+    def run(self, arrivals):
+        arrivals = deque(arrivals)
+        while arrivals or self.busy:
+            if arrivals and (self.busy is None or arrivals[0][0] <= self.busy[0]):
+                self.offer(*arrivals.popleft())
+                continue
+            now, item = self.busy
+            self.busy = None
+            k = len(self.served)
+            self.served.append((now, item))
+            for _ in range(self.spawn[k] if k < len(self.spawn) else 0):
+                self.offer(now, self.next_item)
+                self.next_item += 1
+            if self.busy is None and self.queue:
+                nxt = self.queue.popleft()
+                self.busy = (now + self.service(nxt), nxt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=hst.integers(1, 4),
+       gaps=hst.lists(hst.integers(0, 8), min_size=1, max_size=12),
+       costs=hst.lists(hst.integers(1, 6), min_size=1, max_size=8),
+       spawn=hst.lists(hst.integers(0, 3), max_size=16))
+def test_serializer_matches_a_single_server_fifo(capacity, gaps, costs, spawn):
+    """Differential check of the station against :class:`FifoModel` on
+    served order, instants and drops, with ``done`` offering 0-3 items;
+    after every calendar step, every offered item is served, dropped,
+    waiting or in service."""
+    def service(item):  # quarter seconds: every instant is exact
+        return costs[item % len(costs)] / 4
+
+    arrivals, t = [], 0.0
+    for i, gap in enumerate(gaps):
+        t += gap / 4
+        arrivals.append((t, i))
+    model = FifoModel(capacity, service, spawn)
+    model.run(arrivals)
+
+    sim = Simulator()
+    served, offered = [], []
+    next_item = [1000]
+
+    def offer(item):
+        offered.append(item)
+        st.offer(item)
+
+    def done(item):
+        k = len(served)
+        served.append((sim.now, item))
+        for _ in range(spawn[k] if k < len(spawn) else 0):
+            offer(next_item[0])
+            next_item[0] += 1
+
+    st = Serializer(sim, capacity, service, done)
+    for when, item in arrivals:
+        sim.call_at(when, lambda item=item: offer(item))
+    while sim.peek() != float("inf"):
+        sim.step()
+        in_service = st._serving is not _IDLE
+        assert len(offered) == len(served) + st.drops + len(st.items) + in_service
+    assert served == model.served
+    assert st.drops == len(model.dropped)
