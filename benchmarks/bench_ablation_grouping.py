@@ -6,77 +6,40 @@ and random selection — the quality-vs-cost trade that justifies §II.D's
 approximation claim.
 """
 
-import time
-
-import numpy as np
-
 from repro.analysis.tables import ShapeCheck, render_table
-from repro.core.grouping import (
-    brute_force_group,
-    greedy_group,
-    locality_sensitive_group,
-    random_group,
-)
-from repro.scenarios.planetlab import planetlab_latency_matrix
+from repro.exp import SweepRunner, get_sweep
 
 
-def run_experiment():
-    small = planetlab_latency_matrix(24, seed=5)   # brute force feasible
-    large = planetlab_latency_matrix(300, seed=6)  # realistic scale
-    rng = np.random.default_rng(2)
-    out = {}
-
-    def timed(fn, *args, **kwargs):
-        t0 = time.perf_counter()
-        res = fn(*args, **kwargs)
-        return res, time.perf_counter() - t0
-
-    out["small"] = {
-        "brute": timed(brute_force_group, small, 5),
-        "ls": timed(locality_sensitive_group, small, 5),
-        "greedy": timed(greedy_group, small, 5),
-        "random": timed(random_group, small, 5, rng),
-    }
-    out["large"] = {
-        "ls": timed(locality_sensitive_group, large, 16),
-        "greedy": timed(greedy_group, large, 16),
-        "random": timed(random_group, large, 16, rng),
-    }
-    return out
-
-
-def test_ablation_grouping(run_once, emit):
-    out = run_once(run_experiment)
-    rows = []
-    for scale, algos in out.items():
-        for name, (res, secs) in algos.items():
-            rows.append((scale, name, res.average_latency * 1000,
-                         res.candidates_examined, secs * 1000))
+def test_ablation_grouping(emit):
+    (out,) = SweepRunner(get_sweep("ablation_grouping")).run().payloads
+    small, large = ({name: r for name, r in problem.items() if isinstance(r, dict)}
+                    for problem in out["problems"])
+    rows = [(scale, name, r["avg_s"] * 1000, r["candidates"], r["wall_s"] * 1000)
+            for scale, algos in (("small", small), ("large", large))
+            for name, r in algos.items()]
     emit(render_table(
         "Ablation - grouping algorithms (avg latency in ms, wall ms)",
         ["instance", "algorithm", "avg latency", "candidates", "wall (ms)"],
         [(s, n, round(a, 2), c, round(w, 2)) for s, n, a, c, w in rows]))
     check = ShapeCheck("ablation/grouping")
-    small = out["small"]
-    opt = small["brute"][0].average_latency
+    opt = small["brute"]["avg_s"]
     check.expect("locality-sensitive within 25% of brute-force optimum",
-                 small["ls"][0].average_latency <= opt * 1.25,
-                 f"{small['ls'][0].average_latency * 1000:.2f} vs "
+                 small["ls"]["avg_s"] <= opt * 1.25,
+                 f"{small['ls']['avg_s'] * 1000:.2f} vs "
                  f"{opt * 1000:.2f} ms")
     check.expect("brute force examines far more candidates",
-                 small["brute"][0].candidates_examined
-                 > 20 * small["ls"][0].candidates_examined)
-    large = out["large"]
+                 small["brute"]["candidates"]
+                 > 20 * small["ls"]["candidates"])
     check.expect("at N=300: LS candidates <= N*(k+1) (O(N*k) claim)",
-                 large["ls"][0].candidates_examined <= 300 * 17,
-                 f"{large['ls'][0].candidates_examined}")
+                 large["ls"]["candidates"] <= 300 * 17,
+                 f"{large['ls']['candidates']}")
     check.expect("LS beats random by an order of magnitude at N=300",
-                 large["ls"][0].average_latency * 10
-                 <= large["random"][0].average_latency,
-                 f"{large['ls'][0].average_latency * 1000:.1f} vs "
-                 f"{large['random'][0].average_latency * 1000:.0f} ms")
+                 large["ls"]["avg_s"] * 10
+                 <= large["random"]["avg_s"],
+                 f"{large['ls']['avg_s'] * 1000:.1f} vs "
+                 f"{large['random']['avg_s'] * 1000:.0f} ms")
     check.expect("greedy is competitive but LS is no worse than 1.5x greedy",
-                 large["ls"][0].average_latency
-                 <= 1.5 * large["greedy"][0].average_latency + 1e-6)
+                 large["ls"]["avg_s"]
+                 <= 1.5 * large["greedy"]["avg_s"] + 1e-6)
     emit(check.render())
     check.print_and_assert()

@@ -8,50 +8,17 @@ CONNECT_PULSE header is designed to sit on.
 """
 
 from repro.analysis.tables import ShapeCheck, render_table
-from repro.apps.ping import Pinger
-from repro.scenarios.wavnet_env import WavnetEnvironment
-from repro.sim import Simulator
-
-NAT_TIMEOUT = 60.0
-PULSES = [2.0, 5.0, 20.0, 45.0, 90.0]
-IDLE = 600.0
+from repro.exp import SweepRunner, get_sweep
+from repro.scenarios.wavnet_env import KEEPALIVE_IDLE, KEEPALIVE_NAT_TIMEOUT
 
 
-def run_pulse(pulse_interval):
-    sim = Simulator(seed=35)
-    env = WavnetEnvironment(sim, default_latency=0.020)
-    for name in ("a", "b"):
-        # Rendezvous keepalives ride the same socket and would refresh an
-        # endpoint-independent NAT mapping on their own; park them beyond
-        # the experiment so CONNECT_PULSE is the only refresher.
-        env.add_host(name, udp_timeout=NAT_TIMEOUT,
-                     pulse_interval=pulse_interval,
-                     keepalive_interval=10 * IDLE)
-    sim.run(until=sim.process(env.start_all()))
-    conn = sim.run(until=sim.process(env.connect_pair("a", "b")))
-    t0, sent0 = sim.now, conn.bytes_sent
-    sim.run(until=t0 + IDLE)
-    overhead = (conn.bytes_sent - sent0) / IDLE
-    # Liveness probe after the idle period.
-    alive = False
-    if conn.usable:
-        ping = sim.process(Pinger(env.hosts["a"].host.stack,
-                                  env.hosts["b"].virtual_ip,
-                                  interval=0.3, timeout=2.0).run(3))
-        sim.run(until=ping)
-        alive = ping.value.lost == 0
-    return conn.usable, alive, overhead
-
-
-def run_experiment():
-    return [(p,) + run_pulse(p) for p in PULSES]
-
-
-def test_ablation_keepalive(run_once, emit):
-    rows = run_once(run_experiment)
+def test_ablation_keepalive(emit):
+    result = SweepRunner(get_sweep("ablation_keepalive")).run()
+    rows = [(p.coords["pulse_interval"], p.payload["usable"], p.payload["alive"],
+             p.payload["overhead_bps"]) for p in result]
     emit(render_table(
-        f"Ablation - keepalive period vs NAT timeout ({NAT_TIMEOUT:.0f}s), "
-        f"{IDLE:.0f}s idle",
+        f"Ablation - keepalive period vs NAT timeout ({KEEPALIVE_NAT_TIMEOUT:.0f}s), "
+        f"{KEEPALIVE_IDLE:.0f}s idle",
         ["pulse period (s)", "conn usable", "traffic flows", "overhead (B/s)"],
         [(p, u, a, round(o, 2)) for p, u, a, o in rows]))
     check = ShapeCheck("ablation/keepalive")

@@ -8,63 +8,31 @@ transfer time — the design reason live migration is "live".
 """
 
 from repro.analysis.tables import ShapeCheck, render_table
-from repro.net.addresses import IPv4Address
-from repro.net.l2 import Bridge, patch
-from repro.scenarios.builder import make_lan
-from repro.sim import Simulator
-from repro.vm.dirty import HotColdDirtyModel
-from repro.vm.hypervisor import Hypervisor, bridge_attach
-from repro.vm.migration import PreCopyConfig
-
-MEM_MB = 64
-BW = 200e6
+from repro.exp import SweepRunner, aggregate, get_sweep
+from repro.scenarios.migration import TIMELINE_VM_MB
 
 
-def migrate(config):
-    sim = Simulator(seed=37)
-    lan = make_lan(sim, 2, subnet="172.16.0.0/24", name="dc",
-                   link_bandwidth_bps=BW, tcp_mss=8192)
-    src, dst = lan.hosts
-    vmms = []
-    for phys in (src, dst):
-        bridge = Bridge(sim, name=f"{phys.name}.br0")
-        patch(bridge.new_port("uplink"), lan.switch.new_port())
-        vmms.append(Hypervisor(phys, bridge_attach(bridge)))
-    vm = vmms[0].create_vm("vm", memory_mb=MEM_MB,
-                           dirty_model=HotColdDirtyModel(hot_fraction=0.03))
-    vm.configure_network("172.16.0.100", "172.16.0.0/24")
-    p = sim.process(vmms[0].migrate(vm, vmms[1], IPv4Address("172.16.0.11"),
-                                    config=config))
-    sim.run(until=p)
-    return p.value
-
-
-def run_experiment():
-    precopy = migrate(PreCopyConfig())
-    stopcopy = migrate(PreCopyConfig(max_rounds=0))
-    return precopy, stopcopy
-
-
-def test_ablation_migration(run_once, emit):
-    precopy, stopcopy = run_once(run_experiment)
-    rows = [
-        ("iterative pre-copy", precopy.n_rounds, round(precopy.total_time, 2),
-         round(precopy.downtime, 3), round(precopy.bytes_transferred / 1e6, 1)),
-        ("stop-and-copy", stopcopy.n_rounds, round(stopcopy.total_time, 2),
-         round(stopcopy.downtime, 3), round(stopcopy.bytes_transferred / 1e6, 1)),
-    ]
+def test_ablation_migration(emit):
+    result = SweepRunner(get_sweep("ablation_migration")).run()
+    precopy, stopcopy = aggregate.column(result, "migration")
+    vm = result.sweep.base_params
+    rows = [(strategy, r["rounds"], round(r["total_s"], 2), round(r["downtime_s"], 3),
+             round(r["bytes"] / 1e6, 1))
+            for strategy, r in (("iterative pre-copy", precopy),
+                                ("stop-and-copy", stopcopy))]
     emit(render_table(
-        f"Ablation - migration strategy ({MEM_MB} MB VM over {BW / 1e6:.0f} Mbps)",
+        f"Ablation - migration strategy ({TIMELINE_VM_MB} MB VM over "
+        f"{vm['bandwidth_mbps']:.0f} Mbps)",
         ["strategy", "rounds", "total (s)", "downtime (s)", "MB moved"], rows))
     check = ShapeCheck("ablation/migration")
     check.expect("pre-copy downtime is sub-second",
-                 precopy.downtime < 1.0, f"{precopy.downtime:.3f}s")
+                 precopy["downtime_s"] < 1.0, f"{precopy['downtime_s']:.3f}s")
     check.expect("stop-and-copy downtime ~ the whole transfer",
-                 stopcopy.downtime > 0.9 * stopcopy.total_time,
-                 f"{stopcopy.downtime:.2f} of {stopcopy.total_time:.2f}s")
+                 stopcopy["downtime_s"] > 0.9 * stopcopy["total_s"],
+                 f"{stopcopy['downtime_s']:.2f} of {stopcopy['total_s']:.2f}s")
     check.expect("pre-copy cuts downtime by >= 5x",
-                 precopy.downtime * 5 < stopcopy.downtime)
+                 precopy["downtime_s"] * 5 < stopcopy["downtime_s"])
     check.expect("pre-copy pays extra bytes for the dirty rounds",
-                 precopy.bytes_transferred > stopcopy.bytes_transferred)
+                 precopy["bytes"] > stopcopy["bytes"])
     emit(check.render())
     check.print_and_assert()

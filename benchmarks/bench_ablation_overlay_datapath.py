@@ -11,70 +11,20 @@ ablation quantifies that choice by comparing, on the same 25 ms WAN:
 """
 
 from repro.analysis.tables import ShapeCheck, render_table
-from repro.apps.netperf import netperf_stream, netserver
-from repro.apps.ping import Pinger
-from repro.baselines.ipop import IpopConfig, IpopOverlay
-from repro.net.addresses import IPv4Address
-from repro.net.wan import WanCloud
-from repro.scenarios.builder import make_natted_site
-
-from repro.scenarios.stacks import ipop_pair, wavnet_pair
-from repro.sim import Simulator
-
-RTT = 0.025
-BW = 50e6
-DURATION = 10.0
+from repro.exp import SweepRunner, aggregate, get_sweep
 
 
-def relayed_ipop():
-    """Six IPOP nodes in a ring with no shortcuts: traffic between two
-    ring-distant nodes must relay through intermediates."""
-    sim = Simulator(seed=31)
-    cloud = WanCloud(sim, default_latency=RTT / 2)
-    overlay = IpopOverlay(sim, config=IpopConfig(max_direct=0, n_shortcuts=0))
-    for i in range(6):
-        site = make_natted_site(sim, cloud, f"s{i}", f"8.4.0.{i + 1}",
-                                lan_subnet=f"192.168.{40 + i}.0/24",
-                                access_bandwidth_bps=BW, tcp_mss=1460)
-        overlay.add_node(site.hosts[0], f"10.128.0.{i + 1}", nat=site.nat)
-    sim.run(until=sim.process(overlay.build_ring()))
-    nodes = sorted(overlay.nodes.values(), key=lambda n: n.ring_id)
-    src, dst = nodes[0], nodes[len(nodes) // 2]
-    return sim, src.host, dst.host, dst.virtual_ip, overlay
-
-
-def measure(sim, host_a, host_b, ip_b):
-    sim.process(netserver(host_b))
-    ping = sim.process(Pinger(host_a.stack, ip_b, interval=0.3, timeout=3.0).run(6))
-    sim.run(until=ping)
-    stream = sim.process(netperf_stream(host_a, ip_b, duration=DURATION))
-    sim.run(until=stream)
-    rtts = ping.value.rtts[1:]
-    return (sum(rtts) / len(rtts) * 1000, stream.value.throughput_mbps)
-
-
-def run_experiment():
-    rows = []
-    wav = wavnet_pair(RTT, BW, seed=32)
-    rows.append(("WAVNet (direct tunnel)",) + measure(wav.sim, wav.host_a,
-                                                      wav.host_b, wav.ip_b))
-    ipop = ipop_pair(RTT, BW, seed=33)
-    rows.append(("IPOP (direct edge)",) + measure(ipop.sim, ipop.host_a,
-                                                  ipop.host_b, ipop.ip_b))
-    sim, a, b, ip, overlay = relayed_ipop()
-    relays = lambda: sum(n.packets_relayed for n in overlay.nodes.values())
-    before = relays()
-    row = ("overlay-routed (relayed)",) + measure(sim, a, b, ip)
-    rows.append(row)
-    rows_relayed = relays() - before
-    return rows, rows_relayed
-
-
-def test_ablation_overlay_datapath(run_once, emit):
-    rows, n_relayed = run_once(run_experiment)
+def test_ablation_overlay_datapath(emit):
+    result = SweepRunner(get_sweep("ablation_overlay_datapath")).run()
+    path = result.sweep.base_params
+    rows = list(zip(["WAVNet (direct tunnel)", "IPOP (direct edge)",
+                     "overlay-routed (relayed)"],
+                    aggregate.column(result, "rtt_ms"),
+                    aggregate.column(result, "netperf_mbps")))
+    n_relayed = aggregate.column(result, "relayed")[2]
     emit(render_table(
         "Ablation - data path design: direct tunnel vs overlay routing "
-        f"(RTT {RTT * 1000:.0f} ms, {BW / 1e6:.0f} Mbps)",
+        f"(RTT {path['rtt_ms']:.0f} ms, {path['bandwidth_mbps']:.0f} Mbps)",
         ["data path", "RTT (ms)", "netperf (Mbps)"],
         [(n, round(r, 1), round(t, 1)) for n, r, t in rows]))
     emit(f"packets relayed through intermediate hosts: {n_relayed:,}")

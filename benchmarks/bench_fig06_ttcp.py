@@ -10,41 +10,14 @@ the comparison.
 """
 
 from repro.analysis.tables import ShapeCheck, render_series
-from repro.apps.ttcp import ttcp_receiver, ttcp_transfer
-from repro.scenarios.sites import pair_rtt_ms
-
-from repro.scenarios.stacks import ipop_pair, physical_pair, wavnet_pair
-
-RTT = pair_rtt_ms("hku1", "siat") / 1000.0
-BANDWIDTH = 18.6e6
-SIZES_MB = [8, 16, 32]
-BUF = 16384
-# 18.6 Mbps x 74 ms BDP = 172 kB; era-typical tuned buffers ~ 2 x BDP
-# (window-limited just below path capacity, the stable operating point).
-BUFS = dict(send_buf=327680, recv_buf=327680)
+from repro.exp import SweepRunner, aggregate, get_sweep
 
 
-def run_ttcp(pair, size_bytes):
-    sim = pair.sim
-    rx = sim.process(ttcp_receiver(pair.host_b))
-    tx = sim.process(ttcp_transfer(pair.host_a, pair.ip_b, size_bytes, buf_size=BUF))
-    sim.run(until=tx)
-    return tx.value.rate_kbps
-
-
-def run_experiment():
-    series = {"Physical": [], "WAVNet": [], "IPOP": []}
-    for mb in SIZES_MB:
-        size = mb * 1024 * 1024
-        series["Physical"].append(run_ttcp(physical_pair(RTT, BANDWIDTH, seed=1, **BUFS), size))
-        series["WAVNet"].append(run_ttcp(wavnet_pair(RTT, BANDWIDTH, seed=2, **BUFS), size))
-        series["IPOP"].append(run_ttcp(ipop_pair(RTT, BANDWIDTH, seed=3, **BUFS), size))
-    return series
-
-
-def test_fig06_ttcp(run_once, emit):
-    series = run_once(run_experiment)
-    labels = [f"{mb}MB" for mb in SIZES_MB]
+def test_fig06_ttcp(emit):
+    result = SweepRunner(get_sweep("fig06")).run()
+    sizes, *rates = zip(*aggregate.table_rows(result, "ttcp_mb", "stack", "ttcp_kbps"))
+    series = dict(zip(["Physical", "WAVNet", "IPOP"], rates))
+    labels = [f"{mb}MB" for mb in sizes]
     emit(render_series(
         "Figure 6 - TTCP benchmarking over WAN (HKU-SIAT), KB/s (sizes scaled /8)",
         "transfer", labels, series))

@@ -8,43 +8,22 @@ its user-level stack, not the wire, is the bottleneck.
 """
 
 from repro.analysis.tables import ShapeCheck, render_series
-from repro.apps.netperf import netperf_stream, netserver
-
-from repro.scenarios.stacks import ipop_pair, physical_pair, wavnet_pair
-
-RATES_MBPS = [6.25, 12.5, 25, 50, 100]
-RTT = 0.001  # emulated WAN: LAN-latency fabric, bandwidth-shaped only
-DURATION = 12.0
+from repro.exp import SweepRunner, aggregate, get_sweep
 
 
-def run_netperf(pair):
-    sim = pair.sim
-    sim.process(netserver(pair.host_b))
-    p = sim.process(netperf_stream(pair.host_a, pair.ip_b, duration=DURATION))
-    sim.run(until=p)
-    return p.value.throughput_mbps
-
-
-def run_experiment():
-    abs_series = {"Physical": [], "WAVNet": [], "IPOP": []}
-    for rate in RATES_MBPS:
-        bw = rate * 1e6
-        abs_series["Physical"].append(run_netperf(physical_pair(RTT, bw, seed=1)))
-        abs_series["WAVNet"].append(run_netperf(wavnet_pair(RTT, bw, seed=2)))
-        abs_series["IPOP"].append(run_netperf(ipop_pair(RTT, bw, seed=3)))
+def test_fig07_relative_bw(emit):
+    result = SweepRunner(get_sweep("fig07")).run()
+    rates, *mbps = zip(*aggregate.table_rows(result, "bandwidth_mbps", "stack",
+                                             "netperf_mbps"))
+    abs_series = dict(zip(["Physical", "WAVNet", "IPOP"], mbps))
     rel = {name: [v / p if p else 0.0 for v, p in zip(vals, abs_series["Physical"])]
            for name, vals in abs_series.items()}
-    return abs_series, rel
-
-
-def test_fig07_relative_bw(run_once, emit):
-    abs_series, rel = run_once(run_experiment)
     emit(render_series("Figure 7 - absolute throughput (Mbps)",
-                       "WAN Mbps", RATES_MBPS, abs_series))
+                       "WAN Mbps", rates, abs_series))
     emit(render_series("Figure 7 - bandwidth utilization relative to physical",
-                       "WAN Mbps", RATES_MBPS, rel))
+                       "WAN Mbps", rates, rel))
     check = ShapeCheck("Fig 7")
-    for i, rate in enumerate(RATES_MBPS):
+    for i, rate in enumerate(rates):
         check.expect(f"{rate} Mbps: WAVNet near-native (>=80%)",
                      rel["WAVNet"][i] >= 0.80,
                      f"{rel['WAVNet'][i]:.0%}")

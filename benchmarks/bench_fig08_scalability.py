@@ -18,16 +18,11 @@ from repro.analysis.tables import ShapeCheck, render_series
 from repro.exp import SweepRunner, aggregate, get_sweep
 
 
-def run_experiment():
-    result = SweepRunner(get_sweep("fig08"), force=True).run()
+def test_fig08_scalability(emit):
+    result = SweepRunner(get_sweep("fig08")).run()
     sizes, avg_rates = aggregate.series(result, "n_hosts", "avg_mbps")
-    return (sizes, avg_rates,
-            aggregate.column(result, "connections"),
-            aggregate.column(result, "pulses_during_tests"))
-
-
-def test_fig08_scalability(run_once, emit):
-    sizes, avg_rates, conn_counts, pulse_counts = run_once(run_experiment)
+    conn_counts = aggregate.column(result, "connections")
+    pulse_counts = aggregate.column(result, "pulses_during_tests")
     emit(render_series(
         "Figure 8 - netperf per-host bandwidth vs virtual cluster size (WAVNet)",
         "hosts", sizes,

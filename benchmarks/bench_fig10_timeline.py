@@ -11,111 +11,27 @@ observations per subfigure:
   several-fold.
 """
 
-import numpy as np
-
-from repro.analysis.tables import ShapeCheck, render_table, render_series
-from repro.apps.ab import ApacheBench
-from repro.apps.httpd import HttpServer
-from repro.apps.ping import Pinger
-from repro.net.addresses import IPv4Address
-from repro.scenarios.sites import build_real_wan
-from repro.sim import Simulator
-from repro.vm.dirty import HotColdDirtyModel
-from repro.vm.hypervisor import Hypervisor
-
-VM_IP = IPv4Address("10.99.1.1")
-SOURCES = ["aist", "siat", "offcam"]
-MIGRATE_AT = 10.0
-TOTAL = 40.0
-# Paper uses ab -c 50 "for illustration"; 3 workers keep the packet-level
-# simulation tractable while showing the same dip-and-jump timeline.
-CONCURRENCY = 3
+from repro.analysis.tables import ShapeCheck, render_table
+from repro.exp import SweepRunner, get_sweep
 
 
-def run_source(src_name, seed):
-    sim = Simulator(seed=seed)
-    wan = build_real_wan(sim, site_names=["hku1", "hku2", src_name],
-                         tcp_mss=1460)
-    sim.run(until=sim.process(wan.env.start_all()))
-    sim.run(until=sim.process(wan.env.connect_full_mesh()))
-    vmms = {n: Hypervisor(wan.host(n).host, wan.host(n).driver.attach_port)
-            for n in ("hku2", src_name)}
-    vm = vmms[src_name].create_vm("webvm", memory_mb=32,
-                                  dirty_model=HotColdDirtyModel(hot_fraction=0.02),
-                                  tcp_mss=1460)
-    vm.configure_network(VM_IP, "10.99.0.0/16")
-    HttpServer(vm.guest)
-    sim.run(until=sim.timeout(3.0))
-    t0 = sim.now
-
-    client = wan.host("hku1").host
-    ab = ApacheBench(client, VM_IP, path="/file1k", concurrency=CONCURRENCY)
-    ab_proc = sim.process(ab.run_for(TOTAL))
-    pinger = Pinger(client.stack, VM_IP, interval=0.25, timeout=1.0)
-    ping_proc = sim.process(pinger.run(int(TOTAL / 0.25) - 8))
-
-    def migrate(sim):
-        yield sim.timeout(MIGRATE_AT)
-        report = yield sim.process(vmms[src_name].migrate(
-            vm, vmms["hku2"], wan.host("hku2").virtual_ip))
-        return report
-
-    mig_proc = sim.process(migrate(sim))
-    sim.run(until=ab_proc)
-    sim.run(until=ping_proc)
-    report = mig_proc.value
-    ping = ping_proc.value
-    ab_report = ab.report
-
-    # Phase statistics relative to t0.
-    def rtts_between(a, b):
-        return [rtt * 1000 for (ts, rtt) in ping.samples
-                if rtt is not None and a <= ts - t0 < b]
-
-    mig_end = MIGRATE_AT + report.total_time
-    ab_t, ab_r = ab_report.throughput_series(1.0)
-    ab_t = ab_t - t0
-
-    def ab_between(a, b):
-        sel = (ab_t >= a) & (ab_t < b)
-        return float(np.mean(ab_r[sel])) if sel.any() else 0.0
-
-    lost_times = [ts - t0 for (ts, rtt) in ping.samples if rtt is None]
-    return {
-        "report": report,
-        "rtt_before": float(np.mean(rtts_between(1, MIGRATE_AT))),
-        "rtt_after": float(np.mean(rtts_between(mig_end + 2, TOTAL))),
-        "ab_before": ab_between(1, MIGRATE_AT),
-        "ab_during": ab_between(MIGRATE_AT, mig_end),
-        "ab_after": ab_between(mig_end + 2, TOTAL),
-        "lost": len(lost_times),
-        "lost_in_window": sum(1 for t in lost_times
-                              if MIGRATE_AT - 1 <= t <= mig_end + 2),
-        "series": (list(np.round(ab_t, 1)), list(np.round(ab_r, 1))),
-    }
-
-
-def run_experiment():
-    return {src: run_source(src, 80 + i) for i, src in enumerate(SOURCES)}
-
-
-def test_fig10_timeline(run_once, emit):
-    out = run_once(run_experiment)
+def test_fig10_timeline(emit):
+    result = SweepRunner(get_sweep("fig10")).run()
+    out = {p.coords["vms"][0]: p.payload for p in result}
     rows = []
-    for src in SOURCES:
-        r = out[src]
+    for src, r in out.items():
         rows.append((f"{src}-hku", round(r["rtt_before"], 1), round(r["rtt_after"], 1),
                      round(r["ab_before"], 0), round(r["ab_during"], 0),
                      round(r["ab_after"], 0),
-                     round(r["report"].downtime, 2), r["lost"]))
+                     round(r["migration"]["downtime_s"], 2), r["lost"]))
     emit(render_table(
         "Figure 10 - RTT and AB throughput across live migration "
-        f"(migration at t={MIGRATE_AT:.0f}s)",
+        f"(migration at t={result.sweep.base_params['migrate_at']:.0f}s)",
         ["pair", "RTT pre(ms)", "RTT post(ms)", "AB pre(r/s)",
          "AB during", "AB post", "downtime(s)", "pings lost"], rows))
     check = ShapeCheck("Fig 10")
-    for src in SOURCES:
-        r = out[src]
+    for src, r in out.items():
+        downtime = r["migration"]["downtime_s"]
         check.expect(f"{src}: post-migration RTT < 15 ms",
                      r["rtt_after"] < 15, f"{r['rtt_after']:.1f}")
         check.expect(f"{src}: RTT drops after migration",
@@ -126,8 +42,7 @@ def test_fig10_timeline(run_once, emit):
         check.expect(f"{src}: throughput dips during migration",
                      r["ab_during"] < r["ab_after"],
                      f"during {r['ab_during']:.0f} vs after {r['ab_after']:.0f}")
-        check.expect(f"{src}: sub-3s downtime",
-                     r["report"].downtime < 3.0, f"{r['report'].downtime:.2f}s")
+        check.expect(f"{src}: sub-3s downtime", downtime < 3.0, f"{downtime:.2f}s")
         check.expect(f"{src}: ping loss confined to the migration window",
                      r["lost"] == r["lost_in_window"] and r["lost"] > 0,
                      f"{r['lost_in_window']}/{r['lost']}")

@@ -16,77 +16,19 @@ one-off).
 """
 
 from repro.analysis.tables import ShapeCheck, render_table
-from repro.apps.mpi import MpiJob, heat_distribution_program
-from repro.net.addresses import IPv4Address
-from repro.scenarios.sites import build_real_wan
-from repro.sim import Simulator
-from repro.vm.dirty import HotColdDirtyModel
-from repro.vm.hypervisor import Hypervisor
-
-SIZES = [64, 128, 256]
-# Jacobi sweeps to convergence grow with the grid dimension; 6*m keeps
-# the WAN phase (one halo RTT per iteration) dominant, as in the paper.
-ITERATIONS_PER_M = 24
-GATHER_EVERY = 4
-MIGRATE_AFTER = 5.0
-BASE_FLOPS = 4e8
+from repro.exp import SweepRunner, aggregate, get_sweep
+from repro.scenarios.migration import HEAT_GATHER_EVERY, HEAT_ITERATIONS_PER_M
 
 
-def run_heat(m, migrate, seed):
-    sim = Simulator(seed=seed)
-    # Three HKU hosts: hku1, hku2, and the OffCam home PC stand in for
-    # the paper's three HKU-side machines.
-    wan = build_real_wan(sim, site_names=["hku1", "hku2", "offcam", "siat"],
-                         tcp_mss=8192)
-    sim.run(until=sim.process(wan.env.start_all()))
-    sim.run(until=sim.process(wan.env.connect_full_mesh()))
-    vmms = {n: Hypervisor(wh.host, wh.driver.attach_port)
-            for n, wh in wan.hosts.items()}
-    placements = [("hku1", "10.99.1.1"), ("hku2", "10.99.1.2"),
-                  ("offcam", "10.99.1.3"), ("siat", "10.99.1.4")]
-    vms = []
-    for i, (site, vip) in enumerate(placements):
-        vm = vmms[site].create_vm(f"rank{i}", memory_mb=24,
-                                  dirty_model=HotColdDirtyModel(hot_fraction=0.02),
-                                  tcp_mss=8192)
-        vm.configure_network(vip, "10.99.0.0/16")
-        vms.append(vm)
-    sim.run(until=sim.timeout(2.0))
-    job = MpiJob([vm.guest for vm in vms],
-                 [IPv4Address(vip) for _s, vip in placements],
-                 heat_distribution_program(m, ITERATIONS_PER_M * m,
-                                           gather_every=GATHER_EVERY),
-                 base_flops=BASE_FLOPS)
-    run_proc = sim.process(job.run())
-    mig_time = 0.0
-    if migrate:
-        def migrate_siat(sim):
-            yield sim.timeout(MIGRATE_AFTER)
-            report = yield sim.process(vmms["siat"].migrate(
-                vms[3], vmms["hku1"], wan.host("hku1").virtual_ip))
-            return report.total_time
-
-        mig_proc = sim.process(migrate_siat(sim))
-    sim.run(until=run_proc)
-    if migrate:
-        mig_time = mig_proc.value if mig_proc.triggered else float("nan")
-    return run_proc.value, mig_time
-
-
-def run_experiment():
-    rows = []
-    for m in SIZES:
-        t_wo, _ = run_heat(m, migrate=False, seed=90 + m)
-        t_w, mig = run_heat(m, migrate=True, seed=90 + m)
-        rows.append((m, t_wo, t_w, mig, t_w / t_wo))
-    return rows
-
-
-def test_fig11_mpi_heat(run_once, emit):
-    rows = run_once(run_experiment)
+def test_fig11_mpi_heat(emit):
+    result = SweepRunner(get_sweep("fig11")).run()
+    times = aggregate.table_rows(result, "grid", "to", "seconds")
+    moves = [r["total_s"] if r else float("nan")
+             for r in aggregate.column(result, "migration")[1::2]]
+    rows = [(m, t_wo, t_w, mig, t_w / t_wo) for (m, t_wo, t_w), mig in zip(times, moves)]
     emit(render_table(
         "Figure 11 - MPI heat distribution execution time (s) "
-        f"({ITERATIONS_PER_M}*m iterations, gather every {GATHER_EVERY})",
+        f"({HEAT_ITERATIONS_PER_M}*m iterations, gather every {HEAT_GATHER_EVERY})",
         ["size", "w/o migration", "with migration", "migration time",
          "with/without"],
         [(f"{m}x{m}", round(a, 1), round(b, 1), round(c, 1), f"{r:.1%}")

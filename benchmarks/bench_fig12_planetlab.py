@@ -7,44 +7,32 @@ matrix with the same structure (see repro.scenarios.planetlab) and
 report the distribution the scatter plots convey.
 """
 
-import numpy as np
-
 from repro.analysis.tables import ShapeCheck, render_table
-from repro.scenarios.planetlab import planetlab_latency_matrix
-
-N_HOSTS = 400
-
-
-def run_experiment():
-    lm = planetlab_latency_matrix(N_HOSTS, seed=12)
-    m = lm.m
-    iu = np.triu_indices(N_HOSTS, k=1)
-    pairs = m[iu]
-    return pairs
+from repro.exp import SweepRunner, get_sweep
+from repro.scenarios.planetlab import PAIR_BUCKETS_MS, PAIR_PERCENTILES
 
 
-def test_fig12_planetlab(run_once, emit):
-    pairs = run_once(run_experiment)
-    ms = pairs * 1000
-    pcts = [1, 5, 25, 50, 75, 90, 99, 99.9]
-    rows = [(f"p{p}", round(float(np.percentile(ms, p)), 2)) for p in pcts]
-    rows.append(("max", round(float(ms.max()), 1)))
+def test_fig12_planetlab(emit):
+    (out,) = SweepRunner(get_sweep("fig12")).run().payloads
+    ms = out["pairs_ms"]
+    pct = dict(zip(PAIR_PERCENTILES, ms["percentiles"]))
+    rows = [(f"p{p}", round(v, 2)) for p, v in pct.items()]
+    rows.append(("max", round(ms["max"], 1)))
     emit(render_table(
-        f"Figure 12 - latency distribution over {len(ms):,} PlanetLab-like "
+        f"Figure 12 - latency distribution over {ms['count']:,} PlanetLab-like "
         "host pairs (ms)", ["percentile", "RTT (ms)"], rows))
-    buckets = [(0, 1), (1, 10), (10, 100), (100, 1000), (1000, 10001)]
-    hist = [(f"{a}-{b}ms", int(((ms >= a) & (ms < b)).sum())) for a, b in buckets]
+    hist = [(f"{a}-{b}ms", n) for a, b, n in
+            zip(PAIR_BUCKETS_MS, PAIR_BUCKETS_MS[1:], ms["buckets"])]
     emit(render_table("Figure 12 - pair counts by latency bucket",
                       ["bucket", "pairs"], hist))
     check = ShapeCheck("Fig 12")
     check.expect("~80,000 measured pairs (paper: half of 159,600)",
-                 70_000 <= len(ms) <= 90_000, f"{len(ms):,}")
-    check.expect("heavy tail reaches seconds (Fig 12a)", ms.max() > 1000,
-                 f"max {ms.max():.0f} ms")
-    check.expect("bulk is sub-second (Fig 12b)",
-                 float(np.percentile(ms, 90)) < 1000)
-    check.expect("local pairs exist (< 5 ms)", float(ms.min()) < 5)
+                 70_000 <= ms["count"] <= 90_000, f"{ms['count']:,}")
+    check.expect("heavy tail reaches seconds (Fig 12a)", ms["max"] > 1000,
+                 f"max {ms['max']:.0f} ms")
+    check.expect("bulk is sub-second (Fig 12b)", pct[90] < 1000)
+    check.expect("local pairs exist (< 5 ms)", ms["min"] < 5)
     check.expect("median in the WAN range 20-400 ms",
-                 20 < float(np.median(ms)) < 400, f"{np.median(ms):.0f}")
+                 20 < pct[50] < 400, f"{pct[50]:.0f}")
     emit(check.render())
     check.print_and_assert()

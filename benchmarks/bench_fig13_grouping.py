@@ -7,34 +7,17 @@ k = 8/16/32/64 the average latency is 1.3/15.4/26.1/54.1 ms with maxima
 (median ~100 ms, tail to 10 s).
 """
 
-import numpy as np
-
 from repro.analysis.tables import ShapeCheck, render_table
-from repro.core.grouping import locality_sensitive_group, random_group
-from repro.scenarios.planetlab import planetlab_latency_matrix
+from repro.exp import SweepRunner, get_sweep
 
-KS = [2, 4, 8, 16, 24, 32, 48, 64, 75]
 SPOT_KS = [8, 16, 32, 64]
-# The paper's grouping step "filters those with at least one unreasonable
-# or over-large connection"; 200 ms is the over-large threshold here.
-MAX_LATENCY = 0.200
 
 
-def run_experiment():
-    lm = planetlab_latency_matrix(400, seed=12)
-    rng = np.random.default_rng(0)
-    rows = []
-    for k in KS:
-        res = locality_sensitive_group(lm, k, max_latency=MAX_LATENCY, fallback=True)
-        rand = np.median([random_group(lm, k, rng).average_latency
-                          for _ in range(15)])
-        rows.append((k, res.average_latency * 1000, res.max_latency * 1000,
-                     rand * 1000))
-    return rows
-
-
-def test_fig13_grouping(run_once, emit):
-    rows = run_once(run_experiment)
+def test_fig13_grouping(emit):
+    result = SweepRunner(get_sweep("fig13")).run()
+    max_latency = result.sweep.base_params["max_latency"]
+    rows = [(g["k"], g["ls"]["avg_s"] * 1000, g["ls"]["max_s"] * 1000,
+             g["random"]["avg_s"] * 1000) for g in result.payloads[0]["problems"]]
     emit(render_table(
         "Figure 13 - intra-cluster latency for locality-sensitive groups (ms)",
         ["k hosts", "avg latency", "max latency", "random median avg"],
@@ -46,7 +29,7 @@ def test_fig13_grouping(run_once, emit):
         check.expect(f"k={k}: avg far below random median",
                      avg < rand / 3, f"{avg:.1f} vs {rand:.0f} ms")
         check.expect(f"k={k}: no over-large connection (filter respected)",
-                     mx <= MAX_LATENCY * 1000 * 1.001, f"max {mx:.1f} ms")
+                     mx <= max_latency * 1000 * 1.001, f"max {mx:.1f} ms")
     avgs = [a for _k, a, _m, _r in rows]
     check.expect("avg latency grows with k (locality gets scarcer)",
                  all(avgs[i] <= avgs[i + 1] + 2 for i in range(len(avgs) - 1)),

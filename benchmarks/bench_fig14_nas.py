@@ -13,79 +13,14 @@ affordable; the locality-vs-random ratio is latency-driven and survives
 the scaling).
 """
 
-import numpy as np
-
 from repro.analysis.tables import ShapeCheck, render_table
-from repro.apps.mpi import MpiJob, ep_program, ft_program
-from repro.core.grouping import locality_sensitive_group, random_group
-from repro.net.addresses import IPv4Address
-from repro.scenarios.builder import make_public_host
-from repro.net.wan import WanCloud
-from repro.scenarios.planetlab import planetlab_latency_matrix
-from repro.sim import Simulator
-
-EP_SAMPLES = {"A": 2**26, "B": 2**28}
-# FT grids scaled down from the NAS classes with iteration counts scaled
-# up, keeping the kernel latency-dominated (many all-to-all rounds of
-# modest size) as the paper's WAN runs were.
-FT_GRIDS = {"A": ((32, 32, 32), 24), "B": ((32, 32, 32), 48)}
-BASE_FLOPS = 2e9
-ACCESS_BW = 50e6
+from repro.exp import SweepRunner, get_sweep
 
 
-def build_cluster(member_indices, lm, seed):
-    """Hosts on a cloud whose pairwise RTTs follow the PlanetLab matrix."""
-    sim = Simulator(seed=seed)
-    cloud = WanCloud(sim, default_latency=0.050)
-    hosts, ips = [], []
-    for i, idx in enumerate(member_indices):
-        name = f"n{i}"
-        host = make_public_host(sim, cloud, name, f"8.9.0.{i + 1}",
-                                network="8.9.0.0/24", tcp_mss=8192,
-                                access_bandwidth_bps=ACCESS_BW)
-        hosts.append(host)
-        ips.append(IPv4Address(f"8.9.0.{i + 1}"))
-    for i, a in enumerate(member_indices):
-        for j, b in enumerate(member_indices[i + 1:], start=i + 1):
-            cloud.set_rtt(f"n{i}", f"n{j}", float(lm.m[a, b]))
-    return sim, hosts, ips
-
-
-def run_job(member_indices, lm, program, seed):
-    sim, hosts, ips = build_cluster(member_indices, lm, seed)
-    job = MpiJob(hosts, ips, program, base_flops=BASE_FLOPS)
-    p = sim.process(job.run())
-    sim.run(until=p)
-    return p.value
-
-
-def run_experiment():
-    lm = planetlab_latency_matrix(400, seed=12)
-    # "64 hosts pre-selected by our locality-sensitive grouping method".
-    pool = list(locality_sensitive_group(lm, 64).members)
-    rng = np.random.default_rng(7)
-    rows = []
-    for n_hosts in (4, 8):
-        good = list(locality_sensitive_group(lm, n_hosts).members)
-        rand = list(rng.choice(pool, size=n_hosts, replace=False))
-        for bench, classes in (("EP", EP_SAMPLES), ("FT", FT_GRIDS)):
-            for cls, spec in classes.items():
-                if bench == "EP":
-                    prog_good = ep_program(spec)
-                    prog_rand = ep_program(spec)
-                else:
-                    grid, iters = spec
-                    prog_good = ft_program(grid, iters)
-                    prog_rand = ft_program(grid, iters)
-                t_rand = run_job(rand, lm, prog_rand, seed=100 + n_hosts)
-                t_good = run_job(good, lm, prog_good, seed=200 + n_hosts)
-                rows.append((f"{bench}({cls})", n_hosts, t_rand, t_good,
-                             t_rand / t_good))
-    return rows
-
-
-def test_fig14_nas(run_once, emit):
-    rows = run_once(run_experiment)
+def test_fig14_nas(emit):
+    (out,) = SweepRunner(get_sweep("fig14")).run().payloads
+    rows = [(case, n, t_rand, t_good, t_rand / t_good)
+            for case, n, t_rand, t_good in out["rows"]]
     emit(render_table(
         "Figure 14 - NAS benchmarks: random vs locality-sensitive cluster (s)",
         ["case", "hosts", "random", "locality", "speedup"],

@@ -21,17 +21,13 @@ from repro.analysis.tables import ShapeCheck, render_table
 from repro.exp import SweepRunner, aggregate, get_sweep
 
 
-def run_experiment():
-    result = SweepRunner(get_sweep("table2"), force=True).run()
+def test_table2_latency(emit):
+    result = SweepRunner(get_sweep("table2")).run()
     for p in result:
         assert p.payload["replies"] > 2, "ping produced no replies"
         assert p.payload["lost"] == 0, "probes lost on an idle path"
-    return aggregate.table_rows(result, row_axis="pair", col_axis="stack",
+    rows = aggregate.table_rows(result, row_axis="pair", col_axis="stack",
                                 key="mean_rtt_ms")
-
-
-def test_table2_latency(run_once, emit):
-    rows = run_once(run_experiment)
     emit(render_table(
         "Table II - network latency by ICMP request/response (mean RTT, ms)",
         ["sites", "Physical", "WAVNet", "IPOP"], rows))

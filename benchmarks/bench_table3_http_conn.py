@@ -14,66 +14,23 @@ a nearby host slashes it accordingly.
 """
 
 from repro.analysis.tables import ShapeCheck, render_table
-from repro.apps.ab import ApacheBench
-from repro.apps.httpd import HttpServer
-from repro.net.addresses import IPv4Address
-from repro.scenarios.sites import build_real_wan, pair_rtt_ms
-from repro.sim import Simulator
-from repro.vm.dirty import HotColdDirtyModel
-from repro.vm.hypervisor import Hypervisor
-
-VM_IP = IPv4Address("10.99.1.1")
-REQUESTS = 25
+from repro.exp import SweepRunner, get_sweep
+from repro.scenarios.sites import pair_rtt_ms
 
 
-def run_experiment():
-    sim = Simulator(seed=70)
-    wan = build_real_wan(sim, site_names=["hku1", "hku2", "siat", "sinica"],
-                         tcp_mss=1460)
-    sim.run(until=sim.process(wan.env.start_all()))
-    sim.run(until=sim.process(wan.env.connect_full_mesh()))
-    vmms = {name: Hypervisor(wh.host, wh.driver.attach_port)
-            for name, wh in wan.hosts.items()}
-    vm = vmms["siat"].create_vm("webvm", memory_mb=48,
-                                dirty_model=HotColdDirtyModel(hot_fraction=0.01))
-    vm.configure_network(VM_IP, "10.99.0.0/16")
-    HttpServer(vm.guest)
-    sim.run(until=sim.timeout(3.0))
-
-    rows = []
-
-    def measure(client_name, location_label):
-        # Two warmup requests absorb first-contact effects (virtual-LAN
-        # ARP resolution) that ab's own output would also show as a
-        # one-off outlier.
-        warm = ApacheBench(wan.host(client_name).host, VM_IP, path="/file1k",
-                           concurrency=1)
-        warm_proc = sim.process(warm.run_requests(2))
-        sim.run(until=warm_proc)
-        ab = ApacheBench(wan.host(client_name).host, VM_IP, path="/file1k",
-                         concurrency=1)
-        proc = sim.process(ab.run_requests(REQUESTS))
-        sim.run(until=proc)
-        mn, mean, mx = proc.value.connect_ms()
-        rows.append((f"{client_name} to VM@{location_label}",
-                     mn, mean, mx))
-        return mean
-
-    before = {c: measure(c, "siat") for c in ("sinica", "hku1")}
-    mig = sim.process(vmms["siat"].migrate(vm, vmms["hku2"],
-                                           wan.host("hku2").virtual_ip))
-    sim.run(until=mig)
-    after = {c: measure(c, "hku2") for c in ("sinica", "hku1")}
-    return rows, before, after, mig.value
-
-
-def test_table3_http_conn(run_once, emit):
-    rows, before, after, report = run_once(run_experiment)
+def test_table3_http_conn(emit):
+    (out,) = SweepRunner(get_sweep("table3")).run().payloads
+    rows = [(f"{client} to VM@{where}", *ms)
+            for where, phase in (("siat", "before"), ("hku2", "after"))
+            for client, ms in out[phase].items()]
+    before = {client: ms[1] for client, ms in out["before"].items()}
+    after = {client: ms[1] for client, ms in out["after"].items()}
+    report = out["migration"]
     emit(render_table(
         "Table III - HTTP connection time before/after VM migration (ms)",
         ["client and VM location", "min", "mean", "max"], rows))
-    emit(f"migration: {report.total_time:.1f}s total, "
-         f"{report.downtime * 1000:.0f}ms downtime, {report.n_rounds} rounds")
+    emit(f"migration: {report['total_s']:.1f}s total, "
+         f"{report['downtime_s'] * 1000:.0f}ms downtime, {report['rounds']} rounds")
     check = ShapeCheck("Table III")
     for client in ("sinica", "hku1"):
         check.expect(f"{client}: migration cuts connection time",

@@ -14,57 +14,14 @@ dramatically for the HKU1 client whose post-migration path is local.
 """
 
 from repro.analysis.tables import ShapeCheck, render_table
-from repro.apps.ab import ApacheBench
-from repro.apps.httpd import HttpServer
-from repro.net.addresses import IPv4Address
-from repro.scenarios.sites import build_real_wan
-from repro.sim import Simulator
-from repro.vm.dirty import HotColdDirtyModel
-from repro.vm.hypervisor import Hypervisor
-
-VM_IP = IPv4Address("10.99.1.1")
-FILES = ("/file1k", "/file8k", "/file64k")
-DURATION = 8.0
-CONCURRENCY = 8
+from repro.exp import SweepRunner, get_sweep
 
 
-def run_experiment():
-    sim = Simulator(seed=71)
-    wan = build_real_wan(sim, site_names=["hku1", "hku2", "siat", "sinica"],
-                         tcp_mss=1460)
-    sim.run(until=sim.process(wan.env.start_all()))
-    sim.run(until=sim.process(wan.env.connect_full_mesh()))
-    vmms = {name: Hypervisor(wh.host, wh.driver.attach_port)
-            for name, wh in wan.hosts.items()}
-    vm = vmms["siat"].create_vm("webvm", memory_mb=48,
-                                dirty_model=HotColdDirtyModel(hot_fraction=0.01))
-    vm.configure_network(VM_IP, "10.99.0.0/16")
-    HttpServer(vm.guest)
-    sim.run(until=sim.timeout(3.0))
-
-    def measure(client_name):
-        rates = []
-        for path in FILES:
-            ab = ApacheBench(wan.host(client_name).host, VM_IP, path=path,
-                             concurrency=CONCURRENCY)
-            proc = sim.process(ab.run_for(DURATION))
-            sim.run(until=proc)
-            rates.append(proc.value.requests_per_second)
-        return rates
-
-    results = {}
-    for client in ("sinica", "hku1"):
-        results[(client, "siat")] = measure(client)
-    mig = sim.process(vmms["siat"].migrate(vm, vmms["hku2"],
-                                           wan.host("hku2").virtual_ip))
-    sim.run(until=mig)
-    for client in ("sinica", "hku1"):
-        results[(client, "hku2")] = measure(client)
-    return results
-
-
-def test_table4_http_thp(run_once, emit):
-    results = run_once(run_experiment)
+def test_table4_http_thp(emit):
+    (out,) = SweepRunner(get_sweep("table4")).run().payloads
+    results = {(client, where): rates
+               for where, phase in (("siat", "before"), ("hku2", "after"))
+               for client, rates in out[phase].items()}
     rows = [(f"{c} to VM@{loc}",) + tuple(round(r, 1) for r in rates)
             for (c, loc), rates in results.items()]
     emit(render_table(

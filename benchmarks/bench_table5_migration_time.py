@@ -21,71 +21,39 @@ the scaling.
 """
 
 from repro.analysis.tables import ShapeCheck, render_table
-from repro.scenarios.sites import SITES, build_real_wan, pair_rtt_ms
-from repro.sim import Simulator
-from repro.vm.dirty import HotColdDirtyModel
-from repro.vm.hypervisor import Hypervisor
-
-PAIRS = ["offcam", "sinica", "aist", "siat", "sdsc"]
-MEM_SIZES = [32, 128]  # paper's 128/512 scaled /4
-DIRTY = dict(hot_fraction=0.04, hot_rate=4000, cold_rate=20)
+from repro.exp import SweepRunner, get_sweep
+from repro.scenarios.sites import SITES, pair_rtt_ms
 
 
-def migrate_once(src_name, memory_mb):
-    sim = Simulator(seed=72)
-    # Era-typical (untuned) 256 kB socket buffers: long-RTT paths become
-    # window-limited, which is exactly why the paper's SDSC-HKU pair is
-    # the slowest despite decent bandwidth.
-    wan = build_real_wan(sim, site_names=["hku1", src_name], tcp_mss=8192)
-    sim.run(until=sim.process(wan.env.start_all()))
-    sim.run(until=sim.process(wan.env.connect_full_mesh()))
-    vmm_src = Hypervisor(wan.host(src_name).host,
-                         wan.host(src_name).driver.attach_port)
-    vmm_dst = Hypervisor(wan.host("hku1").host,
-                         wan.host("hku1").driver.attach_port)
-    vm = vmm_src.create_vm("vm", memory_mb=memory_mb,
-                           dirty_model=HotColdDirtyModel(**DIRTY), tcp_mss=8192)
-    vm.configure_network("10.99.1.1", "10.99.0.0/16")
-    p = sim.process(vmm_src.migrate(vm, vmm_dst, wan.host("hku1").virtual_ip))
-    sim.run(until=p)
-    return p.value
-
-
-def run_experiment():
-    results = {}
-    for src in PAIRS:
-        for mem in MEM_SIZES:
-            results[(src, mem)] = migrate_once(src, mem)
-    return results
-
-
-def test_table5_migration_time(run_once, emit):
-    results = run_once(run_experiment)
+def test_table5_migration_time(emit):
+    result = SweepRunner(get_sweep("table5")).run()
+    results = {(p.coords["vms"][0], p.coords["memory_mb"]): p.payload["migration"]
+               for p in result}
+    pairs = list(dict.fromkeys(src for src, _mem in results))
+    small, big = sorted({mem for _src, mem in results})
     rows = []
-    for src in PAIRS:
-        spec = SITES[src]
-        r_small = results[(src, MEM_SIZES[0])]
-        r_big = results[(src, MEM_SIZES[1])]
-        rows.append((f"{src}-hku", pair_rtt_ms(src, "hku1"), spec.access_mbps,
-                     round(r_small.total_time, 1), round(r_big.total_time, 1)))
+    for src in pairs:
+        rows.append((f"{src}-hku", pair_rtt_ms(src, "hku1"), SITES[src].access_mbps,
+                     round(results[(src, small)]["total_s"], 1),
+                     round(results[(src, big)]["total_s"], 1)))
     emit(render_table(
         f"Table V - VM live migration time (s), memory scaled /4 "
-        f"({MEM_SIZES[0]}M / {MEM_SIZES[1]}M)",
-        ["sites", "RTT(ms)", "bw(Mbps)", f"{MEM_SIZES[0]}M", f"{MEM_SIZES[1]}M"],
+        f"({small}M / {big}M)",
+        ["sites", "RTT(ms)", "bw(Mbps)", f"{small}M", f"{big}M"],
         rows))
     check = ShapeCheck("Table V")
-    times_small = {src: results[(src, MEM_SIZES[0])].total_time for src in PAIRS}
-    times_big = {src: results[(src, MEM_SIZES[1])].total_time for src in PAIRS}
-    for src in PAIRS:
+    times_small = {src: results[(src, small)]["total_s"] for src in pairs}
+    times_big = {src: results[(src, big)]["total_s"] for src in pairs}
+    for src in pairs:
         ratio = times_big[src] / times_small[src]
         check.expect(f"{src}: bigger VM takes longer", ratio > 1.5,
                      f"x{ratio:.1f}")
         check.expect(f"{src}: time NOT proportional to memory (< 4x)",
                      ratio < 4.2, f"x{ratio:.1f} for 4x memory")
-        big = results[(src, MEM_SIZES[1])]
+        downtime, total = results[(src, big)]["downtime_s"], times_big[src]
         check.expect(f"{src}: downtime tiny vs total (WWS bailout works)",
-                     big.downtime < max(3.0, 0.05 * big.total_time),
-                     f"{big.downtime:.2f}s of {big.total_time:.1f}s")
+                     downtime < max(3.0, 0.05 * total),
+                     f"{downtime:.2f}s of {total:.1f}s")
     check.expect("OffCam-HKU is the fastest pair",
                  times_small["offcam"] == min(times_small.values()))
     check.expect("SDSC-HKU is the slowest pair (512M)",

@@ -1,8 +1,8 @@
 """Shared machinery for the benchmark harness.
 
 Each ``bench_*.py`` regenerates one table or figure of the paper: it
-runs the experiment once under ``benchmark.pedantic`` (simulations are
-deterministic — repetition adds nothing), prints the same rows/series
+reads its catalog sweep's results (``SweepRunner(get_sweep(name)).run()``
+runs the points the artifact store lacks), prints the same rows/series
 the paper reports, saves them under ``benchmarks/out/``, and asserts the
 paper's comparative *shape* claims via :class:`ShapeCheck`.
 """
@@ -14,18 +14,6 @@ import pathlib
 import pytest
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
-
-
-@pytest.fixture
-def run_once(benchmark):
-    """Run a deterministic experiment exactly once under the benchmark
-    timer and hand back its return value."""
-
-    def _run(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1, warmup_rounds=0)
-
-    return _run
 
 
 @pytest.fixture

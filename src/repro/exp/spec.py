@@ -59,6 +59,7 @@ _SCENARIO_MODULES = (
     "repro.scenarios.storm",
     "repro.scenarios.fairness",
     "repro.scenarios.traversal",
+    "repro.scenarios.migration",
 )
 
 

@@ -10,6 +10,8 @@
   pairs for the head-to-head comparisons (Table II, Figs 6-7).
 * :mod:`repro.scenarios.churn` — the self-healing mesh under a scripted
   fault schedule.
+* :mod:`repro.scenarios.migration` — VMs live-migrating on the real-WAN
+  testbed, a LAN, an emulated WAVNet WAN or IPOP (Tables III-V, Figs 9-11).
 
 These modules also register the named experiment scenarios
 (``stack_ping``, ``churn_recovery``, ``netperf_cluster``, ...) that

@@ -16,12 +16,14 @@ structure its published measurements show:
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 
 from repro.core.latency import LatencyMatrix
 from repro.exp.spec import scenario
 
-__all__ = ["planetlab_grouping", "planetlab_latency_matrix"]
+__all__ = ["planetlab_grouping", "planetlab_latency_matrix", "planetlab_nas"]
 
 N_REGIONS = 12
 SITE_SIZE_RANGE = (2, 8)
@@ -85,31 +87,113 @@ def planetlab_latency_matrix(
     return LatencyMatrix.from_array(names, m)
 
 
+# Fig 12's summary of a matrix's host pairs: these percentiles, and
+# pair counts per latency bucket (edges in ms).
+PAIR_PERCENTILES = [1, 5, 25, 50, 75, 90, 99, 99.9]
+PAIR_BUCKETS_MS = [0, 1, 10, 100, 1000, 10001]
+
+
+def _pairs_ms(lm: LatencyMatrix) -> dict:
+    ms = lm.m[np.triu_indices(len(lm), k=1)] * 1000
+    return {"count": int(ms.size), "min": float(ms.min()), "max": float(ms.max()),
+            "percentiles": [float(np.percentile(ms, p)) for p in PAIR_PERCENTILES],
+            "buckets": [int(((ms >= a) & (ms < b)).sum())
+                        for a, b in zip(PAIR_BUCKETS_MS, PAIR_BUCKETS_MS[1:])]}
+
+
 @scenario("planetlab_grouping")
-def planetlab_grouping(seed: int = 0, n_hosts: int = 200, k: int = 8,
-                       max_latency: float = 0.2,
-                       outlier_fraction: float = 0.012):
-    """Generate a PlanetLab-like matrix and compare locality-sensitive
-    against random k-host cluster selection (Figs 12-13 in miniature) —
-    a pure-numpy scenario exercising the payload-only contract."""
-    import numpy as np
+def planetlab_grouping(seed: int = 0, problems: tuple = ((200, 0, 8, ("ls", "random")),),
+                       draws: int = 1, max_latency: float | None = 0.2):
+    """Cluster selection on PlanetLab-like matrices (Figs 12-13, the
+    grouping ablation). Each problem ``[n_hosts, matrix_seed, k,
+    algorithms]`` runs its algorithms in order — ``"ls"`` (locality-
+    sensitive, filtering groups with a pair over ``max_latency``),
+    ``"brute"``, ``"greedy"``, ``"random"`` — timing each; a random group
+    is the median over ``draws`` draws from one stream seeded by ``seed``
+    and shared by every problem. ``pairs_ms`` summarizes the first
+    problem's matrix. A pure-numpy scenario (payload only)."""
+    from repro.core.grouping import (
+        brute_force_group,
+        greedy_group,
+        locality_sensitive_group,
+        random_group,
+    )
 
-    from repro.core.grouping import locality_sensitive_group, random_group
-
-    lm = planetlab_latency_matrix(n_hosts, seed=seed,
-                                  outlier_fraction=outlier_fraction)
-    off = lm.m[~np.eye(len(lm), dtype=bool)]
-    good = locality_sensitive_group(lm, k, max_latency=max_latency,
-                                    fallback=True)
-    rand = random_group(lm, k, np.random.default_rng(seed + 1))
-    return {
-        "n_hosts": n_hosts,
-        "k": k,
-        "median_rtt_ms": float(np.median(off)) * 1000.0,
-        "p95_rtt_ms": float(np.percentile(off, 95)) * 1000.0,
-        "grouped_avg_ms": good.average_latency * 1000.0,
-        "grouped_max_ms": good.max_latency * 1000.0,
-        "random_avg_ms": rand.average_latency * 1000.0,
-        "random_max_ms": rand.max_latency * 1000.0,
-        "candidates_examined": good.candidates_examined,
+    rng = np.random.default_rng(seed)
+    matrices: dict = {}
+    solve = {
+        "ls": lambda lm, k: [locality_sensitive_group(lm, k, max_latency=max_latency,
+                                                      fallback=True)],
+        "brute": lambda lm, k: [brute_force_group(lm, k)],
+        "greedy": lambda lm, k: [greedy_group(lm, k)],
+        "random": lambda lm, k: [random_group(lm, k, rng) for _ in range(draws)],
     }
+    results = []
+    for n_hosts, matrix_seed, k, algorithms in problems:
+        key = (n_hosts, matrix_seed)
+        if key not in matrices:
+            matrices[key] = planetlab_latency_matrix(n_hosts, seed=matrix_seed)
+        row: dict = {"n_hosts": n_hosts, "k": k}
+        for name in algorithms:
+            t0 = perf_counter()
+            groups = solve[name](matrices[key], k)
+            wall = perf_counter() - t0
+            row[name] = {"avg_s": float(np.median([g.average_latency for g in groups])),
+                         "max_s": float(np.median([g.max_latency for g in groups])),
+                         "candidates": groups[0].candidates_examined, "wall_s": wall}
+        results.append(row)
+    first = problems[0]
+    return {"pairs_ms": _pairs_ms(matrices[(first[0], first[1])]), "problems": results}
+
+
+# Fig 14's NAS kernels: EP samples per class; FT grids scaled down from
+# the NAS classes with iteration counts scaled up, keeping the kernel
+# latency-dominated (many all-to-all rounds of modest size) as the
+# paper's WAN runs were.
+NAS_EP_SAMPLES = {"A": 2**26, "B": 2**28}
+NAS_FT_GRIDS = {"A": ((32, 32, 32), 24), "B": ((32, 32, 32), 48)}
+
+
+@scenario("planetlab_nas")
+def planetlab_nas(seed: int = 7):
+    """NAS EP and FT on a locality-sensitive cluster against a random one
+    (Fig 14), for 4 and 8 hosts of the 400-host matrix (seed 12). The
+    random clusters are drawn, in size order, from ``seed``'s stream out
+    of the 64 hosts the locality-sensitive method pre-selects. Each job
+    runs in its own simulation on public hosts whose pairwise RTTs are
+    the matrix entries; ``rows`` are ``[case, hosts, random s, locality s]``."""
+    from repro.apps.mpi import MpiJob, ep_program, ft_program
+    from repro.core.grouping import locality_sensitive_group
+    from repro.net.addresses import IPv4Address
+    from repro.net.wan import WanCloud
+    from repro.scenarios.builder import make_public_host
+    from repro.sim.engine import Simulator
+
+    lm = planetlab_latency_matrix(400, seed=12)
+
+    def run_job(members, program, sim_seed):
+        sim = Simulator(seed=sim_seed)
+        cloud = WanCloud(sim, default_latency=0.050)
+        hosts = [make_public_host(sim, cloud, f"n{i}", f"8.9.0.{i + 1}",
+                                  network="8.9.0.0/24", tcp_mss=8192,
+                                  access_bandwidth_bps=50e6)
+                 for i in range(len(members))]
+        for i, a in enumerate(members):
+            for j, b in enumerate(members[i + 1:], start=i + 1):
+                cloud.set_rtt(f"n{i}", f"n{j}", float(lm.m[a, b]))
+        ips = [IPv4Address(f"8.9.0.{i + 1}") for i in range(len(members))]
+        return sim.run_coro(MpiJob(hosts, ips, program, base_flops=2e9).run())
+
+    kernels = [(f"EP({cls})", ep_program, (samples,))
+               for cls, samples in NAS_EP_SAMPLES.items()]
+    kernels += [(f"FT({cls})", ft_program, spec) for cls, spec in NAS_FT_GRIDS.items()]
+    candidates = list(locality_sensitive_group(lm, 64).members)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for n_hosts in (4, 8):
+        good = list(locality_sensitive_group(lm, n_hosts).members)
+        rand = list(rng.choice(candidates, size=n_hosts, replace=False))
+        for case, program, args in kernels:
+            rows.append([case, n_hosts, run_job(rand, program(*args), 100 + n_hosts),
+                         run_job(good, program(*args), 200 + n_hosts)])
+    return {"rows": rows}

@@ -23,7 +23,7 @@ from repro.scenarios.wavnet_env import WavnetEnvironment
 from repro.sim.engine import Simulator
 
 __all__ = ["SITE_PATH_RTT", "StackPair", "ipop_pair", "physical_pair",
-           "stack_pair", "wavnet_pair"]
+           "relayed_ipop_pair", "stack_app", "stack_pair", "wavnet_pair"]
 
 # Fixed per-pair path cost outside the cloud: two sites, each with
 # host->switch (0.1 ms) + switch->NAT (0.1 ms) + access (0.2 ms), both
@@ -123,13 +123,35 @@ def ipop_pair(rtt: float, bandwidth_bps: float, seed: int = 0,
     return StackPair(sim, a, b, IPv4Address("10.128.0.2"), cloud, overlay=overlay)
 
 
-STACKS = {"physical": physical_pair, "wavnet": wavnet_pair, "ipop": ipop_pair}
+def relayed_ipop_pair(rtt: float, bandwidth_bps: float, seed: int = 0,
+                      send_buf: int = 262144, recv_buf: int = 262144) -> StackPair:
+    """Six IPOP nodes in a ring with no direct edges and no shortcuts;
+    the pair is two ring-distant nodes, so every packet between them
+    relays through intermediate hosts. ``rtt`` is the cloud's default
+    one-hop round trip."""
+    sim = Simulator(seed=seed)
+    cloud = WanCloud(sim, default_latency=rtt / 2)
+    overlay = IpopOverlay(sim, config=IpopConfig(max_direct=0, n_shortcuts=0))
+    for i in range(6):
+        site = make_natted_site(sim, cloud, f"s{i}", f"8.4.0.{i + 1}",
+                                lan_subnet=f"192.168.{40 + i}.0/24",
+                                access_bandwidth_bps=bandwidth_bps, tcp_mss=1460,
+                                tcp_send_buf=send_buf, tcp_recv_buf=recv_buf)
+        overlay.add_node(site.hosts[0], f"10.128.0.{i + 1}", nat=site.nat)
+    sim.run_coro(overlay.build_ring())
+    nodes = sorted(overlay.nodes.values(), key=lambda n: n.ring_id)
+    src, dst = nodes[0], nodes[len(nodes) // 2]
+    return StackPair(sim, src.host, dst.host, dst.virtual_ip, cloud, overlay=overlay)
+
+
+STACKS = {"physical": physical_pair, "wavnet": wavnet_pair, "ipop": ipop_pair,
+          "ipop-relayed": relayed_ipop_pair}
 
 
 def stack_pair(stack: str, rtt: float, bandwidth_bps: float, seed: int = 0,
                **kwargs) -> StackPair:
     """Build the endpoint pair for ``stack`` ("physical" / "wavnet" /
-    "ipop") over the given path parameters."""
+    "ipop" / "ipop-relayed") over the given path parameters."""
     try:
         builder = STACKS[stack]
     except KeyError:
@@ -161,3 +183,38 @@ def stack_ping(seed: int = 0, stack: str = "wavnet", rtt_ms: float = 50.0,
         "lost": int(pair.metrics.value(f"{name}.ping.lost")),
     }
     return pair.sim, payload
+
+
+@scenario("stack_app")
+def stack_app(seed: int = 0, stack: str = "wavnet", rtt_ms: float = 50.0,
+              bandwidth_mbps: float = 50.0, tcp_buf: int = 262144,
+              probes: int = 0, ttcp_mb: int = 0, netperf_s: float = 0.0):
+    """Applications over one stack pair (Figs 6-7, the data-path
+    ablation): ``probes`` pings (the first is warmup), then a ``ttcp_mb``
+    MB ttcp in 16 KB writes, then a ``netperf_s`` second netperf stream.
+    ``relayed`` counts packets intermediate IPOP nodes relayed meanwhile."""
+    from repro.apps.netperf import netperf_stream, netserver
+    from repro.apps.ping import Pinger
+    from repro.apps.ttcp import ttcp_receiver, ttcp_transfer
+
+    pair = stack_pair(stack, rtt_ms / 1000.0, bandwidth_mbps * 1e6, seed=seed,
+                      send_buf=tcp_buf, recv_buf=tcp_buf)
+    sim, a, b, ip_b = pair.sim, pair.host_a, pair.host_b, pair.ip_b
+    nodes = pair.overlay.nodes.values() if pair.overlay else ()
+    relayed = sum(n.packets_relayed for n in nodes)
+    payload: dict = {}
+    if netperf_s:
+        sim.process(netserver(b))
+    if probes:
+        rtts = sim.run_coro(Pinger(a.stack, ip_b, interval=0.3,
+                                   timeout=3.0).run(probes)).rtts[1:]
+        payload["rtt_ms"] = sum(rtts) / len(rtts) * 1000
+    if ttcp_mb:
+        sim.process(ttcp_receiver(b))
+        payload["ttcp_kbps"] = sim.run_coro(ttcp_transfer(
+            a, ip_b, ttcp_mb * 1024 * 1024, buf_size=16384)).rate_kbps
+    if netperf_s:
+        payload["netperf_mbps"] = sim.run_coro(netperf_stream(
+            a, ip_b, duration=netperf_s)).throughput_mbps
+    payload["relayed"] = sum(n.packets_relayed for n in nodes) - relayed
+    return sim, payload

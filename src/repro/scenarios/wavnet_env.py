@@ -290,3 +290,39 @@ def wavnet_mesh(seed: int = 0, n_hosts: int = 2, n_rendezvous: int = 1,
         "mesh_done_at": max(punch) if punch else None,
     }
     return sim, payload
+
+
+# The keepalive ablation: NAT UDP bindings expire after this long, and
+# the tunnel idles this long before it is probed.
+KEEPALIVE_NAT_TIMEOUT = 60.0
+KEEPALIVE_IDLE = 600.0
+
+
+@scenario("wavnet_keepalive")
+def wavnet_keepalive(seed: int = 0, pulse_interval: float = 5.0):
+    """One punched tunnel left idle behind NATs whose UDP bindings
+    expire, kept alive by CONNECT_PULSE every ``pulse_interval`` s alone
+    (the keepalive ablation). Reports whether the connection is still
+    usable, whether three pings cross it afterwards, and the pulse
+    overhead in B/s."""
+    from repro.apps.ping import Pinger
+
+    sim = Simulator(seed=seed)
+    env = WavnetEnvironment(sim, default_latency=0.020)
+    for name in ("a", "b"):
+        # Rendezvous keepalives ride the same socket and would refresh an
+        # endpoint-independent NAT mapping on their own; park them beyond
+        # the experiment so CONNECT_PULSE is the only refresher.
+        env.add_host(name, udp_timeout=KEEPALIVE_NAT_TIMEOUT,
+                     pulse_interval=pulse_interval,
+                     keepalive_interval=10 * KEEPALIVE_IDLE)
+    conn = env.up().connect("a", "b")
+    t0, sent0 = sim.now, conn.bytes_sent
+    sim.run(until=t0 + KEEPALIVE_IDLE)
+    payload = {"usable": conn.usable, "alive": False,
+               "overhead_bps": (conn.bytes_sent - sent0) / KEEPALIVE_IDLE}
+    if conn.usable:
+        ping = sim.run_coro(Pinger(env.hosts["a"].host.stack, env.hosts["b"].virtual_ip,
+                                   interval=0.3, timeout=2.0).run(3))
+        payload["alive"] = ping.lost == 0
+    return sim, payload

@@ -1,6 +1,7 @@
 """Tests for the experiment plane (repro.exp): specs, sweeps, the
 sharded runner's determinism, and resume-from-cache."""
 
+import inspect
 import json
 
 import pytest
@@ -33,6 +34,19 @@ class TestRegistry:
         for expected in ("churn_recovery", "netperf_cluster",
                          "planetlab_grouping", "stack_ping", "wavnet_mesh"):
             assert expected in names
+
+    def test_every_catalog_sweep_resolves(self):
+        """Without simulating: each catalog sweep's scenario is registered,
+        its base params and axes are parameters of the scenario function,
+        and each spec survives a JSON round trip unchanged."""
+        for name in sweep_names():
+            sweep = get_sweep(name)
+            params = inspect.signature(registry.get(sweep.scenario)).parameters
+            for key in [*sweep.base_params, *sweep.axis_names()]:
+                assert key in params, f"{name}: {sweep.scenario} takes no {key!r}"
+            for spec in sweep.specs():
+                canonical = spec.canonical()
+                assert json.loads(json.dumps(canonical)) == canonical, name
 
     def test_duplicate_registration_rejected(self):
         fn = registry.get("stack_ping")
