@@ -83,6 +83,8 @@ class NatBox(Router, Component):
         self.icmp_mappings = MappingTable(self.nat_type, ICMP_TIMEOUT, first_port=40000,
                                           port_rng=port_rng, metrics=metrics.scope("icmp"),
                                           port_alloc=port_alloc, port_stride=port_stride)
+        self._tables = {PROTO_UDP: self.udp_mappings, PROTO_TCP: self.tcp_mappings,
+                        PROTO_ICMP: self.icmp_mappings}
         self.port_alloc = self.udp_mappings.port_alloc
         self.port_stride = self.udp_mappings.port_stride
         self.inside: Optional[Interface] = None
@@ -97,7 +99,7 @@ class NatBox(Router, Component):
 
     # -- lifecycle ---------------------------------------------------------
     def _on_crash(self) -> None:
-        for table in (self.udp_mappings, self.tcp_mappings, self.icmp_mappings):
+        for table in self._tables.values():
             table.flush()
 
     def _on_stop(self) -> None:
@@ -124,24 +126,16 @@ class NatBox(Router, Component):
         self.stack.add_route("0.0.0.0/0", self.outside)
         return self.outside
 
-    def _table_for(self, proto: int) -> Optional[MappingTable]:
-        if proto == PROTO_UDP:
-            return self.udp_mappings
-        if proto == PROTO_TCP:
-            return self.tcp_mappings
-        if proto == PROTO_ICMP:
-            return self.icmp_mappings
-        return None
-
     # -- datapath hooks ------------------------------------------------------
     def _pre_routing(self, packet: IPv4Packet, iface: Interface) -> Optional[IPv4Packet]:
-        """Inbound DNAT: rewrite public (ip, port) back to the inside host."""
+        """Inbound DNAT: rewrite public (ip, port) back to the inside host,
+        with the TTL it is forwarded with."""
         if not self.running:
             return None  # box is down/crashed: everything blackholes
         if iface is not self.outside or packet.dst != self.public_ip:
             return packet
         proto = packet.proto
-        table = self._table_for(proto)
+        table = self._tables.get(proto)
         if table is None:
             return packet
         payload = packet.payload
@@ -158,10 +152,12 @@ class NatBox(Router, Component):
         self.translated_in += 1
         return IPv4Packet(packet.src, mapping.internal_ip, proto,
                           _with_port(payload, proto, dst_port=mapping.internal_port),
-                          packet.ttl)
+                          packet.ttl - 1)
 
-    def _post_routing(self, packet: IPv4Packet, iface: Interface) -> Optional[IPv4Packet]:
-        """Outbound SNAT: rewrite inside (ip, port) to the public endpoint."""
+    def _post_routing(self, packet: IPv4Packet, iface: Interface,
+                      ttl: Optional[int] = None) -> Optional[IPv4Packet]:
+        """Outbound SNAT: rewrite inside (ip, port) to the public endpoint,
+        leaving with TTL ``ttl`` (by default the packet's own)."""
         if not self.running:
             return None
         if iface is not self.outside:
@@ -169,7 +165,7 @@ class NatBox(Router, Component):
         if self.inside_network is None or packet.src not in self.inside_network:
             return packet  # NAT's own traffic
         proto = packet.proto
-        table = self._table_for(proto)
+        table = self._tables.get(proto)
         if table is None:
             return None  # unsupported protocol cannot traverse
         payload = packet.payload
@@ -181,7 +177,7 @@ class NatBox(Router, Component):
         self.translated_out += 1
         return IPv4Packet(self.public_ip, packet.dst, proto,
                           _with_port(payload, proto, src_port=mapping.external_port),
-                          packet.ttl)
+                          packet.ttl if ttl is None else ttl)
 
     def external_endpoint_for(
         self, int_ip: IPv4Address, int_port: int, dst_ip: IPv4Address, dst_port: int

@@ -1,15 +1,20 @@
 """MAC and IPv4 addressing.
 
-Addresses are small immutable value objects backed by integers; the hash
-and ``is_broadcast`` are computed once, at construction, so lookups on the
-packet fast path (ARP cache, MAC tables, NAT mapping keys) allocate nothing.
+Addresses are interned: there is one object per value, whatever it is
+built from (a str, an int, another address, a pickle or a copy), so
+equality is identity and the hash is the object's own. Lookups on the
+packet fast path (ARP cache, MAC tables, route cache, NAT mapping keys)
+hash and compare in C and allocate nothing. An intern table holds every
+distinct address made in the process.
 IPv4 parsing accepts dotted-quad strings; CIDR networks support containment
 tests and host enumeration for scenario builders.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+from itertools import count
+from operator import index
+from typing import Iterator
 
 __all__ = [
     "BROADCAST_MAC",
@@ -20,42 +25,57 @@ __all__ = [
 ]
 
 
-class MacAddress:
-    """48-bit Ethernet address."""
+class _Address:
+    """An address made of ``_BITS`` bits, interned per subclass."""
 
-    __slots__ = ("value", "is_broadcast", "_hash")
+    __slots__ = ("value", "is_broadcast")
+    _BITS = 0
+    _interned: dict  # each subclass's own: value, or text parsed -> address
 
-    def __init__(self, value: Union[int, str, "MacAddress"]) -> None:
-        if isinstance(value, MacAddress):
-            value = value.value
-        elif isinstance(value, str):
-            parts = value.split(":")
-            if len(parts) != 6:
-                raise ValueError(f"bad MAC {value!r}")
-            value = 0
-            for p in parts:
-                value = (value << 8) | int(p, 16)
-        if not 0 <= value < (1 << 48):
-            raise ValueError(f"MAC out of range: {value:#x}")
-        self.value = value
-        self.is_broadcast = value == (1 << 48) - 1
-        self._hash = hash(("mac", value))
-
-    def __eq__(self, other: object) -> bool:
-        return other is self or (other.__class__ is MacAddress and other.value == self.value)
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, value):
+        if value.__class__ is cls:
+            return value
+        self = cls._interned.get(value)
+        if self is not None:
+            return self
+        number = cls._parse(value) if isinstance(value, str) else index(value)
+        if not 0 <= number < (1 << cls._BITS):
+            raise ValueError(f"{cls._KIND} out of range: {number:#x}")
+        self = cls._interned.get(number)
+        if self is None:
+            self = cls._interned[number] = object.__new__(cls)
+            self.value = number
+            self.is_broadcast = number == (1 << cls._BITS) - 1
+        if isinstance(value, str):
+            cls._interned[value] = self
+        return self
 
     def __reduce__(self):
-        return (MacAddress, (self.value,))  # the cached hash is per process
+        return (self.__class__, (self.value,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}('{self}')"
+
+
+class MacAddress(_Address):
+    """48-bit Ethernet address: ``MacAddress(int | str | MacAddress)``."""
+
+    __slots__ = ()
+    _BITS, _KIND, _interned = 48, "MAC", {}
+
+    @staticmethod
+    def _parse(text: str) -> int:
+        parts = text.split(":")
+        if len(parts) != 6:
+            raise ValueError(f"bad MAC {text!r}")
+        number = 0
+        for p in parts:
+            number = (number << 8) | int(p, 16)
+        return number
 
     def __str__(self) -> str:
         octets = [(self.value >> (8 * i)) & 0xFF for i in range(5, -1, -1)]
         return ":".join(f"{o:02x}" for o in octets)
-
-    def __repr__(self) -> str:
-        return f"MacAddress('{self}')"
 
 
 BROADCAST_MAC = MacAddress((1 << 48) - 1)
@@ -67,58 +87,35 @@ def mac_factory(prefix: int = 0x02_00_00_00_00_00):
     Scenario builders use one factory per topology so MACs are stable
     across runs regardless of construction interleaving.
     """
-    counter = {"next": 1}
-
-    def mint() -> MacAddress:
-        mac = MacAddress(prefix | counter["next"])
-        counter["next"] += 1
-        return mac
-
-    return mint
+    counter = count(1)
+    return lambda: MacAddress(prefix | next(counter))
 
 
-class IPv4Address:
-    """32-bit IPv4 address."""
+class IPv4Address(_Address):
+    """32-bit IPv4 address: ``IPv4Address(int | str | IPv4Address)``."""
 
-    __slots__ = ("value", "is_broadcast", "_hash")
+    __slots__ = ()
+    _BITS, _KIND, _interned = 32, "IPv4", {}
 
-    def __init__(self, value: Union[int, str, "IPv4Address"]) -> None:
-        if isinstance(value, IPv4Address):
-            value = value.value
-        elif isinstance(value, str):
-            text, value = value, 0
-            parts = text.split(".")
-            if len(parts) != 4:
+    @staticmethod
+    def _parse(text: str) -> int:
+        parts = text.split(".")
+        if len(parts) != 4:
+            raise ValueError(f"bad IPv4 {text!r}")
+        number = 0
+        for p in parts:
+            octet = int(p)
+            if not 0 <= octet <= 255:
                 raise ValueError(f"bad IPv4 {text!r}")
-            for p in parts:
-                octet = int(p)
-                if not 0 <= octet <= 255:
-                    raise ValueError(f"bad IPv4 {text!r}")
-                value = (value << 8) | octet
-        if not 0 <= value < (1 << 32):
-            raise ValueError(f"IPv4 out of range: {value:#x}")
-        self.value = value
-        self.is_broadcast = value == (1 << 32) - 1
-        self._hash = hash(("ip", value))
-
-    def __eq__(self, other: object) -> bool:
-        return other is self or (other.__class__ is IPv4Address and other.value == self.value)
+            number = (number << 8) | octet
+        return number
 
     def __lt__(self, other: "IPv4Address") -> bool:
         return self.value < other.value
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (IPv4Address, (self.value,))  # the cached hash is per process
-
     def __str__(self) -> str:
         octets = [(self.value >> (8 * i)) & 0xFF for i in range(3, -1, -1)]
         return ".".join(str(o) for o in octets)
-
-    def __repr__(self) -> str:
-        return f"IPv4Address('{self}')"
 
     def __add__(self, offset: int) -> "IPv4Address":
         return IPv4Address(self.value + offset)

@@ -319,7 +319,12 @@ class FluidNetwork:
         """A cohort with flows that stay asks for one re-solve and keeps
         the refresh timer running."""
         self._schedule_solve()
-        if self._refresh_timer is None and self.refresh_interval:
+        self._keep_refreshing()
+
+    def _keep_refreshing(self) -> None:
+        """Tick while some open flow is not stalled (a heal asks a solve)."""
+        if (self._refresh_timer is None and self.refresh_interval
+                and (np.asarray(self._state) == _ACTIVE).any()):
             self._refresh_timer = self.sim.timer(self.refresh_interval,
                                                  self._refresh_tick)
 
@@ -542,8 +547,7 @@ class FluidNetwork:
         # Periodic hybrid refresh: re-sample packet utilization so long
         # fluid flows track packet traffic that starts or stops mid-run.
         self.solve_now()
-        self._refresh_timer = self.sim.timer(self.refresh_interval,
-                                             self._refresh_tick)
+        self._keep_refreshing()
 
     # -- the solver -----------------------------------------------------
     def solve_now(self) -> None:
@@ -603,6 +607,7 @@ class FluidNetwork:
                     self.stall_timeout, partial(self._stall_expired, i))
         else:
             self._state[i] = _ACTIVE
+            self._keep_refreshing()
             sim.trace.event("fluid.resume", flow=flow.name)
             timer = self._stall_timers.pop(i, None)
             if timer is not None:

@@ -13,13 +13,15 @@ The medium model:
   port, tap to bridge port).
 * :class:`Switch` — MAC-learning Ethernet switch; :class:`Bridge` is the
   in-host software variant (Linux ``brctl`` equivalent) with a per-frame
-  CPU cost.
+  CPU cost. A link that delivers to a switch folds the switch's forward
+  delay into its own delivery (DESIGN §9, invariant 7).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import partial
+from heapq import heappush
 from typing import Callable, Optional, Protocol
 
 from repro.net.addresses import MacAddress
@@ -71,9 +73,13 @@ class Port:
 
 
 def patch(a: Port, b: Port) -> None:
-    """Connect two ports back-to-back with zero delay (virtual patch cable)."""
+    """Connect two ports back-to-back with zero delay (virtual patch cable);
+    a switch with a patched port stops folding its delay into its links."""
     a.connect(b.deliver)
     b.connect(a.deliver)
+    for port in (a, b):
+        if isinstance(port.owner, Switch):
+            port.owner._folded = False
 
 
 class _Pipe:
@@ -85,15 +91,19 @@ class _Pipe:
     ``drops``). Calendar entries per frame:
 
     * **Idle and lossless** — arrival scheduled at once for ``start + tx +
-      latency``: one entry. Unshaped (``tx = 0``), loss is drawn at once.
+      latency`` (to a folding switch, its hop ``forward_delay`` later): one
+      entry. Unshaped (``tx = 0``), loss is drawn at once.
     * **Queued** — a completion entry armed at ``busy_until`` starts it,
       so a reshape re-times only the frames still waiting: two entries.
     * **Lossy** — a frame started while ``loss > 0`` keeps a completion
       entry, which draws its loss when serialization ends: two entries.
 
     A frame takes the latency and loss in force when it starts serializing
-    (DESIGN §9, idle-link bypass legality). ``bytes_sent``/``frames_sent``
-    count the frame in service once its transmission time has passed.
+    (DESIGN §9, idle-link bypass legality). A frame offered to a full
+    queue at the instant its completion is due runs that completion first,
+    so the order of two same-instant entries cannot drop it.
+    ``bytes_sent``/``frames_sent`` count the frame in service once its
+    transmission time has passed.
     """
 
     def __init__(self, sim: Simulator, dst: Port, latency: float,
@@ -118,6 +128,7 @@ class _Pipe:
         self._armed = False  # a completion entry is on the calendar
         self._lossy = None  # (frame, arrival, loss) awaiting its draw
         self._complete_cb = self._complete  # bind once, not per frame
+        self._switch = dst.owner if isinstance(dst.owner, Switch) else None
 
     @property
     def bytes_sent(self) -> int:
@@ -128,16 +139,35 @@ class _Pipe:
         return self._frames - (self.sim.now < self.busy_until)
 
     def send(self, frame: EthernetFrame) -> None:
+        sim = self.sim
+        now = sim.now
         if not self.up:
             self.frames_dropped_down += 1
-        elif not self._armed and self.sim.now >= self.busy_until:
+        elif self._armed or now < self.busy_until:
+            if len(self.queue) < self.capacity:
+                self.queue.append(frame)
+                if not self._armed:
+                    self._arm()
+            elif self._armed and self.busy_until == now:
+                self._complete()  # due now: it frees a slot first
+                self.send(frame)
+            else:
+                self.drops += 1
+        elif self.loss > 0.0:
             self._start(frame)
-        elif len(self.queue) < self.capacity:
-            self.queue.append(frame)
-            if not self._armed:
-                self._arm()
-        else:
-            self.drops += 1
+        else:  # idle and lossless: _start and _land in one frame
+            size = self._last_size = frame.size
+            self._bytes += size
+            self._frames += 1
+            bw = self.bandwidth_bps
+            end = self.busy_until = now + size * 8.0 / bw if bw else now
+            sw, arrival = self._switch, end + self.latency
+            sim._seq = seq = sim._seq + 1
+            if sw is not None and sw._folded:
+                heappush(sim._calendar, (arrival + sw.forward_delay, seq, None,
+                                         partial(sw._hop, frame, self.dst, arrival, 0.0)))
+            else:
+                heappush(sim._calendar, (arrival, seq, None, partial(self.dst.deliver, frame)))
 
     def _arm(self) -> None:
         self._armed = True
@@ -161,11 +191,18 @@ class _Pipe:
     def _land(self, frame: EthernetFrame, arrival: float, loss: float) -> None:
         if loss > 0.0 and self._loss_rng.random() < loss:
             self.frames_lost += 1
+            return
+        sw = self._switch
+        if sw is not None and sw._folded:
+            self.sim.call_at(arrival + sw.forward_delay,
+                             partial(sw._hop, frame, self.dst, arrival, 0.0))
         else:
             self.sim.call_at(arrival, partial(self.dst.deliver, frame))
 
     def _complete(self) -> None:
         """``busy_until`` has come: draw a lossy frame's loss, start the next."""
+        if not self._armed or self.busy_until > self.sim.now:
+            return  # a send at the due instant has run this completion
         self._armed = False
         if self._lossy is not None:
             lossy, self._lossy = self._lossy, None
@@ -275,7 +312,8 @@ class Switch:
 
     Frames to learned unicast MACs go out one port; broadcast and unknown
     destinations flood all other ports. ``forward_delay`` models the
-    per-frame switching cost.
+    per-frame switching cost. While no port is patched, a link delivering
+    to the switch runs :meth:`_hop` in one entry at arrival + delay.
     """
 
     def __init__(
@@ -293,6 +331,7 @@ class Switch:
         self.mac_table: dict[MacAddress, tuple[Port, float]] = {}
         self.frames_forwarded = 0
         self.frames_flooded = 0
+        self._folded = True  # no port patched: links fold the delay
 
     def new_port(self, name: str = "") -> Port:
         port = Port(self, name or f"{self.name}.p{len(self.ports)}")
@@ -305,34 +344,40 @@ class Switch:
             if p is port:
                 del self.mac_table[mac]
 
-    def lookup(self, mac: MacAddress) -> Optional[Port]:
+    def lookup(self, mac: MacAddress, now: Optional[float] = None) -> Optional[Port]:
         entry = self.mac_table.get(mac)
         if entry is None:
             return None
         port, when = entry
-        if self.sim.now - when > self.mac_age_limit:
+        if (self.sim.now if now is None else now) - when > self.mac_age_limit:
             del self.mac_table[mac]
             return None
         return port
 
     def on_frame(self, frame: EthernetFrame, in_port: Port) -> None:
+        self._hop(frame, in_port, self.sim.now, self.forward_delay)
+
+    def _hop(self, frame: EthernetFrame, in_port: Port, now: float, delay: float) -> None:
+        """Learn and look up as of ``now``, transmit ``delay`` later."""
         # Learn the sender's location (moves on migration are picked up
         # here: a gratuitous ARP from a new port rewrites the entry).
-        self.mac_table[frame.src] = (in_port, self.sim.now)
-        out = None if frame.dst.is_broadcast else self.lookup(frame.dst)
-        if out is not None and out is not in_port:
-            self.frames_forwarded += 1
-            self._emit(out, frame)
-        elif out is None:
+        self.mac_table[frame.src] = (in_port, now)
+        out = None if frame.dst.is_broadcast else self.lookup(frame.dst, now)
+        if out is None:
             self.frames_flooded += 1
             for port in self.ports:
                 if port is not in_port:
-                    self._emit(port, frame)
+                    self._emit(port, frame, delay)
+        elif out is not in_port:
+            self.frames_forwarded += 1
+            self._emit(out, frame, delay)
         # out is in_port: destination is on the segment it came from; drop.
 
-    def _emit(self, port: Port, frame: EthernetFrame) -> None:
-        if self.forward_delay > 0:
-            self.sim.call_in(self.forward_delay, partial(port.transmit, frame))
+    def _emit(self, port: Port, frame: EthernetFrame, delay: float) -> None:
+        if delay > 0:
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._calendar, (sim.now + delay, seq, None, partial(port.transmit, frame)))
         else:
             port.transmit(frame)
 

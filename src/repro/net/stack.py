@@ -118,9 +118,11 @@ class NetworkStack:
         self.tcp = TcpLayer(self, mss=tcp_mss, send_buf=tcp_send_buf,
                             recv_buf=tcp_recv_buf, cc=tcp_cc)
         self.icmp = IcmpLayer(self)
-        # Hook points used by NAT boxes and the WAVNet driver.
+        # NAT hooks: each returns the packet, None to drop it, or a rewrite
+        # built with the TTL it leaves with (one packet per NAT crossing).
         self.pre_routing: Optional[Callable[[IPv4Packet, Interface], Optional[IPv4Packet]]] = None
-        self.post_routing: Optional[Callable[[IPv4Packet, Interface], Optional[IPv4Packet]]] = None
+        self.post_routing: Optional[
+            Callable[[IPv4Packet, Interface, int], Optional[IPv4Packet]]] = None
         self.packets_sent = 0
         self.packets_received = 0
         self.packets_forwarded = 0
@@ -189,25 +191,28 @@ class NetworkStack:
         if route is None:
             self.packets_dropped += 1
             return
-        self._send_via(route, packet)
+        self._send_via(route, packet, packet.ttl)
 
-    def _send_via(self, route: Route, packet: IPv4Packet) -> None:
+    def _send_via(self, route: Route, packet: IPv4Packet, ttl: int) -> None:
         iface = route.iface
         if self.post_routing is not None:
-            maybe = self.post_routing(packet, iface)
+            maybe = self.post_routing(packet, iface, ttl)
             if maybe is None:
                 self.packets_dropped += 1
                 return
             packet = maybe
+        if packet.ttl != ttl:
+            packet = IPv4Packet(packet.src, packet.dst, packet.proto, packet.payload, ttl)
         self.packets_sent += 1
         dst = packet.dst
-        if dst.is_broadcast or (iface.network is not None and dst == iface.network.broadcast):
-            iface.send_frame(frame_for(packet, iface.mac, BROADCAST_MAC))
+        if dst.is_broadcast or (iface.network is not None and dst is iface.network.broadcast):
+            iface.send_frame(EthernetFrame(iface.mac, BROADCAST_MAC, ETHERTYPE_IPV4, packet))
             return
         next_hop = route.gateway if route.gateway is not None else dst
         mac = self._arp_lookup(next_hop)
         if mac is not None:
-            iface.send_frame(frame_for(packet, iface.mac, mac))
+            iface.tx_frames += 1
+            iface.port.transmit(EthernetFrame(iface.mac, mac, ETHERTYPE_IPV4, packet))
         else:
             self._arp_resolve(iface, next_hop, packet)
 
@@ -270,9 +275,10 @@ class NetworkStack:
             return
         if frame.ethertype != ETHERTYPE_IPV4:
             return
-        if not (frame.dst == iface.mac or frame.dst.is_broadcast or iface.promiscuous):
+        if not (frame.dst is iface.mac or frame.dst.is_broadcast or iface.promiscuous):
             return
         packet: IPv4Packet = frame.payload
+        ttl = packet.ttl - 1  # if forwarded; a pre-routing rewrite carries it
         if self.pre_routing is not None:
             maybe = self.pre_routing(packet, iface)
             if maybe is None:
@@ -282,7 +288,7 @@ class NetworkStack:
         if packet.dst.is_broadcast or packet.dst in self._own:
             self.deliver_local(packet)
         elif self.forwarding:
-            self.forward(packet)
+            self.forward(packet, ttl)
         else:
             self.packets_dropped += 1
 
@@ -295,8 +301,8 @@ class NetworkStack:
         elif packet.proto == PROTO_ICMP:
             self.icmp.receive(packet)
 
-    def forward(self, packet: IPv4Packet) -> None:
-        if packet.ttl <= 1:
+    def forward(self, packet: IPv4Packet, ttl: int) -> None:
+        if ttl <= 0:
             self.packets_dropped += 1
             return
         route = self.lookup_route(packet.dst)
@@ -304,7 +310,7 @@ class NetworkStack:
             self.packets_dropped += 1
             return
         self.packets_forwarded += 1
-        self._send_via(route, packet.decremented())
+        self._send_via(route, packet, ttl)
 
 
 class Host:

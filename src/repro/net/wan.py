@@ -19,6 +19,7 @@ only over a shared LAN.
 from __future__ import annotations
 
 from functools import partial
+from heapq import heappush
 
 from repro.net.addresses import IPv4Network, MacAddress
 from repro.net.l2 import Port
@@ -149,6 +150,8 @@ class WanCloud:
         port = self.ports.get(dst)
         if port is None:
             return
-        # Kernel fast lane: one calendar entry per frame, no Event churn
-        # (same treatment as the unshaped-link bypass in net/l2).
-        self.sim.call_in(self.latency(src, dst), partial(port.transmit, frame))
+        # One calendar entry per frame, pushed inline as the pipes in net/l2 do.
+        sim = self.sim
+        delay = 0.0 if src == dst else self._latency.get((src, dst), self.default_latency)
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._calendar, (sim.now + delay, seq, None, partial(port.transmit, frame)))

@@ -276,10 +276,15 @@ class FluidNetwork:
         self.flows[flow] = None
         self._m_active.set(len(self.flows))
         self._schedule_solve()
-        if self._refresh_timer is None and self.refresh_interval:
+        self._keep_refreshing()
+        return flow
+
+    def _keep_refreshing(self) -> None:
+        """The refresh tick runs while some open flow is not stalled."""
+        if (self._refresh_timer is None and self.refresh_interval
+                and any(f.state == "active" for f in self.flows)):
             self._refresh_timer = self.sim.timer(self.refresh_interval,
                                                  self._refresh_tick)
-        return flow
 
     def _finish(self, flow: FluidFlow, aborted: bool, reason: str = "") -> None:
         flow._settle(self.sim.now)
@@ -388,8 +393,7 @@ class FluidNetwork:
         # Periodic hybrid refresh: re-sample packet utilization so long
         # fluid flows track packet traffic that starts or stops mid-run.
         self.solve_now()
-        self._refresh_timer = self.sim.timer(self.refresh_interval,
-                                             self._refresh_tick)
+        self._keep_refreshing()
 
     # ------------------------------------------------------------------
     # The solver
@@ -423,6 +427,7 @@ class FluidNetwork:
             else:
                 if flow.state == "stalled":
                     flow.state = "active"
+                    self._keep_refreshing()
                     self.sim.trace.event("fluid.resume", flow=flow.name)
                     if flow._stall_timer is not None:
                         flow._stall_timer.cancel()

@@ -66,7 +66,9 @@ class TestExtractionGoldens:
         # ARP requests: 16 flooded copies, 3 events each.
         # An idle, lossless shaped link costs a frame one calendar entry,
         # not two (serializer completion + delivery): 61070 before.
-        assert sim.events_dispatched == 44779
+        # A link folds its site switch's forward delay into its delivery:
+        # 6082 switch transmit entries fewer (44779 before).
+        assert sim.events_dispatched == 38697
         assert sim.now == 8.321956171784915
         assert tx.value.rate_kbps == 1439.4374177960692
 
@@ -98,7 +100,9 @@ class TestExtractionGoldens:
         sim.run(until=tx)
         # An idle, lossless shaped link costs a frame one calendar entry,
         # not two (serializer completion + delivery): 52260 before.
-        assert sim.events_dispatched == 36508
+        # A link folds its site switch's forward delay into its delivery:
+        # 5907 switch transmit entries fewer (36508 before).
+        assert sim.events_dispatched == 30601
         assert sim.now == 1.8996153161233158
         assert tx.value.rate_kbps == 836.3972337686617
 
@@ -120,7 +124,9 @@ class TestExtractionGoldens:
         # ARP requests: 16 flooded copies, 3 events each.
         # An idle, lossless shaped link costs a frame one calendar entry,
         # not two (serializer completion + delivery): 26441 before.
-        assert sim.events_dispatched == 19585
+        # A link folds its site switch's forward delay into its delivery:
+        # 2533 switch transmit entries fewer (19585 before).
+        assert sim.events_dispatched == 17052
         assert sim.now == 8.186810351999949
         assert p.value.requests_per_second == 41.12668697557433
         assert p.value.connect_ms() == (30.376319999998458,
@@ -178,7 +184,9 @@ class TestExtractionGoldens:
         # ARP requests: 16 flooded copies, 3 events each.
         # An idle, lossless shaped link costs a frame one calendar entry,
         # not two (serializer completion + delivery): 634 before.
-        assert sim.events_dispatched == 441
+        # A link folds its site switch's forward delay into its delivery:
+        # 40 switch transmit entries fewer (441 before).
+        assert sim.events_dispatched == 401
         assert sim.now == 8.074181891091174
         assert tx.value.rate_kbps == 1591.3560850714712
 

@@ -159,6 +159,41 @@ def test_partition_stalls_and_heal_resumes():
     assert stall["attrs"]["reason"] == "partitioned"
 
 
+def _flow_behind_cloud(refresh_interval=0.5):
+    """One fluid flow whose path crosses a cloud between two sites."""
+    sim = Simulator(seed=0)
+    cloud = WanCloud(sim)
+    net = FluidNetwork(sim, refresh_interval=refresh_interval)
+    net.watch_cloud(cloud)
+    path = FluidPath(links=((FluidLink("l0", capacity_bps=8e6), 1.0),), rtt=0.02,
+                     sites=("a", "b"), cloud=cloud)
+    flow = net.open(path=path, name="f", size_bytes=4 * MB)
+    return sim, cloud, net, flow
+
+
+def test_refresh_stops_while_every_flow_is_stalled():
+    # A partition that never heals: the flow stalls, and with nothing
+    # left that can move the refresh tick stops, so the calendar drains
+    # and an unbounded run() returns (bounded here so a regression fails
+    # instead of hanging: it made 202 solves by t = 100 s).
+    sim, cloud, net, flow = _flow_behind_cloud()
+    sim.call_at(0.2, lambda: cloud.partition(["a"], ["b"]))
+    sim.run(until=100.0)
+    assert flow.state == "stalled" and sim.peek() == math.inf
+    assert sim.metrics.counter("fluid.solves").value <= 10
+
+
+def test_refresh_resumes_when_a_partition_heals():
+    sim, cloud, net, flow = _flow_behind_cloud()
+    sim.call_at(0.2, lambda: cloud.partition(["a"], ["b"]))
+    sim.call_at(30.0, cloud.heal)
+    sim.run(until=flow.done)
+    assert flow.state == "done" and flow.delivered == 4 * MB
+    assert 30.0 < sim.now < 35.0
+    # Ticks run before the partition and after the heal, none between.
+    assert sim.metrics.counter("fluid.solves").value < 20
+
+
 def test_conduit_down_stalls_wavnet_flow():
     pair = wavnet_pair(0.010, 100e6, seed=2)
     sim = pair.sim

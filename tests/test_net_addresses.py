@@ -95,3 +95,55 @@ class TestIPv4Network:
     def test_equality(self):
         assert IPv4Network("10.0.0.0/8") == IPv4Network("10.1.0.0/8")
         assert IPv4Network("10.0.0.0/8") != IPv4Network("10.0.0.0/9")
+
+
+class TestInterning:
+    """One object per address value, whatever it was built from."""
+
+    @pytest.mark.parametrize("cls, text, value", [
+        (IPv4Address, "10.1.2.3", (10 << 24) | (1 << 16) | (2 << 8) | 3),
+        (MacAddress, "02:00:00:00:00:2a", 0x02_00_00_00_00_2A),
+    ])
+    def test_every_route_gives_the_interned_object(self, cls, text, value):
+        import copy
+        import pickle
+
+        import numpy as np
+
+        one = cls(text)
+        assert cls(value) is one
+        assert cls(np.int64(value)) is one and cls(np.uint64(value)) is one
+        assert cls(one) is one
+        assert pickle.loads(pickle.dumps(one)) is one
+        assert copy.copy(one) is one and copy.deepcopy(one) is one
+        assert copy.deepcopy({"k": [one]})["k"][0] is one
+
+    def test_value_is_a_python_int(self):
+        import numpy as np
+
+        for addr in (IPv4Address(np.int64(7)), MacAddress(np.uint32(7)),
+                     IPv4Address("0.0.0.7"), MacAddress("00:00:00:00:00:07")):
+            assert type(addr.value) is int and addr.value == 7
+
+    def test_mac_and_ip_of_one_value_differ(self):
+        assert MacAddress(5) != IPv4Address(5)
+        assert MacAddress(5) is not IPv4Address(5)
+        assert len({MacAddress(5), IPv4Address(5)}) == 2
+
+    def test_range_and_parse_errors_are_unchanged(self):
+        with pytest.raises(ValueError, match=r"^MAC out of range: 0x1000000000000$"):
+            MacAddress(1 << 48)
+        with pytest.raises(ValueError, match=r"^MAC out of range: -0x1$"):
+            MacAddress(-1)
+        with pytest.raises(ValueError, match=r"^bad MAC '1:2:3'$"):
+            MacAddress("1:2:3")
+        with pytest.raises(ValueError, match="invalid literal"):
+            MacAddress("zz:00:00:00:00:00")
+        with pytest.raises(ValueError, match=r"^IPv4 out of range: 0x100000000$"):
+            IPv4Address(1 << 32)
+        with pytest.raises(ValueError, match=r"^bad IPv4 '10.0.0'$"):
+            IPv4Address("10.0.0")
+        with pytest.raises(ValueError, match="invalid literal"):
+            IPv4Address("a.b.c.d")
+        # A failed parse interns nothing: the next good one still works.
+        assert IPv4Address("10.0.0.9").value == (10 << 24) | 9

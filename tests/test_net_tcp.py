@@ -211,8 +211,10 @@ class TestTransfer:
     def test_bigger_buffers_fill_high_bdp_path(self):
         # With buffers > BDP the flow escapes the receive-window limit:
         # it must beat the small-buffer configuration on the same path
-        # and reach a large fraction of the wire.
-        total = 40_000_000
+        # and reach a large fraction of the wire. 800 kB is the smallest
+        # transfer (on a 50 kB grid) at which a receiver that advertises
+        # at most 256 KiB whatever its buffer fails (45.6 Mbps; 64 Mbps here).
+        total = 800_000
 
         def run(bufs):
             sim, result = run_transfer(latency=0.020, bandwidth=100e6,
@@ -226,6 +228,7 @@ class TestTransfer:
         # buffer flow is loss-limited instead and reaches a comparable
         # large fraction of the wire without any window ceiling.
         assert small < 262144 * 8 / 0.040 * 1.1
+        assert big > 262144 * 8 / 0.040 * 1.1  # above the small window's limit
         assert big > 0.40 * 100e6
         assert big > 0.85 * small
 

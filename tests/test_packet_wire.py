@@ -186,8 +186,8 @@ def test_address_hash_and_equality():
 
 def test_pickled_addresses_still_key_every_table():
     ip, mac = pickle.loads(pickle.dumps((A, MA)))
-    assert ip is not A and ip == A and hash(ip) == hash(A)
-    assert mac is not MA and mac == MA and hash(mac) == hash(MA)
+    assert ip is A and ip == A and hash(ip) == hash(A)  # interned: one object per value
+    assert mac is MA and mac == MA and hash(mac) == hash(MA)
     assert (ip.is_broadcast, mac.is_broadcast) == (False, False)
     assert pickle.loads(pickle.dumps(BROADCAST_MAC)).is_broadcast
     net = pickle.loads(pickle.dumps(IPv4Network("10.0.0.0/24")))
