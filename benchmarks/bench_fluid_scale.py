@@ -26,7 +26,7 @@ The ``fluid_scale`` case of ``benchmarks/gates.py`` (one size).
 
 from __future__ import annotations
 
-from repro.exp.spec import ExperimentSpec
+from repro.exp.spec import ExperimentSpec, run_spec
 
 N_FLOWS = 10_000
 WALL_SPEEDUP_FLOOR = 10.0
@@ -36,9 +36,9 @@ EVENTS_RATIO_FLOOR = 500.0
 def run(quick: bool) -> dict:
     rows = {}
     for fidelity in ("packet", "fluid"):
-        env = ExperimentSpec(scenario="fluid_fanout", seed=7,
-                             params={"fidelity": fidelity,
-                                     "n_flows": N_FLOWS}).run()
+        env = run_spec(ExperimentSpec(scenario="fluid_fanout", seed=7,
+                                      params={"fidelity": fidelity,
+                                              "n_flows": N_FLOWS}))
         rows[fidelity] = {
             "completed": env["payload"]["completed"],
             "sim_seconds": round(env["payload"]["sim_seconds"], 3),

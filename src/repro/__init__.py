@@ -18,10 +18,9 @@ The names exported here are the supported surface for building and
 running experiments: deployment assembly (:class:`WavnetEnvironment`,
 :class:`WavnetDriver`, :class:`NatType`), per-call behaviour bundles
 (:class:`ConnectOptions`, :class:`TransferOptions`), the experiment
-plane (:class:`ExperimentSpec`, :class:`Sweep`, :class:`SweepRunner`,
-:func:`run_sweep`), fault injection (:class:`FaultPlan`,
-:class:`FaultInjector`), and VM migration (:class:`Hypervisor`,
-:class:`VirtualMachine`).
+plane (:class:`ExperimentSpec`, :class:`Sweep`, :class:`SweepRunner`),
+fault injection (:class:`FaultPlan`, :class:`FaultInjector`), and VM
+migration (:class:`Hypervisor`, :class:`VirtualMachine`).
 
 Package map: :mod:`repro.sim` (event kernel), :mod:`repro.net` (network
 substrate), :mod:`repro.nat` / :mod:`repro.stun` (NAT traversal),
@@ -41,7 +40,7 @@ from repro.core.grouping import (
 )
 from repro.core.latency import LatencyMatrix
 from repro.core.options import ConnectOptions, TransferOptions
-from repro.exp import ExperimentSpec, Sweep, SweepRunner, run_sweep
+from repro.exp import ExperimentSpec, Sweep, SweepRunner
 from repro.faults import FaultInjector, FaultPlan
 from repro.nat.types import NatType
 from repro.scenarios.wavnet_env import WavnetEnvironment
@@ -70,6 +69,5 @@ __all__ = [
     "greedy_group",
     "locality_sensitive_group",
     "random_group",
-    "run_sweep",
     "__version__",
 ]

@@ -1,5 +1,5 @@
-"""Experiment plane: declarative specs, parameter sweeps, and a
-multi-process sharded sweep runner.
+"""Experiment plane: declarative specs, parameter sweeps, and a sweep
+runner that spreads the points of many sweeps over one process pool.
 
 The paper's evaluation is a grid of sweeps — NAT-type pairs (Table 2),
 RTT x bandwidth points (Figs 6-7), host counts (Fig 8), seeds x fault
@@ -7,8 +7,8 @@ schedules (churn). Every simulation is deterministic and independent,
 so this package makes each one a picklable :class:`ExperimentSpec`
 (scenario name + params + seed + metric/trace selections, resolved
 against the scenario registry), expands grids with :class:`Sweep`,
-and executes them with :class:`SweepRunner` — serially or fanned out
-over ``multiprocessing`` workers, with an on-disk artifact store and
+and executes them with :class:`SweepRunner` — in-process or on a
+``ProcessPoolExecutor`` — with an on-disk artifact store and
 resume-from-cache. :mod:`repro.exp.aggregate` reshapes the resulting
 envelopes into the row/series tables the benchmarks print.
 
@@ -24,7 +24,6 @@ from repro.exp.runner import (
     SweepResult,
     SweepRunner,
     default_sweep_root,
-    run_sweep,
 )
 from repro.exp.spec import (
     ExperimentSpec,
@@ -56,7 +55,6 @@ __all__ = [
     "get_sweep",
     "registry",
     "run_spec",
-    "run_sweep",
     "scenario",
     "scenario_names",
     "sweep_names",

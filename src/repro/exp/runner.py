@@ -1,5 +1,5 @@
-"""Sweep execution: serial or sharded over worker processes, with an
-on-disk artifact store and resume-from-cache.
+"""Sweep execution: in-process or on one pool of worker processes, with
+an on-disk artifact store and resume-from-cache.
 
 Layout of the artifact store (``benchmarks/out/sweeps/<name>/`` by
 default)::
@@ -10,34 +10,35 @@ default)::
     ...
 
 A point's artifact name embeds a content hash of its canonical spec, so
-editing a sweep invalidates exactly the points whose specs changed;
-completed points are skipped on re-run (resume) unless ``force=True``.
+editing a sweep invalidates exactly the points whose specs changed; the
+artifact also records a digest of the ``repro`` source that wrote it, so
+a code change invalidates every point. Completed points are skipped on
+re-run (resume) unless ``force=True``.
 
-With ``workers > 1`` the pending points are dealt round-robin into one
-shard per worker; each worker process runs its specs with
-:func:`repro.exp.spec.run_spec`, writes every envelope to the store the
-moment it completes (so a crashed sweep resumes from what finished),
-and streams the envelope back to the parent over a queue. Simulations
-are deterministic and independent, so the sharded result is
-byte-identical to the serial one (``envelope_bytes``).
+:func:`run_sweeps` takes the pending points of every sweep it is given:
+with ``workers == 1`` it runs them in-process, else it submits them all
+to one ``ProcessPoolExecutor``, whose workers run
+:func:`repro.exp.spec.run_spec` and store each artifact the moment it
+completes. Simulations are deterministic and independent, so the pooled
+result is byte-identical to the in-process one (``envelope_bytes``).
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import multiprocessing
 import os
 import pathlib
 from dataclasses import dataclass
-from queue import Empty
-from time import perf_counter
 from typing import Callable, Optional
 
 from repro.exp.spec import ExperimentSpec, envelope_bytes, run_spec
 from repro.exp.sweep import Sweep, SweepPoint
 
 __all__ = ["PointResult", "SweepError", "SweepResult", "SweepRunner",
-           "default_sweep_root", "run_sweep"]
+           "default_sweep_root", "run_sweeps"]
 
 
 def default_sweep_root() -> pathlib.Path:
@@ -83,19 +84,12 @@ class PointResult:
         return envelope_bytes(self.envelope)
 
 
+@dataclass
 class SweepResult:
-    """All point results of one runner invocation, in point order."""
+    """All point results of one sweep, in point order."""
 
-    def __init__(self, sweep: Sweep, points: list[PointResult],
-                 wall_seconds: float, workers: int) -> None:
-        self.sweep = sweep
-        self.points = points
-        self.wall_seconds = wall_seconds
-        self.workers = workers
-
-    @property
-    def envelopes(self) -> list[dict]:
-        return [p.envelope for p in self.points]
+    sweep: Sweep
+    points: list[PointResult]
 
     @property
     def payloads(self) -> list[dict]:
@@ -121,28 +115,30 @@ class SweepResult:
 
     def __repr__(self) -> str:
         return (f"SweepResult({self.sweep.name!r}, n={len(self.points)}, "
-                f"cached={len(self.cached_indices)}, "
-                f"wall={self.wall_seconds:.2f}s, workers={self.workers})")
+                f"cached={len(self.cached_indices)})")
 
 
-def _shard_worker(shard: list, out_dir: str, queue) -> None:
-    """Worker-process entry point: run each (index, spec) of the shard,
-    persist the envelope, stream it back. Errors are reported per point
-    so one bad spec does not sink the shard."""
-    for index, spec in shard:
-        try:
-            envelope = run_spec(spec)
-            _write_artifact(pathlib.Path(out_dir), _point_key(index, spec),
-                            envelope)
-            queue.put((index, envelope, None))
-        except BaseException as exc:  # noqa: BLE001 - crosses process boundary
-            import traceback
-            queue.put((index, None,
-                       f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"))
+@functools.cache
+def _source_digest() -> str:
+    """sha256 over the ``repro`` package's ``.py`` files (sorted paths and
+    bytes), computed once per process on first use: an artifact that
+    other source wrote is stale even when its spec matches."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
 
 
-def _point_key(index: int, spec: ExperimentSpec) -> str:
-    return f"p{index:04d}-{spec.digest()}"
+def _run_point(spec: ExperimentSpec, out_dir: str, key: str) -> dict:
+    """Run one point and store its artifact (the envelope plus the source
+    digest) the moment it completes, so a crashed run resumes from what
+    finished. Runs in-process or in a pool worker."""
+    envelope = run_spec(spec)
+    _write_artifact(pathlib.Path(out_dir), key,
+                    {**envelope, "source": _source_digest()})
+    return envelope
 
 
 def _write_artifact(out_dir: pathlib.Path, key: str, envelope: dict) -> None:
@@ -155,12 +151,12 @@ def _write_artifact(out_dir: pathlib.Path, key: str, envelope: dict) -> None:
 
 
 class SweepRunner:
-    """Executes a :class:`Sweep` serially or sharded over processes.
+    """Executes a :class:`Sweep` in-process or on a process pool.
 
-    * ``workers`` — 1 runs in-process; N > 1 forks N worker processes,
-      each owning a round-robin shard of the pending points.
+    * ``workers`` — 1 runs in-process; N > 1 runs the pending points on
+      a pool of N worker processes.
     * ``force``   — re-execute everything; by default completed
-      artifacts whose spec hash matches are reused (resume).
+      artifacts whose spec and source digest match are reused (resume).
     * ``out_dir`` — artifact store; default
       ``benchmarks/out/sweeps/<sweep.name>``.
     """
@@ -187,6 +183,8 @@ class SweepRunner:
             envelope = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None
+        if envelope.pop("source", None) != _source_digest():
+            return None  # written by other code
         # The key hash already pins the spec, but verify: a truncated
         # hash collision or hand-edited artifact must not poison a run.
         if envelope.get("spec") != point.spec.canonical():
@@ -204,103 +202,76 @@ class SweepRunner:
 
     # -- execution ------------------------------------------------------
     def run(self) -> SweepResult:
-        t0 = perf_counter()
-        points = self.sweep.points()
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        self._write_manifest(points)
+        """Run the pending points; raise :class:`SweepError` if any failed."""
+        (outcome,) = run_sweeps([self])
+        if isinstance(outcome, SweepError):
+            raise outcome
+        return outcome
 
-        results: dict[int, PointResult] = {}
-        pending: list[SweepPoint] = []
-        for point in points:
-            cached = None if self.force else self._load_cached(point)
-            if cached is not None:
-                result = PointResult(point.index, point.coords, cached,
-                                     cached=True)
-                results[point.index] = result
-                self._progress(result)
-            else:
-                pending.append(point)
 
-        if pending:
-            if self.workers == 1:
-                self._run_serial(pending, results)
-            else:
-                self._run_sharded(pending, results)
-
-        ordered = [results[p.index] for p in points]
-        return SweepResult(self.sweep, ordered,
-                           wall_seconds=perf_counter() - t0,
-                           workers=self.workers)
-
-    def _run_serial(self, pending: list[SweepPoint],
-                    results: dict[int, PointResult]) -> None:
-        failures: dict[int, str] = {}
-        for point in pending:
+def _outcomes(jobs: list, workers: int):
+    """Yield ``((runner, point), envelope or the exception it raised)``
+    per job: in job order and in-process with one worker, else in
+    completion order from one process pool."""
+    if workers == 1 or not jobs:
+        for runner, point in jobs:
             try:
-                envelope = run_spec(point.spec)
-            except Exception as exc:  # noqa: BLE001
-                import traceback
-                failures[point.index] = f"{exc}\n{traceback.format_exc()}"
-                continue
-            _write_artifact(self.out_dir, point.key, envelope)
-            result = PointResult(point.index, point.coords, envelope,
-                                 cached=False)
-            results[point.index] = result
-            self._progress(result)
-        if failures:
-            raise SweepError(failures)
+                outcome = _run_point(point.spec, str(runner.out_dir), point.key)
+            except Exception as exc:  # noqa: BLE001 - recorded per point
+                outcome = exc
+            yield (runner, point), outcome
+        return
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    def _run_sharded(self, pending: list[SweepPoint],
-                     results: dict[int, PointResult]) -> None:
-        # Fork when available (cheap, inherits sys.path); spawn works
-        # too — specs are picklable and workers re-resolve scenarios by
-        # name through the registry.
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
-        n_workers = min(self.workers, len(pending))
-        shards: list[list] = [[] for _ in range(n_workers)]
-        by_index = {p.index: p for p in pending}
-        for i, point in enumerate(pending):
-            shards[i % n_workers].append((point.index, point.spec))
-
-        queue = ctx.Queue()
-        procs = [ctx.Process(target=_shard_worker,
-                             args=(shard, str(self.out_dir), queue),
-                             name=f"sweep-{self.sweep.name}-w{i}", daemon=True)
-                 for i, shard in enumerate(shards)]
-        for proc in procs:
-            proc.start()
-
-        failures: dict[int, str] = {}
-        received = 0
-        try:
-            while received < len(pending):
-                try:
-                    index, envelope, error = queue.get(timeout=1.0)
-                except Empty:  # check for dead workers
-                    if any(p.exitcode not in (0, None) for p in procs):
-                        break  # a worker was killed mid-shard
-                    continue
-                received += 1
-                if error is not None:
-                    failures[index] = error
-                    continue
-                point = by_index[index]
-                result = PointResult(index, point.coords, envelope,
-                                     cached=False)
-                results[index] = result
-                self._progress(result)
-        finally:
-            for proc in procs:
-                proc.join()
-        dead = [p.name for p in procs if p.exitcode not in (0, None)]
-        if dead and received < len(pending):
-            failures.setdefault(-1, f"worker(s) died: {dead}")
-        if failures:
-            raise SweepError(failures)
+    # Fork when available (cheap, inherits sys.path); spawn works too:
+    # specs are picklable and workers resolve scenarios by name.
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    with ProcessPoolExecutor(min(workers, len(jobs)), mp_context=ctx) as pool:
+        futures = {pool.submit(_run_point, point.spec, str(runner.out_dir),
+                               point.key): (runner, point)
+                   for runner, point in jobs}
+        for future in as_completed(futures):
+            # The point's own error, or BrokenProcessPool if a worker died.
+            yield futures[future], future.exception() or future.result()
 
 
-def run_sweep(sweep: Sweep, workers: int = 1, **kwargs) -> SweepResult:
-    """One-call convenience: ``run_sweep(sweep, workers=4)``."""
-    return SweepRunner(sweep, workers=workers, **kwargs).run()
+def run_sweeps(runners: list["SweepRunner"]) -> list:
+    """Run every runner's sweep, the pending points of all of them on one
+    pool of the largest ``workers`` among them (1 = in-process, in point
+    order: the byte-identity reference).
+
+    Returns, per runner, its :class:`SweepResult`, or a
+    :class:`SweepError` naming the points that failed; a failed point
+    never stops the others.
+    """
+    workers = max(runner.workers for runner in runners)
+    grids = {runner: runner.sweep.points() for runner in runners}
+    done: dict = {runner: {} for runner in runners}
+    failed: dict = {runner: {} for runner in runners}
+    jobs = []
+    for runner, points in grids.items():
+        runner.out_dir.mkdir(parents=True, exist_ok=True)
+        runner._write_manifest(points)
+        for point in points:
+            cached = None if runner.force else runner._load_cached(point)
+            if cached is None:
+                jobs.append((runner, point))
+            else:
+                done[runner][point.index] = result = PointResult(
+                    point.index, point.coords, cached, cached=True)
+                runner._progress(result)
+
+    for (runner, point), outcome in _outcomes(jobs, workers):
+        if isinstance(outcome, Exception):
+            import traceback
+            failed[runner][point.index] = "".join(
+                traceback.format_exception(outcome))
+            continue
+        done[runner][point.index] = result = PointResult(
+            point.index, point.coords, outcome, cached=False)
+        runner._progress(result)
+
+    return [SweepError(failed[runner]) if failed[runner] else
+            SweepResult(runner.sweep, [done[runner][p.index] for p in points])
+            for runner, points in grids.items()]

@@ -3,8 +3,8 @@
 An :class:`ExperimentSpec` is a picklable description of ONE simulation
 run: a scenario name resolved against the registry, its parameters, the
 seed, and which metrics / trace records to export. Because a spec is
-pure data, it can cross process boundaries — the sharded sweep runner
-(:mod:`repro.exp.runner`) pickles specs into worker processes and gets
+pure data, it can cross process boundaries — the sweep runner
+(:mod:`repro.exp.runner`) pickles specs into pool workers and gets
 result *envelopes* back.
 
 Scenario functions are registered with the :func:`scenario` decorator::
@@ -22,7 +22,7 @@ kernel's dispatch counters into the envelope.
 
 Envelopes are deterministic: :func:`envelope_bytes` serializes one
 canonically with the wall-clock field stripped, so a sweep executed
-serially and a sweep sharded over N workers must produce byte-identical
+in-process and one spread over N workers must produce byte-identical
 results (asserted by ``benchmarks/bench_sweep_parallel.py`` and the
 determinism goldens in ``tests/test_exp.py``).
 """
@@ -175,9 +175,6 @@ class ExperimentSpec:
     def resolve(self) -> Callable:
         """The registered scenario function this spec names."""
         return get_scenario(self.scenario)
-
-    def run(self) -> dict:
-        return run_spec(self)
 
 
 def run_spec(spec: ExperimentSpec) -> dict:

@@ -56,37 +56,33 @@ class NatBox(Router, Component):
         mac_mint: Callable[[], MacAddress],
         nat_type: NatType | str = NatType.PORT_RESTRICTED,
         udp_timeout: float = 60.0,
-        port_alloc: Optional[str] = None,
-        port_stride: int = 1,
     ) -> None:
         super().__init__(sim, name, mac_mint)
         Component.__init__(self, sim, "nat", name)
-        # Combined specs ("symmetric-sequential") carry the allocation
-        # policy; an explicit port_alloc= argument wins over the suffix.
-        parsed, spec_alloc = split_nat_spec(nat_type)
-        self.nat_type = parsed
+        # Combined specs ("symmetric-sequential") name the port-allocation
+        # policy; a bare symmetric NAT allocates at random (that
+        # unpredictability is what defeats classic hole punching), every
+        # other kind sequentially.
+        self.nat_type, policy = split_nat_spec(nat_type)
         if self.nat_type is NatType.OPEN:
             raise ValueError("NatBox cannot model an OPEN (no-NAT) path")
-        if port_alloc is None:
-            port_alloc = spec_alloc
+        if policy is None:
+            policy = "random" if self.nat_type is NatType.SYMMETRIC else "sequential"
         # Per-box deterministic RNG stream: allocation order depends only
         # on the box name, never on global draw order.
         port_rng = sim.rng.stream(f"nat.ports.{name}")
+        if policy != "random":
+            port_rng = None
         metrics = sim.metrics.scope(f"nat.{name}")
         self.metrics = metrics
         self.udp_mappings = MappingTable(self.nat_type, udp_timeout, port_rng=port_rng,
-                                         metrics=metrics.scope("udp"),
-                                         port_alloc=port_alloc, port_stride=port_stride)
+                                         metrics=metrics.scope("udp"))
         self.tcp_mappings = MappingTable(self.nat_type, TCP_TIMEOUT, first_port=30000,
-                                         port_rng=port_rng, metrics=metrics.scope("tcp"),
-                                         port_alloc=port_alloc, port_stride=port_stride)
+                                         port_rng=port_rng, metrics=metrics.scope("tcp"))
         self.icmp_mappings = MappingTable(self.nat_type, ICMP_TIMEOUT, first_port=40000,
-                                          port_rng=port_rng, metrics=metrics.scope("icmp"),
-                                          port_alloc=port_alloc, port_stride=port_stride)
+                                          port_rng=port_rng, metrics=metrics.scope("icmp"))
         self._tables = {PROTO_UDP: self.udp_mappings, PROTO_TCP: self.tcp_mappings,
                         PROTO_ICMP: self.icmp_mappings}
-        self.port_alloc = self.udp_mappings.port_alloc
-        self.port_stride = self.udp_mappings.port_stride
         self.inside: Optional[Interface] = None
         self.outside: Optional[Interface] = None
         self.inside_network: Optional[IPv4Network] = None

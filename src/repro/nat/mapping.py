@@ -69,23 +69,15 @@ class MappingTable:
     """All bindings of one NAT box, with idle expiry and port allocation."""
 
     def __init__(self, nat_type: NatType, timeout: float, first_port: int = 20000,
-                 port_rng=None, metrics=None, port_alloc: Optional[str] = None,
-                 port_stride: int = 1) -> None:
+                 port_rng=None, metrics=None) -> None:
         self.nat_type = nat_type
         self.timeout = timeout
         self._next_port = first_port
-        # Allocation policy. Symmetric NATs default to "random" (that
-        # unpredictability is exactly what defeats classic hole punching);
-        # cone NATs default to "sequential". "sequential" and "stride"
-        # symmetric boxes are the predictable kind Ford et al. show can be
-        # traversed by port prediction.
-        if port_alloc is None:
-            port_alloc = "random" if nat_type is NatType.SYMMETRIC else "sequential"
-        if port_alloc not in ("sequential", "stride", "random"):
-            raise ValueError(f"unknown port allocation policy {port_alloc!r}")
-        self.port_alloc = port_alloc
-        self.port_stride = 1 if port_alloc == "sequential" else max(1, int(port_stride))
-        self._port_rng = port_rng if port_alloc == "random" else None
+        # External ports are drawn from ``port_rng`` when one is given
+        # (a random-allocating symmetric NAT), else from a counter: cone
+        # NATs, and the predictable symmetric kind Ford et al. show can
+        # be traversed by port prediction.
+        self._port_rng = port_rng
         # outbound lookup: (int_ip, int_port[, dst]) -> mapping
         self._by_internal: dict[tuple, NatMapping] = {}
         # inbound lookup: external port -> mapping
@@ -143,11 +135,10 @@ class MappingTable:
                 port = int(self._port_rng.integers(20000, 60000))
                 if port not in self._by_external:
                     return port
-        step = self.port_stride
         while self._next_port in self._by_external:
-            self._next_port += step
+            self._next_port += 1
         port = self._next_port
-        self._next_port += step
+        self._next_port += 1
         return port
 
     def outbound(

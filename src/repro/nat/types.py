@@ -51,18 +51,17 @@ class NatType(enum.Enum):
 
 #: Port-allocation policy suffixes accepted in combined NAT specs such as
 #: ``"symmetric-sequential"`` (see :func:`split_nat_spec`).
-PORT_ALLOC_POLICIES = ("sequential", "stride", "random")
+PORT_ALLOC_POLICIES = ("sequential", "random")
 
 
 def split_nat_spec(value: "NatType | str") -> tuple[NatType, Optional[str]]:
     """Split a NAT spec into ``(NatType, port_alloc | None)``.
 
     Scenario configs name symmetric variants by allocation policy —
-    ``"symmetric-sequential"``, ``"symmetric-stride"``,
-    ``"symmetric-random"`` — because the policy decides whether port
-    prediction can traverse the NAT. Plain specs (``"port-restricted"``,
-    ``NatType.SYMMETRIC``) pass through with ``None`` (the table's
-    default policy applies).
+    ``"symmetric-sequential"``, ``"symmetric-random"`` — because the
+    policy decides whether port prediction can traverse the NAT. Plain
+    specs (``"port-restricted"``, ``NatType.SYMMETRIC``) pass through
+    with ``None`` (the box's default policy applies).
     """
     if isinstance(value, NatType):
         return value, None

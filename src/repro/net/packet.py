@@ -196,9 +196,6 @@ class IPv4Packet(WireFormat):
         self.ttl = ttl
         self.size = IPV4_HEADER + payload.size
 
-    def decremented(self) -> "IPv4Packet":
-        return IPv4Packet(self.src, self.dst, self.proto, self.payload, self.ttl - 1)
-
 
 class ArpPacket(WireFormat):
     """ARP request/reply ('request'/'reply'); gratuitous ARP is a reply

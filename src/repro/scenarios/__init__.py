@@ -17,40 +17,3 @@ These modules also register the named experiment scenarios
 (``stack_ping``, ``churn_recovery``, ``netperf_cluster``, ...) that
 :mod:`repro.exp` sweeps resolve by name.
 """
-
-from repro.scenarios.builder import (
-    Lan,
-    NattedSite,
-    host_pair,
-    make_lan,
-    make_natted_site,
-)
-
-# The stack-pair builders live one import hop above the driver stack
-# (stacks -> wavnet_env -> core.driver), and core.driver itself reaches
-# this package through repro.stun — so re-export them lazily to keep
-# `import repro` acyclic.
-_STACK_EXPORTS = ("StackPair", "ipop_pair", "physical_pair", "stack_pair",
-                  "wavnet_pair")
-
-
-def __getattr__(name: str):
-    if name in _STACK_EXPORTS:
-        from repro.scenarios import stacks
-
-        return getattr(stacks, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "Lan",
-    "NattedSite",
-    "StackPair",
-    "host_pair",
-    "ipop_pair",
-    "make_lan",
-    "make_natted_site",
-    "physical_pair",
-    "stack_pair",
-    "wavnet_pair",
-]

@@ -138,8 +138,6 @@ def make_natted_site(
     access_bandwidth_bps: Optional[float] = 100e6,
     access_latency: float = 0.0005,
     udp_timeout: float = 60.0,
-    port_alloc: Optional[str] = None,
-    port_stride: int = 1,
     mint=None,
     **stack_kwargs,
 ) -> NattedSite:
@@ -148,14 +146,13 @@ def make_natted_site(
     Hosts get a default route via the NAT's inside address; the NAT gets a
     default route out its public interface. ``nat_type`` accepts combined
     specs like ``"symmetric-sequential"`` naming the port-allocation
-    policy; ``port_alloc=``/``port_stride=`` override it explicitly.
+    policy.
     """
     from repro.nat.box import NatBox  # local import: nat depends on net
 
     mint = mint or named_mac_factory(name)
     lan = make_lan(sim, n_hosts, subnet=lan_subnet, name=name, mint=mint, **stack_kwargs)
-    nat = NatBox(sim, f"{name}.nat", mint, nat_type=nat_type, udp_timeout=udp_timeout,
-                 port_alloc=port_alloc, port_stride=port_stride)
+    nat = NatBox(sim, f"{name}.nat", mint, nat_type=nat_type, udp_timeout=udp_timeout)
     inside_ip = lan.network.host(1)
     inside = nat.add_inside(inside_ip, lan.network)
     Link(sim, inside.port, lan.switch.new_port(), latency=0.0001,

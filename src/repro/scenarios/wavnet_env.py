@@ -31,7 +31,7 @@ SITE_DEFAULTS = dict(
     nat_type="port-restricted", access_bandwidth_bps=100e6,
     access_latency=0.0005, udp_timeout=60.0, attrs=None, pulse_interval=5.0,
     public=False, tcp_mss=1460, tcp_send_buf=262144, tcp_recv_buf=262144,
-    cpu_factor=1.0, port_alloc=None, port_stride=1)
+    cpu_factor=1.0)
 
 
 @dataclass
@@ -135,8 +135,7 @@ class WavnetEnvironment:
         ``site_config`` takes the :data:`SITE_DEFAULTS` keys; anything
         else is a ``WavnetDriver`` keyword. ``nat_type`` accepts combined
         specs like ``"symmetric-sequential"`` naming the NAT's
-        port-allocation policy; ``port_alloc=`` / ``port_stride=``
-        override it explicitly.
+        port-allocation policy.
 
         ``rendezvous_index=None`` hashes the host onto the fleet ring
         (:attr:`ring`); an integer pins it to that server. The churn and
@@ -184,8 +183,6 @@ class WavnetEnvironment:
                 access_bandwidth_bps=cfg["access_bandwidth_bps"],
                 access_latency=cfg["access_latency"],
                 udp_timeout=cfg["udp_timeout"],
-                port_alloc=cfg["port_alloc"],
-                port_stride=cfg["port_stride"],
                 **stack_kwargs)
             host = site.hosts[0]
         # Every other rendezvous server is a registration failover

@@ -22,8 +22,7 @@ def test_top_level_api_surface():
 
     for name in ("WavnetEnvironment", "WavnetDriver", "ExperimentSpec",
                  "Sweep", "SweepRunner", "FaultPlan", "FaultInjector",
-                 "run_sweep", "ConnectOptions",
-                 "TransferOptions", "Simulator", "NatType"):
+                 "ConnectOptions", "TransferOptions", "Simulator", "NatType"):
         assert name in repro.__all__
         assert getattr(repro, name) is not None
 

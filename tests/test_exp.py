@@ -1,8 +1,12 @@
 """Tests for the experiment plane (repro.exp): specs, sweeps, the
-sharded runner's determinism, and resume-from-cache."""
+pooled runner's determinism, and resume-from-cache."""
 
 import inspect
 import json
+import os
+import subprocess
+import sys
+from time import perf_counter
 
 import pytest
 
@@ -19,6 +23,9 @@ from repro.exp import (
     scenario_names,
     sweep_names,
 )
+from repro.exp import runner as runner_module
+from repro.exp.__main__ import main as exp_main
+from repro.exp.runner import run_sweeps
 
 
 def tiny_ping_sweep(name="tiny", rtts=(20.0, 50.0, 80.0, 120.0)):
@@ -26,6 +33,16 @@ def tiny_ping_sweep(name="tiny", rtts=(20.0, 50.0, 80.0, 120.0)):
     return (Sweep(name, "stack_ping",
                   base_params={"stack": "physical", "probes": 4}, seed=1)
             .add_axis("rtt_ms", list(rtts)))
+
+
+def _worker_exit(seed=0, code=0):
+    """A scenario whose process dies mid-point when ``code`` is set."""
+    if code:
+        os._exit(code)
+    return {"code": code}
+
+
+registry.register("worker_exit", _worker_exit)
 
 
 class TestRegistry:
@@ -172,6 +189,25 @@ class TestRunner:
             SweepRunner(sweep, out_dir=tmp_path).run()
         assert list(exc_info.value.failures) == [1]
 
+    def test_point_cached_under_other_source_reexecutes(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setattr(runner_module, "_source_digest", lambda: "old")
+        SweepRunner(tiny_ping_sweep(), out_dir=tmp_path).run()
+        again = SweepRunner(tiny_ping_sweep(), out_dir=tmp_path).run()
+        assert again.cached_indices == [0, 1, 2, 3]
+        monkeypatch.setattr(runner_module, "_source_digest", lambda: "new")
+        result = SweepRunner(tiny_ping_sweep(), out_dir=tmp_path).run()
+        assert result.executed_indices == [0, 1, 2, 3]
+
+    def test_source_digest_is_stable_and_not_taken_at_import(self):
+        assert runner_module._source_digest() == runner_module._source_digest()
+        probe = ("import sys, repro; "
+                 "from repro.exp import runner; "
+                 "assert 'concurrent.futures' not in sys.modules; "
+                 "assert runner._source_digest.cache_info().currsize == 0")
+        subprocess.run([sys.executable, "-c", probe], check=True,
+                       env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
     def test_manifest_written(self, tmp_path):
         sweep = tiny_ping_sweep()
         SweepRunner(sweep, out_dir=tmp_path).run()
@@ -207,6 +243,36 @@ class TestShardedDeterminism:
         for a, b in zip(serial, sharded):
             assert a.envelope_bytes() == b.envelope_bytes(), \
                 f"seed {a.coords['seed']} diverged between serial and sharded"
+
+    def test_dead_worker_fails_its_point_instead_of_hanging(self, tmp_path):
+        sweep = Sweep("dies", "worker_exit").add_axis("code", [0, 3])
+        t0 = perf_counter()
+        with pytest.raises(SweepError) as exc_info:
+            SweepRunner(sweep, workers=2, out_dir=tmp_path).run()
+        assert perf_counter() - t0 < 20
+        assert "BrokenProcessPool" in exc_info.value.failures[1]
+        assert "point 1: " in str(exc_info.value)
+
+    def test_sweeps_share_one_pool_and_keep_failures_apart(self, tmp_path):
+        bad = (Sweep("bad", "stack_ping", base_params={"probes": 4})
+               .add_axis("stack", ["physical", "no-such-stack"]))
+        good, failed = run_sweeps([
+            SweepRunner(tiny_ping_sweep(), workers=2, out_dir=tmp_path / "g"),
+            SweepRunner(bad, workers=2, out_dir=tmp_path / "b")])
+        assert list(failed.failures) == [1]
+        assert good.executed_indices == [0, 1, 2, 3]
+        serial = SweepRunner(tiny_ping_sweep(), out_dir=tmp_path / "s").run()
+        assert good.result_bytes() == serial.result_bytes()
+
+
+class TestCli:
+    def test_run_resumes_and_rejects_unknown_names(self, tmp_path, capsys):
+        argv = ["run", "smoke", "--workers", "2", "--out", str(tmp_path)]
+        assert exp_main(argv) == 0
+        assert "smoke done: 4 executed, 0 cached" in capsys.readouterr().out
+        assert exp_main(argv) == 0
+        assert "smoke done: 0 executed, 4 cached" in capsys.readouterr().out
+        assert exp_main(["run", "smoke", "no_such_sweep"]) == 2
 
 
 class TestAggregate:
