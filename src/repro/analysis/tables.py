@@ -8,30 +8,30 @@ the reproduction is supposed to preserve.
 
 from __future__ import annotations
 
+import math
+from decimal import Decimal
 from typing import Iterable, Sequence
 
 __all__ = ["ShapeCheck", "render_series", "render_table"]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 1000:
-            return f"{value:,.0f}"
-        if abs(value) >= 10:
-            return f"{value:.1f}"
-        return f"{value:.3g}"
-    return str(value)
+def _column(cells: Sequence) -> list[str]:
+    """One column, one style: if it holds a float, every number in it gets
+    the decimals its most precise float shows at three significant digits
+    (at least one; none from 1000 up)."""
+    places = [0 if abs(c) >= 1000 else
+              max(1, -Decimal(f"{c:.3g}").normalize().as_tuple().exponent)
+              for c in cells if isinstance(c, float) and math.isfinite(c)]
+    if not places:
+        return [str(c) for c in cells]
+    return [f"{c:,.{max(places)}f}" if isinstance(c, (int, float)) and not isinstance(c, bool)
+            else str(c) for c in cells]
 
 
 def render_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> str:
     """Fixed-width ASCII table."""
-    str_rows = [[_fmt(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    str_rows = list(zip(*map(_column, zip(*rows))))
+    widths = [max(map(len, column)) for column in zip(headers, *str_rows)]
 
     def line(cells):
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
@@ -45,11 +45,7 @@ def render_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -
 
 def render_series(title: str, x_label: str, xs, series: dict) -> str:
     """Figure-shaped output: one row per x, one column per curve."""
-    headers = [x_label] + list(series)
-    rows = []
-    for i, x in enumerate(xs):
-        rows.append([x] + [series[name][i] for name in series])
-    return render_table(title, headers, rows)
+    return render_table(title, [x_label, *series], zip(xs, *series.values()))
 
 
 class ShapeCheck:

@@ -9,15 +9,9 @@ becomes compute-bound — reproducing the 30.5%/14.7%/4.7% ratios.
 
 from __future__ import annotations
 
-__all__ = ["heat_distribution_program", "heat_iterations"]
+__all__ = ["heat_distribution_program"]
 
 FLOPS_PER_POINT = 8.0  # 5-point stencil + update
-
-
-def heat_iterations(m: int, scale: float = 1.0) -> int:
-    """Iteration count to (approximate) convergence: Jacobi on an m x m
-    grid needs O(m^2) sweeps; ``scale`` calibrates absolute magnitude."""
-    return max(int(scale * m * m / 16), 1)
 
 
 def heat_distribution_program(m: int, iterations: int,

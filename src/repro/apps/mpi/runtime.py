@@ -31,10 +31,6 @@ class _MpiMsg:
     tag: int
     nbytes: int
 
-    @property
-    def size(self) -> int:
-        return 16
-
 
 class MpiContext:
     """Per-rank handle passed to the program generator."""

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.options import TransferOptions, fluid_network, resolve_options
 from repro.net.addresses import IPv4Address
 from repro.net.stack import Host
@@ -34,9 +32,6 @@ class NetperfResult:
     @property
     def throughput_mbps(self) -> float:
         return self.bytes_received * 8 / 1e6 / self.duration if self.duration > 0 else 0.0
-
-    def series(self) -> "tuple[np.ndarray, np.ndarray]":
-        return np.asarray(self.times), np.asarray(self.rates_mbps)
 
 
 def netserver(host: Host, port: int = NETPERF_PORT):

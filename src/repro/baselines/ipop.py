@@ -104,10 +104,6 @@ class _IpopPacket:
 class _Hello:
     sender: str
 
-    @property
-    def size(self) -> int:
-        return 24
-
 
 class IpopDirectory:
     """The DHT-backed IP -> node mapping.
@@ -403,10 +399,6 @@ class IpopNode:
 class _RoutedHello:
     target_node: str
     requester: str
-
-    @property
-    def size(self) -> int:
-        return 24
 
 
 class IpopOverlay:

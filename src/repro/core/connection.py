@@ -337,7 +337,3 @@ class WavConnection:
             # this helper, so a resulting failure must not escape.
             proc.defuse()
         self.driver._connection_dead(self, reason="closed")
-
-    def __repr__(self) -> str:
-        return (f"WavConnection({self.driver.name}->{self.peer_name}, "
-                f"{self.state.value}, remote={self.remote})")

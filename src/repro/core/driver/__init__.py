@@ -279,6 +279,3 @@ class WavnetDriver(RendezvousClient, Recovery, Demux, Component):
                                  peer=conn.peer_name, reason=reason)
             if self.running and self.rendezvous_ip is not None:
                 self._schedule_repair(conn.peer_name)
-
-    def __repr__(self) -> str:
-        return f"WavnetDriver({self.name}, vip={self.virtual_ip}, conns={len(self.connections)})"

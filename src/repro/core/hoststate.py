@@ -374,7 +374,3 @@ class HostTable:
             attrs=self.attrs_of(host_id),
             conn=self.connection_info(host_id),
         )
-
-    def __repr__(self) -> str:
-        return (f"HostTable(rows={self._n}, "
-                f"registered={self.registered_count})")

@@ -113,10 +113,6 @@ class SweepResult:
     def __iter__(self):
         return iter(self.points)
 
-    def __repr__(self) -> str:
-        return (f"SweepResult({self.sweep.name!r}, n={len(self.points)}, "
-                f"cached={len(self.cached_indices)})")
-
 
 @functools.cache
 def _source_digest() -> str:

@@ -98,10 +98,6 @@ class ScenarioRegistry:
         ensure_scenarios_loaded()
         return sorted(self._scenarios)
 
-    def __contains__(self, name: str) -> bool:
-        ensure_scenarios_loaded()
-        return name in self._scenarios
-
 
 registry = ScenarioRegistry()
 scenario = registry.scenario

@@ -139,7 +139,3 @@ class Sweep:
             "axes": [{n: list(v) for n, v in group} for group in self._groups],
             "n_points": len(self),
         }
-
-    def __repr__(self) -> str:
-        axes = ", ".join(self.axis_names())
-        return f"Sweep({self.name!r}, scenario={self.scenario!r}, axes=[{axes}], n={len(self)})"

@@ -98,9 +98,6 @@ class NatBox(Router, Component):
         for table in self._tables.values():
             table.flush()
 
-    def _on_stop(self) -> None:
-        pass  # graceful stop keeps tables; traffic still drops while down
-
     def reboot(self) -> None:
         """Power-cycle: flush all mapping tables, forwarding resumes at
         once (the blackout window is below frame resolution)."""

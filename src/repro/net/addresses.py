@@ -166,6 +166,3 @@ class IPv4Network:
 
     def __str__(self) -> str:
         return f"{self.network}/{self.prefix_len}"
-
-    def __repr__(self) -> str:
-        return f"IPv4Network('{self}')"

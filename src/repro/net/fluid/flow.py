@@ -5,7 +5,6 @@ an already-processed ``done`` from :func:`_resolved`."""
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Optional
 
 from repro.net.fluid.waterfill import FluidPath
@@ -13,8 +12,6 @@ from repro.sim.engine import _PROCESSED, Event, Simulator
 
 if TYPE_CHECKING:
     from repro.net.fluid import FluidNetwork
-
-_INF = math.inf
 
 # A flow's state column: _DONE has completed but its last byte is still
 # in flight; _DELIVERED has resolved ``done``.
@@ -70,15 +67,6 @@ class FluidFlow:
         return self.net._graph.paths[self.net._pidx[self._i]]
 
     @property
-    def mss(self) -> int:
-        return self.path.mss
-
-    @property
-    def size_bytes(self) -> Optional[int]:
-        size = self.net._size[self._i]
-        return None if size == _INF else int(size)
-
-    @property
     def delivered(self) -> float:
         return self.net._delivered[self._i]
 
@@ -120,12 +108,6 @@ class FluidFlow:
             return net._delivered[i]
         return net._delivered[i] + net._rate[i] * (net.sim.now - net._last[i]) / 8.0
 
-    def remaining(self) -> float:
-        size = self.net._size[self._i]
-        if size == _INF:
-            return _INF
-        return max(size - self.net._delivered[self._i], 0.0)
-
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
         """Finish a duration-mode flow (or cut a sized flow short)."""
@@ -135,8 +117,3 @@ class FluidFlow:
     def abort(self, reason: str = "aborted") -> None:
         if self.net._state[self._i] < _DONE:
             self.net._abort(self, reason)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"FluidFlow({self.name}, {self.state}, "
-                f"rate={self.rate / 1e6:.2f}Mbps, "
-                f"delivered={self.delivered:.0f}B)")

@@ -94,9 +94,6 @@ class FluidLink:
             return cap
         return max(cap - self.pkt_util_bps, cap * util_floor)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FluidLink({self.name}, cap={self.capacity():.3g})"
-
 
 @dataclass(frozen=True)
 class FluidPath:

@@ -260,10 +260,6 @@ class Link(Component):
         for fn in self._watchers:
             fn(self)
 
-    @property
-    def up(self) -> bool:
-        return self.ab.up
-
     def admin_down(self) -> None:
         self.stop()
 

@@ -170,18 +170,6 @@ class TcpSegment(WireFormat):
     def rst(self) -> bool:
         return bool(self.flags & RST)
 
-    def describe(self) -> str:
-        names = []
-        if self.syn:
-            names.append("SYN")
-        if self.ack_flag:
-            names.append("ACK")
-        if self.fin:
-            names.append("FIN")
-        if self.rst:
-            names.append("RST")
-        return f"TCP[{'|'.join(names) or 'DATA'} seq={self.seq} ack={self.ack} len={self.payload_size}]"
-
 
 class IPv4Packet(WireFormat):
     _fields = ("src", "dst", "proto", "payload", "ttl")

@@ -80,9 +80,6 @@ class Interface:
         self.tx_frames += 1
         self.port.transmit(frame)
 
-    def __repr__(self) -> str:
-        return f"Interface({self.name}, mac={self.mac}, ip={self.ip})"
-
 
 class Route:
     """Routing table entry: destination prefix -> (interface, gateway)."""
@@ -95,10 +92,6 @@ class Route:
         self.iface = iface
         self.gateway = gateway
         self.metric = metric
-
-    def __repr__(self) -> str:
-        via = f" via {self.gateway}" if self.gateway else ""
-        return f"Route({self.network} dev {self.iface.name}{via})"
 
 
 class NetworkStack:
@@ -339,13 +332,6 @@ class Host:
     @property
     def tcp(self) -> TcpLayer:
         return self.stack.tcp
-
-    @property
-    def icmp(self) -> IcmpLayer:
-        return self.stack.icmp
-
-    def __repr__(self) -> str:
-        return f"Host({self.name})"
 
 
 class Router(Host):

@@ -17,7 +17,7 @@ selected measurements out of worker processes in result envelopes.
 from __future__ import annotations
 
 from fnmatch import fnmatchcase
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -150,9 +150,6 @@ class Gauge:
     def __float__(self) -> float:
         return self.value
 
-    def __repr__(self) -> str:
-        return f"Gauge({self.name}={self.value})"
-
     def describe(self) -> dict:
         return {"kind": "gauge", "value": self.value}
 
@@ -168,9 +165,6 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         self._values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self._values)
 
     @property
     def values(self) -> np.ndarray:
@@ -248,17 +242,8 @@ class MetricsRegistry:
     def get(self, path: str, default: Any = None) -> Any:
         return self._metrics.get(path, default)
 
-    def __contains__(self, path: str) -> bool:
-        return path in self._metrics
-
     def __len__(self) -> int:
         return len(self._metrics)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._metrics)
-
-    def paths(self) -> list[str]:
-        return sorted(self._metrics)
 
     def find(self, prefix: str) -> dict[str, Any]:
         """All metrics at or below ``prefix`` in the dotted hierarchy."""
@@ -323,20 +308,8 @@ class MetricsScope:
     def histogram(self, path: str) -> Histogram:
         return self.registry.histogram(self._join(path))
 
-    def get(self, path: str, default: Any = None) -> Any:
-        return self.registry.get(self._join(path), default)
-
     def value(self, path: str, default: float = 0.0) -> float:
         return self.registry.value(self._join(path), default)
 
-    def find(self, path: str = "") -> dict[str, Any]:
-        return self.registry.find(self._join(path))
-
-    def snapshot(self, path: str = "") -> dict[str, dict]:
-        return self.registry.snapshot(self._join(path))
-
     def scope(self, prefix: str) -> "MetricsScope":
         return MetricsScope(self.registry, self._join(prefix))
-
-    def __repr__(self) -> str:
-        return f"MetricsScope({self.prefix!r})"

@@ -40,14 +40,6 @@ class Span:
         self.t1: Optional[float] = None
         self.attrs = attrs
 
-    @property
-    def ended(self) -> bool:
-        return self.t1 is not None
-
-    @property
-    def duration(self) -> float:
-        return (self.t1 if self.t1 is not None else self.tracer.sim.now) - self.t0
-
     def annotate(self, **attrs: Any) -> "Span":
         self.attrs.update(attrs)
         return self
@@ -69,10 +61,6 @@ class Span:
         if exc is not None:
             self.attrs.setdefault("error", repr(exc))
         self.end()
-
-    def __repr__(self) -> str:
-        state = f"t1={self.t1}" if self.ended else "open"
-        return f"Span({self.name}, t0={self.t0}, {state})"
 
 
 def _records(shape: tuple, rows: list) -> Iterator[dict]:

@@ -71,14 +71,6 @@ class ConnectionInfo:
     alloc_stride: int = 0
     observed_port: int = 0
 
-    @property
-    def size(self) -> int:
-        # Wire size is pinned: the two prediction fields pack into the
-        # same 32-byte record (stride is a byte, observed port 2 bytes,
-        # absorbed by existing padding), keeping packet timing identical
-        # for scenarios that never exercise prediction.
-        return 32
-
 
 @dataclass(frozen=True)
 class ResourceRecord:
@@ -88,7 +80,3 @@ class ResourceRecord:
     point: Point
     attrs: dict
     conn: ConnectionInfo
-
-    @property
-    def size(self) -> int:
-        return 64 + 8 * len(self.point)

@@ -25,7 +25,7 @@ deterministic schedule; tests and scenarios may also call them directly.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, Optional
+from typing import Optional
 
 __all__ = ["Component", "ComponentRegistry", "LifecycleState"]
 
@@ -124,15 +124,6 @@ class ComponentRegistry:
 
     def __getitem__(self, component_id: str) -> Component:
         return self._components[component_id]
-
-    def __contains__(self, component_id: str) -> bool:
-        return component_id in self._components
-
-    def __len__(self) -> int:
-        return len(self._components)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._components)
 
     def find(self, kind: Optional[str] = None,
              state: Optional[LifecycleState] = None) -> dict[str, Component]:

@@ -85,7 +85,3 @@ class VirtualMachine:
 
     def memory_bytes(self) -> int:
         return self.total_pages * PAGE_SIZE
-
-    def __repr__(self) -> str:
-        where = getattr(self.current_host, "name", None)
-        return f"VirtualMachine({self.name}, {self.memory_mb}MB, on={where})"

@@ -415,6 +415,24 @@ class TestCubicPaths:
         assert CubicCC.rate_cap(1460, 0.1, 0.0) == math.inf
 
 
+class TestRenoPaths:
+    def test_rto_collapses_the_window_to_one_segment(self):
+        """A timeout restarts from one segment; ssthresh is half the
+        flight, or half the window when the loss is a short tail."""
+        conn = _FakeConn()
+        mss = conn.mss
+        cc = RenoCC(conn)
+        cc.cwnd = 40 * mss
+        cc.on_rto(20 * mss)
+        assert (cc.cwnd, cc.ssthresh) == (mss, 10 * mss)
+        cc.cwnd = 40 * mss
+        cc.on_rto(3 * mss)  # tail loss: keep half the window
+        assert (cc.cwnd, cc.ssthresh) == (mss, 20 * mss)
+        cc.cwnd = 2 * mss
+        cc.on_rto(mss)
+        assert cc.ssthresh == 2 * mss  # floor
+
+
 class TestBbrBehavior:
     def test_no_loss_collapse_hooks(self):
         """dup-ACK and recovery exit leave the BBR window model-based."""

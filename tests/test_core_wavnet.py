@@ -99,6 +99,33 @@ class TestConnectionSetup:
         direct_rtt = 2 * 0.025
         assert ping.value.min_rtt() > 1.5 * direct_rtt
 
+    def test_relayed_connection_upgrades_when_a_punch_lands(self):
+        """The relay is a stopgap (Ford et al.): a pair that fell back to
+        it while punches could not cross moves onto the direct path at
+        the next upgrade round after they can."""
+        from repro.core.driver.client import UPGRADE_INTERVAL
+
+        sim, env = build_env(2, punch_timeout=3.0)
+        env.cloud.partition(["h0"], ["h1"])
+        conn = env.connect("h0", "h1")
+        assert conn.usable and conn.relayed
+        env.cloud.heal()
+        sim.run(until=sim.now + UPGRADE_INTERVAL + 5.0)
+        assert conn.usable and not conn.relayed
+        assert conn.remote == env.hosts["h1"].driver.public_endpoint
+        back = env.hosts["h1"].driver.connections["h0"]
+        assert not back.relayed and back.remote == env.hosts["h0"].driver.public_endpoint
+        upgraded = sim.trace.events("upgraded")
+        assert sorted(e["attrs"]["host"] for e in upgraded) == ["h0", "h1"]
+        relay = env.rendezvous[0]
+        relayed_before = relay.frames_relayed
+        ping = sim.process(Pinger(env.hosts["h0"].host.stack,
+                                  env.hosts["h1"].virtual_ip,
+                                  interval=0.5, timeout=3.0).run(3))
+        sim.run(until=ping)
+        assert ping.value.lost == 0
+        assert relay.frames_relayed == relayed_before
+
     def test_connection_setup_time_is_a_few_rtts(self):
         sim, env = build_env(2)
         t0 = sim.now

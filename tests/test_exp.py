@@ -25,7 +25,7 @@ from repro.exp import (
 )
 from repro.exp import runner as runner_module
 from repro.exp.__main__ import main as exp_main
-from repro.exp.runner import run_sweeps
+from repro.exp.runner import PointResult, run_sweeps
 
 
 def tiny_ping_sweep(name="tiny", rtts=(20.0, 50.0, 80.0, 120.0)):
@@ -295,6 +295,14 @@ class TestAggregate:
         assert dist["count"] == 3
         assert dist["mean_s"] == 2.0
         assert dist["max_s"] == 3.0
+        points = [PointResult(i, {}, {"payload": {"repair_seconds": samples}}, cached=False)
+                  for i, samples in enumerate([[1.0], None, [2.0, 3.0]])]
+        assert aggregate.merge_samples(points, "repair_seconds") == [1.0, 2.0, 3.0]
+
+    def test_payloads_in_point_order(self, tmp_path):
+        result = self._result(tmp_path)
+        assert result.payloads == [p.payload for p in result.points]
+        assert [p["stack"] for p in result.payloads] == ["physical"] * 4
 
     def test_table_rows_pivot(self, tmp_path):
         result = self._result(tmp_path)

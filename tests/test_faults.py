@@ -179,6 +179,52 @@ class TestFaultPlan:
         sim.run(until=6.0)
         assert c.running
 
+    @staticmethod
+    def _delivered_by(sim, src, dst, sample_at):
+        """Send one frame at every whole second up to the last sample;
+        return how many ``dst`` holds at each ``sample_at`` instant."""
+        for t in range(int(max(sample_at)) + 1):
+            sim.call_at(float(t), lambda: src.port.transmit(_frame()))
+        counts = []
+        for t in sample_at:
+            sim.run(until=t)
+            counts.append(dst.frames)
+        return counts
+
+    def test_link_down_then_up_stops_and_resumes_delivery(self):
+        sim = Simulator()
+        a, b = _PortOwner(sim), _PortOwner(sim)
+        link = Link(sim, a.port, b.port, latency=0.001, bandwidth_bps=None)
+        FaultPlan(sim).at(2.5, "link_down", link=link) \
+                      .at(5.5, "link_up", link=link).arm()
+        # Sent at 0-2 arrive; 3-5 meet a down link; 6-8 arrive again.
+        assert self._delivered_by(sim, a, b, [2.9, 5.9, 8.9]) == [3, 3, 6]
+        assert sim.metrics.value("faults.injected.link_up") == 1
+
+    def test_partition_then_heal_stops_and_resumes_delivery(self):
+        sim = Simulator()
+        cloud = WanCloud(sim, default_latency=0.001)
+        east, west = _PortOwner(sim), _PortOwner(sim)
+        for owner, site in ((east, "east"), (west, "west")):
+            Link(sim, owner.port, cloud.attach(site), latency=0.0, bandwidth_bps=None)
+        FaultPlan(sim).at(2.5, "partition", cloud=cloud, group_a=["east"],
+                          group_b=["west"]) \
+                      .at(5.5, "heal", cloud=cloud).arm()
+        assert self._delivered_by(sim, east, west, [2.9, 5.9, 8.9]) == [3, 3, 6]
+        assert cloud.frames_partitioned == 3
+        assert sim.metrics.value("faults.injected.heal") == 1
+
+    def test_stop_then_restore_a_link(self):
+        """``stop`` is the graceful verb: a stopped link carries nothing
+        until restored."""
+        sim = Simulator()
+        a, b = _PortOwner(sim), _PortOwner(sim)
+        link = Link(sim, a.port, b.port, latency=0.001, bandwidth_bps=None)
+        FaultPlan(sim).at(2.5, "stop", component_id=link.component_id) \
+                      .at(5.5, "restore", component_id=link.component_id).arm()
+        assert self._delivered_by(sim, a, b, [2.9, 5.9, 8.9]) == [3, 3, 6]
+        assert [e["attrs"]["kind"] for e in sim.trace.events("fault")] == ["stop", "restore"]
+
     def test_random_churn_is_deterministic(self):
         def events_for(seed):
             sim = Simulator(seed=seed)

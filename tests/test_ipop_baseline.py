@@ -185,3 +185,24 @@ class TestIpopMigrationBlindness:
         sim.run(until=proc)
         assert proc.value.lost == 3
         assert src_node.packets_dropped > before
+
+
+class TestIpopVmBridge:
+    def test_vm_behind_a_node_reaches_the_overlay_by_proxy_arp(self):
+        """The IPOP paper's VM mode: a guest on the node's bridge treats
+        the whole virtual /16 as on-link, so it ARPs for a remote node's
+        address; the node answers with its bridge MAC (proxy ARP),
+        tunnels the guest's IP, and hands the reply back to the guest."""
+        from repro.vm.machine import VirtualMachine
+
+        sim, overlay, sites = build_ipop(2)
+        node = overlay.nodes["s0.h0"]
+        vm = VirtualMachine(sim, "vm", 4, sites[0].hosts[0].mac_mint)
+        vm.configure_network("10.128.0.100", "10.128.0.0/16")
+        node.attach_vm_port(vm.vif.port, vm.ip, vm.mac, "vif-vm")
+        remote = IPv4Address("10.128.0.2")
+        proc = sim.process(Pinger(vm.guest.stack, remote, interval=0.5).run(3))
+        sim.run(until=proc)
+        assert vm.guest.stack.arp_cache[remote][0] == node._bridge_mac
+        assert proc.value.received == 3
+        assert node.packets_delivered >= 3  # the replies, to the guest

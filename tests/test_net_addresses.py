@@ -95,6 +95,10 @@ class TestIPv4Network:
     def test_equality(self):
         assert IPv4Network("10.0.0.0/8") == IPv4Network("10.1.0.0/8")
         assert IPv4Network("10.0.0.0/8") != IPv4Network("10.0.0.0/9")
+        # Equal networks hash alike: value semantics, as for addresses.
+        assert hash(IPv4Network("10.0.0.0/8")) == hash(IPv4Network("10.1.0.0/8"))
+        assert len({IPv4Network("10.0.0.0/8"), IPv4Network("10.1.0.0/8"),
+                    IPv4Network("10.0.0.0/9")}) == 2
 
 
 class TestInterning:

@@ -1,5 +1,7 @@
 """Tests for ARP, routing, forwarding, ICMP ping, and UDP sockets."""
 
+import math
+
 import pytest
 
 from repro.net.addresses import IPv4Address, IPv4Network, MacAddress, mac_factory
@@ -25,6 +27,10 @@ class TestArpAndPing:
         assert result.rtts[0] > 0.010
         for rtt in result.rtts[1:]:
             assert rtt == pytest.approx(0.010, rel=0.01)
+        # The summary examples/quickstart.py prints.
+        assert result.received == 5
+        assert result.max_rtt() == result.rtts[0]
+        assert result.mean_rtt() == pytest.approx(sum(result.rtts) / 5)
 
     def test_arp_cache_populated_after_first_packet(self):
         sim = Simulator()
@@ -49,6 +55,8 @@ class TestArpAndPing:
         proc = sim.process(pinger.run(3))
         sim.run()
         assert proc.value.lost == 3
+        assert proc.value.received == 0
+        assert math.isnan(proc.value.mean_rtt()) and math.isnan(proc.value.max_rtt())
 
     def test_gratuitous_arp_updates_caches(self):
         sim = Simulator()

@@ -322,6 +322,44 @@ class TestFlowControl:
         # At wire speed this takes ~0.16 s; the slow reader forces much longer.
         assert progress["t"] > 1.0
 
+    def test_zero_window_is_probed_until_the_reader_resumes(self):
+        """A reader that stops until its window is 0: the persist timer
+        pushes one-byte probes past the closed window, and the transfer
+        completes once reading resumes."""
+        sim = Simulator()
+        a, b, _link = host_pair(sim, latency=0.005, bandwidth_bps=10e6,
+                                tcp_recv_buf=16 * 1460)
+        listener = b.tcp.listen(5001)
+        result, probes = {}, []
+
+        def server(sim):
+            conn = yield listener.accept()
+            yield sim.timeout(5.0)  # not reading
+            result["window"] = conn._advertised_window()
+            result["got"] = yield from drain_bytes(conn)
+            result["t"] = sim.now
+
+        def client(sim):
+            conn = a.tcp.connect(B_IP, 5001)
+            emit = conn._emit
+
+            def watch(seg):
+                if seg.payload_size == 1 and conn.snd_wnd == 0:
+                    probes.append(sim.now)
+                emit(seg)
+
+            conn._emit = watch
+            yield conn.wait_established()
+            yield from stream_bytes(conn, 200_000)
+            conn.close()
+
+        sim.process(server(sim))
+        sim.process(client(sim))
+        sim.run(until=60)
+        assert result["window"] == 0
+        assert len(probes) >= 2 and all(0.2 < t < 5.1 for t in probes)
+        assert result["got"] == 200_000 and result["t"] < 10.0
+
     def test_send_backpressure_event_deferred(self):
         sim = Simulator()
         a, b, _link = host_pair(sim, latency=0.010, bandwidth_bps=1e6)

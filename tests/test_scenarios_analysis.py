@@ -104,6 +104,23 @@ class TestAnalysisHelpers:
         assert "a" in lines[2] and "bb" in lines[2]
         assert len(lines) == 7
 
+    def test_render_table_prints_each_column_in_one_style(self):
+        """A column with a float gives every number in it the decimals of
+        its most precise float; other columns print as they are."""
+        rows = [[2.0, 1.0, 6.25, 0.4, 1_965.2, True, "ok"],
+                [20.0, 1.0, 25, 0.04, 583.61, False, "ok"],
+                [90.0, 1.0, 100, 0.01, float("nan"), True, "-"]]
+        out = render_table("T", list("abcdefg"), rows).splitlines()
+        cells = [line.split() for line in out[4:7]]
+        assert [c[0] for c in cells] == ["2.0", "20.0", "90.0"]
+        assert [c[1] for c in cells] == ["1.0", "1.0", "1.0"]
+        assert [c[2] for c in cells] == ["6.25", "25.00", "100.00"]
+        assert [c[3] for c in cells] == ["0.40", "0.04", "0.01"]
+        assert [c[4] for c in cells] == ["1,965.2", "583.6", "nan"]
+        assert [c[5] for c in cells] == ["True", "False", "True"]
+        assert [c[6] for c in cells] == ["ok", "ok", "-"]
+        assert render_table("T", ["n"], [[3], [40]]).splitlines()[4:6] == ["3", "40"]
+
     def test_render_series(self):
         out = render_series("S", "x", [1, 2], {"y1": [10, 20], "y2": [3, 4]})
         assert "y1" in out and "y2" in out and "20" in out
