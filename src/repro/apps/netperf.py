@@ -20,6 +20,7 @@ from repro.net.tcp import ConnectionReset
 __all__ = ["NetperfResult", "netperf_stream", "netserver"]
 
 NETPERF_PORT = 12865
+CHUNK = 65536  # bytes per send() of the stream
 
 
 @dataclass
@@ -46,10 +47,10 @@ def netserver(host: Host, port: int = NETPERF_PORT):
 
 def netperf_stream(host: Host, dst_ip: IPv4Address,
                    duration: float = 10.0, interval: float = 0.5,
-                   chunk: int = 65536, port: int = NETPERF_PORT,
                    options: "TransferOptions | None" = None):
-    """Process: TCP_STREAM from ``host`` to a :func:`netserver` at
-    ``dst_ip`` for ``duration`` seconds; returns NetperfResult.
+    """Process: TCP_STREAM from ``host`` to a :func:`netserver` on
+    :data:`NETPERF_PORT` at ``dst_ip`` for ``duration`` seconds; returns
+    NetperfResult.
 
     Transfer behaviour comes from a :class:`TransferOptions` bundle.
 
@@ -90,7 +91,7 @@ def netperf_stream(host: Host, dst_ip: IPv4Address,
         flow.close()
         result.bytes_received = int(flow.delivered)
         return result
-    conn = host.tcp.connect(dst_ip, port, cc=cc)
+    conn = host.tcp.connect(dst_ip, NETPERF_PORT, cc=cc)
     if cc_trace is not None:
         conn.enable_cc_trace(cc_trace)
     try:
@@ -121,7 +122,7 @@ def netperf_stream(host: Host, dst_ip: IPv4Address,
     def pusher(sim):
         try:
             while sim.now < t_end - 1e-9 and not conn.reset:
-                ev = conn.send(chunk)
+                ev = conn.send(CHUNK)
                 yield sim.any_of([ev, sim.timeout(max(t_end - sim.now, 0.01))])
         except ConnectionReset:
             return  # test ended / connection torn down mid-send

@@ -53,36 +53,36 @@ IPOP_PORT = 15151
 VIRTUAL_NETWORK = IPv4Network("10.128.0.0/16")  # the overlay's L3 subnet
 PHANTOM_GATEWAY = VIRTUAL_NETWORK.broadcast + (-1)  # .254: the tun's next hop
 
+# Calibration. A TCP round trip costs four stack services (data out at
+# the source, data in + ACK out at the sink, ACK in at the source), so
+# sustained throughput caps at MSS*8 / (4*(ENDPOINT_COST +
+# CPU_JITTER_MEAN)) ~ 11-13 Mbps — Fig 7's "<20% of native" on fast
+# links, near-native on slow ones. The same constants put the ping
+# overhead at ~0.9 ms RTT, matching Table II's worst case.
+ENDPOINT_COST = 125e-6   # user-level per-packet cost at src/dst
+RELAY_COST = 150e-6      # per-packet cost at each relay hop
+# Service-time jitter (scheduler + GC of the managed runtime); overload
+# surfaces as queueing delay, not loss.
+CPU_JITTER_MEAN = 100e-6
+HEADER_BYTES = 70        # Brunet P2P framing per packet
+# The user-level stack buffers deeply (managed-runtime queues): overload
+# shows up as queueing *delay*, which window-limits TCP at the service
+# rate — not as random loss, which would collapse WAN TCP entirely (and
+# contradict the paper's Table II latencies).
+CPU_QUEUE_CAPACITY = 2048  # packets queued at the user-level stack
+# Brunet framing limits P2P packets to ~1280 B; a full-size 1500 B host
+# packet is fragmented into two P2P packets, each paying the per-packet
+# stack cost and header. Pings and ACKs fit in one.
+P2P_MTU = 1280
+
 
 @dataclass(frozen=True)
 class IpopConfig:
-    """Calibration knobs for the IPOP model."""
+    """The overlay's connection budget (the per-packet costs and framing
+    are the module constants above)."""
 
-    # Calibration. A TCP round trip costs four stack services (data out
-    # at the source, data in + ACK out at the sink, ACK in at the
-    # source), so sustained throughput caps at MSS*8 / (4*(endpoint_cost
-    # + cpu_jitter_mean)) ~ 11-13 Mbps — Fig 7's "<20% of native" on
-    # fast links, near-native on slow ones. The same constants put the
-    # ping overhead at ~0.9 ms RTT, matching Table II's worst case.
-    endpoint_cost: float = 125e-6   # user-level per-packet cost at src/dst
-    relay_cost: float = 150e-6      # per-packet cost at each relay hop
-    # Service-time jitter (scheduler + GC of the managed runtime);
-    # overload surfaces as queueing delay, not loss.
-    cpu_jitter_mean: float = 100e-6
-    header_bytes: int = 70          # Brunet P2P framing per packet
     max_direct: int = 6             # on-demand direct connections per node
     n_shortcuts: int = 2            # static ring shortcuts
-    port: int = IPOP_PORT
-    punch_setup_rtts: float = 2.0   # RTTs to create an on-demand link
-    # The user-level stack buffers deeply (managed-runtime queues):
-    # overload shows up as queueing *delay*, which window-limits TCP at
-    # the service rate — not as random loss, which would collapse WAN
-    # TCP entirely (and contradict the paper's Table II latencies).
-    cpu_queue_capacity: int = 2048  # packets queued at the user-level stack
-    # Brunet framing limits P2P packets to ~1280 B; a full-size 1500 B
-    # host packet is fragmented into two P2P packets, each paying the
-    # per-packet stack cost and header. Pings and ACKs fit in one.
-    p2p_mtu: int = 1280
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,12 @@ class _IpopPacket:
 
     target_node: str
     packet: IPv4Packet
-    header_bytes: int
     hops: int = 0
     fragments: int = 1
 
     @property
     def size(self) -> int:
-        return self.fragments * self.header_bytes + self.packet.size
+        return self.fragments * HEADER_BYTES + self.packet.size
 
 
 @dataclass(frozen=True)
@@ -142,9 +141,9 @@ class IpopNode:
         self.name = host.name
         self.ring_id = ring_position(self.name)
         self.virtual_ip = IPv4Address(virtual_ip)
-        self.sock = host.udp.bind(self.config.port)
+        self.sock = host.udp.bind(IPOP_PORT)
         self.sock.handler = self._on_datagram
-        self.public_endpoint: tuple[IPv4Address, int] = (host.stack.ips[0], self.config.port)
+        self.public_endpoint: tuple[IPv4Address, int] = (host.stack.ips[0], IPOP_PORT)
 
         # Overlay links: peer name -> reachable endpoint.
         self.neighbors: dict[str, tuple[IPv4Address, int]] = {}   # ring edges
@@ -157,7 +156,7 @@ class IpopNode:
 
         # Serialized user-level packet processing (the C# stack): one
         # Serializer for outbound, inbound and relayed packets alike.
-        self._cpu = Serializer(self.sim, self.config.cpu_queue_capacity,
+        self._cpu = Serializer(self.sim, CPU_QUEUE_CAPACITY,
                                self._cpu_time, self._cpu_done)
         self._cpu_rng = self.sim.rng.stream(f"ipop.cpu.{self.name}")
         self.packets_relayed = 0
@@ -238,15 +237,10 @@ class IpopNode:
             return
         packet: IPv4Packet = frame.payload
         handler = self.local_ips.get(packet.dst)
-        if handler is not None and packet.dst not in self._vm_macs:
+        if handler is not None:
             handler(packet)
-            return
-        if packet.dst in self._vm_macs:
-            deliver = self.local_ips.get(packet.dst)
-            if deliver is not None:
-                deliver(packet)
-            return
-        self._out(packet)
+        elif packet.dst not in self._vm_macs:
+            self._out(packet)
 
     # ------------------------------------------------------------------
     # user-level packet processing
@@ -258,12 +252,10 @@ class IpopNode:
 
     def _out(self, packet: IPv4Packet) -> None:
         self._process(self._route_out, packet,
-                      self._fragments_of(packet) * self.config.endpoint_cost)
+                      self._fragments_of(packet) * ENDPOINT_COST)
 
     def _cpu_time(self, work) -> float:
-        jitter = self.config.cpu_jitter_mean
-        extra = float(self._cpu_rng.exponential(jitter)) if jitter > 0 else 0.0
-        return work[2] + extra
+        return work[2] + float(self._cpu_rng.exponential(CPU_JITTER_MEAN))
 
     def _cpu_done(self, work) -> None:
         step, item, _cost = work
@@ -273,7 +265,7 @@ class IpopNode:
     # routing
     # ------------------------------------------------------------------
     def _fragments_of(self, packet: IPv4Packet) -> int:
-        return max(1, -(-packet.size // self.config.p2p_mtu))
+        return max(1, -(-packet.size // P2P_MTU))
 
     def _route_out(self, packet: IPv4Packet) -> None:
         target = self.overlay.directory.lookup(packet.dst)
@@ -281,10 +273,10 @@ class IpopNode:
             self.packets_dropped += 1
             return
         if target == self.name:
-            self._deliver(_IpopPacket(target, packet, 0))
+            self._deliver(_IpopPacket(target, packet))
             return
         self.packets_sent += 1
-        self._forward(_IpopPacket(target, packet, self.config.header_bytes,
+        self._forward(_IpopPacket(target, packet,
                                   fragments=self._fragments_of(packet)))
 
     def _forward(self, p2p: _IpopPacket) -> None:
@@ -300,7 +292,7 @@ class IpopNode:
             return
         self.sock.sendto(endpoint[0], endpoint[1],
                          Payload(p2p.size, data=_IpopPacket(
-                             p2p.target_node, p2p.packet, p2p.header_bytes,
+                             p2p.target_node, p2p.packet,
                              p2p.hops + 1, p2p.fragments), kind="ipop"))
 
     def _greedy_next_hop(self, target_node: str) -> Optional[tuple[IPv4Address, int]]:
@@ -365,11 +357,11 @@ class IpopNode:
         if isinstance(body, _IpopPacket):
             if body.target_node == self.name:
                 self._process(self._deliver, body,
-                              body.fragments * self.config.endpoint_cost)
+                              body.fragments * ENDPOINT_COST)
             else:
                 self.packets_relayed += 1
                 self._process(self._forward, body,
-                              body.fragments * self.config.relay_cost)
+                              body.fragments * RELAY_COST)
         elif isinstance(body, _Hello):
             if body.sender in self.pending_ring or body.sender in self.neighbors:
                 new = body.sender not in self.neighbors
@@ -437,7 +429,7 @@ class IpopOverlay:
             nat = getattr(node, "_nat", None)
             if nat is not None:
                 ip, port = nat.external_endpoint_for(
-                    node.host.stack.ips[0], node.config.port,
+                    node.host.stack.ips[0], IPOP_PORT,
                     IPv4Address("9.1.0.1"), 1)
                 node.public_endpoint = (ip, port)
 

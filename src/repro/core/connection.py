@@ -35,6 +35,7 @@ __all__ = ["ConnectionState", "WavConnection", "connection_cid"]
 PUNCH_INTERVAL = 0.2  # seconds between probe rounds while punching
 LIVENESS_FACTOR = 4.0  # pulse intervals of silence before DEAD
 MIGRATE_THRESHOLD = 1.5  # pulse intervals of silence before path validation
+PUNCH_FAN = 8  # predicted ports probed past a symmetric NAT's last mapping
 
 
 def connection_cid(a: str, b: str) -> int:
@@ -145,7 +146,7 @@ class WavConnection:
                 if ep not in out:
                     out.append(ep)
             base = pc.observed_port or pc.public_port
-            for k in range(1, self.driver.punch_fan + 1):
+            for k in range(1, PUNCH_FAN + 1):
                 port = base + (off + k) * stride
                 if port > 65535:
                     break

@@ -79,7 +79,6 @@ class WavnetDriver(RendezvousClient, Recovery, Demux, Component):
         repair_backoff_base: float = 1.0,
         repair_backoff_cap: float = 30.0,
         predict_ports: bool = True,
-        punch_fan: int = 8,
         migration: bool = False,
     ) -> None:
         self.host = host
@@ -106,7 +105,6 @@ class WavnetDriver(RendezvousClient, Recovery, Demux, Component):
         # dynamics, and scenarios that measured the classic re-punch loop
         # must keep measuring it unless they ask for migration.
         self.predict_ports = predict_ports
-        self.punch_fan = punch_fan
         self.migration = migration
         self.attrs = dict(attrs or {"cpu_ghz": 2.0, "mem_mb": 2048.0})
 

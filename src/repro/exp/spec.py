@@ -229,8 +229,9 @@ def run_spec(spec: ExperimentSpec) -> dict:
 
 
 def _jsonify(obj: Any):
-    """Fallback serializer: numpy scalars/arrays to plain Python."""
-    if hasattr(obj, "item"):
+    """Fallback serializer: numpy scalars and 0-d arrays to Python
+    scalars, every other array to (nested) lists."""
+    if hasattr(obj, "item") and getattr(obj, "ndim", 0) == 0:
         return obj.item()
     if hasattr(obj, "tolist"):
         return obj.tolist()

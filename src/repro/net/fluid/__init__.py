@@ -68,6 +68,9 @@ __all__ = ["FluidAborted", "FluidFlow", "FluidLink", "FluidNetwork",
 
 _EPS = 1e-9
 _INF = math.inf
+# The share of a link's raw capacity fluid flows keep however busy the
+# packet plane measures it (FluidLink.available).
+UTIL_FLOOR = 0.01
 
 
 class FluidAborted(Exception):
@@ -76,14 +79,17 @@ class FluidAborted(Exception):
 
 class _Cohort:
     """One instant's timer, its flows (column indices in arm order, as
-    array chunks) and, for an ETA cohort, how many are still armed."""
+    array chunks), for an ETA cohort how many are still armed and, for a
+    delivery cohort, the kernel's last sequence number when it took
+    flows."""
 
-    __slots__ = ("timer", "chunks", "armed")
+    __slots__ = ("timer", "chunks", "armed", "seq")
 
     def __init__(self, timer) -> None:
         self.timer = timer
         self.chunks: list = []
         self.armed = 0
+        self.seq = 0
 
     def members(self) -> np.ndarray:
         chunks = self.chunks
@@ -99,14 +105,12 @@ class FluidNetwork:
     array passes whatever the flow count."""
 
     def __init__(self, sim: Simulator, refresh_interval: float = 0.5,
-                 util_floor: float = 0.01,
                  stall_timeout: Optional[float] = None) -> None:
         if getattr(sim, "fluid", None) is not None:
             raise RuntimeError("simulator already has a fluid network")
         self.sim = sim
         sim.fluid = self
         self.refresh_interval = refresh_interval
-        self.util_floor = util_floor
         self.stall_timeout = stall_timeout
         # Active + stalled flows in open order (a dict used as an ordered
         # set: a finished flow leaves in O(1)).
@@ -190,7 +194,7 @@ class FluidNetwork:
         saturate the path (e.g. sizing slow-start latency)."""
         rate = math.inf
         for link, factor in path.links:
-            rate = min(rate, link.available(self.util_floor) / factor)
+            rate = min(rate, link.available(UTIL_FLOOR) / factor)
         return rate
 
     # -- WAV tunnel conduits -------------------------------------------
@@ -407,7 +411,7 @@ class FluidNetwork:
             total += amount
         self._m_bytes.value = total
         handles, flows, rows = self._handles, self.flows, []
-        cohorts, fresh = self._deliveries, {}
+        fresh = {}   # instant -> (its cohort, the flows this call adds)
         when = members = None
         first = live
         for i, amount in zip(slots.tolist(), amounts):
@@ -420,11 +424,10 @@ class FluidNetwork:
             if offset > 0:
                 if now + offset != when:
                     when = now + offset
-                    members = fresh.get(when)
-                    if members is None:
-                        members = fresh[when] = []
-                        if when not in cohorts:
-                            cohorts[when] = _Cohort(sim.timer(offset, self._fire_deliveries))
+                    entry = fresh.get(when)
+                    if entry is None:
+                        entry = fresh[when] = (self._delivery_cohort(when, offset), [])
+                    members = entry[1]
                 members.append(i)
             else:
                 self._resolve(i)
@@ -432,10 +435,24 @@ class FluidNetwork:
                 first = False
                 self._schedule_solve()
         sim.trace.event_rows("fluid.complete", ("flow", "delivered", "seconds"), rows)
-        for when, members in fresh.items():
-            cohorts[when].chunks.append(np.array(members, dtype=np.int64))
+        # This call put entries on the calendar only for now and for the
+        # other cohorts' instants: each cohort stays open to a later join.
+        for cohort, members in fresh.values():
+            cohort.chunks.append(np.array(members, dtype=np.int64))
+            cohort.seq = sim._seq
         if live:
             self._m_active.set(len(flows))
+
+    def _delivery_cohort(self, when: float, offset: float) -> _Cohort:
+        """The instant's delivery cohort while nothing else was put on the
+        calendar for ``when`` since it last took flows, so its members
+        resolve where their own entries would; else a new one behind."""
+        sim, cohort = self.sim, self._deliveries.get(when)
+        if cohort is None or (cohort.seq != sim._seq and any(
+                at == when and seq > cohort.seq for at, seq, *_ in sim._calendar)):
+            cohort = self._deliveries[when] = _Cohort(None)
+            cohort.timer = sim.timer(offset, partial(self._fire_deliveries, cohort))
+        return cohort
 
     def _resolve(self, i: int) -> None:
         self._state[i] = _DELIVERED
@@ -443,9 +460,11 @@ class FluidNetwork:
         if flow is not None:
             flow._done.succeed(flow)
 
-    def _fire_deliveries(self) -> None:
+    def _fire_deliveries(self, cohort: _Cohort) -> None:
         """Succeed ``done`` of every flow whose last byte lands now."""
-        members = self._deliveries.pop(self.sim.now).members()
+        if self._deliveries.get(self.sim.now) is cohort:
+            del self._deliveries[self.sim.now]
+        members = cohort.members()
         np.asarray(self._state)[members] = _DELIVERED
         if self._waiting:
             for i in members.tolist():
@@ -618,7 +637,7 @@ class FluidNetwork:
         handed to :func:`~repro.net.fluid.waterfill.waterfill`."""
         paths = np.asarray(self._pidx)[active]
         pair_flow, pair_link, factors, used = self._graph.incidence(paths)
-        avail = np.array([self._graph.links[k].available(self.util_floor)
+        avail = np.array([self._graph.links[k].available(UTIL_FLOOR)
                           for k in used.tolist()])
         caps = np.asarray(self._cap)[active]
         for p in np.unique(paths).tolist():

@@ -31,6 +31,7 @@ from repro.sim.lifecycle import Component
 
 __all__ = ["Bridge", "Link", "Port", "Switch", "patch"]
 
+SWITCH_FORWARD_DELAY = 5e-6  # per-frame cost of a LAN switch
 BRIDGE_FORWARD_DELAY = 15e-6  # per-frame cost of an in-host software bridge
 
 
@@ -316,7 +317,7 @@ class Switch:
         self,
         sim: Simulator,
         name: str = "switch",
-        forward_delay: float = 5e-6,
+        forward_delay: float = SWITCH_FORWARD_DELAY,
         mac_age_limit: float = 300.0,
     ) -> None:
         self.sim = sim

@@ -92,18 +92,18 @@ def make_lan(
     name: str = "lan",
     link_latency: float = 0.0001,
     link_bandwidth_bps: Optional[float] = 1e9,
-    first_host_index: int = 10,
     mint=None,
     **stack_kwargs,
 ) -> Lan:
-    """``n_hosts`` hosts attached to one learning switch."""
+    """``n_hosts`` hosts attached to one learning switch, at host
+    addresses .10, .11, ... of ``subnet``."""
     mint = mint or named_mac_factory(name)
     net = IPv4Network(subnet)
     switch = Switch(sim, name=f"{name}.sw")
     lan = Lan(switch=switch, network=net)
     for i in range(n_hosts):
         host = Host(sim, f"{name}.h{i}", mint, **stack_kwargs)
-        iface = host.add_nic().configure(net.host(first_host_index + i), net)
+        iface = host.add_nic().configure(net.host(10 + i), net)
         host.stack.connected_route_for(iface)
         link = Link(sim, iface.port, switch.new_port(), latency=link_latency,
                     bandwidth_bps=link_bandwidth_bps, name=f"{name}.h{i}-sw")
@@ -134,14 +134,13 @@ def make_natted_site(
     public_ip: str,
     nat_type: str = "port-restricted",
     lan_subnet: str = "192.168.1.0/24",
-    n_hosts: int = 1,
     access_bandwidth_bps: Optional[float] = 100e6,
     access_latency: float = 0.0005,
     udp_timeout: float = 60.0,
-    mint=None,
     **stack_kwargs,
 ) -> NattedSite:
-    """Build LAN + NAT gateway and attach the site to the WAN cloud.
+    """Build a one-host LAN + NAT gateway and attach the site to the WAN
+    cloud.
 
     Hosts get a default route via the NAT's inside address; the NAT gets a
     default route out its public interface. ``nat_type`` accepts combined
@@ -150,8 +149,8 @@ def make_natted_site(
     """
     from repro.nat.box import NatBox  # local import: nat depends on net
 
-    mint = mint or named_mac_factory(name)
-    lan = make_lan(sim, n_hosts, subnet=lan_subnet, name=name, mint=mint, **stack_kwargs)
+    mint = named_mac_factory(name)
+    lan = make_lan(sim, 1, subnet=lan_subnet, name=name, mint=mint, **stack_kwargs)
     nat = NatBox(sim, f"{name}.nat", mint, nat_type=nat_type, udp_timeout=udp_timeout)
     inside_ip = lan.network.host(1)
     inside = nat.add_inside(inside_ip, lan.network)

@@ -19,28 +19,20 @@ def build_emulated_wan(
     sim: Simulator,
     n_hosts: int,
     wan_bandwidth_bps: float = 100e6,
-    wan_latency: float = 0.0005,
-    nat_type: str = "port-restricted",
     tcp_mss: int = 1460,
-    pulse_interval: float = 5.0,
     udp_timeout: float = 60.0,
-    tcp_send_buf: int = 262144,
-    tcp_recv_buf: int = 262144,
 ) -> "tuple[WavnetEnvironment, list[WavnetHost]]":
-    """Build the emulated WAN with ``n_hosts`` NATed hosts."""
-    env = WavnetEnvironment(sim, default_latency=wan_latency)
+    """Build the emulated WAN with ``n_hosts`` NATed hosts (the other
+    site settings are :data:`~repro.scenarios.wavnet_env.SITE_DEFAULTS`)."""
+    env = WavnetEnvironment(sim, default_latency=0.0005)  # the switch fabric
     hosts = []
     for i in range(n_hosts):
         hosts.append(env.add_host(
             f"n{i:02d}",
-            nat_type=nat_type,
             access_bandwidth_bps=wan_bandwidth_bps,
             access_latency=0.0002,
             udp_timeout=udp_timeout,
             tcp_mss=tcp_mss,
-            tcp_send_buf=tcp_send_buf,
-            tcp_recv_buf=tcp_recv_buf,
-            pulse_interval=pulse_interval,
         ))
     return env, hosts
 

@@ -129,9 +129,7 @@ def fairness_bottleneck(seed: int = 0, stack: str = "wavnet",
 
     results = [p.value for p in procs]
     per_flow = [r.throughput_mbps for r in results]
-    overhead = wire_overhead_for(
-        stack, mss, pair.overlay.config if pair.overlay is not None else None)
-    wire_factor = (mss + overhead) / mss
+    wire_factor = (mss + wire_overhead_for(stack, mss)) / mss
     window = duration + (n_flows - 1) * stagger
     total_bytes = sum(r.bytes_received for r in results)
     utilization = (total_bytes * 8 * wire_factor

@@ -29,24 +29,31 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.baselines.ipop import HEADER_BYTES, P2P_MTU
+from repro.core.assembler import DATA_HEADER
 from repro.core.options import check_fidelity
 from repro.exp.spec import scenario
 from repro.net.fluid import FluidLink, FluidNetwork, FluidPath
+from repro.net.l2 import BRIDGE_FORWARD_DELAY, SWITCH_FORWARD_DELAY
+from repro.net.packet import (ETHERNET_FCS, ETHERNET_HEADER, IPV4_HEADER,
+                              TCP_HEADER, UDP_HEADER)
 from repro.net.tcp import WIRE_OVERHEAD_TCP
 
 __all__ = ["IPOP_STEADY_CPU_BPS", "fluidify", "wire_overhead_for"]
 
-# Per-packet encapsulation on top of the native frame (58 B):
-# WAVNet: WavData header 4 + UDP 8 + IP 20 + outer Ethernet+FCS 18.
-WAVNET_TUNNEL_OVERHEAD = 4 + 8 + 20 + 18
+# One outer UDP/IP/Ethernet datagram (with FCS) around a tunneled packet.
+_OUTER_DATAGRAM = UDP_HEADER + IPV4_HEADER + ETHERNET_HEADER + ETHERNET_FCS
+# Per-packet encapsulation on top of the native frame (58 B): the
+# WavData header inside one outer datagram.
+WAVNET_TUNNEL_OVERHEAD = DATA_HEADER + _OUTER_DATAGRAM
 
 # -- Calibrated IPOP capacity ------------------------------------------
 # The IPOP packet model's throughput cap is an *emergent* property: its
 # serialized user-level stack is ACK-clocked, and the mean data-segment
 # size the clocking converges to is not derivable from the per-packet
-# constants (IpopConfig) alone. The fluid plane therefore carries the
-# packet plane's measured steady-state goodput as a calibrated capacity
-# (DESIGN.md §12, "Calibrated IPOP capacity").
+# constants (repro.baselines.ipop) alone. The fluid plane therefore
+# carries the packet plane's measured steady-state goodput as a
+# calibrated capacity (DESIGN.md §12, "Calibrated IPOP capacity").
 #
 # IPOP_STEADY_CPU_BPS is the full-MSS steady regime every unshaped (or
 # mildly shaped) path converges to. Measured by size/duration
@@ -63,21 +70,19 @@ WAVNET_TUNNEL_OVERHEAD = 4 + 8 + 20 + 18
 IPOP_STEADY_CPU_BPS = 17.90e6
 
 
-def wire_overhead_for(stack: str, mss: int, ipop_config=None) -> int:
+def wire_overhead_for(stack: str, mss: int) -> int:
     """Wire bytes per MSS of goodput beyond the MSS itself."""
     if stack == "physical":
         return WIRE_OVERHEAD_TCP
     if stack == "wavnet":
         return WIRE_OVERHEAD_TCP + WAVNET_TUNNEL_OVERHEAD
     if stack == "ipop":
-        # Inner IP packet (mss + TCP 20 + IP 20) fragmented over the P2P
+        # Inner IP packet (mss + TCP + IP headers) fragmented over the P2P
         # MTU; each fragment carries Brunet framing, the whole bundle
-        # rides one UDP/IP/Ethernet datagram.
-        from repro.baselines.ipop import IpopConfig
-
-        cfg = ipop_config or IpopConfig()
-        frags = max(1, -(-(mss + 40) // cfg.p2p_mtu))
-        return 40 + frags * cfg.header_bytes + 8 + 20 + 18
+        # rides one outer datagram.
+        inner = TCP_HEADER + IPV4_HEADER
+        frags = max(1, -(-(mss + inner) // P2P_MTU))
+        return inner + frags * HEADER_BYTES + _OUTER_DATAGRAM
     raise ValueError(f"unknown stack {stack!r}")
 
 
@@ -112,26 +117,18 @@ def _site_chains(net: FluidNetwork, sim, site: str, natted: bool,
 
 
 def fluidify(pair, mss: int = 1460, refresh_interval: float = 0.5,
-             util_floor: float = 0.01,
-             stall_timeout: Optional[float] = None,
-             extra_rtt: Optional[float] = None,
-             ipop_cpu_bps: Optional[float] = None) -> FluidNetwork:
+             stall_timeout: Optional[float] = None) -> FluidNetwork:
     """Attach a FluidNetwork to a StackPair's simulator and register the
     bidirectional routes between its endpoints.
 
-    ``extra_rtt`` adds the per-stack forwarding costs the link latencies
-    miss (switch/bridge forward delays, per-packet stack latency); the
-    default uses the known constants of each topology.
-
-    ``ipop_cpu_bps`` overrides the goodput rate one IPOP endpoint's
-    user-level stack can sustain (defaults to
-    :data:`IPOP_STEADY_CPU_BPS`, the calibrated full-MSS steady rate).
-    Pass a measured value when modeling a shaped wire that holds the
-    packet plane in its slow interleaved-segment regime — see
-    "Calibrated IPOP capacity" in DESIGN.md §12."""
+    A path's RTT is its link latencies plus the forwarding costs they
+    miss: the switch and bridge forward delays each direction crosses.
+    One IPOP endpoint's user-level stack sustains
+    :data:`IPOP_STEADY_CPU_BPS` of goodput, the calibrated full-MSS
+    steady rate (see "Calibrated IPOP capacity" in DESIGN.md §12)."""
     sim = pair.sim
     net = FluidNetwork(sim, refresh_interval=refresh_interval,
-                       util_floor=util_floor, stall_timeout=stall_timeout)
+                       stall_timeout=stall_timeout)
     if pair.env is not None:
         stack = "wavnet"
     elif pair.overlay is not None:
@@ -141,18 +138,13 @@ def fluidify(pair, mss: int = 1460, refresh_interval: float = 0.5,
     natted = stack != "physical"
     site_a = pair.host_a.name.split(".")[0]
     site_b = pair.host_b.name.split(".")[0]
-    factor = (mss + wire_overhead_for(
-        stack, mss,
-        pair.overlay.config if pair.overlay is not None else None)) / mss
+    factor = (mss + wire_overhead_for(stack, mss)) / mss
 
     eg_a, in_a, lat_a = _site_chains(net, sim, site_a, natted, factor)
     eg_b, in_b, lat_b = _site_chains(net, sim, site_b, natted, factor)
 
     if stack == "ipop":
-        cfg = pair.overlay.config
-        if ipop_cpu_bps is None:
-            ipop_cpu_bps = IPOP_STEADY_CPU_BPS
-        cpu_factor = 1.0 / ipop_cpu_bps
+        cpu_factor = 1.0 / IPOP_STEADY_CPU_BPS
         cpu_a = FluidLink(f"ipop.{site_a}.cpu", capacity_bps=1.0, kind="cpu")
         cpu_b = FluidLink(f"ipop.{site_b}.cpu", capacity_bps=1.0, kind="cpu")
         eg_a = [(cpu_a, cpu_factor)] + eg_a
@@ -160,16 +152,14 @@ def fluidify(pair, mss: int = 1460, refresh_interval: float = 0.5,
         eg_b = [(cpu_b, cpu_factor)] + eg_b
         in_a = in_a + [(cpu_a, cpu_factor)]
 
-    if extra_rtt is None:
-        # Switch forward delay (5 us) once per LAN crossing per
-        # direction; the WAVNet tap/bridge adds a bridge forward (15 us)
-        # per direction on each side.
-        if stack == "physical":
-            extra_rtt = 0.0
-        elif stack == "wavnet":
-            extra_rtt = 2 * 2 * (5e-6 + 15e-6)
-        else:
-            extra_rtt = 2 * 2 * 5e-6
+    # A site LAN's switch forwards once per direction on each side; the
+    # WAVNet tap's bridge adds one bridge forward beside it.
+    if stack == "physical":
+        extra_rtt = 0.0
+    elif stack == "wavnet":
+        extra_rtt = 2 * 2 * (SWITCH_FORWARD_DELAY + BRIDGE_FORWARD_DELAY)
+    else:
+        extra_rtt = 2 * 2 * SWITCH_FORWARD_DELAY
 
     rtt = 2 * (lat_a + pair.cloud.latency(site_a, site_b) + lat_b) + extra_rtt
     conduits = ((FluidNetwork.conduit_key(site_a, site_b),)

@@ -17,7 +17,6 @@ from repro.net.addresses import IPv4Address
 from repro.sim.engine import Simulator
 from repro.vm.dirty import HotColdDirtyModel
 from repro.vm.hypervisor import MIGRATION_PORT, Hypervisor
-from repro.vm.migration import PreCopyConfig
 
 __all__ = ["HEAT_GATHER_EVERY", "HEAT_ITERATIONS_PER_M", "TIMELINE_MIGRATE_AT",
            "TIMELINE_VM_MB", "migration_timeline", "wan_vm"]
@@ -220,13 +219,12 @@ def migration_timeline(seed: int = 0, stack: str = "lan",
         vm = vmms[0].create_vm("vm", memory_mb=TIMELINE_VM_MB, dirty_model=model,
                                tcp_mss=tcp_mss)
         vm.configure_network(vm_ip, vm_net)
-        config = PreCopyConfig(max_rounds=max_rounds)
         if not stream_s:
-            report = sim.run_coro(vmms[0].migrate(vm, vmms[1], dest_ip, config=config))
+            report = sim.run_coro(vmms[0].migrate(vm, vmms[1], dest_ip, max_rounds))
             return sim, {"migration": _report(report)}
 
         def move():
-            yield sim.process(vmms[0].migrate(vm, vmms[1], dest_ip, config=config))
+            yield sim.process(vmms[0].migrate(vm, vmms[1], dest_ip, max_rounds))
             # The hypervisor's "migrate" span covers connect..resume.
             return sim.trace.spans("migrate")[-1]["dur"]
 

@@ -89,9 +89,7 @@ class RealWan:
         return self.hosts[name]
 
 
-def build_real_wan(sim: Simulator, site_names=None, nat_type: str = "port-restricted",
-                   tcp_mss: int = 1460, pulse_interval: float = 5.0,
-                   tcp_send_buf: int = 262144, tcp_recv_buf: int = 262144) -> RealWan:
+def build_real_wan(sim: Simulator, site_names=None, tcp_mss: int = 1460) -> RealWan:
     """Assemble the Table I testbed as a WAVNet environment.
 
     ``hku1`` and ``hku2`` are separate attachments whose mutual RTT is
@@ -105,15 +103,11 @@ def build_real_wan(sim: Simulator, site_names=None, nat_type: str = "port-restri
         spec = SITES[name]
         hosts[name] = env.add_host(
             name,
-            nat_type=nat_type,
             access_bandwidth_bps=spec.access_mbps * 1e6,
             access_latency=0.0002,
             attrs={"cpu_ghz": spec.cpu_factor * 2.0, "mem_mb": 2048.0},
             cpu_factor=spec.cpu_factor,
             tcp_mss=tcp_mss,
-            tcp_send_buf=tcp_send_buf,
-            tcp_recv_buf=tcp_recv_buf,
-            pulse_interval=pulse_interval,
         )
     for i, a in enumerate(site_names):
         for b in site_names[i + 1:]:

@@ -80,14 +80,13 @@ def physical_pair(rtt: float, bandwidth_bps: float, seed: int = 0,
 
 
 def wavnet_pair(rtt: float, bandwidth_bps: float, seed: int = 0,
-                mss: int = 1460, nat_type: str = "port-restricted",
+                mss: int = 1460,
                 send_buf: int = 262144, recv_buf: int = 262144) -> StackPair:
     """Two NATed WAVNet hosts punched together across the cloud."""
     sim = Simulator(seed=seed)
     env = WavnetEnvironment(sim, default_latency=0.010)
     for name in ("wa", "wb"):
-        env.add_host(name, nat_type=nat_type,
-                     access_bandwidth_bps=bandwidth_bps, tcp_mss=mss,
+        env.add_host(name, access_bandwidth_bps=bandwidth_bps, tcp_mss=mss,
                      access_latency=ACCESS_LATENCY,
                      tcp_send_buf=send_buf, tcp_recv_buf=recv_buf)
     env.cloud.set_rtt("wa", "wb", max(rtt - SITE_PATH_RTT, 1e-4))
@@ -98,7 +97,7 @@ def wavnet_pair(rtt: float, bandwidth_bps: float, seed: int = 0,
 
 
 def ipop_pair(rtt: float, bandwidth_bps: float, seed: int = 0,
-              mss: int = 1460, config: IpopConfig | None = None,
+              mss: int = 1460,
               send_buf: int = 262144, recv_buf: int = 262144) -> StackPair:
     """Two NATed IPOP endpoints (direct P2P edge, so the comparison
     isolates the per-packet user-level stack cost, as Table II/Fig 6 do).
@@ -106,7 +105,7 @@ def ipop_pair(rtt: float, bandwidth_bps: float, seed: int = 0,
     overlay (costing two stack services each), as real IPOP does."""
     sim = Simulator(seed=seed)
     cloud = WanCloud(sim, default_latency=0.010)
-    overlay = IpopOverlay(sim, config=config)
+    overlay = IpopOverlay(sim)
     sites = []
     for i, name in enumerate(("ia", "ib")):
         site = make_natted_site(sim, cloud, name, f"8.6.0.{i + 1}",

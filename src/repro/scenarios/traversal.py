@@ -67,14 +67,12 @@ def _pair_env(sim: Simulator, nat_a: str, nat_b: str, rtt: float,
 @scenario("traversal_pair")
 def traversal_pair(seed: int = 0, nat_a: str = "port-restricted",
                    nat_b: str = "port-restricted", rtt: float = 0.05,
-                   predict_ports: bool = True, punch_fan: int = 8,
-                   settle: float = 1.0):
+                   predict_ports: bool = True, settle: float = 1.0):
     """One cell of the NAT×NAT traversal matrix: bring up two hosts
     behind the given NAT specs, punch ``ta -> tb``, and report how the
     connection came up."""
     sim = Simulator(seed=seed)
-    env = _pair_env(sim, nat_a, nat_b, rtt,
-                    predict_ports=predict_ports, punch_fan=punch_fan)
+    env = _pair_env(sim, nat_a, nat_b, rtt, predict_ports=predict_ports)
     conn = env.up().connect("ta", "tb")
     if settle > 0:
         sim.run(until=sim.now + settle)

@@ -16,13 +16,12 @@ Implements the parts of Xen the paper depends on (§II.C):
 from repro.vm.dirty import HotColdDirtyModel, UniformDirtyModel
 from repro.vm.hypervisor import Hypervisor
 from repro.vm.machine import VirtualMachine
-from repro.vm.migration import MigrationReport, PreCopyConfig
+from repro.vm.migration import MigrationReport
 
 __all__ = [
     "HotColdDirtyModel",
     "Hypervisor",
     "MigrationReport",
-    "PreCopyConfig",
     "UniformDirtyModel",
     "VirtualMachine",
 ]

@@ -9,8 +9,6 @@ WAN migration under WAVNet that connection naturally rides the tunnel.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.net.addresses import IPv4Address
 from repro.net.stack import Host
 from repro.net.tcp import drain_bytes
@@ -18,8 +16,8 @@ from repro.sim.engine import Simulator
 from repro.vm.machine import VirtualMachine
 from repro.vm.migration import (
     CPU_STATE_BYTES,
+    RESUME_COST,
     MigrationReport,
-    PreCopyConfig,
     _round_bytes,
     run_precopy,
 )
@@ -82,13 +80,13 @@ class Hypervisor:
 
     # -- live migration (sender side) --------------------------------------------
     def migrate(self, vm: VirtualMachine, dest: "Hypervisor",
-                dest_ip: IPv4Address, config: Optional[PreCopyConfig] = None):
+                dest_ip: IPv4Address, max_rounds: int = 30):
         """Process: live-migrate ``vm`` to ``dest`` reachable at
         ``dest_ip`` (a LAN or WAVNet-virtual address of the destination
-        physical host). Returns a MigrationReport."""
+        physical host) after at most ``max_rounds`` pre-copy rounds.
+        Returns a MigrationReport."""
         if vm.name not in self.vms:
             raise RuntimeError(f"{vm.name} is not on {self.name}")
-        config = config or PreCopyConfig()
         sim = self.sim
         report = MigrationReport(vm_name=vm.name, started_at=sim.now)
         span = sim.trace.begin("migrate", vm=vm.name, src=self.name, dst=dest.name)
@@ -97,7 +95,7 @@ class Hypervisor:
         yield conn.wait_established()
         # Iterative pre-copy rounds while the guest keeps running.
         with sim.trace.span("migrate.precopy", vm=vm.name) as precopy:
-            remaining = yield from run_precopy(vm, conn, config, report)
+            remaining = yield from run_precopy(vm, conn, max_rounds, report)
             precopy.annotate(rounds=report.n_rounds, converged=report.converged)
         # Stop-and-copy: pause, move the last dirty set + CPU state.
         report.downtime_start = sim.now
@@ -112,7 +110,7 @@ class Hypervisor:
         self.detach(vm)
         self.migrations_out += 1
         self.metrics.counter("migrations.out").add()
-        yield sim.timeout(config.resume_cost)
+        yield sim.timeout(RESUME_COST)
         dest.adopt(vm)
         vm.resume()
         vm.migrations += 1

@@ -20,21 +20,15 @@ from dataclasses import dataclass, field
 from repro.net.tcp import TcpConnection, stream_bytes
 from repro.vm.machine import PAGE_SIZE, VirtualMachine
 
-__all__ = ["MigrationReport", "PreCopyConfig", "run_precopy"]
+__all__ = ["MigrationReport", "run_precopy"]
 
 # Per-page metadata sent along with the page (page number, checksums).
 PAGE_OVERHEAD = 16
 CPU_STATE_BYTES = 64 * 1024
-
-
-@dataclass(frozen=True)
-class PreCopyConfig:
-    """Stop conditions of the iterative pre-copy loop."""
-
-    max_rounds: int = 30
-    stop_pages: int = 64          # dirty set small enough for stop-and-copy
-    min_progress: float = 0.95    # stop if round N isn't < 95% of round N-1
-    resume_cost: float = 0.15     # VMM resume + device re-attach (seconds)
+# Stop conditions of the iterative pre-copy loop besides its round budget.
+STOP_PAGES = 64        # dirty set small enough for stop-and-copy
+MIN_PROGRESS = 0.95    # stop if round N isn't < 95% of round N-1
+RESUME_COST = 0.15     # VMM resume + device re-attach (seconds)
 
 
 @dataclass
@@ -69,10 +63,11 @@ def _round_bytes(pages: int) -> int:
 def run_precopy(
     vm: VirtualMachine,
     conn: TcpConnection,
-    config: PreCopyConfig,
+    max_rounds: int,
     report: MigrationReport,
 ):
-    """Process body: drive the pre-copy rounds over ``conn`` (sender side).
+    """Process body: drive at most ``max_rounds`` pre-copy rounds over
+    ``conn`` (sender side; 0 is stop-and-copy).
 
     The receiver side just drains bytes (see Hypervisor._migration_server).
     Returns the report with rounds/downtime filled in; the caller pauses
@@ -80,7 +75,7 @@ def run_precopy(
     """
     sim = vm.sim
     to_send = vm.total_pages  # round 0: everything
-    for round_no in range(config.max_rounds):
+    for round_no in range(max_rounds):
         t0 = sim.now
         yield from stream_bytes(conn, _round_bytes(to_send))
         elapsed = sim.now - t0
@@ -89,10 +84,10 @@ def run_precopy(
         sim.trace.event("migrate.round", vm=vm.name, round=round_no,
                         pages=to_send, seconds=elapsed)
         dirtied = vm.dirty_model.unique_dirty_pages(elapsed, vm.total_pages)
-        if dirtied <= config.stop_pages:
+        if dirtied <= STOP_PAGES:
             to_send = dirtied
             return to_send
-        if dirtied >= to_send * config.min_progress and round_no > 0:
+        if dirtied >= to_send * MIN_PROGRESS and round_no > 0:
             # Dirty rate caught up with transfer rate: further rounds
             # cannot shrink the set (Xen's writable-working-set bailout).
             report.converged = False

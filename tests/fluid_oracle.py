@@ -355,15 +355,28 @@ class FluidNetwork:
                 self._eta_fire(flow)
 
     def _deliver(self, flow: FluidFlow) -> None:
-        """Succeed ``flow.done`` once its last byte has propagated."""
-        if flow.deliver_offset > 0:
-            self._join(self._deliveries, flow.deliver_offset, flow,
-                       self._fire_deliveries)
-        else:
+        """Succeed ``flow.done`` once its last byte has propagated. The
+        instant's cohort takes the flow unless another calendar entry for
+        that instant was pushed since its last flow: then the flow starts
+        a new cohort behind that entry, where its own entry would fire."""
+        if flow.deliver_offset <= 0:
             flow.done.succeed(flow)
+            return
+        sim = self.sim
+        when = sim.now + flow.deliver_offset
+        cohort = self._deliveries.get(when)
+        if cohort is None or any(at == when and seq > cohort.seq
+                                 for at, seq, *_ in sim._calendar):
+            cohort = self._deliveries[when] = _Cohort()
+            cohort.timer = sim.timer(flow.deliver_offset,
+                                     lambda: self._fire_deliveries(cohort))
+        cohort.append(flow)
+        cohort.seq = sim._seq
 
-    def _fire_deliveries(self) -> None:
-        for flow in self._deliveries.pop(self.sim.now):
+    def _fire_deliveries(self, cohort: "_Cohort") -> None:
+        if self._deliveries.get(self.sim.now) is cohort:
+            del self._deliveries[self.sim.now]
+        for flow in cohort:
             flow.done.succeed(flow)
 
     # ------------------------------------------------------------------
@@ -552,7 +565,8 @@ class FluidNetwork:
 
 
 class _Cohort(list):
-    """One instant's flows in arm order, its timer, and how many of the
-    flows are still armed on it."""
+    """One instant's flows in arm order, its timer, how many of the flows
+    are still armed on it and, for a delivery cohort, the kernel's last
+    sequence number when it took a flow."""
 
-    __slots__ = ("timer", "armed")
+    __slots__ = ("timer", "armed", "seq")

@@ -45,6 +45,17 @@ def _worker_exit(seed=0, code=0):
 registry.register("worker_exit", _worker_exit)
 
 
+def _numpy_payload(seed=0):
+    """A payload of numpy values of every shape a scenario may return."""
+    import numpy as np
+
+    return {"scalar": np.float64(1.5), "zero_d": np.array(7), "one": np.array([2]),
+            "matrix": np.arange(4).reshape(2, 2)}
+
+
+registry.register("numpy_payload", _numpy_payload)
+
+
 class TestRegistry:
     def test_scenarios_registered_by_import(self):
         names = scenario_names()
@@ -103,6 +114,11 @@ class TestSpec:
         # Canonical bytes ignore wall time but pin everything else.
         other = run_spec(spec)
         assert envelope_bytes(env) == envelope_bytes(other)
+
+    def test_numpy_payload_values_become_scalars_and_lists(self):
+        payload = run_spec(ExperimentSpec("numpy_payload"))["payload"]
+        assert payload == {"scalar": 1.5, "zero_d": 7, "one": [2],
+                           "matrix": [[0, 1], [2, 3]]}
 
     def test_metric_selection_exports_only_matches(self):
         spec = ExperimentSpec("stack_ping",

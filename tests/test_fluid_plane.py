@@ -121,6 +121,23 @@ def test_ttcp_over_the_tunnel_one_api():
     assert elapsed["fluid"] == pytest.approx(elapsed["packet"], rel=0.15)
 
 
+def test_wavnet_fluid_rtt_is_what_a_frame_crosses():
+    """The RTT ``fluidify`` registers for a wavnet pair is the built
+    pair's own: each way, every link latency of both site chains and the
+    cloud, plus each side's LAN switch and tap bridge forward delay."""
+    pair = wavnet_pair(0.030, 20e6, seed=2)
+    net = fluidify(pair)
+    one_way = pair.cloud.latency("wa", "wb")
+    for site in ("wa", "wb"):
+        one_way += sum(_find_link(pair.sim, f"{site}.{hop}").ab.latency
+                       for hop in ("h0-sw", "nat-sw", "access"))
+        wav = pair.env.hosts[site]
+        one_way += wav.site.lan.switch.forward_delay + wav.driver.bridge.forward_delay
+    for src, dst in ((pair.host_a.name, pair.ip_b),
+                     (pair.host_b.name, pair.env.hosts["wa"].virtual_ip)):
+        assert net.route(src, dst).rtt == pytest.approx(2 * one_way, rel=1e-12)
+
+
 # ----------------------------------------------------------------------
 # Faults: stall / resume / abort through the injector verbs
 # ----------------------------------------------------------------------
@@ -547,12 +564,24 @@ _TWICE_LISTED = dict(
                 (0.0, 2, 250_000, False, None, None, "none")],
     actions=[(0.0, "blink", 0, True)], stall_timeout=None)
 
+# f0 and f2 fit their initial window and complete as they open, their
+# last bytes landing at 0.02 s; f1, opened between them, puts its ramp
+# step on that instant. f2's done must resolve after the ramp step's
+# re-solve, where its own delivery entry sits, not in f0's cohort.
+_RAMP_BETWEEN_DELIVERIES = dict(
+    caps=[2e6], paths=[([0], 1.04, False, False)] * 2,
+    flow_specs=[(0.0, 1, 4000, True, None, None, "open"),
+                (0.0, 0, None, True, None, None, "open"),
+                (0.0, 1, 4000, True, None, None, "open")],
+    actions=[], stall_timeout=None)
+
 
 @given(caps=_caps, paths=_paths, flow_specs=_flow_specs, actions=_actions,
        stall_timeout=st.sampled_from([None, 0.15]))
 @settings(max_examples=200, deadline=None)
 @example(**_SHARED_INSTANT)
 @example(**_TWICE_LISTED)
+@example(**_RAMP_BETWEEN_DELIVERIES)
 def test_columns_match_object_oracle(caps, paths, flow_specs, actions,
                                      stall_timeout):
     """Bit for bit the object-per-flow plane's run: done order and
@@ -590,6 +619,7 @@ def test_arrival_cohorts_match_object_oracle(caps, paths, flow_specs, actions,
        stall_timeout=st.sampled_from([None, 0.15]))
 @settings(max_examples=40, deadline=None)
 @example(**_SHARED_INSTANT)
+@example(**_RAMP_BETWEEN_DELIVERIES)
 def test_cohorts_match_per_flow_timers(caps, paths, flow_specs, actions,
                                        stall_timeout):
     """Same observable run as one timer per flow, in no more calendar

@@ -7,8 +7,8 @@ from repro.sim import Simulator
 from repro.vm.dirty import HotColdDirtyModel, IdleDirtyModel, UniformDirtyModel
 from repro.vm.machine import PAGE_SIZE, VirtualMachine
 from repro.vm.migration import (
+    STOP_PAGES,
     MigrationReport,
-    PreCopyConfig,
     _round_bytes,
     run_precopy,
 )
@@ -34,11 +34,11 @@ def make_vm(sim, memory_mb=16, dirty_model=None):
                           dirty_model=dirty_model or IdleDirtyModel())
 
 
-def run(vm, rate_bps=100e6, config=None):
+def run(vm, rate_bps=100e6, max_rounds=30):
     sim = vm.sim
     conn = StubConn(sim, rate_bps)
     report = MigrationReport(vm_name=vm.name, started_at=sim.now)
-    proc = sim.process(run_precopy(vm, conn, config or PreCopyConfig(), report))
+    proc = sim.process(run_precopy(vm, conn, max_rounds, report))
     sim.run(until=proc)
     return report, proc.value, conn
 
@@ -62,17 +62,16 @@ class TestPreCopyRounds:
         pages = [p for p, _t in report.rounds]
         assert len(pages) >= 2
         assert all(pages[i] > pages[i + 1] for i in range(len(pages) - 1))
-        assert remaining <= PreCopyConfig().stop_pages
+        assert remaining <= STOP_PAGES
 
     def test_hot_set_triggers_wws_bailout(self):
-        """A hot set larger than stop_pages that never shrinks must hit
-        the min_progress bailout, not loop to max_rounds."""
+        """A hot set larger than STOP_PAGES that never shrinks must hit
+        the MIN_PROGRESS bailout, not loop to max_rounds."""
         sim = Simulator()
         vm = make_vm(sim, memory_mb=16,
                      dirty_model=HotColdDirtyModel(hot_fraction=0.2,
                                                    hot_rate=1e6, cold_rate=0))
-        config = PreCopyConfig(max_rounds=30)
-        report, remaining, conn = run(vm, config=config)
+        report, remaining, conn = run(vm, max_rounds=30)
         assert not report.converged
         assert report.n_rounds < 30
         hot_pages = int(vm.total_pages * 0.2)
@@ -81,7 +80,7 @@ class TestPreCopyRounds:
     def test_max_rounds_zero_is_stop_and_copy(self):
         sim = Simulator()
         vm = make_vm(sim, dirty_model=UniformDirtyModel(1e9))
-        report, remaining, conn = run(vm, config=PreCopyConfig(max_rounds=0))
+        report, remaining, conn = run(vm, max_rounds=0)
         assert report.n_rounds == 0
         assert remaining == vm.total_pages
 
